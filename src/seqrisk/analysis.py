@@ -94,12 +94,8 @@ def translate_corpus(store: sm.ParameterStore, vocab: sm.Vocabulary,
                      pairs: Sequence[dg.TokenPair],
                      config: dec.DecodeConfig | None = None) -> list[list[str]]:
     """Beam-decode every source; returns token hypotheses."""
-    config = config or dec.DecodeConfig()
-    out = []
-    for src, _ in pairs:
-        hyps = dec.beam_search(store, vocab.encode(src), config)
-        out.append(vocab.decode(hyps[0].generated()) if hyps else [])
-    return out
+    results = dec.beam_search_corpus(store, [vocab.encode(src) for src, _ in pairs], config)
+    return [vocab.decode(hyps[0].generated()) if hyps else [] for hyps in results]
 
 
 def judge_corpus(store: sm.ParameterStore, vocab: sm.Vocabulary,

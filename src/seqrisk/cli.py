@@ -436,8 +436,7 @@ def _cmd_translate(args) -> int:
     sources = _read_source_lines(Path(args.input))
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
     lines = []
-    for src in sources:
-        hyps = dec.beam_search(store, vocab.encode(src), config)
+    for hyps in dec.beam_search_corpus(store, [vocab.encode(src) for src in sources], config):
         best = hyps[0]
         text = " ".join(vocab.decode(best.generated()))
         if args.scores:

@@ -1,10 +1,12 @@
 """Decoding strategies over a trained model.
 
-Beam search prunes on raw summed log-probabilities and ranks its finished
-pool by a length-normalized score; greedy decoding is written as its own
-loop rather than as beam size 1 so the two can cross-check each other in
-tests.  Sampling is batched because risk training draws several candidates
-per source at every step.
+Every decoder runs on `seqmodel.IncrementalDecoder`, the tape-free,
+KV-cached inference core.  Beam search prunes on raw summed log-probabilities
+and ranks its finished pool by a length-normalized score; one vectorised
+core steps the live beams of many sentences as one batch.  Greedy decoding
+is written as its own loop rather than as beam size 1 so the two can
+cross-check each other in tests.  Sampling is batched because risk training
+draws several candidates per source at every step.
 
 PAD and BOS are never proposed as continuations: PAD doubles as the batch
 padding marker so emitting it mid-sequence would corrupt later rescoring,
@@ -13,7 +15,6 @@ and a second BOS has no meaning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import numkit as nk
 from . import seqmodel as sm
-from .errors import ContractError
+from .errors import ContractError, LengthError
 
 BANNED_CONTINUATIONS = (sm.PAD_ID, sm.BOS_ID)
 
@@ -74,97 +75,139 @@ def _resolve_max_len(store: sm.ParameterStore, config: DecodeConfig) -> int:
     return min(config.max_len, cap)
 
 
-def _tiled_memory(memory: nk.Tensor, count: int) -> nk.Tensor:
-    data = np.ascontiguousarray(np.broadcast_to(
-        memory.data, (count,) + tuple(memory.shape)))
-    return nk.Tensor(data)
+# advance(parents, seqs) -> [rows, vocab] next-token log-probs: reorder the
+# scorer's rows by `parents`, then extend them to the [rows, t] sequences
+AdvanceFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _step_log_probs(store: sm.ParameterStore, memory_one: nk.Tensor,
-                    src: Sequence[int], prefixes: list[list[int]]) -> np.ndarray:
-    """Next-token log-probs [len(prefixes), vocab] for equal-length prefixes."""
-    b = len(prefixes)
-    mem = _tiled_memory(memory_one, b)
-    src_arr = np.tile(np.asarray([src], dtype=np.int64), (b, 1))
-    tgt_arr = np.asarray(prefixes, dtype=np.int64)
-    rows = sm.decode_batch(store, mem, src_arr, tgt_arr)
-    return rows.data[:, -1, :]
+def _rank_in_group(groups: np.ndarray) -> np.ndarray:
+    """Position of each element within its run of equal values in `groups`,
+    which holds each group contiguously."""
+    starts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
+    counts = np.diff(np.r_[starts, groups.size])
+    return np.arange(groups.size) - np.repeat(starts, counts)
+
+
+def _top_k_rows(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, token) pairs of each row's k best allowed continuations, row by
+    row, each row ordered by value (higher first) then token id (lower
+    first)."""
+    allowed = np.setdiff1d(np.arange(rows.shape[1]), BANNED_CONTINUATIONS)
+    cols = np.argsort(-rows[:, allowed], axis=1, kind="stable")[:, :k]
+    return np.repeat(np.arange(rows.shape[0]), cols.shape[1]), allowed[cols.reshape(-1)]
+
+
+def _lex_rank(seqs: np.ndarray) -> np.ndarray:
+    """Rank of each row of `seqs` in lexicographic order."""
+    rank = np.empty(seqs.shape[0], dtype=np.int64)
+    rank[np.lexsort(seqs.T[::-1])] = np.arange(seqs.shape[0])
+    return rank
+
+
+def _beam_core(advance: AdvanceFn, n_sources: int, max_len: int,
+               config: DecodeConfig) -> list[list[Hypothesis]]:
+    """Beam search for `n_sources` sources at once, stepping every live beam
+    of every source as one flat batch.
+
+    Per source, candidates are pruned on raw float64 totals each step: each
+    live beam offers its k best continuations, and the source keeps its k
+    best candidates, ranked by total (higher first), then by the
+    lexicographic order of the id sequence.  Beams still open at the length
+    cap are closed as-is.  A source stops expanding once it has k finished
+    hypotheses, or once no open beam could beat its best finished score
+    even with cost-free continuations.
+    """
+    k = config.beam_size
+    if max_len < 2:
+        raise ContractError(f"max_len must be >= 2, got {max_len}")
+    penalty = [length_penalty(n, config.length_norm_alpha) for n in range(max_len)]
+
+    finished: list[list[Hypothesis]] = [[] for _ in range(n_sources)]
+    n_finished = np.zeros(n_sources, dtype=np.int64)
+    best_done = np.full(n_sources, -np.inf)
+    src = np.arange(n_sources)  # source of each live beam, grouped by source
+    totals = np.zeros(n_sources)
+    seqs = np.full((n_sources, 1), sm.BOS_ID, dtype=np.int64)
+    parents = src
+
+    while src.size:
+        rows = np.asarray(advance(parents, seqs))
+        row, tok = _top_k_rows(rows, k)
+        total = totals[row] + rows[row, tok].astype(np.float64)
+        cand_src = src[row]
+        # keep each source's candidates that tie or beat its k-th best total
+        group = np.r_[0, np.cumsum(cand_src[1:] != cand_src[:-1])]
+        pos = _rank_in_group(cand_src)
+        if pos.max() >= k:
+            grid = np.full((group[-1] + 1, pos.max() + 1), np.inf)
+            grid[group, pos] = -total
+            kth = np.partition(grid, k - 1, axis=1)[:, k - 1]
+            near = np.flatnonzero(-total <= kth[group])
+            row, tok, total, cand_src = row[near], tok[near], total[near], cand_src[near]
+        order = np.lexsort((tok, _lex_rank(seqs)[row], -total, cand_src))
+        order = order[_rank_in_group(cand_src[order]) < k]
+        parents, total, cand_src = row[order], total[order], cand_src[order]
+        seqs = np.concatenate((seqs[parents], tok[order, None]), axis=1)
+
+        gen_len = seqs.shape[1] - 1
+        closed = (seqs[:, -1] == sm.EOS_ID) | (seqs.shape[1] >= max_len)
+        for i in np.flatnonzero(closed):
+            s, t = cand_src[i], float(total[i])
+            hyp = Hypothesis(seqs[i].tolist(), t, t / penalty[gen_len],
+                             bool(seqs[i, -1] == sm.EOS_ID))
+            finished[s].append(hyp)
+            n_finished[s] += 1
+            best_done[s] = max(best_done[s], hyp.normalized_score)
+        open_ = ~closed
+        bound = np.full(n_sources, -np.inf)
+        np.maximum.at(bound, cand_src[open_], np.maximum(
+            total[open_] / penalty[max_len - 1], total[open_] / penalty[gen_len]))
+        done = (n_finished >= k) | (bound <= best_done)
+        live = open_ & ~done[cand_src]
+        parents, seqs, totals, src = parents[live], seqs[live], total[live], cand_src[live]
+
+    for hyps in finished:
+        hyps.sort(key=lambda h: (-h.normalized_score, h.tokens))
+    return [hyps[:k] for hyps in finished]
 
 
 def beam_search_steps(step_fn: StepFn, max_len: int,
                       config: DecodeConfig | None = None) -> list[Hypothesis]:
-    """Beam search over an arbitrary next-token scorer.
+    """Beam search over an arbitrary next-token scorer: the one-source case
+    of the batched core behind `beam_search_corpus`.
 
-    Candidates are pruned on raw totals each step.  Beams still open at the
-    length cap are closed as-is.  Expansion stops early once no open beam
-    could beat the best finished score even with cost-free continuations.
-    Exact score ties break toward the lexicographically smaller id sequence.
-
-    Exposed apart from the model-backed entry point so tests can drive the
+    Exposed apart from the model-backed entry points so tests can drive the
     search with small hand-specified probability tables.
     """
+    return _beam_core(lambda parents, seqs: step_fn(seqs.tolist()), 1, max_len,
+                      config or DecodeConfig())[0]
+
+
+def beam_search_corpus(store: sm.ParameterStore, sources: Sequence[Sequence[int]],
+                       config: DecodeConfig | None = None) -> list[list[Hypothesis]]:
+    """Beam search under the model for every source; per source, finished
+    hypotheses sorted by normalized score.  Sources are decoded together,
+    as many per batch as keep beam_size x sources within
+    `seqmodel.MAX_LIVE_ROWS`."""
     config = config or DecodeConfig()
-    k = config.beam_size
-    alpha = config.length_norm_alpha
-    if max_len < 2:
-        raise ContractError(f"max_len must be >= 2, got {max_len}")
-
-    live: list[tuple[float, list[int]]] = [(0.0, [sm.BOS_ID])]
-    finished: list[Hypothesis] = []
-
-    while live:
-        rows = np.asarray(step_fn([t for _, t in live]))
-        candidates: list[tuple[float, list[int]]] = []
-        for (total, toks), row in zip(live, rows):
-            order = np.argsort(-row, kind="stable")  # ties keep lower id first
-            taken = 0
-            for tok_id in order:
-                tok_id = int(tok_id)
-                if tok_id in BANNED_CONTINUATIONS:
-                    continue
-                candidates.append((total + float(row[tok_id]), toks + [tok_id]))
-                taken += 1
-                if taken >= k:
-                    break
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        next_live = []
-        for total, toks in candidates[: k]:
-            gen_len = len(toks) - 1
-            if toks[-1] == sm.EOS_ID:
-                finished.append(Hypothesis(
-                    toks, total, total / length_penalty(gen_len, alpha), True))
-            elif len(toks) >= max_len:
-                finished.append(Hypothesis(
-                    toks, total, total / length_penalty(gen_len, alpha), False))
-            else:
-                next_live.append((total, toks))
-        live = next_live
-        if len(finished) >= k:
-            break
-        if finished and live:
-            best_done = max(h.normalized_score for h in finished)
-            bound = max(
-                max(t / length_penalty(max_len - 1, alpha),
-                    t / length_penalty(len(toks) - 1, alpha))
-                for t, toks in live)
-            if bound <= best_done:
-                break
-
-    finished.sort(key=lambda h: (-h.normalized_score, h.tokens))
-    return finished[: k]
+    max_len = _resolve_max_len(store, config)
+    per_batch = max(1, sm.MAX_LIVE_ROWS // config.beam_size)
+    out: list[list[Hypothesis]] = []
+    for start in range(0, len(sources), per_batch):
+        chunk = sources[start: start + per_batch]
+        if min(len(s) for s in chunk) < 1:
+            raise LengthError("source must contain at least one token")
+        state = sm.IncrementalDecoder(store, sm.pad_batch(chunk))
+        out.extend(_beam_core(lambda parents, seqs: state.step(parents, seqs[:, -1]),
+                              len(chunk), max_len, config))
+    return out
 
 
 def beam_search(store: sm.ParameterStore, src: Sequence[int],
                 config: DecodeConfig | None = None) -> list[Hypothesis]:
-    """Beam search under the model; finished hypotheses sorted by
-    normalized score."""
-    config = config or DecodeConfig()
-    max_len = _resolve_max_len(store, config)
-    with nk.no_grad():
-        memory = sm.encode(store, src)
-        return beam_search_steps(
-            lambda prefixes: _step_log_probs(store, memory, src, prefixes),
-            max_len, config)
+    """Beam search under the model for one source; finished hypotheses
+    sorted by normalized score."""
+    return beam_search_corpus(store, [src], config)[0]
 
 
 def greedy_decode(store: sm.ParameterStore, src: Sequence[int],
@@ -172,20 +215,19 @@ def greedy_decode(store: sm.ParameterStore, src: Sequence[int],
                   length_norm_alpha: float = 1.0) -> Hypothesis:
     """Plain argmax loop; must agree with beam search at beam size 1."""
     cap = min(max_len or store.config.max_seq_len, store.config.max_seq_len)
-    with nk.no_grad():
-        memory = sm.encode(store, src)
-        toks = [sm.BOS_ID]
-        total = 0.0
-        finished = False
-        while len(toks) < cap:
-            row = _step_log_probs(store, memory, src, [toks])[0].copy()
-            row[list(BANNED_CONTINUATIONS)] = -np.inf
-            best = int(np.argmax(row))  # argmax takes the lowest id on ties
-            total += float(row[best])
-            toks.append(best)
-            if best == sm.EOS_ID:
-                finished = True
-                break
+    state = sm.IncrementalDecoder(store, np.asarray([src], dtype=np.int64))
+    toks = [sm.BOS_ID]
+    total = 0.0
+    finished = False
+    while len(toks) < cap:
+        row = state.step(None, [toks[-1]])[0]
+        row[list(BANNED_CONTINUATIONS)] = -np.inf
+        best = int(np.argmax(row))  # argmax takes the lowest id on ties
+        total += float(row[best])
+        toks.append(best)
+        if best == sm.EOS_ID:
+            finished = True
+            break
     gen_len = len(toks) - 1
     return Hypothesis(toks, total, total / length_penalty(gen_len, length_norm_alpha), finished)
 
@@ -197,8 +239,10 @@ def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
     """Ancestral sampling, `n_samples` sequences per source row.
 
     Returns, per source, a list of id sequences including BOS (and EOS when
-    the sample terminated on its own).  All sequences step together in one
-    batch; finished rows are frozen with PAD and truncated afterwards.
+    the sample terminated on its own).  All unfinished sequences step
+    together in one batch; every step draws one uniform number per
+    sequence, finished or not, so the stream `rng` yields does not depend
+    on when sequences end.
     """
     if temperature <= 0.0:
         raise ContractError(f"temperature must be > 0, got {temperature}")
@@ -207,45 +251,28 @@ def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
     rows_n = bsz * n_samples
     cap = min(max_len or store.config.max_seq_len, store.config.max_seq_len)
 
-    with nk.no_grad():
-        memory = sm.encode_batch(store, src_batch)
-        mem = nk.Tensor(np.ascontiguousarray(
-            np.repeat(memory.data, n_samples, axis=0)))
-        src_rep = np.repeat(src_batch, n_samples, axis=0)
-        seqs = np.full((rows_n, 1), sm.BOS_ID, dtype=np.int64)
-        alive = np.ones(rows_n, dtype=bool)
-
-        while seqs.shape[1] < cap and alive.any():
-            out = sm.decode_batch(store, mem, src_rep, seqs)
-            logits = out.data[:, -1, :] / temperature
-            logits[:, list(BANNED_CONTINUATIONS)] = -np.inf
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            cdf = np.cumsum(probs, axis=1)
-            draws = 1.0 - rng.random(rows_n)  # (0, 1]: zero-mass ids stay unreachable
-            next_ids = (cdf < draws[:, None]).sum(axis=1).astype(np.int64)
-            next_ids = np.minimum(next_ids, store.config.vocab_size - 1)
-            next_ids[~alive] = sm.PAD_ID
-            seqs = np.concatenate([seqs, next_ids[:, None]], axis=1)
-            alive &= next_ids != sm.EOS_ID
-
-    out: list[list[list[int]]] = []
-    for b in range(bsz):
-        group = []
-        for j in range(n_samples):
-            row = seqs[b * n_samples + j]
-            toks = [sm.BOS_ID]
-            for t in row[1:]:
-                t = int(t)
-                if t == sm.PAD_ID:
-                    break
-                toks.append(t)
-                if t == sm.EOS_ID:
-                    break
-            group.append(toks)
-        out.append(group)
-    return out
+    state = sm.IncrementalDecoder(store, src_batch)
+    seqs = [[sm.BOS_ID] for _ in range(rows_n)]
+    alive = np.arange(rows_n)  # sequence index of each decoder row
+    parents = np.repeat(np.arange(bsz), n_samples)
+    tokens = np.full(rows_n, sm.BOS_ID, dtype=np.int64)
+    for _ in range(cap - 1):
+        logits = state.step(parents, tokens) / temperature
+        logits[:, list(BANNED_CONTINUATIONS)] = -np.inf
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(probs, axis=1)
+        draws = 1.0 - rng.random(rows_n)  # (0, 1]: zero-mass ids stay unreachable
+        tokens = (cdf < draws[alive, None]).sum(axis=1).astype(np.int64)
+        tokens = np.minimum(tokens, store.config.vocab_size - 1)
+        for i, t in zip(alive.tolist(), tokens.tolist()):
+            seqs[i].append(t)
+        parents = np.flatnonzero(tokens != sm.EOS_ID)
+        if not parents.size:
+            break
+        alive, tokens = alive[parents], tokens[parents]
+    return [seqs[b * n_samples: (b + 1) * n_samples] for b in range(bsz)]
 
 
 def sample_decode(store: sm.ParameterStore, src: Sequence[int],

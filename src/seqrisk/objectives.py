@@ -41,12 +41,7 @@ IdSeq = list[int]
 Corpus = list[tuple[IdSeq, IdSeq]]  # (source ids, BOS..EOS target ids)
 
 
-def pad_batch(seqs: Sequence[Sequence[int]], pad_id: int = sm.PAD_ID) -> np.ndarray:
-    width = max(len(s) for s in seqs)
-    out = np.full((len(seqs), width), pad_id, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        out[i, : len(s)] = s
-    return out
+pad_batch = sm.pad_batch
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +326,9 @@ def _beam_candidates(store: sm.ParameterStore, src_batch: np.ndarray,
                      beam_size: int) -> list[list[IdSeq]]:
     # ranking normalization is irrelevant here: the whole beam is kept
     cfg = dec.DecodeConfig(beam_size=beam_size, length_norm_alpha=1.0)
-    out = []
-    for row in np.asarray(src_batch):
-        src = [int(t) for t in row if t != sm.PAD_ID]
-        hyps = dec.beam_search(store, src, cfg)
-        out.append([list(h.tokens) for h in hyps])
-    return out
+    sources = [[int(t) for t in row if t != sm.PAD_ID] for row in np.asarray(src_batch)]
+    return [[list(h.tokens) for h in hyps]
+            for hyps in dec.beam_search_corpus(store, sources, cfg)]
 
 
 def sample_decode_dedup(store: sm.ParameterStore, src_batch: np.ndarray,

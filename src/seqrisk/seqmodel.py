@@ -3,11 +3,13 @@
 Sized so that a full training run takes minutes on one CPU core.  The
 public single-sequence entry points (``encode``, ``forward_teacher_forced``,
 ``decode_step``) are thin wrappers over the batched internals that training
-and decoding use directly.
+and scoring use directly.  Decoding runs on ``IncrementalDecoder``, a
+tape-free, KV-cached copy of the decoder's forward arithmetic in plain numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import numkit as nk
-from .errors import ContractError, LengthError, ShapeError, VocabularyError
+from .errors import ContractError, LengthError, NumericsError, ShapeError, VocabularyError
 
 PAD_ID = 0
 BOS_ID = 1
@@ -221,22 +223,40 @@ class ParameterStore:
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
+        """Read a checkpoint; the arrays are fresh, writable copies.  A file
+        whose manifest is unreadable or whose tensors do not exactly tile the
+        payload raises ContractError naming the file."""
         with open(path, "rb") as fh:
             header = fh.readline()
             payload = fh.read()
-        manifest = json.loads(header.decode("utf-8"))
-        if manifest.get("format") != CHECKPOINT_FORMAT:
+        try:
+            manifest = json.loads(header.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise ContractError(f"not a {CHECKPOINT_FORMAT} file: {path}") from None
+        if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
             raise ContractError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-        config = ModelConfig.from_dict(manifest["config"])
+        try:
+            config = ModelConfig.from_dict(manifest["config"])
+            entries = [(e["name"], tuple(e["shape"]), int(e["offset"]))
+                       for e in manifest["tensors"]]
+            step_count = int(manifest["step_count"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
         params: dict[str, nk.Tensor] = {}
-        for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
+        end = 0
+        for name, shape, start in entries:
             count = int(np.prod(shape))
-            start = entry["offset"]
+            if start != end or start + 4 * count > len(payload):
+                raise ContractError(
+                    f"{path}: tensor {name} at byte {start} (+{4 * count}) does not "
+                    f"fit the {len(payload)}-byte payload; file truncated or corrupt")
+            end = start + 4 * count
             arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
-            params[entry["name"]] = nk.Tensor(
-                np.ascontiguousarray(arr.reshape(shape)), requires_grad=True)
-        return cls(config, params, step_count=manifest["step_count"])
+            params[name] = nk.Tensor(arr.reshape(shape).copy(), requires_grad=True)
+        if end != len(payload):
+            raise ContractError(
+                f"{path}: {len(payload) - end} bytes after the last tensor; file corrupt")
+        return cls(config, params, step_count=step_count)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +264,16 @@ class ParameterStore:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def sinusoid_table(max_len: int, dim: int, dtype=np.float32) -> np.ndarray:
-    """Fixed sinusoidal position encodings, shape [max_len, dim]."""
+    """Fixed sinusoidal position encodings, shape [max_len, dim].  Built once
+    per argument triple; the shared array is read-only."""
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     i = np.arange(dim, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (2.0 * (i // 2)) / dim)
-    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(dtype)
+    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype)
+    table.flags.writeable = False
+    return table
 
 
 def _validate_ids(ids: np.ndarray, config: ModelConfig, what: str) -> None:
@@ -368,6 +391,125 @@ def decode_batch(store: ParameterStore, memory: nk.Tensor, src_ids: np.ndarray,
     x = _ln(store, "dec.final_ln", x)
     logits = nk.matmul(x, nk.transpose(store.output_weight(), (1, 0)))
     return nk.log_softmax(logits)
+
+
+# -- tape-free incremental decoding -------------------------------------------
+
+# Rows one IncrementalDecoder should hold: corpus beam search splits its
+# sources so that beam_size x sources stays within this, which keeps a wide
+# beam over a long corpus from growing the KV cache without limit.
+MAX_LIVE_ROWS = 256
+
+
+def pad_batch(seqs: Sequence[Sequence[int]], pad_id: int = PAD_ID) -> np.ndarray:
+    width = max(len(s) for s in seqs)
+    out = np.full((len(seqs), width), pad_id, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        out[i, : len(s)] = s
+    return out
+
+
+def _np_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                   eps: float = 1e-5) -> np.ndarray:
+    """The forward arithmetic of numkit.layer_norm, on plain arrays."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * (1.0 / np.sqrt(var + x.dtype.type(eps))) * gain + bias
+
+
+def _np_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+               mask: np.ndarray | None) -> np.ndarray:
+    """One query per row: q [n, h, dh] against k, v [n, h, t, dh]; `mask`
+    [n, 1, t] marks keys to suppress.  Returns the context [n, h*dh]."""
+    scores = np.einsum("nhd,nhtd->nht", q, k) * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = np.where(mask, NEG_INF_FILL, scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return np.einsum("nht,nhtd->nhd", weights, v).reshape(q.shape[0], -1)
+
+
+class IncrementalDecoder:
+    """No-grad decoder that feeds one token per row and step, in plain numpy
+    on the store's arrays: no Tensor, no tape, no per-op checks.
+
+    Rows start as one per source row of `src_ids`.  `step(parents, tokens)`
+    first reorders the rows by `parents` (indices into the current rows, so
+    beams can fork and rows can drop out; None keeps them) and then feeds
+    `tokens`, one per row.  It returns the next-token log-probabilities
+    [rows, vocab], which equal the last rows of `decode_batch` teacher-forced
+    over the same prefixes up to float rounding.  Cross-attention keys and
+    values are computed once per source; self-attention keys and values of
+    earlier positions are cached.  The one finiteness check is on each
+    step's log-probabilities."""
+
+    def __init__(self, store: ParameterStore, src_ids: np.ndarray):
+        cfg = store.config
+        src_ids = np.asarray(src_ids, dtype=np.int64)
+        with nk.no_grad():
+            memory = encode_batch(store, src_ids).data
+        self.config = cfg
+        self.length = 0  # target positions fed so far
+        self._p = {name: t.data for name, t in store.items()}
+        self._embed = store.tgt_embedding().data
+        self._embed_scale = store.dtype.type(math.sqrt(cfg.embed_dim))
+        self._out_t = np.ascontiguousarray(store.output_weight().data.T)
+        self._table = sinusoid_table(cfg.max_seq_len, cfg.embed_dim, store.dtype)
+        pad = src_ids == PAD_ID
+        self._cross_mask = pad[:, None, :] if pad.any() else None
+        h = cfg.num_heads
+        dh = cfg.embed_dim // h
+        rows, src_len = src_ids.shape
+
+        def heads(x: np.ndarray) -> np.ndarray:  # [S, Ls, D] -> [S, h, Ls, dh]
+            return np.ascontiguousarray(
+                x.reshape(rows, src_len, h, dh).transpose(0, 2, 1, 3))
+
+        self._cross = [(heads(memory @ self._p[f"dec.{i}.cross.wk"]),
+                        heads(memory @ self._p[f"dec.{i}.cross.wv"]))
+                       for i in range(cfg.dec_layers)]
+        empty = np.zeros((rows, h, 0, dh), dtype=store.dtype)
+        self._self = [(empty, empty) for _ in range(cfg.dec_layers)]
+
+    def _ln(self, x: np.ndarray, prefix: str) -> np.ndarray:
+        return _np_layer_norm(x, self._p[f"{prefix}.gain"], self._p[f"{prefix}.bias"])
+
+    def step(self, parents: np.ndarray | None, tokens: np.ndarray) -> np.ndarray:
+        cfg = self.config
+        if self.length >= cfg.max_seq_len:
+            raise LengthError(f"target length would exceed max_seq_len {cfg.max_seq_len}")
+        if parents is not None:
+            self._cross = [(k[parents], v[parents]) for k, v in self._cross]
+            self._self = [(k[parents], v[parents]) for k, v in self._self]
+            if self._cross_mask is not None:
+                self._cross_mask = self._cross_mask[parents]
+        tokens = np.asarray(tokens, dtype=np.int64)
+        n, h = tokens.shape[0], cfg.num_heads
+        p = self._p
+        x = self._embed[tokens] * self._embed_scale + self._table[self.length]
+        for i in range(cfg.dec_layers):
+            pre = f"dec.{i}"
+            normed = self._ln(x, f"{pre}.ln1")
+            q, k, v = (normed @ p[f"{pre}.self.{w}"] for w in ("wq", "wk", "wv"))
+            cache_k, cache_v = self._self[i]
+            cache_k = np.concatenate((cache_k, k.reshape(n, h, 1, -1)), axis=2)
+            cache_v = np.concatenate((cache_v, v.reshape(n, h, 1, -1)), axis=2)
+            self._self[i] = (cache_k, cache_v)
+            x = x + _np_attend(q.reshape(n, h, -1), cache_k, cache_v, None) @ p[f"{pre}.self.wo"]
+            q = self._ln(x, f"{pre}.ln2") @ p[f"{pre}.cross.wq"]
+            cross_k, cross_v = self._cross[i]
+            x = x + _np_attend(q.reshape(n, h, -1), cross_k, cross_v,
+                               self._cross_mask) @ p[f"{pre}.cross.wo"]
+            hidden = np.maximum(self._ln(x, f"{pre}.ln3") @ p[f"{pre}.ffn.w1"]
+                                + p[f"{pre}.ffn.b1"], 0)
+            x = x + (hidden @ p[f"{pre}.ffn.w2"] + p[f"{pre}.ffn.b2"])
+        self.length += 1
+        logits = self._ln(x, "dec.final_ln") @ self._out_t
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        if not np.isfinite(log_probs).all():
+            raise NumericsError(f"non-finite log-probabilities at decoding step {self.length}")
+        return log_probs
 
 
 # -- single-sequence wrappers ------------------------------------------------

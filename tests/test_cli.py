@@ -116,6 +116,24 @@ class TestExitCodes:
                          "--input", str(tmp_path / "no.txt")])
         assert code == 1
 
+    def test_corrupt_checkpoint_is_one(self, tmp_path, capsys):
+        vocab = sm.Vocabulary(["a", "b", "c"])
+        (tmp_path / "vocab.json").write_text(vocab.to_json())
+        (tmp_path / "in.txt").write_text("a b\n")
+        cfg = sm.ModelConfig(vocab_size=len(vocab), embed_dim=8, num_heads=2,
+                             enc_layers=1, dec_layers=1, ffn_dim=8, max_seq_len=8)
+        good = tmp_path / "good.ckpt"
+        sm.ParameterStore.init(cfg, 0).save(good)
+        whole = good.read_bytes()
+        for name, data in (("truncated.ckpt", whole[:-8]), ("padded.ckpt", whole + b"\0" * 4)):
+            (tmp_path / name).write_bytes(data)
+            code = cli.main(["translate", "--checkpoint", str(tmp_path / name),
+                             "--vocab", str(tmp_path / "vocab.json"),
+                             "--input", str(tmp_path / "in.txt")])
+            err = capsys.readouterr().err
+            assert code == 1, err
+            assert name in err and "internal error" not in err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

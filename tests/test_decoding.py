@@ -3,6 +3,7 @@ consistency, and sampler behaviour."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqrisk import decoding as dec
 from seqrisk import seqmodel as sm
@@ -140,6 +141,90 @@ class TestBeamOverFixedTable:
             dec.beam_search_steps(table_step_fn(self.TABLE), max_len=1)
 
 
+def reference_beam(step_fn, max_len, config):
+    """The per-row loop the batched core replaced: argsort each row, pool
+    every row's k best continuations, sort the pool on (-total, ids)."""
+    k, alpha = config.beam_size, config.length_norm_alpha
+    live, finished = [(0.0, [sm.BOS_ID])], []
+    while live:
+        rows = np.asarray(step_fn([t for _, t in live]))
+        candidates = []
+        for (total, toks), row in zip(live, rows):
+            taken = 0
+            for tok_id in np.argsort(-row, kind="stable"):
+                tok_id = int(tok_id)
+                if tok_id in dec.BANNED_CONTINUATIONS:
+                    continue
+                candidates.append((total + float(row[tok_id]), toks + [tok_id]))
+                taken += 1
+                if taken >= k:
+                    break
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        live = []
+        for total, toks in candidates[:k]:
+            if toks[-1] == sm.EOS_ID or len(toks) >= max_len:
+                lp = dec.length_penalty(len(toks) - 1, alpha)
+                finished.append(dec.Hypothesis(toks, total, total / lp,
+                                               toks[-1] == sm.EOS_ID))
+            else:
+                live.append((total, toks))
+        if len(finished) >= k:
+            break
+        if finished and live:
+            best_done = max(h.normalized_score for h in finished)
+            bound = max(max(t / dec.length_penalty(max_len - 1, alpha),
+                            t / dec.length_penalty(len(toks) - 1, alpha))
+                        for t, toks in live)
+            if bound <= best_done:
+                break
+    finished.sort(key=lambda h: (-h.normalized_score, h.tokens))
+    return finished[:k]
+
+
+def tied_table(seed, source, vocab):
+    """Deterministic scorer whose log-probs are small multiples of -log 2,
+    so equal scores, and equal totals on different prefixes, are common."""
+    def row(prefix):
+        levels = np.random.default_rng([seed, source, *prefix]).integers(1, 4, vocab)
+        return -np.log(2.0) * levels
+
+    return lambda prefixes: np.asarray([row(p) for p in prefixes])
+
+
+class TestBatchedBeamCore:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 5), vocab=st.integers(5, 8),
+           max_len=st.integers(2, 5), k=st.sampled_from([1, 4, 50]),
+           alpha=st.sampled_from([0.0, 0.6, 1.0]))
+    def test_batch_equals_separate_searches(self, seed, n, vocab, max_len, k, alpha):
+        config = dec.DecodeConfig(beam_size=k, length_norm_alpha=alpha)
+        tables = [tied_table(seed, s, vocab) for s in range(n)]
+        owner = np.arange(n)
+
+        def advance(parents, seqs):
+            nonlocal owner
+            owner = owner[parents]
+            return np.concatenate([tables[o]([s]) for o, s in zip(owner, seqs.tolist())])
+
+        batched = dec._beam_core(advance, n, max_len, config)
+        for table, got in zip(tables, batched):
+            want = reference_beam(table, max_len, config)
+            assert got == want
+            assert dec.beam_search_steps(table, max_len, config) == want
+
+    def test_corpus_call_equals_per_source_calls(self):
+        store = make_store(4)
+        sources = [[4, 5, 6], [7], [8, 9, 10, 11, 12], [4, 4]]
+        for k in (1, 3):
+            config = dec.DecodeConfig(beam_size=k)
+            batched = dec.beam_search_corpus(store, sources, config)
+            for src, got in zip(sources, batched):
+                alone = dec.beam_search(store, src, config)
+                assert [h.tokens for h in got] == [h.tokens for h in alone]
+                assert [h.total_log_prob for h in got] == pytest.approx(
+                    [h.total_log_prob for h in alone], abs=1e-5)
+
+
 class TestSampling:
     def test_deterministic_given_rng(self):
         store = make_store(7)
@@ -173,6 +258,15 @@ class TestSampling:
         sampled = dec.sample_decode(store, [4, 5, 6],
                                     np.random.default_rng(0), temperature=0.01)
         assert sampled == greedy.tokens
+
+    def test_draws_one_uniform_per_sequence_and_step(self):
+        store = make_store(8)
+        rng = np.random.default_rng(5)
+        groups = dec.sample_decode_batch(store, np.array([[4, 5], [6, 7]]), 3, rng)
+        steps = max(len(seq) for group in groups for seq in group) - 1
+        reference = np.random.default_rng(5)
+        reference.random(steps * 6)
+        assert rng.random() == reference.random()
 
     def test_rejects_bad_temperature(self):
         store = make_store(10)

@@ -7,7 +7,7 @@ import pytest
 from seqrisk import numkit as nk
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
-from seqrisk.errors import (ContractError, LengthError, VocabularyError)
+from seqrisk.errors import (ContractError, LengthError, NumericsError, VocabularyError)
 
 
 def tiny_config(**overrides):
@@ -200,6 +200,17 @@ class TestForward:
         assert np.allclose(table[0], [0, 1, 0, 1, 0, 1], atol=1e-7)
         assert table[1, 0] == pytest.approx(np.sin(1.0), abs=1e-6)
 
+    def test_sinusoid_table_is_shared_and_read_only(self):
+        table = sm.sinusoid_table(8, 6)
+        assert sm.sinusoid_table(8, 6) is table
+        pos = np.arange(8, dtype=np.float64)[:, None]
+        i = np.arange(6, dtype=np.float64)[None, :]
+        angle = pos / np.power(10000.0, (2.0 * (i // 2)) / 6)
+        fresh = np.where(i % 2 == 0, np.sin(angle), np.cos(angle)).astype(np.float32)
+        assert np.array_equal(table, fresh)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, store, tmp_path):
@@ -226,6 +237,32 @@ class TestCheckpoint:
         path.write_bytes(b'{"format": "something-else"}\n1234')
         with pytest.raises(ContractError):
             sm.ParameterStore.load(path)
+
+    def test_rejects_truncated_or_padded_payload(self, store, tmp_path):
+        path = tmp_path / "model.ckpt"
+        store.save(path)
+        whole = path.read_bytes()
+        for name, data in (("cut.ckpt", whole[:-5]), ("padded.ckpt", whole + b"\0" * 4),
+                           ("header.ckpt", whole[:40]),
+                           ("keys.ckpt", b'{"format": "%s"}\n' % sm.CHECKPOINT_FORMAT.encode())):
+            bad = tmp_path / name
+            bad.write_bytes(data)
+            with pytest.raises(ContractError, match=name):
+                sm.ParameterStore.load(bad)
+
+    def test_loaded_store_trains_and_round_trips(self, store, tmp_path):
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        store.save(p1)
+        loaded = sm.ParameterStore.load(p1)
+        grads = {name: nk.Tensor(np.full(t.shape, 0.5, dtype=t.dtype))
+                 for name, t in loaded.items()}
+        obj.Adam(loaded).step(grads, lr=1e-3)
+        assert not np.array_equal(loaded["enc.0.attn.wq"].data, store["enc.0.attn.wq"].data)
+        loaded.save(p2)
+        again = sm.ParameterStore.load(p2)
+        assert again.step_count == loaded.step_count == 1
+        for name in loaded.names():
+            assert again[name].data.tobytes() == loaded[name].data.tobytes(), name
 
     def test_copy_is_deep(self, store):
         clone = store.copy()
@@ -273,3 +310,56 @@ class TestLossGradient:
                 err = nk.max_relative_error(np.array([gflat[idx]]), np.array([fd]),
                                             atol=1e-10)
                 assert err < 1e-4, f"{name}[{idx}]: autodiff {gflat[idx]}, fd {fd}"
+
+
+class TestIncrementalDecoder:
+    """The cached, tape-free decoder against numkit's teacher-forced pass."""
+
+    SRC = [[5, 6, 7, 8, 9], [10, 11, sm.PAD_ID, sm.PAD_ID, sm.PAD_ID],
+           [12, 13, 14, sm.PAD_ID, sm.PAD_ID]]
+
+    @staticmethod
+    def teacher_forced_last(store, src, prefixes):
+        src = np.asarray(src)
+        memory = sm.encode_batch(store, src)
+        return sm.decode_batch(store, memory, src, np.asarray(prefixes)).data[:, -1]
+
+    def test_steps_equal_teacher_forced_rows(self, store):
+        rng = np.random.default_rng(0)
+        tgt = np.concatenate([np.full((3, 1), sm.BOS_ID), rng.integers(4, 32, (3, 6))], axis=1)
+        state = sm.IncrementalDecoder(store, np.asarray(self.SRC))
+        for t in range(tgt.shape[1]):
+            got = state.step(None, tgt[:, t])
+            want = self.teacher_forced_last(store, self.SRC, tgt[:, : t + 1])
+            assert np.abs(got - want).max() < 1e-5, t
+
+    def test_reorder_by_parent_index(self, store):
+        state = sm.IncrementalDecoder(store, np.asarray(self.SRC))
+        owner = np.arange(len(self.SRC))
+        prefixes: list[list[int]] = [[] for _ in self.SRC]
+        plan = [(np.arange(3), [sm.BOS_ID] * 3),
+                (np.array([2, 0, 0, 1, 2]), [20, 21, 22, 23, 24]),
+                (np.array([4, 1, 1, 0]), [25, 26, 27, 28]),
+                (None, [29, 30, 31, 4])]
+        for step, (parents, tokens) in enumerate(plan):
+            keep = np.arange(len(prefixes)) if parents is None else parents
+            owner = owner[keep]
+            prefixes = [prefixes[p] + [tok] for p, tok in zip(keep, tokens)]
+            got = state.step(parents, np.asarray(tokens))
+            want = self.teacher_forced_last(store, np.asarray(self.SRC)[owner], prefixes)
+            assert got.shape == (len(tokens), 32)
+            assert np.abs(got - want).max() < 1e-5, step
+
+    def test_non_finite_step_raises(self, store):
+        broken = store.copy()
+        broken["dec.final_ln.gain"].data[0] = np.inf
+        state = sm.IncrementalDecoder(broken, np.asarray([[5, 6]]))
+        with pytest.raises(NumericsError), np.errstate(invalid="ignore"):
+            state.step(None, [sm.BOS_ID])
+
+    def test_length_cap(self, store):
+        state = sm.IncrementalDecoder(store, np.asarray([[5, 6]]))
+        for _ in range(store.config.max_seq_len):
+            state.step(None, [7])
+        with pytest.raises(LengthError):
+            state.step(None, [7])
