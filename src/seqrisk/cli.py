@@ -28,6 +28,7 @@ from . import analysis as an
 from . import datagen as dg
 from . import decoding as dec
 from . import metrics
+from . import numkit as nk
 from . import objectives as obj
 from . import seqmodel as sm
 from .errors import ConfigError, ContractError, SeqriskError
@@ -604,7 +605,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with nk.single_blas_thread():
+            return args.func(args)
     except (SeqriskError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,8 @@ must only ever be recorded into by one thread.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -423,6 +425,60 @@ def backward(graph: Graph, loss: Tensor,
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None
+
+
+# ---------------------------------------------------------------------------
+# BLAS threading
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) for the thread count of the OpenBLAS that numpy loaded, or
+    None when none is found among the process's mapped libraries (another
+    BLAS, or a platform without /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", "", "_64"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, put.restype = ctypes.c_int, None
+                    put.argtypes = [ctypes.c_int]
+                    return get, put
+    return None
+
+
+class single_blas_thread:
+    """Context that runs BLAS on one thread and restores the previous count.
+
+    A threaded OpenBLAS does not round every matrix product as the
+    single-threaded one does, and risk training turns one such rounding
+    difference near a sampling boundary into a different run.  With one
+    thread the results do not depend on the host's core count.  A no-op
+    when `openblas_threads` finds no OpenBLAS."""
+
+    def __enter__(self):
+        calls = openblas_threads()
+        self._saved = None
+        if calls is not None:
+            self._saved = calls[0]()
+            calls[1](1)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._saved is not None:
+            openblas_threads()[1](self._saved)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from seqrisk import cli
 from seqrisk import datagen as dg
+from seqrisk import numkit as nk
 from seqrisk import seqmodel as sm
 from seqrisk.errors import ConfigError
 
@@ -264,3 +265,24 @@ class TestReproduce:
                          "--outdir", str(out_c)]) == 0
         assert ((out_a / "mle.ckpt").read_bytes()
                 != (out_c / "mle.ckpt").read_bytes())
+
+
+def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
+    calls = nk.openblas_threads()
+    seen = []
+
+    def fake_gen_data(args):
+        seen.append(calls[0]() if calls is not None else 1)
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_gen_data", fake_gen_data)
+    previous = calls[0]() if calls is not None else None
+    if calls is not None:
+        calls[1](2)
+    try:
+        assert cli.main(["gen-data", "--outdir", str(tmp_path / "d")]) == 0
+        assert seen == [1]
+        assert calls is None or calls[0]() == 2
+    finally:
+        if calls is not None:
+            calls[1](previous)

@@ -344,3 +344,25 @@ class TestGraphMechanics:
         x = np.array([1.0, -2.0, 0.5])
         grad = nk.finite_difference(lambda v: float(np.sum(v ** 2)), x)
         assert nk.max_relative_error(grad, 2 * x) < 1e-8
+
+
+class TestBlasThreads:
+    def test_single_blas_thread_pins_and_restores(self):
+        calls = nk.openblas_threads()
+        if calls is None:  # another BLAS: the context does nothing
+            with nk.single_blas_thread():
+                pass
+            return
+        get, put = calls
+        previous = get()
+        try:
+            put(2)
+            with nk.single_blas_thread():
+                assert get() == 1
+            assert get() == 2
+            with pytest.raises(RuntimeError):
+                with nk.single_blas_thread():
+                    raise RuntimeError("inside")
+            assert get() == 2
+        finally:
+            put(previous)
