@@ -25,7 +25,6 @@ import numpy as np
 from . import datagen as dg
 from . import decoding as dec
 from . import metrics
-from . import numkit as nk
 from . import objectives as obj
 from . import seqmodel as sm
 from .errors import ContractError
@@ -226,18 +225,9 @@ def _forced_token_probs(store: sm.ParameterStore, src_ids: list[list[int]],
                         batch_size: int = 64) -> list[list[float]]:
     """P(forced token) at each target position, per sentence."""
     out = []
-    with nk.no_grad():
-        for start in range(0, len(src_ids), batch_size):
-            src = obj.pad_batch(src_ids[start: start + batch_size])
-            tgt = obj.pad_batch(tgt_ids[start: start + batch_size])
-            gold = tgt[:, 1:]
-            memory = sm.encode_batch(store, src)
-            rows = sm.decode_batch(store, memory, src, tgt[:, :-1])
-            picked = np.take_along_axis(rows.data, gold[..., None], axis=-1)[..., 0]
-            probs = np.exp(picked)
-            for r, g in zip(probs, gold):
-                n = int((g != sm.PAD_ID).sum())
-                out.append([float(x) for x in r[:n]])
+    for picked, mask in obj.forced_log_probs(store, src_ids, tgt_ids, batch_size):
+        for r, m in zip(np.exp(picked), mask):
+            out.append([float(x) for x in r[: int(m.sum())]])
     return out
 
 
@@ -325,15 +315,17 @@ def beam_sweep(store: sm.ParameterStore, vocab: sm.Vocabulary,
     """Decode the corpus at each beam size; report pooled corpus BLEU and
     the hallucination rate at that width."""
     base = base_config or dec.DecodeConfig()
-    points = []
-    for k in beam_sizes:
-        config = dataclasses.replace(base, beam_size=k)
-        judgments = judge_corpus(store, vocab, pairs, spec, config, threshold)
-        bleu = metrics.corpus_bleu(
-            [(j.hypothesis, j.reference) for j in judgments])
-        summary = summarize_judgments(judgments)
-        points.append(BeamSweepPoint(k, bleu, summary.rate, summary.mean_overlap))
-    return points
+    return [sweep_point(k, judge_corpus(store, vocab, pairs, spec,
+                                        dataclasses.replace(base, beam_size=k), threshold))
+            for k in beam_sizes]
+
+
+def sweep_point(beam_size: int,
+                judgments: Sequence[HallucinationJudgment]) -> BeamSweepPoint:
+    """The sweep point of judgments made on outputs decoded at `beam_size`."""
+    summary = summarize_judgments(judgments)
+    bleu = metrics.corpus_bleu([(j.hypothesis, j.reference) for j in judgments])
+    return BeamSweepPoint(beam_size, bleu, summary.rate, summary.mean_overlap)
 
 
 def write_sweep_csv(path, sweeps: dict[str, list[BeamSweepPoint]]) -> None:

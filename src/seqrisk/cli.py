@@ -236,13 +236,15 @@ def _load_domain(path: Path) -> dg.DomainSpec:
     return dg.DomainSpec.from_json(path.read_text())
 
 
-def _read_source_lines(path: Path) -> list[list[str]]:
-    out = []
-    for line in path.read_text().splitlines():
-        toks = line.split()
-        if toks:
-            out.append(toks)
-    return out
+def _load_model(args) -> tuple[sm.ParameterStore, sm.Vocabulary]:
+    """The checkpoint and vocabulary named by --checkpoint and --vocab."""
+    return sm.ParameterStore.load(args.checkpoint), _load_vocab(Path(args.vocab))
+
+
+def _read_pairs(args) -> list[dg.TokenPair]:
+    """The pairs of --data-file, cut to the first --n when given."""
+    pairs = dg.read_tsv(args.data_file)
+    return pairs if args.n is None else pairs[: args.n]
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +341,15 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
 
     sweeps = {}
     for system, store in stores.items():
-        points = an.beam_sweep(store, vocab, suite["test_ood"][: ev.sweep_n],
-                               spec, ev.beam_sizes, ev.overlap_threshold,
-                               base_config=decode_cfg)
-        sweeps[system] = points
+        # judging already decoded these sentences at eval_beam with decode_cfg
+        by_k = ({ev.eval_beam: an.sweep_point(
+                    ev.eval_beam, judgments_ood[system][: ev.sweep_n])}
+                if ev.sweep_n <= ev.hallucination_n else {})
+        rest = [k for k in ev.beam_sizes if k not in by_k]
+        by_k.update(zip(rest, an.beam_sweep(
+            store, vocab, suite["test_ood"][: ev.sweep_n], spec, rest,
+            ev.overlap_threshold, base_config=decode_cfg)))
+        sweeps[system] = points = [by_k[k] for k in ev.beam_sizes]
         headline["systems"][system]["beam_sweep"] = [asdict(p) for p in points]
     an.write_sweep_csv(outdir / "beam_sweep.csv", sweeps)
     an.write_hallucination_csv(outdir / "hallucination_summary.csv", summaries)
@@ -397,6 +404,23 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="override one configuration field (repeatable)")
 
 
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--vocab", required=True)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _add_pair_flags(p: argparse.ArgumentParser, data_help: str | None = None) -> None:
+    p.add_argument("--data-file", required=True, help=data_help)
+    p.add_argument("--n", type=_positive_int, default=None,
+                   help="use only the first N pairs")
+
+
 def _cmd_gen_data(args) -> int:
     config = load_config(args.config, args.overrides, args.seed)
     stage_gen_data(config, Path(args.outdir))
@@ -432,18 +456,16 @@ def _cmd_finetune_mrt(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    store = sm.ParameterStore.load(args.checkpoint)
-    vocab = _load_vocab(Path(args.vocab))
-    sources = _read_source_lines(Path(args.input))
+    store, vocab = _load_model(args)
+    sources = [line.split() for line in Path(args.input).read_text().splitlines()]
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
-    lines = []
-    for hyps in dec.beam_search_corpus(store, [vocab.encode(src) for src in sources], config):
+    lines = [""] * len(sources)  # a blank input line gives a blank output line
+    kept = [i for i, src in enumerate(sources) if src]
+    for i, hyps in zip(kept, dec.beam_search_corpus(
+            store, [vocab.encode(sources[i]) for i in kept], config)):
         best = hyps[0]
         text = " ".join(vocab.decode(best.generated()))
-        if args.scores:
-            lines.append(f"{text}\t{best.total_log_prob:.6f}")
-        else:
-            lines.append(text)
+        lines[i] = f"{text}\t{best.total_log_prob:.6f}" if args.scores else text
     payload = "\n".join(lines) + ("\n" if lines else "")
     if args.output == "-":
         sys.stdout.write(payload)
@@ -453,12 +475,9 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    store = sm.ParameterStore.load(args.checkpoint)
-    vocab = _load_vocab(Path(args.vocab))
+    store, vocab = _load_model(args)
     spec = _load_domain(Path(args.domain))
-    pairs = dg.read_tsv(args.data_file)
-    if args.n is not None:
-        pairs = pairs[: args.n]
+    pairs = _read_pairs(args)
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
     judgments = an.judge_corpus(store, vocab, pairs, spec, config, args.threshold)
     summary = an.summarize_judgments(judgments)
@@ -470,11 +489,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze_uncertainty(args) -> int:
-    store = sm.ParameterStore.load(args.checkpoint)
-    vocab = _load_vocab(Path(args.vocab))
-    pairs = dg.read_tsv(args.data_file)
-    if args.n is not None:
-        pairs = pairs[: args.n]
+    store, vocab = _load_model(args)
+    pairs = _read_pairs(args)
     pool = [tgt for _, tgt in dg.read_tsv(args.distractor_file)]
     result = an.uncertainty_curves(store, vocab, pairs, pool,
                                    model_tag=args.system,
@@ -492,12 +508,9 @@ def _cmd_analyze_uncertainty(args) -> int:
 
 
 def _cmd_sweep_beam(args) -> int:
-    store = sm.ParameterStore.load(args.checkpoint)
-    vocab = _load_vocab(Path(args.vocab))
+    store, vocab = _load_model(args)
     spec = _load_domain(Path(args.domain))
-    pairs = dg.read_tsv(args.data_file)
-    if args.n is not None:
-        pairs = pairs[: args.n]
+    pairs = _read_pairs(args)
     beams = [int(x) for x in args.beams.split(",")]
     base = dec.DecodeConfig(length_norm_alpha=args.alpha)
     points = an.beam_sweep(store, vocab, pairs, spec, beams, args.threshold,
@@ -539,8 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_finetune_mrt)
 
     p = sub.add_parser("translate", help="decode source lines with a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_model_flags(p)
     p.add_argument("--input", required=True, help="one source sentence per line")
     p.add_argument("--output", default="-")
     p.add_argument("--beam", type=int, default=4)
@@ -551,45 +563,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("evaluate", help="corpus score plus hallucination summary")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_model_flags(p)
     p.add_argument("--domain", required=True)
-    p.add_argument("--data-file", required=True)
+    _add_pair_flags(p)
     p.add_argument("--beam", type=int, default=4)
     p.add_argument("--alpha", type=float, default=an.DEFAULT_EVAL_ALPHA)
     p.add_argument("--threshold", type=float, default=an.DEFAULT_OVERLAP_THRESHOLD)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--judgments", default=None, help="write per-sentence JSONL here")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("analyze-uncertainty",
                        help="forced-token certainty curves vs distractors")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--data-file", required=True,
-                   help="corpus whose references are scored")
+    _add_model_flags(p)
+    _add_pair_flags(p, "corpus whose references are scored")
     p.add_argument("--distractor-file", required=True,
                    help="corpus whose targets form the distractor pool")
     p.add_argument("--output", required=True, help="curve CSV path")
     p.add_argument("--assignment", default=None,
                    help="optional CSV recording reference-to-distractor pairing")
     p.add_argument("--system", default="model", help="model tag for the CSV rows")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-position", type=int, default=3)
     p.add_argument("--max-positions", type=int, default=None)
     p.set_defaults(func=_cmd_analyze_uncertainty)
 
     p = sub.add_parser("sweep-beam", help="score and hallucination rate by beam size")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
+    _add_model_flags(p)
     p.add_argument("--domain", required=True)
-    p.add_argument("--data-file", required=True)
+    _add_pair_flags(p)
     p.add_argument("--output", required=True, help="sweep CSV path")
     p.add_argument("--system", default="model")
     p.add_argument("--beams", default=",".join(str(k) for k in an.DEFAULT_BEAM_SIZES))
     p.add_argument("--alpha", type=float, default=an.DEFAULT_EVAL_ALPHA)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--threshold", type=float, default=an.DEFAULT_OVERLAP_THRESHOLD)
     p.set_defaults(func=_cmd_sweep_beam)
 

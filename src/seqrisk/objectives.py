@@ -13,10 +13,12 @@ changing how often one stream is consumed never perturbs the others.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import os
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,6 +97,51 @@ def inverse_sqrt_lr(step: int, peak_lr: float, warmup_steps: int) -> float:
     return peak_lr * min(step / warmup_steps, math.sqrt(warmup_steps / step))
 
 
+class _Step(NamedTuple):
+    batch: object
+    value: float
+    lr: float
+    info: object
+    seconds: float
+
+
+def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
+              batches: Iterable, objective: Callable, lr_at: Callable[[int], float],
+              trace_path) -> list[_Step]:
+    """The step loop both objectives share.
+
+    Per batch: `objective(batch)` returns (scalar tensor, info) built on a
+    fresh tape (any sampling it does first runs tape-free), then backward,
+    a divergence check that names the step, and one Adam step (the config's
+    betas, eps and clipping) at `lr_at(step)`.  Writes one CSV trace row
+    (step, objective_value, learning_rate) per step when `trace_path` is
+    set, and returns one `_Step` per step."""
+    optim = Adam(store, config.beta1, config.beta2, config.adam_eps, config.grad_clip)
+    params = dict(store.items())
+    steps = []
+    with open(trace_path if trace_path is not None else os.devnull, "w", newline="") as trace:
+        writer = csv.writer(trace)
+        writer.writerow(["step", "objective_value", "learning_rate"])
+        for step, batch in enumerate(batches, 1):
+            t0 = time.perf_counter()
+            lr = lr_at(step)
+            try:
+                with nk.Graph() as g:
+                    scalar, info = objective(batch)
+                    grads = nk.backward(g, scalar, params)
+            except NumericsError as exc:
+                raise ContractError(f"training diverged at step {step}: {exc}") from exc
+            store.zero_grads()  # grads accumulate additively across passes
+            value = scalar.item()
+            if not math.isfinite(value):
+                raise ContractError(
+                    f"training diverged at step {step}: objective is {value}")
+            optim.step(grads, lr)
+            writer.writerow([step, f"{value:.6f}", f"{lr:.6g}"])
+            steps.append(_Step(batch, value, lr, info, time.perf_counter() - t0))
+    return steps
+
+
 # ---------------------------------------------------------------------------
 # maximum likelihood
 # ---------------------------------------------------------------------------
@@ -163,21 +210,31 @@ def mle_loss(store: sm.ParameterStore, src_batch: np.ndarray, tgt_batch: np.ndar
     return loss, count
 
 
+def forced_log_probs(store: sm.ParameterStore, src_ids: Sequence[IdSeq],
+                     tgt_ids: Sequence[IdSeq],
+                     batch_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Teacher-forced log-probability of every gold target token, tape-free,
+    over padded batches of `batch_size`.  Yields per batch the
+    log-probabilities [B, T-1] of tgt[:, 1:] and the mask of its non-PAD
+    positions."""
+    for start in range(0, len(src_ids), batch_size):
+        src = pad_batch(src_ids[start: start + batch_size])
+        tgt = pad_batch(tgt_ids[start: start + batch_size])
+        gold = tgt[:, 1:]
+        with nk.no_grad():
+            memory = sm.encode_batch(store, src)
+            rows = sm.decode_batch(store, memory, src, tgt[:, :-1])
+        yield (np.take_along_axis(rows.data, gold[..., None], axis=-1)[..., 0],
+               gold != sm.PAD_ID)
+
+
 def corpus_nll(store: sm.ParameterStore, corpus: Corpus, batch_size: int = 32) -> float:
     """Mean unsmoothed negative log-likelihood per token over a corpus."""
     total, count = 0.0, 0
-    with nk.no_grad():
-        for start in range(0, len(corpus), batch_size):
-            chunk = corpus[start: start + batch_size]
-            src = pad_batch([s for s, _ in chunk])
-            tgt = pad_batch([t for _, t in chunk])
-            gold = tgt[:, 1:]
-            mask = gold != sm.PAD_ID
-            memory = sm.encode_batch(store, src)
-            rows = sm.decode_batch(store, memory, src, tgt[:, :-1])
-            picked = np.take_along_axis(rows.data, gold[..., None], axis=-1)[..., 0]
-            total += float(-(picked * mask).sum())
-            count += int(mask.sum())
+    for picked, mask in forced_log_probs(store, [s for s, _ in corpus],
+                                         [t for _, t in corpus], batch_size):
+        total += float(-(picked * mask).sum())
+        count += int(mask.sum())
     return total / max(count, 1)
 
 
@@ -220,52 +277,26 @@ def train_mle(store: sm.ParameterStore, corpus: Corpus, config: MLEConfig,
         raise ContractError("training corpus is empty")
     shuffle_rng = stream_rng(seed, STREAM_SHUFFLE)
     dropout_rng = stream_rng(seed, STREAM_DROPOUT)
-    optim = Adam(store, config.beta1, config.beta2, config.adam_eps, config.grad_clip)
+    batches = ((epoch, idx) for epoch in range(config.epochs)
+               for idx in token_batches(corpus, shuffle_rng.permutation(len(corpus)),
+                                        config.tokens_per_batch))
 
-    trace = None
-    writer = None
-    if trace_path is not None:
-        trace = open(trace_path, "w", newline="")
-        writer = csv.writer(trace)
-        writer.writerow(["step", "objective_value", "learning_rate"])
+    def loss(batch):
+        chunk = [corpus[i] for i in batch[1]]
+        return mle_loss(store, pad_batch([s for s, _ in chunk]),
+                        pad_batch([t for _, t in chunk]),
+                        config.label_smoothing, dropout_rng)
 
+    steps = _optimize(
+        store, config, batches, loss,
+        lambda step: inverse_sqrt_lr(step, config.peak_lr, config.warmup_steps),
+        trace_path)
     history = []
-    step = 0
-    try:
-        for epoch in range(config.epochs):
-            t0 = time.perf_counter()
-            order = shuffle_rng.permutation(len(corpus))
-            losses = []
-            lr = 0.0
-            for idx in token_batches(corpus, order, config.tokens_per_batch):
-                chunk = [corpus[i] for i in idx]
-                src = pad_batch([s for s, _ in chunk])
-                tgt = pad_batch([t for _, t in chunk])
-                step += 1
-                lr = inverse_sqrt_lr(step, config.peak_lr, config.warmup_steps)
-                try:
-                    with nk.Graph() as g:
-                        loss, _ = mle_loss(store, src, tgt,
-                                           config.label_smoothing, dropout_rng)
-                        grads = nk.backward(g, loss, dict(store.items()))
-                except NumericsError as exc:
-                    raise ContractError(
-                        f"training diverged at step {step}: {exc}") from exc
-                store.zero_grads()  # grads accumulate additively across passes
-                loss_val = loss.item()
-                if not math.isfinite(loss_val):
-                    raise ContractError(
-                        f"training diverged at step {step}: loss is {loss_val}")
-                optim.step(grads, lr)
-                losses.append(loss_val)
-                if writer is not None:
-                    writer.writerow([step, f"{loss_val:.6f}", f"{lr:.6g}"])
-            history.append(EpochStats(
-                epoch, len(losses), float(np.mean(losses)), lr,
-                time.perf_counter() - t0))
-    finally:
-        if trace is not None:
-            trace.close()
+    for epoch, group in itertools.groupby(steps, key=lambda s: s.batch[0]):
+        group = list(group)
+        history.append(EpochStats(
+            epoch, len(group), float(np.mean([s.value for s in group])),
+            group[-1].lr, math.fsum(s.seconds for s in group)))
     return history
 
 
@@ -452,54 +483,22 @@ def finetune_mrt(store: sm.ParameterStore, corpus: Corpus, config: MRTConfig,
         raise ContractError("fine-tuning corpus is empty")
     shuffle_rng = stream_rng(seed, STREAM_SHUFFLE)
     sampler_rng = stream_rng(seed, STREAM_SAMPLER)
-    optim = Adam(store, config.beta1, config.beta2, config.adam_eps, config.grad_clip)
 
-    trace = None
-    writer = None
-    if trace_path is not None:
-        trace = open(trace_path, "w", newline="")
-        writer = csv.writer(trace)
-        writer.writerow(["step", "objective_value", "learning_rate"])
-
-    history = []
-    order: list[int] = []
-    cursor = 0
-    try:
-        for step in range(1, config.steps + 1):
-            t0 = time.perf_counter()
+    def batches():
+        order: list[int] = []
+        cursor = 0
+        for _ in range(config.steps):
             if cursor + config.sentences_per_batch > len(order):
                 order = list(shuffle_rng.permutation(len(corpus)))
                 cursor = 0
-            idx = order[cursor: cursor + config.sentences_per_batch]
+            chunk = [corpus[i] for i in order[cursor: cursor + config.sentences_per_batch]]
             cursor += config.sentences_per_batch
-            chunk = [corpus[i] for i in idx]
-            srcs = [s for s, _ in chunk]
-            refs = [t for _, t in chunk]
+            yield [s for s, _ in chunk], [t for _, t in chunk]
 
-            try:
-                batch = build_risk_batch(store, srcs, refs, config, sampler_rng)
-                with nk.Graph() as g:
-                    risk, info = mrt_risk(store, batch, config.alpha)
-                    grads = nk.backward(g, risk, dict(store.items()))
-            except NumericsError as exc:
-                raise ContractError(
-                    f"training diverged at step {step}: {exc}") from exc
-            store.zero_grads()  # grads accumulate additively across passes
-            risk_val = risk.item()
-            if not math.isfinite(risk_val):
-                raise ContractError(
-                    f"training diverged at step {step}: risk is {risk_val}")
-            optim.step(grads, config.lr)
+    def risk(batch):
+        return mrt_risk(store, build_risk_batch(store, *batch, config, sampler_rng),
+                        config.alpha)
 
-            stats = MRTStepStats(
-                step, risk_val,
-                float(np.mean(info["candidate_counts"])),
-                time.perf_counter() - t0)
-            history.append(stats)
-            if writer is not None:
-                writer.writerow([step, f"{stats.mean_risk:.6f}",
-                                 f"{config.lr:.6g}"])
-    finally:
-        if trace is not None:
-            trace.close()
-    return history
+    steps = _optimize(store, config, batches(), risk, lambda step: config.lr, trace_path)
+    return [MRTStepStats(n, s.value, float(np.mean(s.info["candidate_counts"])), s.seconds)
+            for n, s in enumerate(steps, 1)]

@@ -1,14 +1,17 @@
 """Command-line behaviour: strict configuration validation, exit codes,
 file outputs, locking, and a reduced-size byte-identity run."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqrisk import analysis as an
 from seqrisk import cli
 from seqrisk import datagen as dg
+from seqrisk import decoding as dec
 from seqrisk import numkit as nk
 from seqrisk import seqmodel as sm
 from seqrisk.errors import ConfigError
@@ -192,6 +195,30 @@ class TestModelCommands:
         lines = out_file.read_text().splitlines()
         assert len(lines) == 4
 
+    def test_translate_keeps_blank_lines(self, workspace, tmp_path, capsys):
+        config, data, run = workspace
+        pairs = dg.read_tsv(data / "test_id.tsv")[:2]
+        outputs = []
+        for name, text in (("dense.txt", "{0}\n{1}\n"), ("gappy.txt", "{0}\n\n{1}\n")):
+            (tmp_path / name).write_text(text.format(*(" ".join(s) for s, _ in pairs)))
+            assert cli.main(["translate", "--checkpoint", str(run / "mle.ckpt"),
+                             "--vocab", str(data / "vocab.json"),
+                             "--input", str(tmp_path / name), "--beam", "2"]) == 0
+            outputs.append(capsys.readouterr().out.split("\n"))
+        dense, gappy = outputs
+        assert gappy == [dense[0], "", dense[1], ""]
+
+    @pytest.mark.parametrize("n", ["-3", "0", "two"])
+    def test_n_must_be_positive(self, workspace, n, capsys):
+        config, data, run = workspace
+        code = cli.main(["evaluate", "--checkpoint", str(run / "mle.ckpt"),
+                         "--vocab", str(data / "vocab.json"),
+                         "--domain", str(data / "domain.json"),
+                         "--data-file", str(data / "test_id.tsv"), "--n", n])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--n" in err and "positive integer" in err
+
     def test_evaluate_emits_summary_json(self, workspace, capsys):
         config, data, run = workspace
         assert cli.main(["evaluate", "--checkpoint", str(run / "mle.ckpt"),
@@ -255,6 +282,35 @@ class TestReproduce:
         assert manifest["seed"] == 1
         assert "mle.ckpt" in manifest["files"]
         assert not (out_a / ".seqrisk-lock").exists()
+
+    def test_sweep_reuses_the_judging_decodes(self, tmp_path, monkeypatch, capsys):
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        real = dec.beam_search_corpus
+        decoded = []
+
+        def counting(store, sources, config=None):
+            decoded.append(len(sources))
+            return real(store, sources, config)
+
+        monkeypatch.setattr(dec, "beam_search_corpus", counting)
+        assert cli.main(["reproduce", "--config", str(config),
+                         "--outdir", str(out)]) == 0
+        monkeypatch.undo()
+        ev = TINY["eval"]
+        # two systems: both test sets judged, then the sweep decodes only k=1
+        assert sum(decoded) == 2 * (2 * ev["hallucination_n"] + ev["sweep_n"])
+
+        summary = json.loads((out / "summary.json").read_text())
+        vocab = sm.Vocabulary.from_json((out / "vocab.json").read_text())
+        spec = dg.DomainSpec.from_json((out / "domain.json").read_text())
+        pairs = dg.read_tsv(out / "test_ood.tsv")[: ev["sweep_n"]]
+        base = dec.DecodeConfig(length_norm_alpha=an.DEFAULT_EVAL_ALPHA)
+        for system in ("mle", "mrt"):
+            store = sm.ParameterStore.load(out / f"{system}.ckpt")
+            fresh = an.beam_sweep(store, vocab, pairs, spec, [ev["eval_beam"]],
+                                  base_config=base)
+            assert summary["systems"][system]["beam_sweep"][1] == dataclasses.asdict(fresh[0])
 
     def test_different_seed_changes_outputs(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)
