@@ -415,6 +415,11 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_ints(text: str) -> list[int]:
+    """A comma-separated list of positive integers, such as "1,4,50"."""
+    return [_positive_int(part.strip()) for part in text.split(",")]
+
+
 def _add_pair_flags(p: argparse.ArgumentParser, data_help: str | None = None) -> None:
     p.add_argument("--data-file", required=True, help=data_help)
     p.add_argument("--n", type=_positive_int, default=None,
@@ -458,6 +463,11 @@ def _cmd_finetune_mrt(args) -> int:
 def _cmd_translate(args) -> int:
     store, vocab = _load_model(args)
     sources = [line.split() for line in Path(args.input).read_text().splitlines()]
+    limit = store.config.max_seq_len
+    for number, src in enumerate(sources, 1):
+        if len(src) > limit:
+            raise ContractError(f"{args.input}: line {number} has {len(src)} tokens, "
+                                f"more than the model's max_seq_len {limit}")
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
     lines = [""] * len(sources)  # a blank input line gives a blank output line
     kept = [i for i, src in enumerate(sources) if src]
@@ -511,9 +521,8 @@ def _cmd_sweep_beam(args) -> int:
     store, vocab = _load_model(args)
     spec = _load_domain(Path(args.domain))
     pairs = _read_pairs(args)
-    beams = [int(x) for x in args.beams.split(",")]
     base = dec.DecodeConfig(length_norm_alpha=args.alpha)
-    points = an.beam_sweep(store, vocab, pairs, spec, beams, args.threshold,
+    points = an.beam_sweep(store, vocab, pairs, spec, args.beams, args.threshold,
                            base_config=base)
     an.write_sweep_csv(args.output, {args.system: points})
     print(json.dumps([asdict(p) for p in points]))
@@ -593,7 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_flags(p)
     p.add_argument("--output", required=True, help="sweep CSV path")
     p.add_argument("--system", default="model")
-    p.add_argument("--beams", default=",".join(str(k) for k in an.DEFAULT_BEAM_SIZES))
+    p.add_argument("--beams", type=_positive_ints,
+                   default=",".join(str(k) for k in an.DEFAULT_BEAM_SIZES),
+                   help="comma-separated beam sizes")
     p.add_argument("--alpha", type=float, default=an.DEFAULT_EVAL_ALPHA)
     p.add_argument("--threshold", type=float, default=an.DEFAULT_OVERLAP_THRESHOLD)
     p.set_defaults(func=_cmd_sweep_beam)

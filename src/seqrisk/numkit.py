@@ -14,7 +14,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class no_grad:
 def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
             backward_rule: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result, check finiteness, and record it on the tape."""
-    if _FINITE_CHECKS and not np.all(np.isfinite(out_data)):
+    if _FINITE_CHECKS and not np.isfinite(out_data).all():
         raise NumericsError(f"non-finite values produced by op '{op}'")
     graph = _active_graph()
     requires = graph is not None and any(t.requires_grad for t in inputs)
@@ -127,11 +127,15 @@ def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     return out
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+def _accumulate(t: Tensor, grad: np.ndarray, shared: bool = False) -> None:
+    """Add `grad` into t.grad.  A first gradient is adopted as it is (cast
+    only if its dtype differs), so a rule hands each input an array, or a
+    view of one, that nothing else writes to; `shared` marks one that
+    another input or a read-only broadcast also holds, and it is copied."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = grad.astype(t.data.dtype, copy=True)
+        t.grad = grad.astype(t.data.dtype, copy=shared)
     else:
         t.grad += grad
 
@@ -156,8 +160,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def rule(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:  # when a took g itself (unreduced), b takes a copy
+            _accumulate(b, _unbroadcast(g, b.shape),
+                        shared=a.requires_grad and a.shape == g.shape)
 
     return _finish("add", out_data, (a, b), rule)
 
@@ -166,8 +173,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def rule(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _finish("mul", out_data, (a, b), rule)
 
@@ -263,27 +272,35 @@ def log_softmax(a: Tensor) -> Tensor:
     return _finish("log_softmax", out_data, (a,), rule)
 
 
+def normalize_last(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Zero mean and unit variance along the last axis of a plain array:
+    returns (x_hat, 1 / std).  The reductions call np.add.reduce directly,
+    which sums exactly as ndarray.mean does without its wrapper."""
+    n = x.shape[-1]
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    return centered * inv_std, inv_std
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim of {a.shape}")
-    mean = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + a.data.dtype.type(eps))
-    x_hat = centered * inv_std
+    n = a.shape[-1]
+    x_hat, inv_std = normalize_last(a.data, eps)
     out_data = x_hat * gain.data + bias.data
 
     def rule(g: np.ndarray) -> None:
         if gain.requires_grad:
-            _accumulate(gain, (g * x_hat).reshape(-1, a.shape[-1]).sum(axis=0))
+            _accumulate(gain, (g * x_hat).reshape(-1, n).sum(axis=0))
         if bias.requires_grad:
-            _accumulate(bias, g.reshape(-1, a.shape[-1]).sum(axis=0))
+            _accumulate(bias, g.reshape(-1, n).sum(axis=0))
         if a.requires_grad:
             gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * x_hat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(gx, axis=-1, keepdims=True) / n
+            m2 = np.add.reduce(gx * x_hat, axis=-1, keepdims=True) / n
             _accumulate(a, inv_std * (gx - m1 - x_hat * m2))
 
     return _finish("layer_norm", out_data, (a, gain, bias), rule)
@@ -379,11 +396,8 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         out_data = np.asarray(out_data, dtype=a.data.dtype)
 
     def rule(g: np.ndarray) -> None:
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape))
-        else:
-            g_exp = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g_exp, a.shape))
+        g_exp = g if axis is None or keepdims else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g_exp, a.shape), shared=True)
 
     return _finish("sum", out_data, (a,), rule)
 
@@ -404,27 +418,51 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def backward(graph: Graph, loss: Tensor,
              params: Mapping[str, Tensor] | None = None) -> dict[str, Tensor]:
     """Reverse the tape from `loss`, accumulating .grad on every tensor that
-    requires grad.  Returns the gradient map for `params` (name -> Tensor)."""
+    requires grad.  Returns a copy of the gradient of each of `params`
+    (name -> Tensor), which later accumulation or zeroing does not touch."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(graph.nodes):
-        if node.out.grad is not None:
-            node.backward_rule(node.out.grad)
-            if node.out is not loss:
-                node.out.grad = None  # free intermediate buffers as we go
+        g = node.out.grad
+        if g is None:
+            continue
+        if node.out is loss:
+            g = g.copy()  # a rule may hand g on to an input; loss.grad stays ones
+        else:
+            node.out.grad = None  # free intermediate buffers as we go
+        node.backward_rule(g)
     if params is None:
         return {}
-    grads: dict[str, Tensor] = {}
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        grads[name] = Tensor(g)
-    return grads
+    return {name: Tensor(p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+            for name, p in params.items()}
 
 
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
+# ---------------------------------------------------------------------------
+# heap retention
+# ---------------------------------------------------------------------------
+
+# Freed memory that glibc's malloc keeps at the top of the heap (M_TOP_PAD,
+# mallopt parameter -2).  A shipped-size training step builds and then frees
+# a 16-32 MB tape.
+HEAP_TOP_PAD = 64 << 20
+
+
+@functools.lru_cache(maxsize=1)
+def retain_heap_top() -> bool:
+    """Have glibc's malloc keep HEAP_TOP_PAD bytes of freed memory at the top
+    of the heap instead of handing it back to the system.  Each training
+    step frees its whole tape; once nothing allocated later sits above it,
+    malloc trims the heap, and the next step faults every page in again
+    (hundreds of thousands of page faults in a shipped MLE run).  The
+    setting is process-wide and stays; returns whether it was made (False
+    where the C library has no mallopt)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt(-2, HEAP_TOP_PAD) == 1
 
 
 # ---------------------------------------------------------------------------

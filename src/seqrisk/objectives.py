@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,7 +52,13 @@ pad_batch = sm.pad_batch
 
 
 class Adam:
-    """Adam with bias correction and optional global-norm gradient clipping."""
+    """Adam with bias correction and optional global-norm gradient clipping.
+
+    Works on the store's flat buffers: the moments are flat arrays and one
+    update is a handful of whole-buffer numpy calls, each element going
+    through the same arithmetic, in the same order, as a per-tensor update
+    would.  The global norm is still summed per tensor, in store order, in
+    float64."""
 
     def __init__(self, store: sm.ParameterStore, beta1: float = 0.9,
                  beta2: float = 0.98, eps: float = 1e-9, grad_clip: float = 1.0):
@@ -60,30 +66,51 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.grad_clip = grad_clip
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in store.items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in store.items()}
+        self.m = np.zeros_like(store.flat)
+        self.v = np.zeros_like(store.flat)
+        ends = np.cumsum([p.data.size for _, p in store.items()]).tolist()
+        self._spans = list(zip([0] + ends[:-1], ends))  # each tensor's place in `flat`
 
-    def step(self, grads: dict[str, nk.Tensor], lr: float) -> float:
-        """Apply one update; returns the pre-clip global gradient norm."""
-        sq = 0.0
-        for g in grads.values():
-            sq += float(np.sum(g.data.astype(np.float64) ** 2))
-        norm = math.sqrt(sq)
-        scale = 1.0
+    def step(self, grads: Mapping[str, nk.Tensor] | None, lr: float) -> float:
+        """Apply one update; returns the pre-clip global gradient norm.
+        `grads` maps every parameter name to its gradient (cast to the
+        store's dtype); None takes the gradients accumulated in the store's
+        flat gradient buffer."""
+        store = self.store
+        if grads is None:
+            g = store.flat_grad
+        else:
+            g = np.concatenate([grads[name].data.reshape(-1) for name in store.names()],
+                               dtype=store.dtype)
+        sq = np.square(g, dtype=np.float64)
+        total = 0.0
+        for start, stop in self._spans:
+            total += float(np.add.reduce(sq[start:stop]))
+        norm = math.sqrt(total)
         if self.grad_clip > 0.0 and norm > self.grad_clip:
-            scale = self.grad_clip / norm
+            g = g * (self.grad_clip / norm)
 
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, param in self.store.items():
-            g = grads[name].data * scale
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            param.data -= (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(param.data.dtype)
-        self.store.step_count += 1
+        m, v = self.m, self.v
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+        m *= self.beta1
+        tmp = g * (1.0 - self.beta1)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        # param -= lr m_hat / (sqrt(v_hat) + eps)
+        update = m / bc1
+        update *= lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update /= tmp
+        store.flat -= update
+        store.step_count += 1
         return norm
 
 
@@ -116,8 +143,9 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
     betas, eps and clipping) at `lr_at(step)`.  Writes one CSV trace row
     (step, objective_value, learning_rate) per step when `trace_path` is
     set, and returns one `_Step` per step."""
+    nk.retain_heap_top()  # each step frees its whole tape; keep that memory
     optim = Adam(store, config.beta1, config.beta2, config.adam_eps, config.grad_clip)
-    params = dict(store.items())
+    store.zero_grads()  # backward adds into the store's gradient buffer
     steps = []
     with open(trace_path if trace_path is not None else os.devnull, "w", newline="") as trace:
         writer = csv.writer(trace)
@@ -126,17 +154,18 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
             t0 = time.perf_counter()
             lr = lr_at(step)
             try:
-                with nk.Graph() as g:
+                with nk.Graph() as tape:
                     scalar, info = objective(batch)
-                    grads = nk.backward(g, scalar, params)
+                    nk.backward(tape, scalar)
             except NumericsError as exc:
                 raise ContractError(f"training diverged at step {step}: {exc}") from exc
-            store.zero_grads()  # grads accumulate additively across passes
+            del tape  # frees the activations before the update allocates
             value = scalar.item()
             if not math.isfinite(value):
                 raise ContractError(
                     f"training diverged at step {step}: objective is {value}")
-            optim.step(grads, lr)
+            optim.step(None, lr)
+            store.zero_grads()
             writer.writerow([step, f"{value:.6f}", f"{lr:.6g}"])
             steps.append(_Step(batch, value, lr, info, time.perf_counter() - t0))
     return steps

@@ -117,12 +117,27 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.nd
 
 
 class ParameterStore:
-    """Named, shaped parameter tensors plus the step counter; the checkpoint unit."""
+    """Named, shaped parameter tensors plus the step counter; the checkpoint
+    unit.  Every tensor's data is a view into one contiguous buffer, `flat`,
+    in name order, and its grad the view at the same place in `flat_grad`,
+    so the optimizer and checkpoint io work on whole buffers."""
 
     def __init__(self, config: ModelConfig, params: dict[str, nk.Tensor], step_count: int = 0):
+        """Packs the tensors' values, in the order given, into a new buffer
+        (one copy); each tensor is kept, its data rebound to its view and
+        its grad to a zeroed one."""
         self.config = config
-        self._params = params
+        self._params = dict(params)
         self.step_count = step_count
+        arrays = [t.data.reshape(-1) for t in self._params.values()]
+        self.flat = np.concatenate(arrays) if arrays else np.zeros(0, nk.DEFAULT_DTYPE)
+        self.flat_grad = np.zeros_like(self.flat)
+        start = 0
+        for t in self._params.values():
+            stop = start + t.data.size
+            t.data = self.flat[start:stop].reshape(t.shape)
+            t.grad = self.flat_grad[start:stop].reshape(t.shape)
+            start = stop
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int, dtype=None) -> "ParameterStore":
@@ -182,13 +197,14 @@ class ParameterStore:
 
     @property
     def dtype(self):
-        return next(iter(self._params.values())).dtype
+        return self.flat.dtype
 
     def zero_grads(self) -> None:
-        nk.zero_grads(self._params.values())
+        """Zero every gradient: backward adds into the grad views."""
+        self.flat_grad.fill(0)
 
     def copy(self) -> "ParameterStore":
-        params = {n: nk.Tensor(t.data.copy(), requires_grad=True) for n, t in self._params.items()}
+        params = {n: nk.Tensor(t.data, requires_grad=True) for n, t in self._params.items()}
         return ParameterStore(self.config, params, self.step_count)
 
     def src_embedding(self) -> nk.Tensor:
@@ -203,13 +219,13 @@ class ParameterStore:
     # -- checkpoint io -----------------------------------------------------
 
     def save(self, path) -> None:
-        """Write a manifest line (JSON) followed by raw little-endian payloads."""
+        """Write a manifest line (JSON) followed by the raw little-endian
+        float32 payload: the flat buffer, so each tensor's bytes in order."""
         entries = []
-        payload = bytearray()
+        offset = 0
         for name, t in self._params.items():
-            raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-            entries.append({"name": name, "shape": list(t.shape), "offset": len(payload)})
-            payload.extend(raw)
+            entries.append({"name": name, "shape": list(t.shape), "offset": offset})
+            offset += 4 * t.data.size
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "config": self.config.to_dict(),
@@ -219,13 +235,13 @@ class ParameterStore:
         with open(path, "wb") as fh:
             fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
-            fh.write(bytes(payload))
+            fh.write(np.ascontiguousarray(self.flat, dtype="<f4").tobytes())
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
-        """Read a checkpoint; the arrays are fresh, writable copies.  A file
-        whose manifest is unreadable or whose tensors do not exactly tile the
-        payload raises ContractError naming the file."""
+        """Read a checkpoint into a fresh, writable store (the payload is
+        copied once).  A file whose manifest is unreadable or whose tensors
+        do not exactly tile the payload raises ContractError naming the file."""
         with open(path, "rb") as fh:
             header = fh.readline()
             payload = fh.read()
@@ -242,6 +258,7 @@ class ParameterStore:
             step_count = int(manifest["step_count"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
+        flat = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
         params: dict[str, nk.Tensor] = {}
         end = 0
         for name, shape, start in entries:
@@ -251,8 +268,7 @@ class ParameterStore:
                     f"{path}: tensor {name} at byte {start} (+{4 * count}) does not "
                     f"fit the {len(payload)}-byte payload; file truncated or corrupt")
             end = start + 4 * count
-            arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
-            params[name] = nk.Tensor(arr.reshape(shape).copy(), requires_grad=True)
+            params[name] = nk.Tensor(flat[start // 4: end // 4].reshape(shape), requires_grad=True)
         if end != len(payload):
             raise ContractError(
                 f"{path}: {len(payload) - end} bytes after the last tensor; file corrupt")
@@ -409,14 +425,6 @@ def pad_batch(seqs: Sequence[Sequence[int]], pad_id: int = PAD_ID) -> np.ndarray
     return out
 
 
-def _np_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                   eps: float = 1e-5) -> np.ndarray:
-    """The forward arithmetic of numkit.layer_norm, on plain arrays."""
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * (1.0 / np.sqrt(var + x.dtype.type(eps))) * gain + bias
-
-
 def _np_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                mask: np.ndarray | None) -> np.ndarray:
     """One query per row: q [n, h, dh] against k, v [n, h, t, dh]; `mask`
@@ -472,7 +480,8 @@ class IncrementalDecoder:
         self._self = [(empty, empty) for _ in range(cfg.dec_layers)]
 
     def _ln(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        return _np_layer_norm(x, self._p[f"{prefix}.gain"], self._p[f"{prefix}.bias"])
+        """numkit.layer_norm's forward arithmetic on plain arrays."""
+        return nk.normalize_last(x)[0] * self._p[f"{prefix}.gain"] + self._p[f"{prefix}.bias"]
 
     def step(self, parents: np.ndarray | None, tokens: np.ndarray) -> np.ndarray:
         cfg = self.config

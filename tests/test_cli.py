@@ -208,6 +208,34 @@ class TestModelCommands:
         dense, gappy = outputs
         assert gappy == [dense[0], "", dense[1], ""]
 
+    def test_translate_rejects_overlong_line_naming_it(self, workspace, tmp_path, capsys):
+        config, data, run = workspace
+        pairs = dg.read_tsv(data / "test_id.tsv")[:2]
+        src_file = tmp_path / "sources.txt"
+        src_file.write_text(f"{' '.join(pairs[0][0])}\n{' '.join(['x'] * 17)}\n"
+                            f"{' '.join(pairs[1][0])}\n")
+        out_file = tmp_path / "hyps.txt"
+        code = cli.main(["translate", "--checkpoint", str(run / "mle.ckpt"),
+                         "--vocab", str(data / "vocab.json"), "--input", str(src_file),
+                         "--output", str(out_file)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(src_file) in err and "line 2 has 17 tokens" in err and "16" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("beams", ["1,x", "0,4", ""])
+    def test_beams_must_be_positive_integers(self, workspace, beams, tmp_path, capsys):
+        config, data, run = workspace
+        code = cli.main(["sweep-beam", "--checkpoint", str(run / "mle.ckpt"),
+                         "--vocab", str(data / "vocab.json"),
+                         "--domain", str(data / "domain.json"),
+                         "--data-file", str(data / "test_ood.tsv"),
+                         "--output", str(tmp_path / "sweep.csv"), "--beams", beams])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "argument --beams: must be a positive integer" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("n", ["-3", "0", "two"])
     def test_n_must_be_positive(self, workspace, n, capsys):
         config, data, run = workspace

@@ -339,6 +339,40 @@ class TestGraphMechanics:
             _ = nk.add(nk.tensor([1.0]), nk.tensor([2.0]))
         assert len(g.nodes) == 0
 
+    def test_copy_free_accumulation_under_fan_out(self):
+        # rules hand each input its gradient without copying it; an array
+        # that reaches two inputs (add) or a read-only broadcast (sum_) is
+        # copied.  x feeds add(x, x), mul(x, x), reshape, matmul and add(x, y);
+        # y feeds transposes and add(x, y); add(x, y) is the last op on the
+        # tape to use them, so its rule gives both their first gradient.
+        rng = np.random.default_rng(4)
+        x, y, w = (nk.tensor(rng.normal(size=shape), requires_grad=True, dtype=F64)
+                   for shape in ((2, 3), (2, 3), (3, 3)))
+        z = nk.tensor(rng.normal(size=(4,)), requires_grad=True, dtype=F64)
+        c = nk.tensor([1.5], requires_grad=True, dtype=F64)
+        proj = rng.normal(size=(2, 3))
+        with nk.Graph() as g:
+            parts = [nk.add(x, x), nk.mul(x, x),
+                     nk.reshape(nk.reshape(x, (3, 2)), (2, 3)),
+                     nk.transpose(nk.transpose(y, (1, 0)), (1, 0)),
+                     nk.matmul(x, w), nk.add(x, y)]
+            total = parts[0]
+            for part in parts[1:]:
+                total = nk.add(total, part)
+            loss = nk.add(c, nk.add(nk.sum_(nk.mul(total, nk.Tensor(proj))), nk.sum_(z)))
+            nk.backward(g, loss)
+        xd, wd = x.data, w.data
+        assert np.allclose(x.grad, proj * (2 + 2 * xd + 1 + 1) + proj @ wd.T)
+        assert np.allclose(y.grad, 2 * proj)
+        assert np.allclose(w.grad, xd.T @ proj)
+        assert np.array_equal(z.grad, np.ones(4)) and np.array_equal(c.grad, [1.0])
+        assert np.array_equal(loss.grad, [1.0])
+        grads = [t.grad for t in (x, y, w, z, c, loss)]
+        for i, a in enumerate(grads):
+            assert a.flags.writeable
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
     def test_finite_difference_on_quadratic(self):
         # d/dx sum(x^2) = 2x, checked against the helper itself
         x = np.array([1.0, -2.0, 0.5])

@@ -2,6 +2,7 @@
 the analytic risk gradient, optimizer math, and loop determinism."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -125,6 +126,70 @@ class TestOptimizer:
         grads = {n: nk.Tensor(np.zeros_like(t.data)) for n, t in store.items()}
         obj.Adam(store).step(grads, lr=0.1)
         assert store.step_count == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("clip", [0.0, 1.0])
+    def test_flat_adam_equals_per_tensor_adam_bit_for_bit(self, dtype, clip):
+        # one store steps with a gradient dict, one with the same gradients
+        # accumulated in its flat gradient buffer, one with the oracle
+        cfg = make_store().config
+        by_dict = sm.ParameterStore.init(cfg, 8, dtype=dtype)
+        by_buffer, oracle = by_dict.copy(), by_dict.copy()
+        optims = [obj.Adam(s, grad_clip=clip) for s in (by_dict, by_buffer)]
+        reference = PerTensorAdam(oracle, grad_clip=clip)
+        rng = np.random.default_rng(1)
+        # global norms of about 100 and 0.1: clipped, then not, when clip=1
+        for step, size in enumerate((1.0, 1e-3, 0.5, 2e-3, 3.0, 1e-4), 1):
+            grads = {n: nk.Tensor((rng.standard_normal(t.shape) * size).astype(dtype))
+                     for n, t in oracle.items()}
+            for n, t in by_buffer.items():
+                t.grad += grads[n].data
+            lr = 0.01 / step
+            want = reference.step(grads, lr)
+            assert optims[0].step(grads, lr) == want
+            assert optims[1].step(None, lr) == want
+            by_buffer.zero_grads()
+            moments = [np.concatenate([m[n].reshape(-1) for n in oracle.names()]).tobytes()
+                       for m in (reference.m, reference.v)]
+            for store, optim in zip((by_dict, by_buffer), optims):
+                assert store.flat.tobytes() == oracle.flat.tobytes(), step
+                assert [optim.m.tobytes(), optim.v.tobytes()] == moments, step
+        assert by_dict.step_count == by_buffer.step_count == oracle.step_count == 6
+
+
+class PerTensorAdam:
+    """The per-tensor Adam that the flat-buffer one replaced, kept as its
+    oracle: moments per tensor, the update tensor by tensor."""
+
+    def __init__(self, store, beta1=0.9, beta2=0.98, eps=1e-9, grad_clip=1.0):
+        self.store = store
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.grad_clip = grad_clip
+        self.t = 0
+        self.m = {n: np.zeros_like(p.data) for n, p in store.items()}
+        self.v = {n: np.zeros_like(p.data) for n, p in store.items()}
+
+    def step(self, grads, lr):
+        sq = 0.0
+        for g in grads.values():
+            sq += float(np.sum(g.data.astype(np.float64) ** 2))
+        norm = math.sqrt(sq)
+        scale = 1.0
+        if self.grad_clip > 0.0 and norm > self.grad_clip:
+            scale = self.grad_clip / norm
+
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, param in self.store.items():
+            g = grads[name].data * scale
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            param.data -= (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(param.data.dtype)
+        self.store.step_count += 1
+        return norm
 
 
 class TestSchedule:

@@ -1,6 +1,8 @@
 """Model contracts: masking, causality, checkpointing, and a small
 finite-difference check of the full loss in float64."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,83 @@ class TestCheckpoint:
         clone = store.copy()
         clone["enc.final_ln.bias"].data[0] = 99.0
         assert store["enc.final_ln.bias"].data[0] == 0.0
+
+
+def per_tensor_save(store, path):
+    """The per-tensor checkpoint writer that the one-piece save replaced."""
+    entries = []
+    payload = bytearray()
+    for name, t in store.items():
+        raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
+        entries.append({"name": name, "shape": list(t.shape), "offset": len(payload)})
+        payload.extend(raw)
+    manifest = {"format": sm.CHECKPOINT_FORMAT, "config": store.config.to_dict(),
+                "step_count": store.step_count, "tensors": entries}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        fh.write(bytes(payload))
+
+
+class TestFlatStore:
+    @staticmethod
+    def assert_tiles(store):
+        """Every tensor's data and grad are the views, in name order, that
+        exactly tile the store's two flat buffers."""
+        start = 0
+        for _, t in store.items():
+            for view, flat in ((t.data, store.flat), (t.grad, store.flat_grad)):
+                assert view.base is flat and view.flags.c_contiguous
+                assert view.ctypes.data == flat.ctypes.data + start * flat.itemsize
+            start += t.data.size
+        assert start == store.flat.size == store.flat_grad.size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tensors_view_one_buffer_and_save_matches_per_tensor_writer(
+            self, dtype, tmp_path):
+        store = sm.ParameterStore.init(tiny_config(tie_embeddings=False), 3, dtype=dtype)
+        store.flat += np.random.default_rng(0).standard_normal(store.flat.size).astype(dtype)
+        store.step_count = 7
+        self.assert_tiles(store)
+        store.save(tmp_path / "flat.ckpt")
+        per_tensor_save(store, tmp_path / "ref.ckpt")
+        assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+        loaded = sm.ParameterStore.load(tmp_path / "flat.ckpt")
+        self.assert_tiles(loaded)
+        assert loaded.flat.flags.owndata and loaded.flat.flags.writeable
+        assert loaded.flat.tobytes() == store.flat.astype(np.float32).tobytes()
+
+    def test_copy_shares_no_memory(self, store):
+        clone = store.copy()
+        self.assert_tiles(clone)
+        assert clone.flat.tobytes() == store.flat.tobytes()
+        assert clone.step_count == store.step_count
+        for mine in (store.flat, store.flat_grad):
+            for theirs in (clone.flat, clone.flat_grad):
+                assert not np.shares_memory(mine, theirs)
+
+    def test_loose_tensors_are_packed_and_kept(self, tmp_path):
+        loose = {"w": nk.Tensor(np.arange(6, dtype=np.float32).reshape(2, 3).T,
+                                requires_grad=True),
+                 "b": nk.Tensor(np.full(4, 0.5, dtype=np.float32), requires_grad=True)}
+        store = sm.ParameterStore(tiny_config(), loose)
+        self.assert_tiles(store)
+        assert store["w"] is loose["w"] and store.names() == ["w", "b"]
+        assert np.array_equal(store["w"].data, np.arange(6).reshape(2, 3).T)
+        assert store.flat.tolist() == [0, 3, 1, 4, 2, 5, 0.5, 0.5, 0.5, 0.5]
+        with nk.Graph() as g:
+            loss = nk.sum_(nk.mul(store["w"], store["w"]))
+            grads = nk.backward(g, loss, dict(store.items()))
+        assert np.array_equal(store["w"].grad, 2 * store["w"].data)
+        store.zero_grads()
+        assert not store.flat_grad.any()
+        assert np.array_equal(grads["w"].data, 2 * store["w"].data)  # a copy
+        obj.Adam(store).step(grads, lr=0.1)
+        assert store.step_count == 1 and store.flat[0] == 0.0 and store.flat[1] < 3.0
+        store.save(tmp_path / "loose.ckpt")
+        again = sm.ParameterStore.load(tmp_path / "loose.ckpt")
+        assert again.flat.tobytes() == store.flat.tobytes()
+        assert [t.shape for _, t in again.items()] == [(3, 2), (4,)]
 
 
 class TestLossGradient:
