@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,10 +91,29 @@ def build_vocabulary(spec: DomainSpec) -> sm.Vocabulary:
     return sm.Vocabulary(tokens)
 
 
+class _Symbols(NamedTuple):
+    """A spec's source inventories and lexicon, built once per corpus."""
+
+    functions: list[str]
+    base: list[str]
+    novel: list[str]
+    lexicon: dict[str, str]
+    function_set: frozenset[str]
+
+    @classmethod
+    def of(cls, spec: DomainSpec) -> "_Symbols":
+        functions = spec.src_functions()
+        return cls(functions, spec.src_base_content(), spec.src_novel_content(),
+                   spec.lexicon(), frozenset(functions))
+
+
 def transform_source(tokens: Sequence[str], spec: DomainSpec) -> list[str]:
     """Reference translation: lexicon mapping plus the in-chunk content swap."""
-    lex = spec.lexicon()
-    funcs = set(spec.src_functions())
+    return _transform(tokens, _Symbols.of(spec))
+
+
+def _transform(tokens: Sequence[str], symbols: _Symbols) -> list[str]:
+    lex, funcs = symbols.lexicon, symbols.function_set
     out: list[str] = []
     i = 0
     while i < len(tokens):
@@ -114,11 +133,9 @@ def transform_source(tokens: Sequence[str], spec: DomainSpec) -> list[str]:
     return out
 
 
-def _draw_sentence(spec: DomainSpec, rng: np.random.Generator,
+def _draw_sentence(spec: DomainSpec, symbols: _Symbols, rng: np.random.Generator,
                    novel_rate: float) -> list[str]:
-    base = spec.src_base_content()
-    novel = spec.src_novel_content()
-    funcs = spec.src_functions()
+    funcs, base, novel = symbols.functions, symbols.base, symbols.novel
     n_chunks = int(rng.integers(spec.min_chunks, spec.max_chunks + 1))
     toks: list[str] = []
     for _ in range(n_chunks):
@@ -137,7 +154,8 @@ def generate_corpus(spec: DomainSpec, size: int, rng: np.random.Generator,
     is guaranteed at least one novel-domain content symbol."""
     forbid = set(forbid or ())
     seen: set[tuple[str, ...]] = set()
-    novel = set(spec.src_novel_content())
+    symbols = _Symbols.of(spec)
+    novel = set(symbols.novel)
     pairs: list[TokenPair] = []
     attempts = 0
     limit = max(1000, 1000 * size)
@@ -146,14 +164,14 @@ def generate_corpus(spec: DomainSpec, size: int, rng: np.random.Generator,
         if attempts > limit:
             raise ContractError(
                 f"could not draw {size} unique sentences after {limit} attempts")
-        src = _draw_sentence(spec, rng, novel_rate)
+        src = _draw_sentence(spec, symbols, rng, novel_rate)
         key = tuple(src)
         if key in seen or key in forbid:
             continue
         if novel_rate > 0.0 and not any(t in novel for t in src):
             continue
         seen.add(key)
-        pairs.append((src, transform_source(src, spec)))
+        pairs.append((src, _transform(src, symbols)))
     return pairs
 
 

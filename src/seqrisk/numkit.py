@@ -22,6 +22,9 @@ from .errors import ContractError, NumericsError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 
+# the score `attention` gives a masked key: exp() of it underflows to 0
+NEG_INF_FILL = -1e9
+
 _FINITE_CHECKS = True
 
 
@@ -61,7 +64,7 @@ class Tensor:
 
 
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    arr = np.ascontiguousarray(np.asarray(data, dtype=dtype or DEFAULT_DTYPE))
+    arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE, order="C")
     return Tensor(arr, requires_grad=requires_grad)
 
 
@@ -388,6 +391,90 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
             _accumulate(a, full)
 
     return _finish("narrow", out_data, (a,), rule)
+
+
+def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+              wo: Tensor, heads: int, mask: np.ndarray | None = None,
+              keep: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one op: query_x [B, Lq, D]
+    attends over key_x [B, Lk, D] through the [D, D] projections.  `mask`,
+    a bool array broadcastable to [B, heads, Lq, Lk], marks keys to suppress
+    (their scores become NEG_INF_FILL); `keep`, shaped [B, heads, Lq, Lk],
+    scales the attention weights (dropout).
+
+    Forward and backward make the numpy calls of the composed chain of
+    matmul, reshape, transpose, scale, masked_fill, softmax and mul, on the
+    same array layouts and in the same order, so results match it bit for
+    bit.  Each intermediate that finite inputs can make non-finite is
+    checked; a failure names the op and the intermediate."""
+    bsz, q_len, dim = query_x.shape
+    k_len = key_x.shape[1]
+    if key_x.data.ndim != 3 or key_x.shape[0] != bsz or key_x.shape[2] != dim:
+        raise ShapeError(f"attention query {query_x.shape} and keys {key_x.shape} disagree")
+    if dim % heads:
+        raise ShapeError(f"attention width {dim} not divisible by {heads} heads")
+    for w in (wq, wk, wv, wo):
+        if w.shape != (dim, dim):
+            raise ShapeError(f"attention projection {w.shape} must be ({dim}, {dim})")
+    dh = dim // heads
+    scores_shape = (bsz, heads, q_len, k_len)
+    if keep is not None and keep.shape != scores_shape:
+        raise ShapeError(f"attention keep mask {keep.shape} must be {scores_shape}")
+    s = 1.0 / math.sqrt(dh)
+
+    def checked(what: str, arr: np.ndarray) -> np.ndarray:
+        if _FINITE_CHECKS and not np.isfinite(arr).all():
+            raise NumericsError(f"non-finite values produced by op 'attention' ({what})")
+        return arr
+
+    def split(x: Tensor, w: Tensor, length: int) -> np.ndarray:  # -> [B, h, L, dh]
+        proj = checked("projection", x.data @ w.data)
+        return np.ascontiguousarray(proj.reshape(bsz, length, heads, dh).transpose(0, 2, 1, 3))
+
+    q = split(query_x, wq, q_len)
+    k = split(key_x, wk, k_len)
+    v = split(key_x, wv, k_len)
+    kT = np.ascontiguousarray(k.transpose(0, 1, 3, 2))
+    scores = checked("scaled scores", checked("scores", q @ kT) * q.dtype.type(s))
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        scores = np.where(mask, q.dtype.type(NEG_INF_FILL), scores)
+        if scores.shape != scores_shape:
+            raise ShapeError(f"mask shape {mask.shape} does not broadcast onto {scores_shape}")
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    weights = checked("softmax", e / e.sum(axis=-1, keepdims=True))
+    dropped = weights if keep is None else checked("dropout", weights * keep)
+    context = checked("context", dropped @ v)
+    merged = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(bsz, q_len, dim)
+
+    def project_back(x: Tensor, w: Tensor, g_heads: np.ndarray, length: int) -> None:
+        g = g_heads.transpose(0, 2, 1, 3).reshape(bsz, length, dim)  # a C-order copy
+        if x.requires_grad:
+            _accumulate(x, g @ np.swapaxes(w.data, -1, -2))
+        if w.requires_grad:
+            _accumulate(w, x.data.reshape(-1, dim).T @ g.reshape(-1, dim))
+
+    def rule(g: np.ndarray) -> None:
+        if wo.requires_grad:
+            _accumulate(wo, merged.reshape(-1, dim).T @ g.reshape(-1, dim))
+        g_context = (g @ np.swapaxes(wo.data, -1, -2)).reshape(
+            bsz, q_len, heads, dh).transpose(0, 2, 1, 3)
+        g_dropped = g_context @ np.swapaxes(v, -1, -2)
+        g_v = np.swapaxes(dropped, -1, -2) @ g_context
+        g_weights = g_dropped if keep is None else g_dropped * keep
+        inner = (g_weights * weights).sum(axis=-1, keepdims=True)
+        g_scores = weights * (g_weights - inner)
+        if mask is not None:
+            g_scores = np.where(mask, 0.0, g_scores)
+        g_scores = g_scores * s
+        # key_x takes the v gradient, then the k gradient, then (when it is
+        # query_x) the q gradient: the composed tape's order of additions
+        project_back(key_x, wv, g_v, k_len)
+        project_back(key_x, wk, (np.swapaxes(q, -1, -2) @ g_scores).transpose(0, 1, 3, 2), k_len)
+        project_back(query_x, wq, g_scores @ np.swapaxes(kT, -1, -2), q_len)
+
+    return _finish("attention", merged @ wo.data, (query_x, key_x, wq, wk, wv, wo), rule)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

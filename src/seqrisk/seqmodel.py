@@ -9,9 +9,11 @@ tape-free, KV-cached copy of the decoder's forward arithmetic in plain numpy.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Sequence
 
@@ -28,7 +30,6 @@ UNK_ID = 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 CHECKPOINT_FORMAT = "seqrisk-checkpoint-v1"
-NEG_INF_FILL = -1e9
 
 
 @dataclass
@@ -220,7 +221,9 @@ class ParameterStore:
 
     def save(self, path) -> None:
         """Write a manifest line (JSON) followed by the raw little-endian
-        float32 payload: the flat buffer, so each tensor's bytes in order."""
+        float32 payload: the flat buffer, so each tensor's bytes in order.
+        The bytes go to a temporary file in the same directory that then
+        replaces `path`, so a failed save leaves any earlier file whole."""
         entries = []
         offset = 0
         for name, t in self._params.items():
@@ -232,10 +235,18 @@ class ParameterStore:
             "step_count": self.step_count,
             "tensors": entries,
         }
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(np.ascontiguousarray(self.flat, dtype="<f4").tobytes())
+        path = os.fspath(path)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+                fh.write(b"\n")
+                fh.write(np.ascontiguousarray(self.flat, dtype="<f4").tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
@@ -303,38 +314,31 @@ def _validate_ids(ids: np.ndarray, config: ModelConfig, what: str) -> None:
             f"{what} ids out of range for vocab_size {config.vocab_size}")
 
 
+def _keep_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-dropout multipliers of `shape` in one pass: 1 / (1 - rate)
+    where a float64 uniform draw is >= rate, else 0.  `dtype` is a numpy
+    scalar type such as np.float32."""
+    return (rng.random(shape) >= rate) * (dtype(1) / dtype(1 - rate))
+
+
 def _dropout(x: nk.Tensor, rate: float, rng: np.random.Generator | None) -> nk.Tensor:
     if rng is None or rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / x.data.dtype.type(1.0 - rate)
-    return nk.mul(x, nk.Tensor(keep))
+    return nk.mul(x, nk.Tensor(_keep_mask(x.shape, rate, rng, x.data.dtype.type)))
 
 
 def _attention(store: ParameterStore, prefix: str, query_x: nk.Tensor, key_x: nk.Tensor,
                mask: np.ndarray | None, rng: np.random.Generator | None) -> nk.Tensor:
-    """Multi-head attention; `mask` is a bool array broadcastable to
-    [batch, heads, q_len, k_len] marking positions to suppress."""
+    """Multi-head attention (one `numkit.attention` op); `mask` is a bool
+    array broadcastable to [batch, heads, q_len, k_len] marking positions to
+    suppress.  With `rng`, the attention weights take dropout."""
     cfg = store.config
-    h = cfg.num_heads
-    dh = cfg.embed_dim // h
-    bsz, q_len, _ = query_x.shape
-    k_len = key_x.shape[1]
-
-    def split_heads(t: nk.Tensor, length: int) -> nk.Tensor:
-        t = nk.reshape(t, (bsz, length, h, dh))
-        return nk.transpose(t, (0, 2, 1, 3))
-
-    q = split_heads(nk.matmul(query_x, store[f"{prefix}.wq"]), q_len)
-    k = split_heads(nk.matmul(key_x, store[f"{prefix}.wk"]), k_len)
-    v = split_heads(nk.matmul(key_x, store[f"{prefix}.wv"]), k_len)
-
-    scores = nk.scale(nk.matmul(q, nk.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = nk.masked_fill(scores, mask, NEG_INF_FILL)
-    weights = _dropout(nk.softmax(scores), cfg.dropout_rate, rng)
-    context = nk.matmul(weights, v)
-    context = nk.reshape(nk.transpose(context, (0, 2, 1, 3)), (bsz, q_len, cfg.embed_dim))
-    return nk.matmul(context, store[f"{prefix}.wo"])
+    keep = None
+    if rng is not None and cfg.dropout_rate > 0.0:
+        shape = (query_x.shape[0], cfg.num_heads, query_x.shape[1], key_x.shape[1])
+        keep = _keep_mask(shape, cfg.dropout_rate, rng, query_x.data.dtype.type)
+    wq, wk, wv, wo = (store[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
+    return nk.attention(query_x, key_x, wq, wk, wv, wo, cfg.num_heads, mask, keep)
 
 
 def _ffn(store: ParameterStore, prefix: str, x: nk.Tensor,
@@ -431,7 +435,7 @@ def _np_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     [n, 1, t] marks keys to suppress.  Returns the context [n, h*dh]."""
     scores = np.einsum("nhd,nhtd->nht", q, k) * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
-        scores = np.where(mask, NEG_INF_FILL, scores)
+        scores = np.where(mask, nk.NEG_INF_FILL, scores)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
     return np.einsum("nht,nhtd->nhd", weights, v).reshape(q.shape[0], -1)

@@ -49,6 +49,10 @@ def _op_cases():
     ids = np.array([[0, 2], [1, 0]])
     idx = np.array([1, 3, 0])
     mask = np.array([[True, False, False, True]] * 3)
+    query, keys = rng.normal(0.0, 1.0, (2, 3, 4)), rng.normal(0.0, 1.0, (2, 5, 4))
+    projections = [rng.normal(0.0, 0.5, (4, 4)) for _ in range(4)]
+    key_pad = np.array([[False] * 5, [False] * 3 + [True] * 2])[:, None, None, :]
+    keep = rng.uniform(0.5, 1.5, (2, 2, 3, 5))
     return {
         "add": (lambda x, y: nk.add(x, y), [a34, b34]),
         "sub": (lambda x, y: nk.sub(x, y), [a34, b34]),
@@ -69,6 +73,8 @@ def _op_cases():
         "narrow": (lambda x: nk.narrow(x, 1, 1, 2), [a34]),
         "sum_": (lambda x: nk.sum_(x, axis=1), [a34]),
         "mean": (lambda x: nk.mean(x, axis=0), [a34]),
+        "attention": (lambda q, k, *w: nk.attention(q, k, *w, 2, key_pad, keep),
+                      [query, keys] + projections),
     }
 
 

@@ -2,6 +2,8 @@
 primitive in the autodiff layer.  All gradient checks run in float64 so the
 finite-difference reference itself is trustworthy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,17 @@ class TestGradients:
             nk.backward(g, loss)
         assert x2.grad[0] == 6.0
 
+    def test_scalar_tensor_is_zero_dimensional(self):
+        assert nk.tensor(1.5).shape == ()
+        assert nk.tensor([1.5]).shape == (1,)
+        c = nk.tensor(1.5, requires_grad=True, dtype=F64)
+        x = nk.tensor([1.0, 2.0], requires_grad=True, dtype=F64)
+        with nk.Graph() as g:
+            loss = nk.sum_(nk.mul(x, c))
+            nk.backward(g, loss)
+        assert c.grad.shape == () and c.grad == 3.0
+        assert np.array_equal(x.grad, [1.5, 1.5])
+
     def test_linear_chain_hand_value(self):
         # loss = sum((w x - y)^2): dL/dw = 2 (w x - y) x
         w = nk.tensor([2.0], requires_grad=True, dtype=F64)
@@ -378,6 +391,127 @@ class TestGraphMechanics:
         x = np.array([1.0, -2.0, 0.5])
         grad = nk.finite_difference(lambda v: float(np.sum(v ** 2)), x)
         assert nk.max_relative_error(grad, 2 * x) < 1e-8
+
+
+def composed_attention(query_x, key_x, wq, wk, wv, wo, heads, mask, keep):
+    """Multi-head attention as the chain of primitive ops that
+    `nk.attention` fuses; the bit-for-bit reference for it."""
+    bsz, q_len, dim = query_x.shape
+    k_len = key_x.shape[1]
+    dh = dim // heads
+
+    def split_heads(t, length):
+        return nk.transpose(nk.reshape(t, (bsz, length, heads, dh)), (0, 2, 1, 3))
+
+    q = split_heads(nk.matmul(query_x, wq), q_len)
+    k = split_heads(nk.matmul(key_x, wk), k_len)
+    v = split_heads(nk.matmul(key_x, wv), k_len)
+    scores = nk.scale(nk.matmul(q, nk.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    if mask is not None:
+        scores = nk.masked_fill(scores, mask, nk.NEG_INF_FILL)
+    weights = nk.softmax(scores)
+    if keep is not None:
+        weights = nk.mul(weights, nk.Tensor(keep))
+    context = nk.matmul(weights, v)
+    context = nk.reshape(nk.transpose(context, (0, 2, 1, 3)), (bsz, q_len, dim))
+    return nk.matmul(context, wo)
+
+
+def attention_case(dtype, cross, masked, dropped):
+    """Arrays for one attention call at model-like sizes: inputs, weights,
+    a pad (cross) or causal-plus-pad (self) mask, a dropout keep mask, an
+    output projection for the loss and, for cross-attention, a gradient that
+    key_x already holds from elsewhere on the tape."""
+    rng = np.random.default_rng(0)
+    bsz, q_len, k_len, dim, heads = 3, 7, (9 if cross else 7), 64, 2
+
+    def draw(shape, scale=1.0):
+        return (rng.standard_normal(shape) * scale).astype(dtype)
+
+    arrays = {"query_x": draw((bsz, q_len, dim)),
+              "key_x": draw((bsz, k_len, dim)) if cross else None,
+              "w": [draw((dim, dim), 0.1) for _ in range(4)],
+              "proj": draw((bsz, q_len, dim)),
+              "prior": draw((bsz, k_len, dim)) if cross else None}
+    pad = np.zeros((bsz, k_len), dtype=bool)
+    pad[1, -2:] = pad[2, -4:] = True
+    if not masked:
+        mask = None
+    elif cross:
+        mask = pad[:, None, None, :]
+    else:
+        mask = np.triu(np.ones((q_len, k_len), dtype=bool), k=1)[None, None] | pad[:, None, None, :]
+    keep = None
+    if dropped:
+        keep = (rng.random((bsz, heads, q_len, k_len)) >= 0.3) * (dtype(1) / dtype(0.7))
+    return arrays, heads, mask, keep
+
+
+def run_attention(op, arrays, heads, mask, keep):
+    """Output and every input gradient of sum(op(...) * proj)."""
+    query_x = nk.Tensor(arrays["query_x"].copy(), requires_grad=True)
+    key_x = query_x
+    if arrays["key_x"] is not None:
+        key_x = nk.Tensor(arrays["key_x"].copy(), requires_grad=True)
+        key_x.grad = arrays["prior"].copy()
+    ws = [nk.Tensor(w.copy(), requires_grad=True) for w in arrays["w"]]
+    with nk.Graph() as g:
+        out = op(query_x, key_x, *ws, heads, mask, keep)
+        nk.backward(g, nk.sum_(nk.mul(out, nk.Tensor(arrays["proj"]))))
+    grads = [t.grad for t in [query_x, key_x] + ws]
+    return [out.data] + grads
+
+
+class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["nomask", "mask"])
+    @pytest.mark.parametrize("dropped", [False, True], ids=["nokeep", "keep"])
+    def test_matches_composed_ops_bit_for_bit(self, dtype, cross, masked, dropped):
+        case = attention_case(dtype, cross, masked, dropped)
+        got = run_attention(nk.attention, *case)
+        want = run_attention(composed_attention, *case)
+        names = ["output", "query_x", "key_x", "wq", "wk", "wv", "wo"]
+        for name, a, b in zip(names, got, want):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), f"{name} differs from the composed ops"
+
+    def test_finite_difference_in_self_attention(self):
+        # query_x is key_x, so its gradient sums three paths; the acceptance
+        # sweep checks cross-attention
+        rng = np.random.default_rng(30)
+        bsz, length, dim, heads = 2, 3, 4, 2
+        mask = np.triu(np.ones((length, length), dtype=bool), k=1)[None, None]
+        keep = (rng.random((bsz, heads, length, length)) >= 0.3) / 0.7
+        check_op(lambda x, *w: nk.attention(x, x, *w, heads, mask, keep),
+                 [rng.normal(size=(bsz, length, dim))]
+                 + [rng.normal(size=(dim, dim)) for _ in range(4)])
+
+    def test_inf_weight_raises_naming_the_op(self):
+        arrays, heads, mask, keep = attention_case(np.float32, True, True, False)
+        arrays["w"][1][3, 5] = np.inf
+        with pytest.raises(NumericsError, match="attention"):
+            run_attention(nk.attention, arrays, heads, mask, keep)
+
+    def test_records_one_node_and_nothing_under_no_grad(self):
+        arrays, heads, mask, keep = attention_case(np.float32, False, True, True)
+        x = nk.Tensor(arrays["query_x"], requires_grad=True)
+        ws = [nk.Tensor(w, requires_grad=True) for w in arrays["w"]]
+        with nk.Graph() as g:
+            with nk.no_grad():
+                out = nk.attention(x, x, *ws, heads, mask, keep)
+            assert g.nodes == [] and not out.requires_grad
+            out = nk.attention(x, x, *ws, heads, mask, keep)
+            assert [node.name for node in g.nodes] == ["attention"] and out.requires_grad
+
+    def test_rejects_mismatched_shapes(self):
+        x, w = nk.zeros((2, 3, 8)), nk.zeros((8, 8))
+        with pytest.raises(ShapeError):
+            nk.attention(x, nk.zeros((2, 4, 6)), w, w, w, w, 2)
+        with pytest.raises(ShapeError):
+            nk.attention(x, x, w, w, nk.zeros((8, 4)), w, 2)
+        with pytest.raises(ShapeError):
+            nk.attention(x, x, w, w, w, w, 2, keep=np.ones((2, 2, 3, 4)))
 
 
 class TestBlasThreads:

@@ -196,6 +196,17 @@ class TestForward:
         noisy = sm.decode_batch(store, mem, np.array([src]), np.array([tgt]), rng).data
         assert not np.array_equal(a, noisy[0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_keep_mask_matches_the_three_pass_mask(self, dtype, rate):
+        shape = (3, 2, 5, 7)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = sm._keep_mask(shape, rate, rng, dtype)
+        want = (ref_rng.random(shape) >= rate).astype(dtype) / dtype(1.0 - rate)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()  # the same draws were consumed
+
     def test_sinusoid_table(self):
         table = sm.sinusoid_table(8, 6)
         assert table.shape == (8, 6)
@@ -233,6 +244,17 @@ class TestCheckpoint:
         store.save(p1)
         sm.ParameterStore.load(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_leaves_the_earlier_file(self, store, tmp_path):
+        path = tmp_path / "model.ckpt"
+        store.save(path)
+        before = path.read_bytes()
+        broken = store.copy()
+        broken.flat = np.array([object()])  # raises after the manifest is written
+        with pytest.raises(TypeError):
+            broken.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.ckpt"
