@@ -136,7 +136,7 @@ def compare_hallucination_significance(
 
 def write_judgments_jsonl(path, judgments: Sequence[HallucinationJudgment]) -> None:
     """One JSON object per sentence; fluency is collapsed to a single label."""
-    with open(path, "w", newline="\n") as fh:
+    with sm.atomic_write(path, newline="\n") as fh:
         for j in judgments:
             if j.fluent:
                 fluency = "fluent"
@@ -277,7 +277,7 @@ def uncertainty_curves(store: sm.ParameterStore, vocab: sm.Vocabulary,
 
 def write_curves_csv(path, curves: Sequence[UncertaintyCurve]) -> None:
     """Plot-ready long format: one row per (model, kind, position)."""
-    with open(path, "w", newline="") as fh:
+    with sm.atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "mean_prob", "count", "label", "model_tag"])
         for c in curves:
@@ -287,7 +287,7 @@ def write_curves_csv(path, curves: Sequence[UncertaintyCurve]) -> None:
 
 def write_assignment_csv(path, result: UncertaintyResult) -> None:
     """Record which pool sentence stood in for each reference."""
-    with open(path, "w", newline="") as fh:
+    with sm.atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["pair_index", "pool_index", "exact_length"])
         for i, (j, hit) in enumerate(zip(result.assignment, result.exact_length)):
@@ -329,7 +329,7 @@ def sweep_point(beam_size: int,
 
 
 def write_sweep_csv(path, sweeps: dict[str, list[BeamSweepPoint]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with sm.atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["system", "k", "bleu", "hallucination_rate",
                     "mean_overlap"])
@@ -341,7 +341,7 @@ def write_sweep_csv(path, sweeps: dict[str, list[BeamSweepPoint]]) -> None:
 
 def write_hallucination_csv(path, summaries: dict[tuple[str, str], HallucinationSummary]) -> None:
     """Rows keyed by (system, corpus)."""
-    with open(path, "w", newline="") as fh:
+    with sm.atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["system", "corpus", "n", "fluent", "partially_fluent",
                     "hallucinated", "rate", "mean_overlap"])

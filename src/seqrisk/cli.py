@@ -199,7 +199,7 @@ def _sha256_file(path: Path) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with sm.atomic_write(path, newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -261,9 +261,11 @@ def stage_gen_data(config: ExperimentConfig, outdir: Path) -> dict[str, list[dg.
         test_size=config.data.test_size)
     for name, pairs in suite.items():
         dg.write_tsv(outdir / f"{name}.tsv", pairs)
-    (outdir / "domain.json").write_text(config.domain.to_json() + "\n")
+    with sm.atomic_write(outdir / "domain.json") as fh:
+        fh.write(config.domain.to_json() + "\n")
     vocab = dg.build_vocabulary(config.domain)
-    (outdir / "vocab.json").write_text(vocab.to_json() + "\n")
+    with sm.atomic_write(outdir / "vocab.json") as fh:
+        fh.write(vocab.to_json() + "\n")
     return suite
 
 
@@ -480,7 +482,8 @@ def _cmd_translate(args) -> int:
     if args.output == "-":
         sys.stdout.write(payload)
     else:
-        Path(args.output).write_text(payload)
+        with sm.atomic_write(args.output) as fh:
+            fh.write(payload)
     return 0
 
 

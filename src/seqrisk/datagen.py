@@ -272,7 +272,7 @@ def is_partially_fluent(tokens: Sequence[str], spec: DomainSpec,
 
 def write_tsv(path, pairs: Sequence[TokenPair]) -> None:
     """Two tab-separated columns of space-joined tokens, one pair per line."""
-    with open(path, "w", newline="\n") as fh:
+    with sm.atomic_write(path, newline="\n") as fh:
         for src, tgt in pairs:
             fh.write(" ".join(src) + "\t" + " ".join(tgt) + "\n")
 

@@ -211,7 +211,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def rule(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            if b.data.ndim == 2:  # one product over all rows of g, not one per batch
+                _accumulate(a, g @ np.ascontiguousarray(b.data.T))
+            else:
+                _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
             if b.data.ndim == 2 and a.data.ndim > 2:
                 k, n = b.shape
@@ -451,14 +454,14 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
     def project_back(x: Tensor, w: Tensor, g_heads: np.ndarray, length: int) -> None:
         g = g_heads.transpose(0, 2, 1, 3).reshape(bsz, length, dim)  # a C-order copy
         if x.requires_grad:
-            _accumulate(x, g @ np.swapaxes(w.data, -1, -2))
+            _accumulate(x, g @ np.ascontiguousarray(w.data.T))
         if w.requires_grad:
             _accumulate(w, x.data.reshape(-1, dim).T @ g.reshape(-1, dim))
 
     def rule(g: np.ndarray) -> None:
         if wo.requires_grad:
             _accumulate(wo, merged.reshape(-1, dim).T @ g.reshape(-1, dim))
-        g_context = (g @ np.swapaxes(wo.data, -1, -2)).reshape(
+        g_context = (g @ np.ascontiguousarray(wo.data.T)).reshape(
             bsz, q_len, heads, dh).transpose(0, 2, 1, 3)
         g_dropped = g_context @ np.swapaxes(v, -1, -2)
         g_v = np.swapaxes(dropped, -1, -2) @ g_context

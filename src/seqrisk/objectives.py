@@ -142,12 +142,14 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
     a divergence check that names the step, and one Adam step (the config's
     betas, eps and clipping) at `lr_at(step)`.  Writes one CSV trace row
     (step, objective_value, learning_rate) per step when `trace_path` is
-    set, and returns one `_Step` per step."""
+    set (the file is replaced only once every step has run), and returns
+    one `_Step` per step."""
     nk.retain_heap_top()  # each step frees its whole tape; keep that memory
     optim = Adam(store, config.beta1, config.beta2, config.adam_eps, config.grad_clip)
     store.zero_grads()  # backward adds into the store's gradient buffer
     steps = []
-    with open(trace_path if trace_path is not None else os.devnull, "w", newline="") as trace:
+    with (sm.atomic_write(trace_path, newline="") if trace_path is not None
+          else open(os.devnull, "w")) as trace:
         writer = csv.writer(trace)
         writer.writerow(["step", "objective_value", "learning_rate"])
         for step, batch in enumerate(batches, 1):
@@ -454,20 +456,26 @@ def mrt_risk(store: sm.ParameterStore, batch: RiskBatch,
     """Mean expected cost over the batch, differentiable through the
     rescoring pass.
 
-    Every candidate of every source is rescored in one flattened
-    teacher-forced pass; each source then gets its own sharpened
-    distribution over its candidates.  Returns the scalar risk and a
-    diagnostics dict (per-source risks, candidate counts).
+    Each source is encoded once; every candidate of every source is then
+    rescored in one flattened teacher-forced pass over its source's memory
+    rows, gathered with `numkit.embedding` (whose backward sums the
+    candidates' memory gradients into their source's, in candidate order).
+    Each source then gets its own sharpened distribution over its
+    candidates.  Returns the scalar risk and a diagnostics dict (per-source
+    risks, candidate counts).
     """
     flat: list[IdSeq] = [c for group in batch.candidates for c in group]
     if not flat:
         raise ContractError("risk batch has no candidates")
-    owner = [b for b, group in enumerate(batch.candidates) for _ in group]
+    owner = np.asarray([b for b, group in enumerate(batch.candidates) for _ in group],
+                       dtype=np.int64)
 
     cand = pad_batch(flat)
-    src_rows = batch.src_batch[np.asarray(owner, dtype=np.int64)]
-    memory = sm.encode_batch(store, src_rows)
-    rows = sm.decode_batch(store, memory, src_rows, cand[:, :-1])
+    memory = sm.encode_batch(store, batch.src_batch)
+    n_src, src_len, dim = memory.shape
+    memory = nk.reshape(nk.embedding(nk.reshape(memory, (n_src, src_len * dim)), owner),
+                        (len(flat), src_len, dim))
+    rows = sm.decode_batch(store, memory, batch.src_batch[owner], cand[:, :-1])
     gold = cand[:, 1:]
     mask = (gold != sm.PAD_ID).astype(store.dtype)
     picked = nk.take_along_last(rows, gold)

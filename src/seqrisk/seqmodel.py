@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import json
 import math
 import os
@@ -115,6 +116,27 @@ class Vocabulary:
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open `<path>.<pid>.tmp`, in the same directory, for writing.  When
+    the block ends cleanly the file replaces `path`; on any exception it is
+    unlinked, so `path` is either the complete new file or as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, mode, **open_kwargs)
+    except OSError as exc:  # report the path the caller asked for
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class ParameterStore:
@@ -222,37 +244,33 @@ class ParameterStore:
     def save(self, path) -> None:
         """Write a manifest line (JSON) followed by the raw little-endian
         float32 payload: the flat buffer, so each tensor's bytes in order.
-        The bytes go to a temporary file in the same directory that then
-        replaces `path`, so a failed save leaves any earlier file whole."""
+        The manifest carries the payload's sha256.  The file is written
+        with `atomic_write`, so a failed save leaves any earlier file whole."""
         entries = []
         offset = 0
         for name, t in self._params.items():
             entries.append({"name": name, "shape": list(t.shape), "offset": offset})
             offset += 4 * t.data.size
+        payload = np.ascontiguousarray(self.flat, dtype="<f4").tobytes()
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "config": self.config.to_dict(),
             "step_count": self.step_count,
             "tensors": entries,
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
         }
-        path = os.fspath(path)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
-                fh.write(b"\n")
-                fh.write(np.ascontiguousarray(self.flat, dtype="<f4").tobytes())
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        with atomic_write(path, "wb") as fh:
+            fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+            fh.write(b"\n")
+            fh.write(payload)
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
         """Read a checkpoint into a fresh, writable store (the payload is
-        copied once).  A file whose manifest is unreadable or whose tensors
-        do not exactly tile the payload raises ContractError naming the file."""
+        copied once).  A file whose manifest is unreadable, whose tensors
+        do not exactly tile the payload, or whose payload does not match
+        the manifest's `payload_sha256` raises ContractError naming the
+        file.  Files written before the checksum (no such key) still load."""
         with open(path, "rb") as fh:
             header = fh.readline()
             payload = fh.read()
@@ -283,6 +301,9 @@ class ParameterStore:
         if end != len(payload):
             raise ContractError(
                 f"{path}: {len(payload) - end} bytes after the last tensor; file corrupt")
+        digest = manifest.get("payload_sha256")
+        if digest is not None and digest != hashlib.sha256(payload).hexdigest():
+            raise ContractError(f"{path}: payload does not match its sha256; file corrupt")
         return cls(config, params, step_count=step_count)
 
 

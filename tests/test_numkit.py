@@ -223,6 +223,20 @@ class TestGradients:
         rng = np.random.default_rng(16)
         check_op(nk.matmul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))])
 
+    def test_matmul_nd_by_2d_input_gradient_is_one_product(self):
+        # the input gradient is one product of all B*T rows of g with a
+        # contiguous b.T; at this shape the product with the transposed view
+        # of b, done per batch row, rounds differently
+        rng = np.random.default_rng(18)
+        bsz, length, dim = 33, 12, 64
+        a = nk.tensor(rng.standard_normal((bsz, length, dim)), requires_grad=True)
+        b = nk.tensor(rng.standard_normal((dim, dim)), requires_grad=True)
+        g = rng.standard_normal((bsz, length, dim)).astype(np.float32)
+        with nk.Graph() as tape:
+            nk.backward(tape, nk.sum_(nk.mul(nk.matmul(a, b), nk.Tensor(g))))
+        want = (g.reshape(-1, dim) @ np.ascontiguousarray(b.data.T)).reshape(a.shape)
+        assert a.grad.dtype == np.float32 and a.grad.tobytes() == want.tobytes()
+
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(17)
         x = rng.normal(size=(4, 4))

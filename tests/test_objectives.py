@@ -378,6 +378,60 @@ class TestRiskBatch:
         assert total > 0.0
 
 
+def per_candidate_mrt_risk(store, batch, alpha):
+    """The risk of `objectives.mrt_risk` computed with one encoder row per
+    candidate: the reference that encoding each source once must match."""
+    flat = [c for group in batch.candidates for c in group]
+    src_rows = batch.src_batch[[b for b, group in enumerate(batch.candidates) for _ in group]]
+    cand = obj.pad_batch(flat)
+    rows = sm.decode_batch(store, sm.encode_batch(store, src_rows), src_rows, cand[:, :-1])
+    mask = (cand[:, 1:] != sm.PAD_ID).astype(store.dtype)
+    log_probs = nk.sum_(nk.mul(nk.take_along_last(rows, cand[:, 1:]), nk.Tensor(mask)), axis=-1)
+    total = None
+    for (off, cnt), deltas in zip(batch.segments(), batch.deltas):
+        weights = obj.sharpened_distribution(nk.narrow(log_probs, 0, off, cnt), alpha)
+        risk_b = nk.sum_(nk.mul(weights, nk.Tensor(np.asarray(deltas, dtype=store.dtype))))
+        total = risk_b if total is None else nk.add(total, risk_b)
+    return nk.scale(total, 1.0 / len(batch.candidates))
+
+
+class TestEncodeOnce:
+    def test_matches_per_candidate_encoding(self, monkeypatch):
+        cfg = sm.ModelConfig(vocab_size=20, embed_dim=16, num_heads=2, enc_layers=2,
+                             dec_layers=1, ffn_dim=24, dropout_rate=0.0, max_seq_len=12)
+        store = sm.ParameterStore.init(cfg, 5, dtype=np.float64)
+        bos, eos = sm.BOS_ID, sm.EOS_ID
+        batch = obj.RiskBatch(
+            obj.pad_batch([[4, 5, 6, 7], [8, 9], [10, 11, 12]]),
+            [[[bos, 13, eos], [bos, 14, 15, 16, eos], [bos, eos]],
+             [[bos, 17, 18, eos]],
+             [[bos, 4, eos], [bos, 5, 6, eos]]],
+            [[0.3, 0.9, 1.0], [0.2], [0.6, 0.1]])
+        encoded_rows = []
+
+        def spy(store_, src_ids, rng=None):
+            encoded_rows.append(len(src_ids))
+            return encode_batch(store_, src_ids, rng)
+
+        encode_batch = sm.encode_batch
+        monkeypatch.setattr(sm, "encode_batch", spy)
+        results = []
+        for risk_fn in (lambda: obj.mrt_risk(store, batch, 0.5)[0],
+                        lambda: per_candidate_mrt_risk(store, batch, 0.5)):
+            with nk.Graph() as g:
+                risk = risk_fn()
+                grads = nk.backward(g, risk, dict(store.items()))
+            store.zero_grads()
+            results.append((risk.item(), grads))
+        assert encoded_rows == [3, 6]
+        (got, got_grads), (want, want_grads) = results
+        assert got == pytest.approx(want, rel=1e-12)
+        for name, grad in want_grads.items():
+            np.testing.assert_allclose(got_grads[name].data, grad.data, rtol=1e-10,
+                                       err_msg=name)
+        assert float(np.abs(want_grads["enc.0.attn.wq"].data).max()) > 0.0
+
+
 class TestTrainingLoops:
     def test_mle_training_reduces_loss(self, tmp_path):
         vocab, corpus = tiny_corpus()

@@ -1,11 +1,15 @@
 """Model contracts: masking, causality, checkpointing, and a small
 finite-difference check of the full loss in float64."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from seqrisk import analysis as an
+from seqrisk import cli
+from seqrisk import datagen as dg
 from seqrisk import numkit as nk
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
@@ -250,7 +254,7 @@ class TestCheckpoint:
         store.save(path)
         before = path.read_bytes()
         broken = store.copy()
-        broken.flat = np.array([object()])  # raises after the manifest is written
+        broken.flat = np.array([object()])  # raises while the payload is packed
         with pytest.raises(TypeError):
             broken.save(path)
         assert path.read_bytes() == before
@@ -274,6 +278,27 @@ class TestCheckpoint:
             with pytest.raises(ContractError, match=name):
                 sm.ParameterStore.load(bad)
 
+    def test_rejects_a_payload_that_fails_its_checksum(self, store, tmp_path):
+        good = tmp_path / "model.ckpt"
+        store.save(good)
+        data = bytearray(good.read_bytes())
+        data[-3] ^= 0x01  # same length, so the tensors still tile the payload
+        bad = tmp_path / "flipped.ckpt"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(ContractError, match="flipped.ckpt"):
+            sm.ParameterStore.load(bad)
+
+    def test_loads_a_file_without_a_checksum(self, store, tmp_path):
+        path = tmp_path / "model.ckpt"
+        store.save(path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        del manifest["payload_sha256"]
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n" + payload)
+        loaded = sm.ParameterStore.load(old)
+        assert loaded.flat.tobytes() == store.flat.tobytes()
+
     def test_loaded_store_trains_and_round_trips(self, store, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         store.save(p1)
@@ -294,8 +319,44 @@ class TestCheckpoint:
         assert store["enc.final_ln.bias"].data[0] == 0.0
 
 
+def diverge(batch):
+    raise NumericsError("non-finite values")
+
+
+# artifact writers, each given data that makes it raise part way
+FAILING_WRITERS = {
+    "tsv": lambda path: dg.write_tsv(path, [(["a"], ["b"]), (["a", None], ["b"])]),
+    "csv": lambda path: an.write_sweep_csv(
+        path, {"mle": [an.BeamSweepPoint(1, 0.5, 0.25, 0.5), None]}),
+    "jsonl": lambda path: an.write_judgments_jsonl(path, [None]),
+    "json": lambda path: cli._write_json(path, {"ok": 1, "bad": object()}),
+    "trace": lambda path: obj._optimize(
+        sm.ParameterStore.init(tiny_config(), 0), obj.MLEConfig(), [0], diverge,
+        lambda step: 0.0, path),
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", FAILING_WRITERS.values(), ids=FAILING_WRITERS.keys())
+    def test_failed_write_leaves_the_earlier_file(self, writer, tmp_path):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"earlier\n")
+        with pytest.raises((AttributeError, ContractError, TypeError)):
+            writer(path)
+        assert path.read_bytes() == b"earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_unopenable_path_is_named_as_given(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            with sm.atomic_write(path):
+                pass
+        assert info.value.filename == str(path)
+
+
 def per_tensor_save(store, path):
-    """The per-tensor checkpoint writer that the one-piece save replaced."""
+    """The per-tensor checkpoint writer that the one-piece save replaced,
+    with the payload checksum that save now adds."""
     entries = []
     payload = bytearray()
     for name, t in store.items():
@@ -303,7 +364,8 @@ def per_tensor_save(store, path):
         entries.append({"name": name, "shape": list(t.shape), "offset": len(payload)})
         payload.extend(raw)
     manifest = {"format": sm.CHECKPOINT_FORMAT, "config": store.config.to_dict(),
-                "step_count": store.step_count, "tensors": entries}
+                "step_count": store.step_count, "tensors": entries,
+                "payload_sha256": hashlib.sha256(payload).hexdigest()}
     with open(path, "wb") as fh:
         fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
