@@ -142,12 +142,14 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
     a divergence check that names the step, and one Adam step (the config's
     betas, eps and clipping) at `lr_at(step)`.  Writes one CSV trace row
     (step, objective_value, learning_rate) per step when `trace_path` is
-    set (the file is replaced only once every step has run), and returns
-    one `_Step` per step."""
+    set, and returns one `_Step` per step.  The trace file is replaced when
+    the loop ends: after the last step, or, when training diverges, with
+    the rows of the steps before it; any other exception leaves no trace."""
     nk.retain_heap_top()  # each step frees its whole tape; keep that memory
     optim = Adam(store, config.beta1, config.beta2, config.adam_eps, config.grad_clip)
     store.zero_grads()  # backward adds into the store's gradient buffer
     steps = []
+    diverged = None
     with (sm.atomic_write(trace_path, newline="") if trace_path is not None
           else open(os.devnull, "w")) as trace:
         writer = csv.writer(trace)
@@ -160,16 +162,22 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
                     scalar, info = objective(batch)
                     nk.backward(tape, scalar)
             except NumericsError as exc:
-                raise ContractError(f"training diverged at step {step}: {exc}") from exc
+                diverged = (f"training diverged at step {step}: {exc}", exc)
+                break
             del tape  # frees the activations before the update allocates
             value = scalar.item()
             if not math.isfinite(value):
-                raise ContractError(
-                    f"training diverged at step {step}: objective is {value}")
+                diverged = (f"training diverged at step {step}: objective is {value}", None)
+                break
             optim.step(None, lr)
             store.zero_grads()
             writer.writerow([step, f"{value:.6f}", f"{lr:.6g}"])
             steps.append(_Step(batch, value, lr, info, time.perf_counter() - t0))
+    if diverged is not None:
+        message, cause = diverged
+        if trace_path is not None:
+            message += f" (trace of the steps before it: {trace_path})"
+        raise ContractError(message) from cause
     return steps
 
 

@@ -122,8 +122,15 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.nd
 def atomic_write(path, mode: str = "w", **open_kwargs):
     """Open `<path>.<pid>.tmp`, in the same directory, for writing.  When
     the block ends cleanly the file replaces `path`; on any exception it is
-    unlinked, so `path` is either the complete new file or as it was."""
+    unlinked, so `path` is either the complete new file or as it was.  A
+    symlink, or a path that exists but is no regular file (a FIFO, a
+    device), is written through in place, as `open` would: so
+    `/dev/stdout` streams and a linked file keeps its link."""
     path = os.fspath(path)
+    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **open_kwargs) as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         fh = open(tmp, mode, **open_kwargs)

@@ -3,6 +3,9 @@ finite-difference check of the full loss in float64."""
 
 import hashlib
 import json
+import os
+import stat
+import types
 
 import numpy as np
 import pytest
@@ -253,10 +256,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         store.save(path)
         before = path.read_bytes()
-        broken = store.copy()
-        broken.flat = np.array([object()])  # raises while the payload is packed
         with pytest.raises(TypeError):
-            broken.save(path)
+            broken_save(store, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
@@ -323,15 +324,28 @@ def diverge(batch):
     raise NumericsError("non-finite values")
 
 
+def interrupt(batch):
+    raise KeyboardInterrupt
+
+
+def broken_save(store, path):
+    """Save a copy of `store` whose config cannot be serialised, so the
+    save raises once its file is open, while the manifest is written."""
+    broken = store.copy()
+    broken.config = types.SimpleNamespace(to_dict=lambda: {"bad": object()})
+    broken.save(path)
+
+
 # artifact writers, each given data that makes it raise part way
 FAILING_WRITERS = {
+    "checkpoint": lambda path: broken_save(sm.ParameterStore.init(tiny_config(), 0), path),
     "tsv": lambda path: dg.write_tsv(path, [(["a"], ["b"]), (["a", None], ["b"])]),
     "csv": lambda path: an.write_sweep_csv(
         path, {"mle": [an.BeamSweepPoint(1, 0.5, 0.25, 0.5), None]}),
     "jsonl": lambda path: an.write_judgments_jsonl(path, [None]),
     "json": lambda path: cli._write_json(path, {"ok": 1, "bad": object()}),
     "trace": lambda path: obj._optimize(
-        sm.ParameterStore.init(tiny_config(), 0), obj.MLEConfig(), [0], diverge,
+        sm.ParameterStore.init(tiny_config(), 0), obj.MLEConfig(), [0], interrupt,
         lambda step: 0.0, path),
 }
 
@@ -341,10 +355,56 @@ class TestAtomicWrite:
     def test_failed_write_leaves_the_earlier_file(self, writer, tmp_path):
         path = tmp_path / "artifact"
         path.write_bytes(b"earlier\n")
-        with pytest.raises((AttributeError, ContractError, TypeError)):
+        with pytest.raises((AttributeError, ContractError, KeyboardInterrupt, TypeError)):
             writer(path)
         assert path.read_bytes() == b"earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_diverged_training_keeps_the_trace_of_earlier_steps(self, tmp_path):
+        store = sm.ParameterStore.init(tiny_config(), 0)
+        gain = store["enc.final_ln.gain"]
+
+        def objective(batch):
+            if batch == 2:
+                diverge(batch)
+            return nk.mean(gain), None
+
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"earlier\n")
+        with pytest.raises(ContractError, match=r"diverged at step 3.*trace\.csv"):
+            obj._optimize(store, obj.MLEConfig(), [0, 1, 2, 3], objective,
+                          lambda step: 0.0, path)
+        assert path.read_text().splitlines() == [
+            "step,objective_value,learning_rate", "1,1.000000,0", "2,1.000000,0"]
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+    @pytest.mark.parametrize("linked", [False, True], ids=["fifo", "link-to-fifo"])
+    def test_fifo_is_written_in_place(self, linked, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        path = tmp_path / "out" if linked else fifo
+        if linked:
+            path.symlink_to(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open
+        try:
+            with sm.atomic_write(path) as fh:
+                fh.write("streamed\n")
+            assert os.read(reader, 64) == b"streamed\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert path.is_symlink() == linked
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["out", "pipe"] if linked else ["pipe"])
+
+    def test_symlink_keeps_the_link_and_replaces_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("earlier\n")
+        link.symlink_to(target)
+        with sm.atomic_write(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink() and target.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
 
     def test_unopenable_path_is_named_as_given(self, tmp_path):
         path = tmp_path / "missing" / "out.txt"
