@@ -204,7 +204,8 @@ def _write_json(path: Path, payload) -> None:
 
 
 class OutputLock:
-    """A marker file that refuses concurrent or dirty reruns in a directory."""
+    """A marker file, holding the owner's PID, that refuses concurrent or
+    dirty reruns in a directory."""
 
     def __init__(self, outdir: Path):
         self.path = outdir / ".seqrisk-lock"
@@ -213,12 +214,34 @@ class OutputLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise SeqriskError(
-                f"{self.path} exists: another run is active or a previous run "
-                "crashed; remove the file to proceed") from None
+            raise SeqriskError(self._refusal()) from None
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()))
         return self
+
+    def _refusal(self) -> str:
+        """Why an existing lock refuses the run: a live owner, or a stale
+        lock (no PID, or no such process).  The file is left in place."""
+        try:
+            text = self.path.read_text(errors="replace").strip()
+        except OSError:
+            text = ""
+        try:
+            pid = int(text)
+        except ValueError:
+            pid = None
+        if pid is None or pid <= 0:
+            return (f"{self.path} is a stale lock: it names no process ({text[:40]!r}); "
+                    "a previous run crashed; remove the file to proceed")
+        try:
+            os.kill(pid, 0)
+        except (ProcessLookupError, OverflowError):
+            return (f"{self.path} is a stale lock: process {pid} is not running; "
+                    "a previous run crashed; remove the file to proceed")
+        except PermissionError:
+            pass  # the process exists under another user
+        return (f"{self.path} exists: process {pid} is running in this directory; "
+                "wait for it to finish")
 
     def __exit__(self, *exc_info):
         try:

@@ -324,7 +324,13 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
         if weight.requires_grad:
             if weight.grad is None:
                 weight.grad = np.zeros_like(weight.data)
-            np.add.at(weight.grad, ids.reshape(-1), g.reshape(-1, weight.shape[-1]))
+            elif not weight.grad.flags.c_contiguous:
+                weight.grad = np.ascontiguousarray(weight.grad)
+            # element-wise over the flat buffer: the same additions, in the
+            # same order, as row-wise np.add.at, which is several times slower
+            dim = weight.shape[-1]
+            at = (ids.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+            np.add.at(weight.grad.reshape(-1), at, g.reshape(-1))
 
     return _finish("embedding", out_data, (weight,), rule)
 
@@ -396,26 +402,133 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _finish("narrow", out_data, (a,), rule)
 
 
+def _max_last(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True), folded in halves: the same values,
+    several times faster than numpy's reduction over short rows."""
+    while a.shape[-1] > 1:
+        half = a.shape[-1] // 2
+        folded = np.maximum(a[..., :half], a[..., half: 2 * half])
+        if a.shape[-1] % 2:
+            np.maximum(folded[..., :1], a[..., -1:], out=folded[..., :1])
+        a = folded
+    return a
+
+
+class Slots:
+    """Where the rows of a packed [N, D] array sit in a padded [batch,
+    length] grid: `index[b, t]` is the row in slot (b, t), -1 where the slot
+    holds none.  Rows are numbered batch-major by `of`; a row may sit in
+    several slots (`take` gives several batch rows the same rows).  Grids
+    are split into heads, [batch, heads, length, D / heads]."""
+
+    __slots__ = ("index", "_plans")
+
+    def __init__(self, index: np.ndarray):
+        self.index = np.asarray(index, dtype=np.int64)
+        self._plans = {}
+
+    @classmethod
+    def of(cls, occupied: np.ndarray) -> "Slots":
+        """Number the true slots of a bool [batch, length] array batch-major."""
+        occupied = np.asarray(occupied, dtype=bool)
+        return cls(np.where(occupied, np.cumsum(occupied).reshape(occupied.shape) - 1, -1))
+
+    @classmethod
+    def full(cls, batch: int, length: int) -> "Slots":
+        """Every slot holds its own row: the layout of a [batch, length, D] array."""
+        return cls(np.arange(batch * length).reshape(batch, length))
+
+    def take(self, batch_rows: np.ndarray) -> "Slots":
+        """The slots of the given batch rows, in that order (rows repeat)."""
+        return Slots(self.index[batch_rows])
+
+    def plan(self, heads: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """Gather indices for grids split into `heads`.  First, of each grid
+        entry [b, h, t] into the rows split into heads (row r, head h at
+        r * heads + h; a slot's -1 lands on the last row).  Then (rows, at)
+        pairs, ascending by row, `at` [n, heads] indexing the flattened
+        grid: a row's first slot (in slot order) is in the first pair, its
+        second in the second, and so on, so that no pair names a row twice."""
+        if heads not in self._plans:
+            length = self.index.shape[1]
+            head = np.arange(heads)
+            flat = self.index.reshape(-1)
+            slots = np.flatnonzero(flat >= 0)
+            order = np.argsort(flat[slots], kind="stable")
+            rows, slots = flat[slots][order], slots[order]
+            rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+            at = ((slots // length * heads)[:, None] + head) * length + (slots % length)[:, None]
+            groups = [(rows[rank == r], at[rank == r]) for r in range(int(rank.max(initial=-1)) + 1)]
+            self._plans[heads] = self.index[:, None, :] * heads + head[:, None], groups
+        return self._plans[heads]
+
+    def spread(self, rows: np.ndarray, heads: int) -> np.ndarray:
+        """The grid [batch, heads, length, D / heads] of rows [R, D] whose
+        last row is zeros: that row fills the empty slots."""
+        entries, _ = self.plan(heads)
+        return np.take(rows.reshape(-1, rows.shape[1] // heads), entries, axis=0)
+
+    def sum_rows(self, grid: np.ndarray, n_rows: int) -> np.ndarray:
+        """Rows [n_rows, D] from a grid [batch, heads, length, D / heads]:
+        each row the sum of its slots, added in slot order; zero for a row
+        in no slot."""
+        heads, dh = grid.shape[1], grid.shape[3]
+        _, groups = self.plan(heads)
+        split = np.reshape(grid, (-1, dh))  # a copy only when grid is a strided view
+        if groups and groups[0][0].size == n_rows:  # every row sits somewhere
+            out = np.take(split, groups[0][1], axis=0).reshape(n_rows, heads * dh)
+            groups = groups[1:]
+        else:
+            out = np.zeros((n_rows, heads * dh), dtype=grid.dtype)
+        for rows, at in groups:
+            out[rows] += np.take(split, at, axis=0).reshape(-1, heads * dh)
+        return out
+
+
 def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
               wo: Tensor, heads: int, mask: np.ndarray | None = None,
-              keep: np.ndarray | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention as one op: query_x [B, Lq, D]
-    attends over key_x [B, Lk, D] through the [D, D] projections.  `mask`,
-    a bool array broadcastable to [B, heads, Lq, Lk], marks keys to suppress
-    (their scores become NEG_INF_FILL); `keep`, shaped [B, heads, Lq, Lk],
-    scales the attention weights (dropout).
+              keep: np.ndarray | None = None, query_slots: Slots | None = None,
+              key_slots: Slots | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one op, through the
+    [D, D] projections.  Queries and keys are packed rows, query_x [Nq, D]
+    and key_x [Nk, D], placed in a grid of B sequences by `query_slots`
+    ([B, Lq], each row in one slot) and `key_slots` ([B, Lk]; a row may sit
+    in several slots).  Rows are projected once; scores, softmax, dropout
+    and context run on the [B, heads, Lq, Lk] grid, an empty key slot
+    holding zero keys and values; the output has one row per query row.
+    The form query_x [B, Lq, D], key_x [B, Lk, D] without slots is the
+    layout in which every slot holds its own row, and returns [B, Lq, D].
 
-    Forward and backward make the numpy calls of the composed chain of
-    matmul, reshape, transpose, scale, masked_fill, softmax and mul, on the
-    same array layouts and in the same order, so results match it bit for
-    bit.  Each intermediate that finite inputs can make non-finite is
-    checked; a failure names the op and the intermediate."""
-    bsz, q_len, dim = query_x.shape
-    k_len = key_x.shape[1]
-    if key_x.data.ndim != 3 or key_x.shape[0] != bsz or key_x.shape[2] != dim:
+    `mask`, a bool array broadcastable to [B, heads, Lq, Lk], marks keys to
+    suppress (their scores become NEG_INF_FILL); it must cover every empty
+    key slot.  `keep`, shaped [B, heads, Lq, Lk], scales the attention
+    weights (dropout).
+
+    In the 3-D form, forward and backward make the numpy calls of the
+    composed chain of matmul, reshape, transpose, scale, masked_fill,
+    softmax and mul, on the same array layouts and in the same order, so
+    results match it bit for bit.  Each intermediate that finite inputs can
+    make non-finite is checked; a failure names the op and the
+    intermediate."""
+    dim = query_x.shape[-1]
+    if query_x.data.ndim == 3 and query_slots is None and key_slots is None:
+        if key_x.data.ndim != 3 or key_x.shape[0] != query_x.shape[0]:
+            raise ShapeError(f"attention query {query_x.shape} and keys {key_x.shape} disagree")
+        query_slots, key_slots = Slots.full(*query_x.shape[:2]), Slots.full(*key_x.shape[:2])
+    elif query_x.data.ndim != 2 or key_x.data.ndim != 2 or query_slots is None or key_slots is None:
+        raise ShapeError(f"attention takes [B, L, D] inputs, or [N, D] rows with their slots; "
+                         f"got {query_x.shape} and {key_x.shape}")
+    q_rows, k_rows = query_x.data.reshape(-1, dim), key_x.data.reshape(-1, dim)
+    (bsz, q_len), k_len = query_slots.index.shape, key_slots.index.shape[1]
+    if key_x.shape[-1] != dim or key_slots.index.shape[0] != bsz:
         raise ShapeError(f"attention query {query_x.shape} and keys {key_x.shape} disagree")
     if dim % heads:
         raise ShapeError(f"attention width {dim} not divisible by {heads} heads")
+    q_groups = query_slots.plan(heads)[1]
+    if len(q_groups) > 1 or q_groups and q_groups[0][0].size != q_rows.shape[0]:
+        raise ShapeError(f"query slots must hold each of the {q_rows.shape[0]} query rows once")
+    if key_slots.index.max(initial=-1) >= k_rows.shape[0]:
+        raise ShapeError(f"key slots name rows beyond the {k_rows.shape[0]} key rows")
     for w in (wq, wk, wv, wo):
         if w.shape != (dim, dim):
             raise ShapeError(f"attention projection {w.shape} must be ({dim}, {dim})")
@@ -430,39 +543,43 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
             raise NumericsError(f"non-finite values produced by op 'attention' ({what})")
         return arr
 
-    def split(x: Tensor, w: Tensor, length: int) -> np.ndarray:  # -> [B, h, L, dh]
-        proj = checked("projection", x.data @ w.data)
-        return np.ascontiguousarray(proj.reshape(bsz, length, heads, dh).transpose(0, 2, 1, 3))
+    def place(a: np.ndarray, b: np.ndarray, slots: Slots, what: str | None) -> np.ndarray:
+        """(a @ b) by rows, placed in the grid [B, h, L, dh]."""
+        rows = np.empty((a.shape[0] + 1, dim), dtype=a.dtype)
+        rows[-1] = 0  # the row of the empty slots
+        product = np.matmul(a, b, out=rows[:-1])
+        if what is not None:
+            checked(what, product)
+        return slots.spread(rows, heads)
 
-    q = split(query_x, wq, q_len)
-    k = split(key_x, wk, k_len)
-    v = split(key_x, wv, k_len)
-    kT = np.ascontiguousarray(k.transpose(0, 1, 3, 2))
+    q = place(q_rows, wq.data, query_slots, "projection")
+    kT = np.ascontiguousarray(place(k_rows, wk.data, key_slots, "projection").transpose(0, 1, 3, 2))
+    v = place(k_rows, wv.data, key_slots, "projection")
     scores = checked("scaled scores", checked("scores", q @ kT) * q.dtype.type(s))
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         scores = np.where(mask, q.dtype.type(NEG_INF_FILL), scores)
         if scores.shape != scores_shape:
             raise ShapeError(f"mask shape {mask.shape} does not broadcast onto {scores_shape}")
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    shifted = scores - _max_last(scores)
     e = np.exp(shifted)
     weights = checked("softmax", e / e.sum(axis=-1, keepdims=True))
     dropped = weights if keep is None else checked("dropout", weights * keep)
     context = checked("context", dropped @ v)
-    merged = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(bsz, q_len, dim)
+    merged = query_slots.sum_rows(context, q_rows.shape[0])
 
-    def project_back(x: Tensor, w: Tensor, g_heads: np.ndarray, length: int) -> None:
-        g = g_heads.transpose(0, 2, 1, 3).reshape(bsz, length, dim)  # a C-order copy
+    def project_back(x: Tensor, w: Tensor, g_heads: np.ndarray, slots: Slots) -> None:
+        g = slots.sum_rows(g_heads, x.data.size // dim)
         if x.requires_grad:
-            _accumulate(x, g @ np.ascontiguousarray(w.data.T))
+            _accumulate(x, (g @ np.ascontiguousarray(w.data.T)).reshape(x.shape))
         if w.requires_grad:
-            _accumulate(w, x.data.reshape(-1, dim).T @ g.reshape(-1, dim))
+            _accumulate(w, x.data.reshape(-1, dim).T @ g)
 
     def rule(g: np.ndarray) -> None:
+        g = g.reshape(-1, dim)
         if wo.requires_grad:
-            _accumulate(wo, merged.reshape(-1, dim).T @ g.reshape(-1, dim))
-        g_context = (g @ np.ascontiguousarray(wo.data.T)).reshape(
-            bsz, q_len, heads, dh).transpose(0, 2, 1, 3)
+            _accumulate(wo, merged.T @ g)
+        g_context = place(g, np.ascontiguousarray(wo.data.T), query_slots, None)
         g_dropped = g_context @ np.swapaxes(v, -1, -2)
         g_v = np.swapaxes(dropped, -1, -2) @ g_context
         g_weights = g_dropped if keep is None else g_dropped * keep
@@ -473,11 +590,14 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
         g_scores = g_scores * s
         # key_x takes the v gradient, then the k gradient, then (when it is
         # query_x) the q gradient: the composed tape's order of additions
-        project_back(key_x, wv, g_v, k_len)
-        project_back(key_x, wk, (np.swapaxes(q, -1, -2) @ g_scores).transpose(0, 1, 3, 2), k_len)
-        project_back(query_x, wq, g_scores @ np.swapaxes(kT, -1, -2), q_len)
+        project_back(key_x, wv, g_v, key_slots)
+        project_back(key_x, wk, (np.swapaxes(q, -1, -2) @ g_scores).transpose(0, 1, 3, 2),
+                     key_slots)
+        project_back(query_x, wq, g_scores @ np.swapaxes(kT, -1, -2), query_slots)
 
-    return _finish("attention", merged @ wo.data, (query_x, key_x, wq, wk, wv, wo), rule)
+    out = merged @ wo.data
+    return _finish("attention", out.reshape(query_x.shape[:-1] + (dim,)),
+                   (query_x, key_x, wq, wk, wv, wo), rule)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

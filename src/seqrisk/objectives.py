@@ -233,18 +233,17 @@ def mle_loss(store: sm.ParameterStore, src_batch: np.ndarray, tgt_batch: np.ndar
     scored against tgt[:, 1:].  With a uniform predictor the loss equals
     log(vocab_size) for every smoothing value.
     """
-    src_batch = np.asarray(src_batch, dtype=np.int64)
     tgt_batch = np.asarray(tgt_batch, dtype=np.int64)
     if tgt_batch.shape[1] < 2:
         raise ContractError("targets must hold BOS plus at least one token")
-    dec_in = tgt_batch[:, :-1]
-    gold = tgt_batch[:, 1:]
-    q, count = smoothed_targets(gold, store.config.vocab_size,
+    src = sm.pack(store.config, src_batch, "source")
+    dec_in = sm.pack(store.config, tgt_batch[:, :-1], "target")
+    q, count = smoothed_targets(tgt_batch[:, 1:][~dec_in.pad], store.config.vocab_size,
                                 label_smoothing, dtype=store.dtype)
     if count == 0:
         raise ContractError("batch contains no non-PAD target positions")
-    memory = sm.encode_batch(store, src_batch, rng)
-    rows = sm.decode_batch(store, memory, src_batch, dec_in, rng)
+    memory = sm.encode_rows(store, src, rng)
+    rows = sm.decode_rows(store, memory, src.slots, src.pad, dec_in, rng)
     loss = nk.scale(nk.sum_(nk.mul(rows, nk.Tensor(q))), -1.0 / count)
     return loss, count
 
@@ -254,17 +253,19 @@ def forced_log_probs(store: sm.ParameterStore, src_ids: Sequence[IdSeq],
                      batch_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Teacher-forced log-probability of every gold target token, tape-free,
     over padded batches of `batch_size`.  Yields per batch the
-    log-probabilities [B, T-1] of tgt[:, 1:] and the mask of its non-PAD
-    positions."""
+    log-probabilities [B, T-1] of tgt[:, 1:] and the mask of its scored
+    positions (non-PAD input and gold); masked entries are zero."""
     for start in range(0, len(src_ids), batch_size):
-        src = pad_batch(src_ids[start: start + batch_size])
+        src = sm.pack(store.config, pad_batch(src_ids[start: start + batch_size]), "source")
         tgt = pad_batch(tgt_ids[start: start + batch_size])
+        dec_in = sm.pack(store.config, tgt[:, :-1], "target")
         gold = tgt[:, 1:]
         with nk.no_grad():
-            memory = sm.encode_batch(store, src)
-            rows = sm.decode_batch(store, memory, src, tgt[:, :-1])
-        yield (np.take_along_axis(rows.data, gold[..., None], axis=-1)[..., 0],
-               gold != sm.PAD_ID)
+            rows = sm.decode_rows(store, sm.encode_rows(store, src), src.slots, src.pad,
+                                  dec_in).data
+        picked = np.zeros(gold.shape, dtype=rows.dtype)
+        picked[~dec_in.pad] = np.take_along_axis(rows, gold[~dec_in.pad][:, None], axis=-1)[:, 0]
+        yield picked, ~dec_in.pad & (gold != sm.PAD_ID)
 
 
 def corpus_nll(store: sm.ParameterStore, corpus: Corpus, batch_size: int = 32) -> float:
@@ -465,12 +466,11 @@ def mrt_risk(store: sm.ParameterStore, batch: RiskBatch,
     rescoring pass.
 
     Each source is encoded once; every candidate of every source is then
-    rescored in one flattened teacher-forced pass over its source's memory
-    rows, gathered with `numkit.embedding` (whose backward sums the
-    candidates' memory gradients into their source's, in candidate order).
-    Each source then gets its own sharpened distribution over its
-    candidates.  Returns the scalar risk and a diagnostics dict (per-source
-    risks, candidate counts).
+    rescored in one flattened teacher-forced pass whose cross-attention
+    slots name its source's memory rows, so the memory's keys and values
+    are projected once per source row.  Each source then gets its own
+    sharpened distribution over its candidates.  Returns the scalar risk
+    and a diagnostics dict (per-source risks, candidate counts).
     """
     flat: list[IdSeq] = [c for group in batch.candidates for c in group]
     if not flat:
@@ -479,15 +479,17 @@ def mrt_risk(store: sm.ParameterStore, batch: RiskBatch,
                        dtype=np.int64)
 
     cand = pad_batch(flat)
-    memory = sm.encode_batch(store, batch.src_batch)
-    n_src, src_len, dim = memory.shape
-    memory = nk.reshape(nk.embedding(nk.reshape(memory, (n_src, src_len * dim)), owner),
-                        (len(flat), src_len, dim))
-    rows = sm.decode_batch(store, memory, batch.src_batch[owner], cand[:, :-1])
-    gold = cand[:, 1:]
-    mask = (gold != sm.PAD_ID).astype(store.dtype)
-    picked = nk.take_along_last(rows, gold)
-    log_probs = nk.sum_(nk.mul(picked, nk.Tensor(mask)), axis=-1)  # [sum n_b]
+    src = sm.pack(store.config, batch.src_batch, "source")
+    dec_in = sm.pack(store.config, cand[:, :-1], "target")
+    memory = sm.encode_rows(store, src)
+    rows = sm.decode_rows(store, memory, src.slots.take(owner), src.pad[owner], dec_in)
+    gold = cand[:, 1:][~dec_in.pad]
+    picked = nk.take_along_last(rows, gold)  # [N]
+    # member[c, i]: row i is a scored position of candidate c
+    member = ((np.nonzero(~dec_in.pad)[0] == np.arange(len(flat))[:, None])
+              & (gold != sm.PAD_ID)).astype(store.dtype)
+    log_probs = nk.reshape(nk.matmul(nk.Tensor(member), nk.reshape(picked, (-1, 1))),
+                           (len(flat),))
 
     per_source = []
     per_weights = []

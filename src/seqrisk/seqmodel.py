@@ -1,10 +1,13 @@
 """Miniature pre-norm Transformer encoder-decoder built on numkit.
 
-Sized so that a full training run takes minutes on one CPU core.  The
-public single-sequence entry points (``encode``, ``forward_teacher_forced``,
-``decode_step``) are thin wrappers over the batched internals that training
-and scoring use directly.  Decoding runs on ``IncrementalDecoder``, a
-tape-free, KV-cached copy of the decoder's forward arithmetic in plain numpy.
+Sized so that a full training run takes minutes on one CPU core.  Training
+and scoring run the packed core (``pack``, ``encode_rows``, ``decode_rows``):
+every token-wise layer sees only the non-PAD positions, and attention alone
+the padded grid.  ``encode_batch`` and ``decode_batch`` give its results in
+padded shapes, and the single-sequence entry points (``encode``,
+``forward_teacher_forced``, ``decode_step``) are thin wrappers over those.
+Decoding runs on ``IncrementalDecoder``, a tape-free, KV-cached copy of the
+decoder's forward arithmetic in plain numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, asdict
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -342,38 +345,72 @@ def _validate_ids(ids: np.ndarray, config: ModelConfig, what: str) -> None:
             f"{what} ids out of range for vocab_size {config.vocab_size}")
 
 
-def _keep_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
+class Packed(NamedTuple):
+    """A padded [batch, length] id array as packed rows: its non-PAD ids in
+    batch-major order, each with its slot in the padded array."""
+
+    ids: np.ndarray    # [N]
+    at: np.ndarray     # [N] flat index of each row's slot in the padded array
+    slots: nk.Slots    # the row in each slot of the padded array, -1 at PAD
+    pad: np.ndarray    # [batch, length] bool, True at PAD
+
+
+def pack(config: ModelConfig, ids: np.ndarray, what: str) -> Packed:
+    """Validate a padded id array (`what` names it in errors) and pack it.
+    A PAD id is padding wherever it stands."""
+    ids = np.asarray(ids, dtype=np.int64)
+    _validate_ids(ids, config, what)
+    pad = ids == PAD_ID
+    return Packed(ids[~pad], np.flatnonzero(~pad), nk.Slots.of(~pad), pad)
+
+
+def _keep_mask(shape, rate: float, rng: np.random.Generator, dtype,
+               rows: np.ndarray | None = None) -> np.ndarray:
     """Inverted-dropout multipliers of `shape` in one pass: 1 / (1 - rate)
     where a float64 uniform draw is >= rate, else 0.  `dtype` is a numpy
-    scalar type such as np.float32."""
-    return (rng.random(shape) >= rate) * (dtype(1) / dtype(1 - rate))
+    scalar type such as np.float32.  With `rows`, only those rows of the
+    mask seen as [-1, shape[-1]] are returned, though all of it is drawn."""
+    kept = rng.random(shape) >= rate
+    if rows is not None:
+        kept = np.take(kept.reshape(-1, shape[-1]), rows, axis=0)
+    return kept * (dtype(1) / dtype(1 - rate))
 
 
-def _dropout(x: nk.Tensor, rate: float, rng: np.random.Generator | None) -> nk.Tensor:
+def _dropout(x: nk.Tensor, rate: float, rng: np.random.Generator | None,
+             tokens: Packed) -> nk.Tensor:
+    """Inverted dropout on the packed rows x [N, F] of `tokens`.  The mask
+    is drawn for their padded [batch, length, F] grid and cut to the
+    non-PAD rows, so each row's mask, and what the stream draws next, are
+    those of the padded layout."""
     if rng is None or rate <= 0.0:
         return x
-    return nk.mul(x, nk.Tensor(_keep_mask(x.shape, rate, rng, x.data.dtype.type)))
+    shape = tokens.pad.shape + x.shape[1:]
+    return nk.mul(x, nk.Tensor(_keep_mask(shape, rate, rng, x.data.dtype.type, tokens.at)))
 
 
 def _attention(store: ParameterStore, prefix: str, query_x: nk.Tensor, key_x: nk.Tensor,
-               mask: np.ndarray | None, rng: np.random.Generator | None) -> nk.Tensor:
-    """Multi-head attention (one `numkit.attention` op); `mask` is a bool
-    array broadcastable to [batch, heads, q_len, k_len] marking positions to
-    suppress.  With `rng`, the attention weights take dropout."""
+               mask: np.ndarray | None, rng: np.random.Generator | None,
+               query_slots: nk.Slots, key_slots: nk.Slots) -> nk.Tensor:
+    """Multi-head attention of packed rows (one `numkit.attention` op);
+    `mask` is a bool array broadcastable to [batch, heads, q_len, k_len]
+    marking positions to suppress.  With `rng`, the attention weights take
+    dropout."""
     cfg = store.config
     keep = None
     if rng is not None and cfg.dropout_rate > 0.0:
-        shape = (query_x.shape[0], cfg.num_heads, query_x.shape[1], key_x.shape[1])
-        keep = _keep_mask(shape, cfg.dropout_rate, rng, query_x.data.dtype.type)
+        (bsz, q_len), k_len = query_slots.index.shape, key_slots.index.shape[1]
+        keep = _keep_mask((bsz, cfg.num_heads, q_len, k_len), cfg.dropout_rate, rng,
+                          query_x.data.dtype.type)
     wq, wk, wv, wo = (store[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
-    return nk.attention(query_x, key_x, wq, wk, wv, wo, cfg.num_heads, mask, keep)
+    return nk.attention(query_x, key_x, wq, wk, wv, wo, cfg.num_heads, mask, keep,
+                        query_slots, key_slots)
 
 
 def _ffn(store: ParameterStore, prefix: str, x: nk.Tensor,
-         rng: np.random.Generator | None) -> nk.Tensor:
+         rng: np.random.Generator | None, tokens: Packed) -> nk.Tensor:
     cfg = store.config
     hidden = nk.relu(nk.add(nk.matmul(x, store[f"{prefix}.w1"]), store[f"{prefix}.b1"]))
-    hidden = _dropout(hidden, cfg.dropout_rate, rng)
+    hidden = _dropout(hidden, cfg.dropout_rate, rng, tokens)
     return nk.add(nk.matmul(hidden, store[f"{prefix}.w2"]), store[f"{prefix}.b2"])
 
 
@@ -381,64 +418,94 @@ def _ln(store: ParameterStore, prefix: str, x: nk.Tensor) -> nk.Tensor:
     return nk.layer_norm(x, store[f"{prefix}.gain"], store[f"{prefix}.bias"])
 
 
-def _embed(store: ParameterStore, weight: nk.Tensor, ids: np.ndarray,
+def _embed(store: ParameterStore, weight: nk.Tensor, tokens: Packed,
            rng: np.random.Generator | None) -> nk.Tensor:
     cfg = store.config
-    x = nk.scale(nk.embedding(weight, ids), math.sqrt(cfg.embed_dim))
+    x = nk.scale(nk.embedding(weight, tokens.ids), math.sqrt(cfg.embed_dim))
     table = sinusoid_table(cfg.max_seq_len, cfg.embed_dim, dtype=store.dtype)
-    x = nk.add(x, nk.Tensor(table[: ids.shape[-1]]))
-    return _dropout(x, cfg.dropout_rate, rng)
+    x = nk.add(x, nk.Tensor(table[tokens.at % tokens.pad.shape[1]]))
+    return _dropout(x, cfg.dropout_rate, rng, tokens)
+
+
+def encode_rows(store: ParameterStore, src: Packed,
+                rng: np.random.Generator | None = None) -> nk.Tensor:
+    """Encoder over packed source tokens; returns memory rows [N, embed_dim].
+    Only attention sees the padded grid."""
+    pad_mask = src.pad[:, None, None, :] if src.pad.any() else None  # [B,1,1,Ls]
+    x = _embed(store, store.src_embedding(), src, rng)
+    for i in range(store.config.enc_layers):
+        normed = _ln(store, f"enc.{i}.ln1", x)
+        attn = _attention(store, f"enc.{i}.attn", normed, normed, pad_mask, rng,
+                          src.slots, src.slots)
+        x = nk.add(x, _dropout(attn, store.config.dropout_rate, rng, src))
+        ff = _ffn(store, f"enc.{i}.ffn", _ln(store, f"enc.{i}.ln2", x), rng, src)
+        x = nk.add(x, _dropout(ff, store.config.dropout_rate, rng, src))
+    return _ln(store, "enc.final_ln", x)
+
+
+def decode_rows(store: ParameterStore, memory: nk.Tensor, memory_slots: nk.Slots,
+                memory_pad: np.ndarray, tgt: Packed,
+                rng: np.random.Generator | None = None) -> nk.Tensor:
+    """Decoder over packed target inputs; returns log-probability rows
+    [N, vocab], one per target token.  Row i conditions on the target
+    positions of its sequence up to its own (causal) and on the memory rows
+    that `memory_slots` ([batch, src_len]) places before that sequence,
+    except where `memory_pad` ([batch, src_len]) is True."""
+    cfg = store.config
+    t_len = tgt.pad.shape[1]
+    causal = np.triu(np.ones((t_len, t_len), dtype=bool), k=1)[None, None, :, :]
+    self_mask = causal | tgt.pad[:, None, None, :] if tgt.pad.any() else causal
+    cross_mask = memory_pad[:, None, None, :] if memory_pad.any() else None
+
+    x = _embed(store, store.tgt_embedding(), tgt, rng)
+    for i in range(cfg.dec_layers):
+        normed = _ln(store, f"dec.{i}.ln1", x)
+        attn = _attention(store, f"dec.{i}.self", normed, normed, self_mask, rng,
+                          tgt.slots, tgt.slots)
+        x = nk.add(x, _dropout(attn, cfg.dropout_rate, rng, tgt))
+        cross = _attention(store, f"dec.{i}.cross", _ln(store, f"dec.{i}.ln2", x),
+                           memory, cross_mask, rng, tgt.slots, memory_slots)
+        x = nk.add(x, _dropout(cross, cfg.dropout_rate, rng, tgt))
+        ff = _ffn(store, f"dec.{i}.ffn", _ln(store, f"dec.{i}.ln3", x), rng, tgt)
+        x = nk.add(x, _dropout(ff, cfg.dropout_rate, rng, tgt))
+    x = _ln(store, "dec.final_ln", x)
+    logits = nk.matmul(x, nk.transpose(store.output_weight(), (1, 0)))
+    return nk.log_softmax(logits)
+
+
+def _unpack(rows: nk.Tensor, slots: nk.Slots) -> nk.Tensor:
+    """Packed rows [N, F] on their padded grid [batch, length, F], zero in
+    the slots that hold no row."""
+    index = slots.index
+    if rows.shape[0] == 0:
+        return nk.zeros(index.shape + rows.shape[1:], dtype=rows.dtype)
+    empty = index < 0
+    grid = nk.embedding(rows, np.where(empty, 0, index))
+    return nk.masked_fill(grid, empty[..., None], 0.0) if empty.any() else grid
 
 
 def encode_batch(store: ParameterStore, src_ids: np.ndarray,
                  rng: np.random.Generator | None = None) -> nk.Tensor:
     """Encoder over a [batch, src_len] id array (PAD-aware); returns
-    memory [batch, src_len, embed_dim]."""
-    src_ids = np.asarray(src_ids, dtype=np.int64)
-    _validate_ids(src_ids, store.config, "source")
-    pad_mask = (src_ids == PAD_ID)[:, None, None, :]  # [B,1,1,Ls]
-    use_mask = pad_mask if pad_mask.any() else None
-
-    x = _embed(store, store.src_embedding(), src_ids, rng)
-    for i in range(store.config.enc_layers):
-        normed = _ln(store, f"enc.{i}.ln1", x)
-        attn = _attention(store, f"enc.{i}.attn", normed, normed, use_mask, rng)
-        x = nk.add(x, _dropout(attn, store.config.dropout_rate, rng))
-        ff = _ffn(store, f"enc.{i}.ffn", _ln(store, f"enc.{i}.ln2", x), rng)
-        x = nk.add(x, _dropout(ff, store.config.dropout_rate, rng))
-    return _ln(store, "enc.final_ln", x)
+    memory [batch, src_len, embed_dim].  Runs `encode_rows`: the rows at
+    PAD positions are zeros."""
+    src = pack(store.config, src_ids, "source")
+    return _unpack(encode_rows(store, src, rng), src.slots)
 
 
 def decode_batch(store: ParameterStore, memory: nk.Tensor, src_ids: np.ndarray,
                  tgt_ids: np.ndarray, rng: np.random.Generator | None = None) -> nk.Tensor:
-    """Decoder over [batch, tgt_len] inputs given encoder memory; returns
-    log-probability rows [batch, tgt_len, vocab].  Row t conditions on
-    target positions <= t (causal) and on non-PAD source positions."""
-    cfg = store.config
-    tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
-    src_ids = np.asarray(src_ids, dtype=np.int64)
-    _validate_ids(tgt_ids, cfg, "target")
-    t_len = tgt_ids.shape[-1]
-
-    causal = np.triu(np.ones((t_len, t_len), dtype=bool), k=1)[None, None, :, :]
-    tgt_pad = (tgt_ids == PAD_ID)[:, None, None, :]
-    self_mask = causal | tgt_pad if tgt_pad.any() else causal
-    mem_pad = (src_ids == PAD_ID)[:, None, None, :]
-    cross_mask = mem_pad if mem_pad.any() else None
-
-    x = _embed(store, store.tgt_embedding(), tgt_ids, rng)
-    for i in range(cfg.dec_layers):
-        normed = _ln(store, f"dec.{i}.ln1", x)
-        attn = _attention(store, f"dec.{i}.self", normed, normed, self_mask, rng)
-        x = nk.add(x, _dropout(attn, cfg.dropout_rate, rng))
-        cross = _attention(store, f"dec.{i}.cross", _ln(store, f"dec.{i}.ln2", x),
-                           memory, cross_mask, rng)
-        x = nk.add(x, _dropout(cross, cfg.dropout_rate, rng))
-        ff = _ffn(store, f"dec.{i}.ffn", _ln(store, f"dec.{i}.ln3", x), rng)
-        x = nk.add(x, _dropout(ff, cfg.dropout_rate, rng))
-    x = _ln(store, "dec.final_ln", x)
-    logits = nk.matmul(x, nk.transpose(store.output_weight(), (1, 0)))
-    return nk.log_softmax(logits)
+    """Decoder over [batch, tgt_len] inputs given encoder memory [batch,
+    src_len, embed_dim]; returns log-probability rows [batch, tgt_len,
+    vocab].  Row t conditions on target positions <= t (causal) and on
+    non-PAD source positions.  Runs `decode_rows`: the rows at PAD target
+    positions are zeros, not distributions."""
+    tgt = pack(store.config, tgt_ids, "target")
+    bsz, src_len, dim = memory.shape
+    rows = decode_rows(store, nk.reshape(memory, (bsz * src_len, dim)),
+                       nk.Slots.full(bsz, src_len),
+                       np.asarray(src_ids, dtype=np.int64) == PAD_ID, tgt, rng)
+    return _unpack(rows, tgt.slots)
 
 
 # -- tape-free incremental decoding -------------------------------------------

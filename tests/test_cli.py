@@ -3,6 +3,7 @@ file outputs, locking, and a reduced-size byte-identity run."""
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,27 @@ class TestReproduce:
                          "--outdir", str(out)])
         assert code == 1
         assert "lock" in capsys.readouterr().err.lower()
+
+    def test_stale_lock_names_the_file_and_the_dead_pid(self, tmp_path, capsys):
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "locked"
+        out.mkdir()
+        lock = out / ".seqrisk-lock"
+        lock.write_text("999999999")  # above any PID the kernel hands out
+        code = cli.main(["reproduce", "--config", str(config), "--outdir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "stale lock" in err and str(lock) in err and "999999999" in err
+        assert lock.read_text() == "999999999"  # nothing is deleted
+
+    def test_lock_of_a_live_process_is_not_called_stale(self, tmp_path, capsys):
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "locked"
+        out.mkdir()
+        (out / ".seqrisk-lock").write_text(str(os.getpid()))
+        assert cli.main(["reproduce", "--config", str(config), "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "stale" not in err and f"process {os.getpid()} is running" in err
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)

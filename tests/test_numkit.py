@@ -270,6 +270,25 @@ class TestGradients:
         ids = np.array([[0, 2, 2], [1, 0, 3]])
         check_op(lambda w: nk.embedding(w, ids), [rng.normal(size=(5, 4))])
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("prior", ["none", "contiguous", "strided"])
+    def test_embedding_gradient_adds_as_row_wise_add_at(self, dtype, prior):
+        # the reference: np.add.at over whole rows, into the gradient the
+        # weight already holds; repeated ids add in order of occurrence
+        rng = np.random.default_rng(26)
+        ids = np.concatenate([[1] * 9, rng.integers(0, 12, 40)]).reshape(7, 7)
+        g = rng.standard_normal((7, 7, 16)).astype(dtype)
+        held = rng.standard_normal((12, 16)).astype(dtype)
+        want = np.zeros_like(held) if prior == "none" else held.copy()
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, 16))
+        weight = nk.Tensor(rng.standard_normal((12, 16)).astype(dtype), requires_grad=True)
+        weight.grad = {"none": None, "contiguous": held.copy(),
+                       "strided": np.asfortranarray(held)}[prior]
+        with nk.Graph() as graph:
+            nk.embedding(weight, ids)
+        graph.nodes[-1].backward_rule(g)
+        assert weight.grad.tobytes() == want.tobytes()
+
     def test_take_along_last(self):
         rng = np.random.default_rng(24)
         idx = rng.integers(0, 5, size=(2, 3))

@@ -407,14 +407,15 @@ class TestEncodeOnce:
              [[bos, 17, 18, eos]],
              [[bos, 4, eos], [bos, 5, 6, eos]]],
             [[0.3, 0.9, 1.0], [0.2], [0.6, 0.1]])
-        encoded_rows = []
+        cross_key_rows = []  # rows the cross-attention K/V projections see
 
-        def spy(store_, src_ids, rng=None):
-            encoded_rows.append(len(src_ids))
-            return encode_batch(store_, src_ids, rng)
+        def spy(query_x, key_x, wq, *args, **kwargs):
+            if wq is store["dec.0.cross.wq"]:
+                cross_key_rows.append(int(np.prod(key_x.shape[:-1])))
+            return attention(query_x, key_x, wq, *args, **kwargs)
 
-        encode_batch = sm.encode_batch
-        monkeypatch.setattr(sm, "encode_batch", spy)
+        attention = nk.attention
+        monkeypatch.setattr(nk, "attention", spy)
         results = []
         for risk_fn in (lambda: obj.mrt_risk(store, batch, 0.5)[0],
                         lambda: per_candidate_mrt_risk(store, batch, 0.5)):
@@ -423,7 +424,8 @@ class TestEncodeOnce:
                 grads = nk.backward(g, risk, dict(store.items()))
             store.zero_grads()
             results.append((risk.item(), grads))
-        assert encoded_rows == [3, 6]
+        # sum of source lengths 4 + 2 + 3, then 6 candidates x 4 padded slots
+        assert cross_key_rows == [9, 24]
         (got, got_grads), (want, want_grads) = results
         assert got == pytest.approx(want, rel=1e-12)
         for name, grad in want_grads.items():

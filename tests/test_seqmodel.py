@@ -535,6 +535,188 @@ class TestLossGradient:
                 assert err < 1e-4, f"{name}[{idx}]: autodiff {gflat[idx]}, fd {fd}"
 
 
+# -- the padded reference: every op on the whole [batch, length] grid ---------
+
+
+def ref_attention(store, prefix, query_x, key_x, mask):
+    """Multi-head attention composed of primitive ops on padded inputs."""
+    bsz, q_len, dim = query_x.shape
+    heads = store.config.num_heads
+    dh = dim // heads
+
+    def split(x, w):
+        proj = nk.matmul(x, store[f"{prefix}.{w}"])
+        return nk.transpose(nk.reshape(proj, (bsz, x.shape[1], heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split(query_x, "wq"), split(key_x, "wk"), split(key_x, "wv")
+    scores = nk.scale(nk.matmul(q, nk.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = nk.masked_fill(scores, mask, nk.NEG_INF_FILL)
+    context = nk.transpose(nk.matmul(nk.softmax(scores), v), (0, 2, 1, 3))
+    return nk.matmul(nk.reshape(context, (bsz, q_len, dim)), store[f"{prefix}.wo"])
+
+
+def ref_ln(store, prefix, x):
+    return nk.layer_norm(x, store[f"{prefix}.gain"], store[f"{prefix}.bias"])
+
+
+def ref_ffn(store, prefix, x):
+    hidden = nk.relu(nk.add(nk.matmul(x, store[f"{prefix}.w1"]), store[f"{prefix}.b1"]))
+    return nk.add(nk.matmul(hidden, store[f"{prefix}.w2"]), store[f"{prefix}.b2"])
+
+
+def ref_embed(store, weight, ids):
+    cfg = store.config
+    x = nk.scale(nk.embedding(weight, ids), np.sqrt(cfg.embed_dim))
+    table = sm.sinusoid_table(cfg.max_seq_len, cfg.embed_dim, dtype=store.dtype)
+    return nk.add(x, nk.Tensor(table[: ids.shape[1]]))
+
+
+def ref_encode(store, src):
+    """Memory [B, Ls, D], PAD positions computed like any other (no dropout)."""
+    mask = (src == sm.PAD_ID)[:, None, None, :]
+    x = ref_embed(store, store.src_embedding(), src)
+    for i in range(store.config.enc_layers):
+        normed = ref_ln(store, f"enc.{i}.ln1", x)
+        x = nk.add(x, ref_attention(store, f"enc.{i}.attn", normed, normed, mask))
+        x = nk.add(x, ref_ffn(store, f"enc.{i}.ffn", ref_ln(store, f"enc.{i}.ln2", x)))
+    return ref_ln(store, "enc.final_ln", x)
+
+
+def ref_decode(store, memory, src, tgt_in):
+    """Log-probability rows [B, T, V] over the whole padded grid."""
+    t_len = tgt_in.shape[1]
+    self_mask = (np.triu(np.ones((t_len, t_len), dtype=bool), k=1)[None, None]
+                 | (tgt_in == sm.PAD_ID)[:, None, None, :])
+    cross_mask = (src == sm.PAD_ID)[:, None, None, :]
+    x = ref_embed(store, store.tgt_embedding(), tgt_in)
+    for i in range(store.config.dec_layers):
+        normed = ref_ln(store, f"dec.{i}.ln1", x)
+        x = nk.add(x, ref_attention(store, f"dec.{i}.self", normed, normed, self_mask))
+        x = nk.add(x, ref_attention(store, f"dec.{i}.cross", ref_ln(store, f"dec.{i}.ln2", x),
+                                    memory, cross_mask))
+        x = nk.add(x, ref_ffn(store, f"dec.{i}.ffn", ref_ln(store, f"dec.{i}.ln3", x)))
+    x = ref_ln(store, "dec.final_ln", x)
+    return nk.log_softmax(nk.matmul(x, nk.transpose(store.output_weight(), (1, 0))))
+
+
+def ref_mle_loss(store, src, tgt, label_smoothing):
+    q, count = obj.smoothed_targets(tgt[:, 1:], store.config.vocab_size, label_smoothing,
+                                    dtype=store.dtype)
+    rows = ref_decode(store, ref_encode(store, src), src, tgt[:, :-1])
+    return nk.scale(nk.sum_(nk.mul(rows, nk.Tensor(q))), -1.0 / count)
+
+
+def ref_mrt_risk(store, batch, alpha):
+    """Risk with one padded encoder row per candidate."""
+    flat = [c for group in batch.candidates for c in group]
+    src = batch.src_batch[[b for b, group in enumerate(batch.candidates) for _ in group]]
+    cand = obj.pad_batch(flat)
+    rows = ref_decode(store, ref_encode(store, src), src, cand[:, :-1])
+    mask = (cand[:, 1:] != sm.PAD_ID).astype(store.dtype)
+    log_probs = nk.sum_(nk.mul(nk.take_along_last(rows, cand[:, 1:]), nk.Tensor(mask)), axis=-1)
+    total = None
+    for (off, cnt), deltas in zip(batch.segments(), batch.deltas):
+        weights = obj.sharpened_distribution(nk.narrow(log_probs, 0, off, cnt), alpha)
+        risk_b = nk.sum_(nk.mul(weights, nk.Tensor(np.asarray(deltas))))
+        total = risk_b if total is None else nk.add(total, risk_b)
+    return nk.scale(total, 1.0 / len(batch.candidates))
+
+
+def ref_corpus_nll(store, corpus):
+    src = obj.pad_batch([s for s, _ in corpus])
+    tgt = obj.pad_batch([t for _, t in corpus])
+    with nk.no_grad():
+        rows = ref_decode(store, ref_encode(store, src), src, tgt[:, :-1]).data
+    gold = tgt[:, 1:]
+    picked = np.take_along_axis(rows, gold[..., None], axis=-1)[..., 0]
+    return float(-(picked * (gold != sm.PAD_ID)).sum() / (gold != sm.PAD_ID).sum())
+
+
+class TestPackedPath:
+    """Training and scoring run token-wise layers on the non-PAD rows only;
+    a ragged batch must give what the padded grid gives."""
+
+    SOURCES = [[4, 5, 6, 7], [8, 9], [10, 11, 12]]
+    OWNERS = [0, 0, 1, 2, 2]  # two sources have two candidates each
+    TARGETS = [[sm.BOS_ID, 13, sm.EOS_ID], [sm.BOS_ID, 14, 15, 16, sm.EOS_ID],
+               [sm.BOS_ID, 17, 18, sm.EOS_ID], [sm.BOS_ID, 4, sm.EOS_ID],
+               [sm.BOS_ID, 5, 6, 7, 8, 9, sm.EOS_ID]]
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        cfg = sm.ModelConfig(vocab_size=20, embed_dim=16, num_heads=2, enc_layers=2,
+                             dec_layers=2, ffn_dim=24, dropout_rate=0.0, max_seq_len=12)
+        return sm.ParameterStore.init(cfg, 21, dtype=np.float64)
+
+    def pairs(self):
+        return [(self.SOURCES[b], t) for b, t in zip(self.OWNERS, self.TARGETS)]
+
+    def risk_batch(self):
+        groups = [[t for b, t in zip(self.OWNERS, self.TARGETS) if b == s]
+                  for s in range(len(self.SOURCES))]
+        deltas = [[0.25 + 0.1 * i + 0.2 * j for j in range(len(g))]
+                  for i, g in enumerate(groups)]
+        return obj.RiskBatch(obj.pad_batch(self.SOURCES), groups, deltas)
+
+    def value_and_grads(self, store, loss_fn):
+        with nk.Graph() as g:
+            loss = loss_fn()
+            grads = nk.backward(g, loss, dict(store.items()))
+        store.zero_grads()
+        return loss.item(), grads
+
+    def assert_same(self, store, got_fn, want_fn):
+        got, got_grads = self.value_and_grads(store, got_fn)
+        want, want_grads = self.value_and_grads(store, want_fn)
+        assert got == pytest.approx(want, rel=1e-10)
+        for name, grad in want_grads.items():
+            np.testing.assert_allclose(got_grads[name].data, grad.data, rtol=1e-10,
+                                       atol=1e-15, err_msg=name)
+        assert float(np.abs(want_grads["enc.1.attn.wk"].data).max()) > 0.0
+
+    def test_mle_loss_matches_the_padded_grid(self, toy):
+        src = obj.pad_batch([s for s, _ in self.pairs()])
+        tgt = obj.pad_batch([t for _, t in self.pairs()])
+        self.assert_same(toy, lambda: obj.mle_loss(toy, src, tgt, 0.1)[0],
+                         lambda: ref_mle_loss(toy, src, tgt, 0.1))
+
+    def test_mrt_risk_matches_the_padded_grid(self, toy):
+        batch = self.risk_batch()
+        self.assert_same(toy, lambda: obj.mrt_risk(toy, batch, 0.5)[0],
+                         lambda: ref_mrt_risk(toy, batch, 0.5))
+
+    def test_corpus_nll_matches_the_padded_grid(self, toy):
+        for size in (2, 5):  # ragged batches, and the whole corpus in one
+            assert obj.corpus_nll(toy, self.pairs(), batch_size=size) == pytest.approx(
+                ref_corpus_nll(toy, self.pairs()), rel=1e-10)
+
+    def test_token_wise_layers_see_only_real_rows(self, toy, monkeypatch):
+        src = obj.pad_batch([s for s, _ in self.pairs()])
+        tgt = obj.pad_batch([t for _, t in self.pairs()])
+        real = {"enc": int((src != sm.PAD_ID).sum()),
+                "dec": int((tgt[:, :-1] != sm.PAD_ID).sum())}
+        assert real["enc"] < src.size and real["dec"] < tgt[:, :-1].size
+        names = {id(t): name for name, t in toy.items()}
+        seen = []
+
+        def spy(fn):
+            def wrapper(a, b, *rest):
+                name = names.get(id(b), "")
+                if name.endswith((".gain", ".w1", ".w2")):
+                    seen.append((name, a.shape))
+                return fn(a, b, *rest)
+            return wrapper
+
+        monkeypatch.setattr(nk, "layer_norm", spy(nk.layer_norm))
+        monkeypatch.setattr(nk, "matmul", spy(nk.matmul))
+        obj.mle_loss(toy, src, tgt, 0.1)
+        cfg = toy.config
+        assert len(seen) == (4 * cfg.enc_layers + 1) + (5 * cfg.dec_layers + 1)
+        for name, shape in seen:
+            assert shape[0] == real[name.split(".")[0]] and len(shape) == 2, (name, shape)
+
+
 class TestIncrementalDecoder:
     """The cached, tape-free decoder against numkit's teacher-forced pass."""
 
