@@ -120,10 +120,6 @@ def summarize_judgments(judgments: Sequence[HallucinationJudgment]) -> Hallucina
     )
 
 
-def hallucination_rate(judgments: Sequence[HallucinationJudgment]) -> float:
-    return summarize_judgments(judgments).rate
-
-
 def compare_hallucination_significance(
         judgments_a: Sequence[HallucinationJudgment],
         judgments_b: Sequence[HallucinationJudgment]) -> tuple[float, metrics.ContingencyTable2x2]:

@@ -18,7 +18,9 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, asdict
+import types
+import typing
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from . import metrics
 from . import numkit as nk
 from . import objectives as obj
 from . import seqmodel as sm
-from .errors import ConfigError, ContractError, SeqriskError
+from .errors import ConfigError, ContractError, ParseError, SeqriskError, VocabularyError
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +89,8 @@ class EvalSettings:
         if self.max_positions is not None and self.max_positions < 1:
             raise ContractError("max_positions must be >= 1 when set")
 
-    def decode_config(self, beam_size: int | None = None) -> dec.DecodeConfig:
-        return dec.DecodeConfig(beam_size=beam_size or self.eval_beam,
+    def decode_config(self) -> dec.DecodeConfig:
+        return dec.DecodeConfig(beam_size=self.eval_beam,
                                 length_norm_alpha=self.length_norm_alpha)
 
 
@@ -119,13 +121,28 @@ _SECTION_TYPES = {
 }
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a field's annotated type; an int fits a float."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, *typing.get_args(hint)) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be an object")
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if key not in hints:
             raise ConfigError(f"{path}.{key} is not a recognized field")
+        hint = hints[key]
+        if not _fits(value, hint):
+            raise ConfigError(f"{path}.{key} must be "
+                              f"{hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
     try:
         return cls(**data)
     except ContractError as exc:
@@ -171,13 +188,7 @@ def _apply_override(data: dict, assignment: str) -> None:
 
 def load_config(path: str | None, overrides: list[str],
                 seed: int | None) -> ExperimentConfig:
-    data: dict = {}
-    if path is not None:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    data = _load_json(path) if path is not None else {}
     for assignment in overrides:
         _apply_override(data, assignment)
     if seed is not None:
@@ -188,6 +199,14 @@ def load_config(path: str | None, overrides: list[str],
 # ---------------------------------------------------------------------------
 # shared io helpers
 # ---------------------------------------------------------------------------
+
+
+def _load_json(path):
+    """The JSON value in the UTF-8 file `path`."""
+    try:
+        return json.loads(sm.read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _sha256_file(path: Path) -> str:
@@ -251,17 +270,26 @@ class OutputLock:
         return False
 
 
-def _load_vocab(path: Path) -> sm.Vocabulary:
-    return sm.Vocabulary.from_json(path.read_text())
+def _load_vocab(path) -> sm.Vocabulary:
+    try:
+        return sm.Vocabulary.from_json(sm.read_utf8(path))
+    except VocabularyError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
-def _load_domain(path: Path) -> dg.DomainSpec:
-    return dg.DomainSpec.from_json(path.read_text())
+def _load_domain(path) -> dg.DomainSpec:
+    return _build_section(dg.DomainSpec, _load_json(path), f"{path}: domain")
 
 
-def _load_model(args) -> tuple[sm.ParameterStore, sm.Vocabulary]:
-    """The checkpoint and vocabulary named by --checkpoint and --vocab."""
-    return sm.ParameterStore.load(args.checkpoint), _load_vocab(Path(args.vocab))
+def _load_model(checkpoint, vocab_path) -> tuple[sm.ParameterStore, sm.Vocabulary]:
+    """A checkpoint and the vocabulary it was trained with; a vocabulary
+    of another size is refused, naming both files."""
+    store, vocab = sm.ParameterStore.load(checkpoint), _load_vocab(vocab_path)
+    if len(vocab) != store.config.vocab_size:
+        raise ContractError(
+            f"{vocab_path} holds {len(vocab)} tokens (with the 4 reserved), but "
+            f"{checkpoint} was trained on a vocabulary of {store.config.vocab_size}")
+    return store, vocab
 
 
 def _read_pairs(args) -> list[dg.TokenPair]:
@@ -465,8 +493,8 @@ def _cmd_train_mle(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     vocab = _load_vocab(data / "vocab.json")
     train = dg.read_tsv(data / "train.tsv")
+    dev = dg.encode_corpus(vocab, dg.read_tsv(data / "dev.tsv"))  # fail before training
     store = stage_train_mle(config, vocab, train, outdir)
-    dev = dg.encode_corpus(vocab, dg.read_tsv(data / "dev.tsv"))
     print(f"dev nll per token: {obj.corpus_nll(store, dev):.4f}")
     print(f"wrote {outdir / 'mle.ckpt'}")
     return 0
@@ -477,17 +505,16 @@ def _cmd_finetune_mrt(args) -> int:
     data = Path(args.data)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    vocab = _load_vocab(data / "vocab.json")
+    mle_store, vocab = _load_model(args.checkpoint, data / "vocab.json")
     train = dg.read_tsv(data / "train.tsv")
-    mle_store = sm.ParameterStore.load(args.checkpoint)
     stage_finetune_mrt(config, vocab, mle_store, train, outdir)
     print(f"wrote {outdir / 'mrt.ckpt'}")
     return 0
 
 
 def _cmd_translate(args) -> int:
-    store, vocab = _load_model(args)
-    sources = [line.split() for line in Path(args.input).read_text().splitlines()]
+    store, vocab = _load_model(args.checkpoint, args.vocab)
+    sources = [line.split() for line in sm.read_utf8(args.input).splitlines()]
     limit = store.config.max_seq_len
     for number, src in enumerate(sources, 1):
         if len(src) > limit:
@@ -511,8 +538,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    store, vocab = _load_model(args)
-    spec = _load_domain(Path(args.domain))
+    store, vocab = _load_model(args.checkpoint, args.vocab)
+    spec = _load_domain(args.domain)
     pairs = _read_pairs(args)
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
     judgments = an.judge_corpus(store, vocab, pairs, spec, config, args.threshold)
@@ -525,7 +552,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze_uncertainty(args) -> int:
-    store, vocab = _load_model(args)
+    store, vocab = _load_model(args.checkpoint, args.vocab)
     pairs = _read_pairs(args)
     pool = [tgt for _, tgt in dg.read_tsv(args.distractor_file)]
     result = an.uncertainty_curves(store, vocab, pairs, pool,
@@ -544,8 +571,8 @@ def _cmd_analyze_uncertainty(args) -> int:
 
 
 def _cmd_sweep_beam(args) -> int:
-    store, vocab = _load_model(args)
-    spec = _load_domain(Path(args.domain))
+    store, vocab = _load_model(args.checkpoint, args.vocab)
+    spec = _load_domain(args.domain)
     pairs = _read_pairs(args)
     base = dec.DecodeConfig(length_norm_alpha=args.alpha)
     points = an.beam_sweep(store, vocab, pairs, spec, args.beams, args.threshold,

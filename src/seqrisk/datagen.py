@@ -280,24 +280,26 @@ def write_tsv(path, pairs: Sequence[TokenPair]) -> None:
 def read_tsv(path) -> list[TokenPair]:
     """Strict reader for the two-column corpus format.
 
-    Rejects carriage returns, wrong column counts, and blank token fields;
-    a trailing newline on the last row is the only latitude given."""
+    Rejects bytes that are not UTF-8, carriage returns, wrong column counts,
+    and blank token fields; a trailing newline on the last row is the only
+    latitude given."""
+    lines = sm.read_utf8(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the trailing newline
     pairs: list[TokenPair] = []
-    with open(path, "r", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if "\r" in line:
-                raise ParseError(f"{path}:{lineno}: carriage return in corpus file")
-            line = line.rstrip("\n")
-            if not line:
-                raise ParseError(f"{path}:{lineno}: blank line")
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
-            src, tgt = cols[0].split(), cols[1].split()
-            if not src or not tgt:
-                raise ParseError(f"{path}:{lineno}: empty source or target field")
-            pairs.append((src, tgt))
+    for lineno, line in enumerate(lines, start=1):
+        if "\r" in line:
+            raise ParseError(f"{path}:{lineno}: carriage return in corpus file")
+        if not line:
+            raise ParseError(f"{path}:{lineno}: blank line")
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise ParseError(
+                f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
+        src, tgt = cols[0].split(), cols[1].split()
+        if not src or not tgt:
+            raise ParseError(f"{path}:{lineno}: empty source or target field")
+        pairs.append((src, tgt))
     return pairs
 
 

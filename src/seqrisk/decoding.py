@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import numkit as nk
 from . import seqmodel as sm
 from .errors import ContractError, LengthError
 
@@ -35,15 +34,12 @@ class DecodeConfig:
     beam_size: int = 4
     max_len: int | None = None  # total tokens incl. BOS; None -> model max_seq_len
     length_norm_alpha: float = 1.0
-    temperature: float = 1.0
 
     def __post_init__(self):
         if self.beam_size < 1:
             raise ContractError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.max_len is not None and self.max_len < 2:
             raise ContractError(f"max_len must be >= 2, got {self.max_len}")
-        if self.temperature <= 0.0:
-            raise ContractError(f"temperature must be > 0, got {self.temperature}")
 
 
 @dataclass
@@ -273,25 +269,3 @@ def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
             break
         alive, tokens = alive[parents], tokens[parents]
     return [seqs[b * n_samples: (b + 1) * n_samples] for b in range(bsz)]
-
-
-def sample_decode(store: sm.ParameterStore, src: Sequence[int],
-                  rng: np.random.Generator, temperature: float = 1.0,
-                  max_len: int | None = None) -> list[int]:
-    """One sampled sequence for one source; ids include BOS (and EOS if drawn)."""
-    return sample_decode_batch(
-        store, np.asarray([src], dtype=np.int64), 1, rng, temperature, max_len)[0][0]
-
-
-def score_sequence(store: sm.ParameterStore, src: Sequence[int],
-                   tgt: Sequence[int]) -> tuple[float, list[float]]:
-    """Teacher-forced log-probability of `tgt` (BOS-led, usually EOS-ended)
-    under the model; returns the total and the per-token contributions for
-    tgt[1:]."""
-    tgt = list(tgt)
-    if len(tgt) < 2:
-        raise ContractError("sequence to score needs BOS plus at least one token")
-    with nk.no_grad():
-        rows = sm.forward_teacher_forced(store, src, tgt)
-    per_token = [float(rows.data[i, tgt[i + 1]]) for i in range(len(tgt) - 1)]
-    return sum(per_token), per_token

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,17 +71,11 @@ class Adam:
         ends = np.cumsum([p.data.size for _, p in store.items()]).tolist()
         self._spans = list(zip([0] + ends[:-1], ends))  # each tensor's place in `flat`
 
-    def step(self, grads: Mapping[str, nk.Tensor] | None, lr: float) -> float:
-        """Apply one update; returns the pre-clip global gradient norm.
-        `grads` maps every parameter name to its gradient (cast to the
-        store's dtype); None takes the gradients accumulated in the store's
-        flat gradient buffer."""
+    def step(self, lr: float) -> float:
+        """Apply one update with the gradients accumulated in the store's
+        flat gradient buffer; returns the pre-clip global gradient norm."""
         store = self.store
-        if grads is None:
-            g = store.flat_grad
-        else:
-            g = np.concatenate([grads[name].data.reshape(-1) for name in store.names()],
-                               dtype=store.dtype)
+        g = store.flat_grad
         sq = np.square(g, dtype=np.float64)
         total = 0.0
         for start, stop in self._spans:
@@ -169,7 +163,7 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
             if not math.isfinite(value):
                 diverged = (f"training diverged at step {step}: objective is {value}", None)
                 break
-            optim.step(None, lr)
+            optim.step(lr)
             store.zero_grads()
             writer.writerow([step, f"{value:.6f}", f"{lr:.6g}"])
             steps.append(_Step(batch, value, lr, info, time.perf_counter() - t0))
@@ -365,6 +359,8 @@ class MRTConfig:
             raise ContractError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.alpha <= 0.0:
             raise ContractError(f"alpha must be > 0, got {self.alpha}")
+        if self.temperature <= 0.0:
+            raise ContractError(f"temperature must be > 0, got {self.temperature}")
         if self.sampling_strategy not in ("random", "beam"):
             raise ContractError(
                 f"sampling_strategy must be 'random' or 'beam', "
@@ -380,17 +376,6 @@ def cost_delta(hyp_ids: Sequence[int], ref_ids: Sequence[int]) -> float:
     hyp = [t for t in hyp_ids if t not in specials]
     ref = [t for t in ref_ids if t not in specials]
     return 1.0 - metrics.smoothed_sentence_bleu(hyp, ref)
-
-
-def sample_subspace(store: sm.ParameterStore, src: Sequence[int],
-                    ref: Sequence[int], config: MRTConfig,
-                    rng: np.random.Generator) -> list[IdSeq]:
-    """Candidate set for one source: up to n draws (ancestral samples or the
-    beam's top hypotheses), de-duplicated in draw order; the reference joins
-    only when configured to."""
-    groups = sample_decode_dedup(store, np.asarray([src], dtype=np.int64),
-                                 [list(ref)], config, rng)
-    return groups[0]
 
 
 def _beam_candidates(store: sm.ParameterStore, src_batch: np.ndarray,

@@ -4,10 +4,10 @@ Sized so that a full training run takes minutes on one CPU core.  Training
 and scoring run the packed core (``pack``, ``encode_rows``, ``decode_rows``):
 every token-wise layer sees only the non-PAD positions, and attention alone
 the padded grid.  ``encode_batch`` and ``decode_batch`` give its results in
-padded shapes, and the single-sequence entry points (``encode``,
-``forward_teacher_forced``, ``decode_step``) are thin wrappers over those.
-Decoding runs on ``IncrementalDecoder``, a tape-free, KV-cached copy of the
-decoder's forward arithmetic in plain numpy.
+padded shapes, and ``forward_teacher_forced``, the one-sequence reference
+that tests check batches against, is a thin wrapper over those.  Decoding
+runs on ``IncrementalDecoder``, a tape-free, KV-cached copy of the decoder's
+forward arithmetic in plain numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import numkit as nk
-from .errors import ContractError, LengthError, NumericsError, ShapeError, VocabularyError
+from .errors import (ContractError, LengthError, NumericsError, ParseError, ShapeError,
+                     VocabularyError)
 
 PAD_ID = 0
 BOS_ID = 1
@@ -113,12 +114,32 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":
-        return cls(json.loads(text)["tokens"])
+        """Parse `to_json` output; any other text raises VocabularyError."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise VocabularyError(f"invalid JSON: {exc}") from None
+        tokens = data.get("tokens") if isinstance(data, dict) else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise VocabularyError('expected an object {"tokens": [token strings]}')
+        return cls(tokens)
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+
+
+def read_utf8(path) -> str:
+    """The text of file `path` decoded as UTF-8.  Bytes that are not UTF-8
+    raise ParseError naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text") from None
 
 
 @contextlib.contextmanager
@@ -620,13 +641,7 @@ class IncrementalDecoder:
         return log_probs
 
 
-# -- single-sequence wrappers ------------------------------------------------
-
-
-def encode(store: ParameterStore, src: Sequence[int]) -> nk.Tensor:
-    """Encode one id sequence; returns memory [len, embed_dim]."""
-    memory = encode_batch(store, np.asarray([src], dtype=np.int64))
-    return nk.reshape(memory, memory.shape[1:])
+# -- one-sequence reference ---------------------------------------------------
 
 
 def forward_teacher_forced(store: ParameterStore, src: Sequence[int],
@@ -640,16 +655,3 @@ def forward_teacher_forced(store: ParameterStore, src: Sequence[int],
     memory = encode_batch(store, src_arr)
     rows = decode_batch(store, memory, src_arr, np.asarray([tgt], dtype=np.int64))
     return nk.reshape(rows, rows.shape[1:])
-
-
-def decode_step(store: ParameterStore, memory: nk.Tensor,
-                prefix: Sequence[int], src: Sequence[int]) -> nk.Tensor:
-    """Next-token log-distribution [vocab] given a BOS-led prefix; equals the
-    last row of the teacher-forced pass over the same prefix."""
-    prefix = list(prefix)
-    if not prefix or prefix[0] != BOS_ID:
-        raise ContractError("prefix must begin with BOS")
-    mem = nk.reshape(memory, (1,) + tuple(memory.shape))
-    rows = decode_batch(store, mem, np.asarray([src], dtype=np.int64),
-                        np.asarray([prefix], dtype=np.int64))
-    return nk.reshape(nk.narrow(rows, 1, len(prefix) - 1, 1), (rows.shape[-1],))

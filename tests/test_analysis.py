@@ -115,7 +115,6 @@ class TestJudgment:
         s = an.summarize_judgments(js)
         assert (s.n, s.n_hallucinated) == (3, 1)
         assert s.rate == pytest.approx(1 / 3)
-        assert an.hallucination_rate(js) == s.rate
         with pytest.raises(ContractError):
             an.summarize_judgments([])
 

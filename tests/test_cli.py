@@ -4,6 +4,7 @@ file outputs, locking, and a reduced-size byte-identity run."""
 import dataclasses
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="domain"):
             cli.config_from_dict({"domain": {"min_chunks": 5, "max_chunks": 2}})
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("mle", "epochs", 1.5), ("model", "tie_embeddings", 1), ("data", "dev_size", True),
+        ("eval", "beam_sizes", [1, "4"]), ("eval", "max_positions", "all"),
+        ("mrt", "sampling_strategy", None), ("domain", "p_two_content", "0.5")])
+    def test_wrongly_typed_field_named(self, section, field, value):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{field} must be "):
+            cli.config_from_dict({section: {field: value}})
+
     def test_overrides(self):
         data = {}
         cli._apply_override(data, "mle.epochs=3")
@@ -138,6 +147,14 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert code == 1, err
             assert name in err and "internal error" not in err
+
+    def test_bad_mrt_temperature_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["reproduce", "--config", str(write_tiny_config(tmp_path)),
+                         "--set", "mrt.temperature=0", "--outdir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and "mrt: temperature must be > 0" in err
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -282,6 +299,62 @@ class TestModelCommands:
         assert curve_csv.exists() and assignment_csv.exists()
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert {"certainty_gap", "positions", "exact_length_matches"} <= set(payload)
+
+
+SMALL_VOCAB = sm.Vocabulary(["tf0", "tf1"]).to_json().encode()
+
+# command, file replaced (in a copy of the gen-data directory), its bytes,
+# and what the error must say besides the file's name
+MALFORMED_INPUTS = [
+    ("translate", "vocab.json", b'{"tokens": ["tf0", ', "invalid JSON"),
+    ("translate", "vocab.json", b'{"token": ["tf0"]}', '"tokens"'),
+    ("translate", "vocab.json", b'{"tokens": "tf0 tf1"}', '"tokens"'),
+    ("translate", "vocab.json", b'{"tokens": ["tf0", 1]}', '"tokens"'),
+    ("translate", "vocab.json", b'{"tokens": ["tf0", "t\xff"]}', ":1: not UTF-8"),
+    ("translate", "vocab.json", SMALL_VOCAB, "mle.ckpt"),
+    ("finetune-mrt", "vocab.json", SMALL_VOCAB, "mle.ckpt"),
+    ("evaluate", "domain.json", b'{"bogus": 1}', "domain.bogus is not a recognized field"),
+    ("evaluate", "domain.json", b'{"n_function": "x"}', "domain.n_function must be int"),
+    ("evaluate", "test_ood.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", ":2: not UTF-8"),
+    ("analyze-uncertainty", "test_id.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", ":2: not UTF-8"),
+    ("train-mle", "train.tsv", b"sf0\ttf0\n\xfe\ttf1\n", ":2: not UTF-8"),
+    ("train-mle", "dev.tsv", b"sf0\ttf0\nsf0\ttf0\n\xfe\ttf1\n", ":3: not UTF-8"),
+    ("translate", "in.txt", b"sf0 sf1\nsf1 \xc3\n", ":2: not UTF-8"),
+    ("gen-data", "config.json", b'{"seed": 1, "mle": {"epochs": "\xe9"}}', ":1: not UTF-8"),
+]
+
+
+def _command_line(command: str, data: Path, checkpoint: Path) -> list[str]:
+    model = ["--checkpoint", str(checkpoint), "--vocab", str(data / "vocab.json")]
+    config = ["--config", str(data / "config.json")]
+    return {
+        "translate": ["translate", *model, "--input", str(data / "in.txt")],
+        "evaluate": ["evaluate", *model, "--domain", str(data / "domain.json"),
+                     "--data-file", str(data / "test_ood.tsv"), "--n", "2"],
+        "analyze-uncertainty": ["analyze-uncertainty", *model,
+                                "--data-file", str(data / "test_ood.tsv"),
+                                "--distractor-file", str(data / "test_id.tsv"),
+                                "--output", str(data / "curves.csv")],
+        "train-mle": ["train-mle", *config, "--data", str(data), "--outdir", str(data / "run")],
+        "finetune-mrt": ["finetune-mrt", *config, "--data", str(data),
+                         "--checkpoint", str(checkpoint), "--outdir", str(data / "run")],
+        "gen-data": ["gen-data", *config, "--outdir", str(data / "gen")],
+    }[command]
+
+
+@pytest.mark.parametrize("command, name, content, says", MALFORMED_INPUTS)
+def test_malformed_input_exits_one_naming_the_file(workspace, tmp_path, capsys,
+                                                   command, name, content, says):
+    config, data, run = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    shutil.copy(config, copy / "config.json")
+    (copy / "in.txt").write_text("sf0 sf1\n")
+    (copy / name).write_bytes(content)
+    code = cli.main(_command_line(command, copy, run / "mle.ckpt"))
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert str(copy / name) in err and says in err and "internal error" not in err
 
 
 class TestReproduce:

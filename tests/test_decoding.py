@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqrisk import decoding as dec
+from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
 from seqrisk.errors import ContractError
 
@@ -17,14 +18,17 @@ def make_store(seed=0, vocab=20):
     return sm.ParameterStore.init(cfg, seed)
 
 
+def sample_one(store, src, rng, temperature=1.0):
+    """One ancestral sample for one source: ids with BOS (and EOS if drawn)."""
+    return dec.sample_decode_batch(store, np.asarray([src]), 1, rng, temperature)[0][0]
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ContractError):
             dec.DecodeConfig(beam_size=0)
         with pytest.raises(ContractError):
             dec.DecodeConfig(max_len=1)
-        with pytest.raises(ContractError):
-            dec.DecodeConfig(temperature=0.0)
 
     def test_length_penalty(self):
         assert dec.length_penalty(1, 1.0) == 1.0
@@ -76,10 +80,12 @@ class TestBeamSearch:
     def test_total_matches_teacher_forced_score(self):
         # the summed step scores must equal rescoring the final sequence
         store = make_store(5)
-        for h in dec.beam_search(store, [4, 5, 6], dec.DecodeConfig(beam_size=3)):
-            total, per_token = dec.score_sequence(store, [4, 5, 6], h.tokens)
-            assert total == pytest.approx(h.total_log_prob, abs=1e-4)
-            assert len(per_token) == len(h.tokens) - 1
+        hyps = dec.beam_search(store, [4, 5, 6], dec.DecodeConfig(beam_size=3))
+        (picked, mask), = obj.forced_log_probs(store, [[4, 5, 6]] * len(hyps),
+                                               [h.tokens for h in hyps], len(hyps))
+        for h, row, scored in zip(hyps, picked, mask):
+            assert int(scored.sum()) == len(h.tokens) - 1
+            assert float(row.sum()) == pytest.approx(h.total_log_prob, abs=1e-4)
 
     def test_normalization_uses_length_penalty(self):
         store = make_store(6)
@@ -228,14 +234,14 @@ class TestBatchedBeamCore:
 class TestSampling:
     def test_deterministic_given_rng(self):
         store = make_store(7)
-        a = dec.sample_decode(store, [4, 5], np.random.default_rng(3))
-        b = dec.sample_decode(store, [4, 5], np.random.default_rng(3))
+        a = sample_one(store, [4, 5], np.random.default_rng(3))
+        b = sample_one(store, [4, 5], np.random.default_rng(3))
         assert a == b
 
     def test_varies_across_draws(self):
         store = make_store(7)
         rng = np.random.default_rng(3)
-        draws = {tuple(dec.sample_decode(store, [4, 5], rng)) for _ in range(8)}
+        draws = {tuple(sample_one(store, [4, 5], rng)) for _ in range(8)}
         assert len(draws) > 1
 
     def test_shape_and_termination(self):
@@ -255,8 +261,7 @@ class TestSampling:
     def test_low_temperature_approaches_greedy(self):
         store = make_store(9)
         greedy = dec.greedy_decode(store, [4, 5, 6])
-        sampled = dec.sample_decode(store, [4, 5, 6],
-                                    np.random.default_rng(0), temperature=0.01)
+        sampled = sample_one(store, [4, 5, 6], np.random.default_rng(0), temperature=0.01)
         assert sampled == greedy.tokens
 
     def test_draws_one_uniform_per_sequence_and_step(self):
@@ -277,17 +282,13 @@ class TestSampling:
 
 class TestScoreSequence:
     def test_matches_stepwise_scores(self):
+        # forced scores of each gold token equal the incremental decoder's
         store = make_store(11)
         src = [4, 5, 6]
         tgt = [sm.BOS_ID, 7, 8, 9, sm.EOS_ID]
-        total, per_token = dec.score_sequence(store, src, tgt)
-        memory = sm.encode(store, src)
+        (picked, mask), = obj.forced_log_probs(store, [src], [tgt], 1)
+        assert mask.tolist() == [[True] * (len(tgt) - 1)]
+        state = sm.IncrementalDecoder(store, np.asarray([src]))
         for i in range(1, len(tgt)):
-            row = sm.decode_step(store, memory, tgt[:i], src)
-            assert per_token[i - 1] == pytest.approx(float(row.data[tgt[i]]), abs=1e-5)
-        assert total == pytest.approx(sum(per_token), abs=1e-6)
-
-    def test_requires_bos_and_body(self):
-        store = make_store(12)
-        with pytest.raises(ContractError):
-            dec.score_sequence(store, [4], [sm.BOS_ID])
+            row = state.step(None, [tgt[i - 1]])[0]
+            assert picked[0, i - 1] == pytest.approx(float(row[tgt[i]]), abs=1e-5)

@@ -95,47 +95,45 @@ class TestOptimizer:
     def test_single_adam_step_hand_value(self):
         store = make_store(3)
         name = "enc.final_ln.bias"
-        grads = {n: nk.Tensor(np.zeros_like(t.data)) for n, t in store.items()}
-        grads[name].data[0] = 0.5
+        store[name].grad[0] = 0.5
         optim = obj.Adam(store, grad_clip=0.0)
-        optim.step(grads, lr=0.1)
+        optim.step(lr=0.1)
         # bias-corrected m/v make the first update exactly lr * sign(g)
         assert store[name].data[0] == pytest.approx(-0.1, rel=1e-5)
 
     def test_clipping_equals_prescaled_gradients(self):
         a, b = make_store(4), make_store(4)
-        raw = {n: nk.Tensor(np.zeros_like(t.data)) for n, t in a.items()}
-        raw["enc.final_ln.bias"].data[:2] = [3.0, 4.0]  # norm 5
-        scaled = {n: nk.Tensor(t.data * (1.0 / 5.0)) for n, t in raw.items()}
-        norm = obj.Adam(a, grad_clip=1.0).step(raw, lr=0.05)
-        obj.Adam(b, grad_clip=0.0).step(scaled, lr=0.05)
+        a["enc.final_ln.bias"].grad[:2] = [3.0, 4.0]  # norm 5
+        b.flat_grad[:] = a.flat_grad * (1.0 / 5.0)
+        norm = obj.Adam(a, grad_clip=1.0).step(lr=0.05)
+        obj.Adam(b, grad_clip=0.0).step(lr=0.05)
         assert norm == pytest.approx(5.0, rel=1e-6)
         for n in a.names():
             assert np.allclose(a[n].data, b[n].data, atol=1e-7), n
 
     def test_zero_clip_disables(self):
         a, b = make_store(5), make_store(5)
-        big = {n: nk.Tensor(np.full_like(t.data, 2.0)) for n, t in a.items()}
-        obj.Adam(a, grad_clip=0.0).step(big, lr=0.01)
-        obj.Adam(b, grad_clip=1e9).step(big, lr=0.01)
+        a.flat_grad.fill(2.0)
+        b.flat_grad.fill(2.0)
+        obj.Adam(a, grad_clip=0.0).step(lr=0.01)
+        obj.Adam(b, grad_clip=1e9).step(lr=0.01)
         for n in a.names():
             assert np.array_equal(a[n].data, b[n].data), n
 
     def test_step_advances_counter(self):
         store = make_store(6)
-        grads = {n: nk.Tensor(np.zeros_like(t.data)) for n, t in store.items()}
-        obj.Adam(store).step(grads, lr=0.1)
+        obj.Adam(store).step(lr=0.1)
         assert store.step_count == 1
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("clip", [0.0, 1.0])
     def test_flat_adam_equals_per_tensor_adam_bit_for_bit(self, dtype, clip):
-        # one store steps with a gradient dict, one with the same gradients
-        # accumulated in its flat gradient buffer, one with the oracle
+        # one store steps with gradients accumulated in its flat gradient
+        # buffer, one with the same gradients through the oracle
         cfg = make_store().config
-        by_dict = sm.ParameterStore.init(cfg, 8, dtype=dtype)
-        by_buffer, oracle = by_dict.copy(), by_dict.copy()
-        optims = [obj.Adam(s, grad_clip=clip) for s in (by_dict, by_buffer)]
+        by_buffer = sm.ParameterStore.init(cfg, 8, dtype=dtype)
+        oracle = by_buffer.copy()
+        optim = obj.Adam(by_buffer, grad_clip=clip)
         reference = PerTensorAdam(oracle, grad_clip=clip)
         rng = np.random.default_rng(1)
         # global norms of about 100 and 0.1: clipped, then not, when clip=1
@@ -145,16 +143,13 @@ class TestOptimizer:
             for n, t in by_buffer.items():
                 t.grad += grads[n].data
             lr = 0.01 / step
-            want = reference.step(grads, lr)
-            assert optims[0].step(grads, lr) == want
-            assert optims[1].step(None, lr) == want
+            assert optim.step(lr) == reference.step(grads, lr)
             by_buffer.zero_grads()
             moments = [np.concatenate([m[n].reshape(-1) for n in oracle.names()]).tobytes()
                        for m in (reference.m, reference.v)]
-            for store, optim in zip((by_dict, by_buffer), optims):
-                assert store.flat.tobytes() == oracle.flat.tobytes(), step
-                assert [optim.m.tobytes(), optim.v.tobytes()] == moments, step
-        assert by_dict.step_count == by_buffer.step_count == oracle.step_count == 6
+            assert by_buffer.flat.tobytes() == oracle.flat.tobytes(), step
+            assert [optim.m.tobytes(), optim.v.tobytes()] == moments, step
+        assert by_buffer.step_count == oracle.step_count == 6
 
 
 class PerTensorAdam:
@@ -281,30 +276,34 @@ class TestCostDelta:
 
 
 class TestSubspace:
+    """Candidate sets of one source, drawn as a one-row batch."""
+
     def test_near_deterministic_sampling_dedupes(self):
         store = make_store(7)
         config = obj.MRTConfig(n_samples=6, temperature=0.001)
-        cands = obj.sample_subspace(store, [4, 5], [sm.BOS_ID, 6, sm.EOS_ID],
-                                    config, np.random.default_rng(0))
+        [cands] = obj.sample_decode_dedup(store, np.array([[4, 5]]),
+                                          [[sm.BOS_ID, 6, sm.EOS_ID]],
+                                          config, np.random.default_rng(0))
         assert len(cands) == 1
 
     def test_reference_joins_only_when_asked(self):
         store = make_store(8)
         ref = [sm.BOS_ID, 6, 7, sm.EOS_ID]
         rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
-        plain = obj.sample_subspace(store, [4, 5], ref,
-                                    obj.MRTConfig(n_samples=3), rng_a)
-        with_ref = obj.sample_subspace(store, [4, 5], ref,
-                                       obj.MRTConfig(n_samples=3,
-                                                     include_reference=True), rng_b)
+        [plain] = obj.sample_decode_dedup(store, np.array([[4, 5]]), [ref],
+                                          obj.MRTConfig(n_samples=3), rng_a)
+        [with_ref] = obj.sample_decode_dedup(
+            store, np.array([[4, 5]]), [ref],
+            obj.MRTConfig(n_samples=3, include_reference=True), rng_b)
         assert ref in with_ref
         assert len(with_ref) in (len(plain), len(plain) + 1)
 
     def test_candidates_are_unique_and_bos_led(self):
         store = make_store(9)
         config = obj.MRTConfig(n_samples=8)
-        cands = obj.sample_subspace(store, [4, 5, 6], [sm.BOS_ID, 7, sm.EOS_ID],
-                                    config, np.random.default_rng(2))
+        [cands] = obj.sample_decode_dedup(store, np.array([[4, 5, 6]]),
+                                          [[sm.BOS_ID, 7, sm.EOS_ID]],
+                                          config, np.random.default_rng(2))
         keys = [tuple(c) for c in cands]
         assert len(keys) == len(set(keys))
         assert all(c[0] == sm.BOS_ID for c in cands)
@@ -315,8 +314,9 @@ class TestBeamSubspace:
     def test_beam_strategy_yields_distinct_bos_led_candidates(self):
         store = make_store(10)
         config = obj.MRTConfig(n_samples=3, sampling_strategy="beam")
-        cands = obj.sample_subspace(store, [4, 5, 6], [sm.BOS_ID, 7, sm.EOS_ID],
-                                    config, np.random.default_rng(0))
+        [cands] = obj.sample_decode_dedup(store, np.array([[4, 5, 6]]),
+                                          [[sm.BOS_ID, 7, sm.EOS_ID]],
+                                          config, np.random.default_rng(0))
         assert 1 <= len(cands) <= 3
         keys = [tuple(c) for c in cands]
         assert len(keys) == len(set(keys))
@@ -325,14 +325,21 @@ class TestBeamSubspace:
     def test_beam_strategy_ignores_the_rng(self):
         store = make_store(10)
         config = obj.MRTConfig(n_samples=3, sampling_strategy="beam")
-        args = (store, [4, 5, 6], [sm.BOS_ID, 7, sm.EOS_ID], config)
-        a = obj.sample_subspace(*args, np.random.default_rng(0))
-        b = obj.sample_subspace(*args, np.random.default_rng(99))
+        args = (store, np.array([[4, 5, 6]]), [[sm.BOS_ID, 7, sm.EOS_ID]], config)
+        a = obj.sample_decode_dedup(*args, np.random.default_rng(0))
+        b = obj.sample_decode_dedup(*args, np.random.default_rng(99))
         assert a == b
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ContractError):
             obj.MRTConfig(sampling_strategy="topk")
+
+
+class TestMRTConfig:
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_rejects_non_positive_temperature(self, temperature):
+        with pytest.raises(ContractError, match="temperature"):
+            obj.MRTConfig(temperature=temperature)
 
 
 class TestTokenBatches:

@@ -140,8 +140,8 @@ class TestForward:
         rows = sm.forward_teacher_forced(store, [5, 6, 7, 8], [sm.BOS_ID, 9, 10])
         want = [-3.62730598, -3.94357443, -3.03910089, -3.71398973, -4.45689631]
         assert np.allclose(rows.data[-1, :5], want, atol=1e-5)
-        mem = sm.encode(store, [5, 6, 7, 8])
-        assert np.allclose(mem.data[0, :4],
+        mem = sm.encode_batch(store, np.asarray([[5, 6, 7, 8]]))
+        assert np.allclose(mem.data[0, 0, :4],
                            [0.51445991, -0.40028888, 0.55363274, -1.48933041],
                            atol=1e-5)
 
@@ -167,31 +167,21 @@ class TestForward:
         assert np.allclose(rows[0, : len(tgt_a)], solo_a, atol=1e-5)
         assert np.allclose(rows[1, : len(tgt_b)], solo_b, atol=1e-5)
 
-    def test_decode_step_equals_last_teacher_forced_row(self, store):
-        src = [5, 6, 7]
-        prefix = [sm.BOS_ID, 9, 12]
-        memory = sm.encode(store, src)
-        step = sm.decode_step(store, memory, prefix, src)
-        rows = sm.forward_teacher_forced(store, src, prefix)
-        assert np.array_equal(step.data, rows.data[-1])
-
     def test_bos_contract(self, store):
         with pytest.raises(ContractError):
             sm.forward_teacher_forced(store, [5], [9, sm.EOS_ID])
-        with pytest.raises(ContractError):
-            sm.decode_step(store, sm.encode(store, [5]), [9], [5])
 
     def test_length_limits(self, store):
         with pytest.raises(LengthError):
-            sm.encode(store, [5] * 17)
+            sm.encode_batch(store, np.full((1, 17), 5))
         with pytest.raises(LengthError):
             sm.forward_teacher_forced(store, [5], [sm.BOS_ID] + [6] * 16)
         with pytest.raises(LengthError):
-            sm.encode(store, [])
+            sm.encode_batch(store, np.zeros((1, 0), dtype=np.int64))
 
     def test_vocabulary_range(self, store):
         with pytest.raises(VocabularyError):
-            sm.encode(store, [32])
+            sm.encode_batch(store, np.asarray([[32]]))
 
     def test_dropout_only_with_rng(self, store):
         src, tgt = [5, 6, 7], [sm.BOS_ID, 8, 9]
@@ -304,9 +294,8 @@ class TestCheckpoint:
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         store.save(p1)
         loaded = sm.ParameterStore.load(p1)
-        grads = {name: nk.Tensor(np.full(t.shape, 0.5, dtype=t.dtype))
-                 for name, t in loaded.items()}
-        obj.Adam(loaded).step(grads, lr=1e-3)
+        loaded.flat_grad.fill(0.5)
+        obj.Adam(loaded).step(lr=1e-3)
         assert not np.array_equal(loaded["enc.0.attn.wq"].data, store["enc.0.attn.wq"].data)
         loaded.save(p2)
         again = sm.ParameterStore.load(p2)
@@ -485,7 +474,9 @@ class TestFlatStore:
         store.zero_grads()
         assert not store.flat_grad.any()
         assert np.array_equal(grads["w"].data, 2 * store["w"].data)  # a copy
-        obj.Adam(store).step(grads, lr=0.1)
+        for name, t in store.items():
+            t.grad[...] = grads[name].data
+        obj.Adam(store).step(lr=0.1)
         assert store.step_count == 1 and store.flat[0] == 0.0 and store.flat[1] < 3.0
         store.save(tmp_path / "loose.ckpt")
         again = sm.ParameterStore.load(tmp_path / "loose.ckpt")
