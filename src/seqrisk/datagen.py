@@ -79,10 +79,6 @@ class DomainSpec:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DomainSpec":
-        return cls(**json.loads(text))
-
 
 def build_vocabulary(spec: DomainSpec) -> sm.Vocabulary:
     """One shared vocabulary holding both source and target symbol spaces."""

@@ -172,7 +172,7 @@ class TestGenData:
                      "domain.json", "vocab.json"):
             assert (out / name).exists(), name
         assert len(dg.read_tsv(out / "train.tsv")) == 24
-        spec = dg.DomainSpec.from_json((out / "domain.json").read_text())
+        spec = cli._load_domain(out / "domain.json")
         assert spec.n_function == 3
 
 
@@ -426,7 +426,7 @@ class TestReproduce:
 
         summary = json.loads((out / "summary.json").read_text())
         vocab = sm.Vocabulary.from_json((out / "vocab.json").read_text())
-        spec = dg.DomainSpec.from_json((out / "domain.json").read_text())
+        spec = cli._load_domain(out / "domain.json")
         pairs = dg.read_tsv(out / "test_ood.tsv")[: ev["sweep_n"]]
         base = dec.DecodeConfig(length_norm_alpha=an.DEFAULT_EVAL_ALPHA)
         for system in ("mle", "mrt"):

@@ -4,6 +4,7 @@ grammar checks, and the strict corpus file format."""
 import numpy as np
 import pytest
 
+from seqrisk import cli
 from seqrisk import datagen as dg
 from seqrisk import seqmodel as sm
 from seqrisk.errors import ContractError, ParseError
@@ -18,9 +19,11 @@ def small_spec(**overrides):
 
 
 class TestDomainSpec:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         spec = small_spec()
-        assert dg.DomainSpec.from_json(spec.to_json()) == spec
+        path = tmp_path / "domain.json"
+        path.write_text(spec.to_json())
+        assert cli._load_domain(path) == spec
 
     def test_validation(self):
         with pytest.raises(ContractError):
