@@ -42,23 +42,6 @@ from .errors import ConfigError, ContractError, ParseError, SeqriskError, Vocabu
 
 
 @dataclass
-class ModelSettings:
-    """Architecture knobs; vocabulary size is derived from the data."""
-
-    embed_dim: int = 64
-    num_heads: int = 2
-    enc_layers: int = 2
-    dec_layers: int = 2
-    ffn_dim: int = 128
-    dropout_rate: float = 0.1
-    max_seq_len: int = 32
-    tie_embeddings: bool = True
-
-    def to_model_config(self, vocab_size: int) -> sm.ModelConfig:
-        return sm.ModelConfig(vocab_size=vocab_size, **asdict(self))
-
-
-@dataclass
 class DataSettings:
     train_size: int = 1500
     dev_size: int = 200
@@ -98,7 +81,7 @@ class EvalSettings:
 class ExperimentConfig:
     seed: int = 0
     domain: dg.DomainSpec = field(default_factory=dg.DomainSpec)
-    model: ModelSettings = field(default_factory=ModelSettings)
+    model: sm.ModelSettings = field(default_factory=sm.ModelSettings)
     data: DataSettings = field(default_factory=DataSettings)
     mle: obj.MLEConfig = field(default_factory=obj.MLEConfig)
     mrt: obj.MRTConfig = field(default_factory=obj.MRTConfig)
@@ -113,7 +96,7 @@ class ExperimentConfig:
 
 _SECTION_TYPES = {
     "domain": dg.DomainSpec,
-    "model": ModelSettings,
+    "model": sm.ModelSettings,
     "data": DataSettings,
     "mle": obj.MLEConfig,
     "mrt": obj.MRTConfig,
@@ -321,25 +304,23 @@ def stage_gen_data(config: ExperimentConfig, outdir: Path) -> dict[str, list[dg.
 
 
 def stage_train_mle(config: ExperimentConfig, vocab: sm.Vocabulary,
-                    train: list[dg.TokenPair], outdir: Path,
-                    trace_name: str = "mle_trace.csv") -> sm.ParameterStore:
+                    train: list[dg.TokenPair], outdir: Path) -> sm.ParameterStore:
     model_config = config.model.to_model_config(len(vocab))
     store = sm.ParameterStore.init(model_config, [config.seed, obj.STREAM_INIT])
     corpus = dg.encode_corpus(vocab, train)
     obj.train_mle(store, corpus, config.mle, config.seed,
-                  trace_path=outdir / trace_name)
+                  trace_path=outdir / "mle_trace.csv")
     store.save(outdir / "mle.ckpt")
     return store
 
 
 def stage_finetune_mrt(config: ExperimentConfig, vocab: sm.Vocabulary,
                        mle_store: sm.ParameterStore, train: list[dg.TokenPair],
-                       outdir: Path,
-                       trace_name: str = "mrt_trace.csv") -> sm.ParameterStore:
+                       outdir: Path) -> sm.ParameterStore:
     store = mle_store.copy()
     corpus = dg.encode_corpus(vocab, train)
     obj.finetune_mrt(store, corpus, config.mrt, config.seed,
-                     trace_path=outdir / trace_name)
+                     trace_path=outdir / "mrt_trace.csv")
     store.save(outdir / "mrt.ckpt")
     return store
 

@@ -1,12 +1,13 @@
 """Decoding strategies over a trained model.
 
 Every decoder runs on `seqmodel.IncrementalDecoder`, the tape-free,
-KV-cached inference core.  Beam search prunes on raw summed log-probabilities
-and ranks its finished pool by a length-normalized score; one vectorised
-core steps the live beams of many sentences as one batch.  Greedy decoding
-is written as its own loop rather than as beam size 1 so the two can
-cross-check each other in tests.  Sampling is batched because risk training
-draws several candidates per source at every step.
+KV-cached inference core, and cuts every sequence at the model's
+max_seq_len tokens, BOS included.  Beam search prunes on raw summed
+log-probabilities and ranks its finished pool by a length-normalized score;
+one vectorised core steps the live beams of many sentences as one batch.
+Greedy decoding is written as its own loop rather than as beam size 1 so
+the two can cross-check each other in tests.  Sampling is batched because
+risk training draws several candidates per source at every step.
 
 PAD and BOS are never proposed as continuations: PAD doubles as the batch
 padding marker so emitting it mid-sequence would corrupt later rescoring,
@@ -32,14 +33,11 @@ StepFn = Callable[[list[list[int]]], np.ndarray]
 @dataclass
 class DecodeConfig:
     beam_size: int = 4
-    max_len: int | None = None  # total tokens incl. BOS; None -> model max_seq_len
     length_norm_alpha: float = 1.0
 
     def __post_init__(self):
         if self.beam_size < 1:
             raise ContractError(f"beam_size must be >= 1, got {self.beam_size}")
-        if self.max_len is not None and self.max_len < 2:
-            raise ContractError(f"max_len must be >= 2, got {self.max_len}")
 
 
 @dataclass
@@ -62,13 +60,6 @@ class Hypothesis:
 
 def length_penalty(length: int, alpha: float) -> float:
     return ((5.0 + length) / 6.0) ** alpha
-
-
-def _resolve_max_len(store: sm.ParameterStore, config: DecodeConfig) -> int:
-    cap = store.config.max_seq_len
-    if config.max_len is None:
-        return cap
-    return min(config.max_len, cap)
 
 
 # advance(parents, seqs) -> [rows, vocab] next-token log-probs: reorder the
@@ -186,7 +177,6 @@ def beam_search_corpus(store: sm.ParameterStore, sources: Sequence[Sequence[int]
     as many per batch as keep beam_size x sources within
     `seqmodel.MAX_LIVE_ROWS`."""
     config = config or DecodeConfig()
-    max_len = _resolve_max_len(store, config)
     per_batch = max(1, sm.MAX_LIVE_ROWS // config.beam_size)
     out: list[list[Hypothesis]] = []
     for start in range(0, len(sources), per_batch):
@@ -195,7 +185,7 @@ def beam_search_corpus(store: sm.ParameterStore, sources: Sequence[Sequence[int]
             raise LengthError("source must contain at least one token")
         state = sm.IncrementalDecoder(store, sm.pad_batch(chunk))
         out.extend(_beam_core(lambda parents, seqs: state.step(parents, seqs[:, -1]),
-                              len(chunk), max_len, config))
+                              len(chunk), store.config.max_seq_len, config))
     return out
 
 
@@ -207,15 +197,13 @@ def beam_search(store: sm.ParameterStore, src: Sequence[int],
 
 
 def greedy_decode(store: sm.ParameterStore, src: Sequence[int],
-                  max_len: int | None = None,
                   length_norm_alpha: float = 1.0) -> Hypothesis:
     """Plain argmax loop; must agree with beam search at beam size 1."""
-    cap = min(max_len or store.config.max_seq_len, store.config.max_seq_len)
     state = sm.IncrementalDecoder(store, np.asarray([src], dtype=np.int64))
     toks = [sm.BOS_ID]
     total = 0.0
     finished = False
-    while len(toks) < cap:
+    while len(toks) < store.config.max_seq_len:
         row = state.step(None, [toks[-1]])[0]
         row[list(BANNED_CONTINUATIONS)] = -np.inf
         best = int(np.argmax(row))  # argmax takes the lowest id on ties
@@ -230,8 +218,7 @@ def greedy_decode(store: sm.ParameterStore, src: Sequence[int],
 
 def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
                         n_samples: int, rng: np.random.Generator,
-                        temperature: float = 1.0,
-                        max_len: int | None = None) -> list[list[list[int]]]:
+                        temperature: float = 1.0) -> list[list[list[int]]]:
     """Ancestral sampling, `n_samples` sequences per source row.
 
     Returns, per source, a list of id sequences including BOS (and EOS when
@@ -245,14 +232,13 @@ def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
     src_batch = np.asarray(src_batch, dtype=np.int64)
     bsz = src_batch.shape[0]
     rows_n = bsz * n_samples
-    cap = min(max_len or store.config.max_seq_len, store.config.max_seq_len)
 
     state = sm.IncrementalDecoder(store, src_batch)
     seqs = [[sm.BOS_ID] for _ in range(rows_n)]
     alive = np.arange(rows_n)  # sequence index of each decoder row
     parents = np.repeat(np.arange(bsz), n_samples)
     tokens = np.full(rows_n, sm.BOS_ID, dtype=np.int64)
-    for _ in range(cap - 1):
+    for _ in range(store.config.max_seq_len - 1):
         logits = state.step(parents, tokens) / temperature
         logits[:, list(BANNED_CONTINUATIONS)] = -np.inf
         shifted = logits - logits.max(axis=1, keepdims=True)

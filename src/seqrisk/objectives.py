@@ -237,7 +237,7 @@ def mle_loss(store: sm.ParameterStore, src_batch: np.ndarray, tgt_batch: np.ndar
     if count == 0:
         raise ContractError("batch contains no non-PAD target positions")
     memory = sm.encode_rows(store, src, rng)
-    rows = sm.decode_rows(store, memory, src.slots, src.pad, dec_in, rng)
+    rows = sm.decode_rows(store, memory, src.slots, dec_in, rng)
     loss = nk.scale(nk.sum_(nk.mul(rows, nk.Tensor(q))), -1.0 / count)
     return loss, count
 
@@ -255,8 +255,7 @@ def forced_log_probs(store: sm.ParameterStore, src_ids: Sequence[IdSeq],
         dec_in = sm.pack(store.config, tgt[:, :-1], "target")
         gold = tgt[:, 1:]
         with nk.no_grad():
-            rows = sm.decode_rows(store, sm.encode_rows(store, src), src.slots, src.pad,
-                                  dec_in).data
+            rows = sm.decode_rows(store, sm.encode_rows(store, src), src.slots, dec_in).data
         picked = np.zeros(gold.shape, dtype=rows.dtype)
         picked[~dec_in.pad] = np.take_along_axis(rows, gold[~dec_in.pad][:, None], axis=-1)[:, 0]
         yield picked, ~dec_in.pad & (gold != sm.PAD_ID)
@@ -467,7 +466,7 @@ def mrt_risk(store: sm.ParameterStore, batch: RiskBatch,
     src = sm.pack(store.config, batch.src_batch, "source")
     dec_in = sm.pack(store.config, cand[:, :-1], "target")
     memory = sm.encode_rows(store, src)
-    rows = sm.decode_rows(store, memory, src.slots.take(owner), src.pad[owner], dec_in)
+    rows = sm.decode_rows(store, memory, src.slots.take(owner), dec_in)
     gold = cand[:, 1:][~dec_in.pad]
     picked = nk.take_along_last(rows, gold)  # [N]
     # member[c, i]: row i is a scored position of candidate c

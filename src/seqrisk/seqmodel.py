@@ -38,20 +38,20 @@ CHECKPOINT_FORMAT = "seqrisk-checkpoint-v1"
 
 
 @dataclass
-class ModelConfig:
-    vocab_size: int
+class ModelSettings:
+    """The architecture: every model setting but the vocabulary size, which
+    comes from the data.  The experiment configuration's `model` section."""
+
     embed_dim: int = 64
     num_heads: int = 2
     enc_layers: int = 2
     dec_layers: int = 2
     ffn_dim: int = 128
     dropout_rate: float = 0.1
-    max_seq_len: int = 32
+    max_seq_len: int = 32  # also every decoder's cap, BOS included
     tie_embeddings: bool = True
 
     def __post_init__(self):
-        if self.vocab_size < 5:
-            raise ContractError(f"vocab_size must be >= 5 (4 specials + content), got {self.vocab_size}")
         if self.embed_dim % self.num_heads != 0:
             raise ContractError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}")
@@ -59,6 +59,19 @@ class ModelConfig:
             raise ContractError(f"max_seq_len must be >= 2, got {self.max_seq_len}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ContractError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+
+    def to_model_config(self, vocab_size: int) -> ModelConfig:
+        return ModelConfig(vocab_size=vocab_size, **asdict(self))
+
+
+@dataclass(kw_only=True)
+class ModelConfig(ModelSettings):
+    vocab_size: int
+
+    def __post_init__(self):
+        if self.vocab_size < 5:
+            raise ContractError(f"vocab_size must be >= 5 (4 specials + content), got {self.vocab_size}")
+        super().__post_init__()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -465,17 +478,17 @@ def encode_rows(store: ParameterStore, src: Packed,
 
 
 def decode_rows(store: ParameterStore, memory: nk.Tensor, memory_slots: nk.Slots,
-                memory_pad: np.ndarray, tgt: Packed,
-                rng: np.random.Generator | None = None) -> nk.Tensor:
+                tgt: Packed, rng: np.random.Generator | None = None) -> nk.Tensor:
     """Decoder over packed target inputs; returns log-probability rows
     [N, vocab], one per target token.  Row i conditions on the target
     positions of its sequence up to its own (causal) and on the memory rows
-    that `memory_slots` ([batch, src_len]) places before that sequence,
-    except where `memory_pad` ([batch, src_len]) is True."""
+    that `memory_slots` ([batch, src_len], -1 at PAD) places before that
+    sequence."""
     cfg = store.config
     t_len = tgt.pad.shape[1]
     causal = np.triu(np.ones((t_len, t_len), dtype=bool), k=1)[None, None, :, :]
     self_mask = causal | tgt.pad[:, None, None, :] if tgt.pad.any() else causal
+    memory_pad = memory_slots.index < 0
     cross_mask = memory_pad[:, None, None, :] if memory_pad.any() else None
 
     x = _embed(store, store.tgt_embedding(), tgt, rng)
@@ -523,9 +536,9 @@ def decode_batch(store: ParameterStore, memory: nk.Tensor, src_ids: np.ndarray,
     positions are zeros, not distributions."""
     tgt = pack(store.config, tgt_ids, "target")
     bsz, src_len, dim = memory.shape
-    rows = decode_rows(store, nk.reshape(memory, (bsz * src_len, dim)),
-                       nk.Slots.full(bsz, src_len),
-                       np.asarray(src_ids, dtype=np.int64) == PAD_ID, tgt, rng)
+    memory_slots = nk.Slots(np.where(np.asarray(src_ids) == PAD_ID, -1,
+                                     nk.Slots.full(bsz, src_len).index))
+    rows = decode_rows(store, nk.reshape(memory, (bsz * src_len, dim)), memory_slots, tgt, rng)
     return _unpack(rows, tgt.slots)
 
 

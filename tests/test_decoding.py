@@ -11,10 +11,10 @@ from seqrisk import seqmodel as sm
 from seqrisk.errors import ContractError
 
 
-def make_store(seed=0, vocab=20):
+def make_store(seed=0, vocab=20, max_seq_len=12):
     cfg = sm.ModelConfig(vocab_size=vocab, embed_dim=16, num_heads=2,
                          enc_layers=1, dec_layers=1, ffn_dim=24,
-                         dropout_rate=0.0, max_seq_len=12)
+                         dropout_rate=0.0, max_seq_len=max_seq_len)
     return sm.ParameterStore.init(cfg, seed)
 
 
@@ -27,8 +27,6 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ContractError):
             dec.DecodeConfig(beam_size=0)
-        with pytest.raises(ContractError):
-            dec.DecodeConfig(max_len=1)
 
     def test_length_penalty(self):
         assert dec.length_penalty(1, 1.0) == 1.0
@@ -64,11 +62,14 @@ class TestBeamSearch:
         assert [h.total_log_prob for h in a] == [h.total_log_prob for h in b]
 
     def test_respects_length_cap(self):
-        store = make_store(3)
-        hyps = dec.beam_search(store, [4], dec.DecodeConfig(beam_size=3, max_len=5))
+        # the model's max_seq_len is the cap; beams still open there close as-is
+        store = make_store(3, max_seq_len=5)
+        hyps = dec.beam_search(store, [4], dec.DecodeConfig(beam_size=3))
+        assert any(not h.finished for h in hyps)
         for h in hyps:
-            assert len(h.tokens) <= 5
             assert h.tokens[0] == sm.BOS_ID
+            assert len(h.tokens) <= 5
+            assert h.finished or len(h.tokens) == 5
 
     def test_never_proposes_pad_or_bos(self):
         for seed in range(4):
