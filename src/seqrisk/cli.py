@@ -13,7 +13,6 @@ malformed data, a held lock), 2 for unexpected internal errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -22,8 +21,6 @@ import types
 import typing
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import analysis as an
@@ -65,6 +62,9 @@ class EvalSettings:
     max_positions: int | None = None
 
     def __post_init__(self):
+        for name in ("hallucination_n", "sweep_n", "uncertainty_n", "eval_beam"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.beam_sizes or any(k < 1 for k in self.beam_sizes):
             raise ContractError("beam_sizes must be a non-empty list of sizes >= 1")
         if not 0.0 <= self.overlap_threshold <= 1.0:
@@ -275,10 +275,26 @@ def _load_model(checkpoint, vocab_path) -> tuple[sm.ParameterStore, sm.Vocabular
     return store, vocab
 
 
-def _read_pairs(args) -> list[dg.TokenPair]:
-    """The pairs of --data-file, cut to the first --n when given."""
+def _refuse_overlong(path, lines: list[list[str]], max_seq_len: int,
+                     forced: bool = False) -> None:
+    """Refuse the first line of file `path` (`lines`: its token lists) that
+    the model cannot take; a `forced` target leaves room for the BOS."""
+    limit = max_seq_len - forced
+    cap = (f"the {limit} that the model's max_seq_len {max_seq_len} leaves after BOS"
+           if forced else f"the model's max_seq_len {max_seq_len}")
+    for number, tokens in enumerate(lines, 1):
+        if len(tokens) > limit:
+            raise ContractError(f"{path}: line {number} has {len(tokens)} "
+                                f"{'target ' if forced else ''}tokens, more than {cap}")
+
+
+def _read_pairs(args, store: sm.ParameterStore) -> list[dg.TokenPair]:
+    """The pairs of --data-file, cut to the first --n when given; a source
+    the model cannot take is refused."""
     pairs = dg.read_tsv(args.data_file)
-    return pairs if args.n is None else pairs[: args.n]
+    pairs = pairs if args.n is None else pairs[: args.n]
+    _refuse_overlong(args.data_file, [src for src, _ in pairs], store.config.max_seq_len)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +512,7 @@ def _cmd_finetune_mrt(args) -> int:
 def _cmd_translate(args) -> int:
     store, vocab = _load_model(args.checkpoint, args.vocab)
     sources = [line.split() for line in sm.read_utf8(args.input).splitlines()]
-    limit = store.config.max_seq_len
-    for number, src in enumerate(sources, 1):
-        if len(src) > limit:
-            raise ContractError(f"{args.input}: line {number} has {len(src)} tokens, "
-                                f"more than the model's max_seq_len {limit}")
+    _refuse_overlong(args.input, sources, store.config.max_seq_len)
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
     lines = [""] * len(sources)  # a blank input line gives a blank output line
     kept = [i for i, src in enumerate(sources) if src]
@@ -521,7 +533,7 @@ def _cmd_translate(args) -> int:
 def _cmd_evaluate(args) -> int:
     store, vocab = _load_model(args.checkpoint, args.vocab)
     spec = _load_domain(args.domain)
-    pairs = _read_pairs(args)
+    pairs = _read_pairs(args, store)
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
     judgments = an.judge_corpus(store, vocab, pairs, spec, config, args.threshold)
     summary = an.summarize_judgments(judgments)
@@ -534,8 +546,12 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze_uncertainty(args) -> int:
     store, vocab = _load_model(args.checkpoint, args.vocab)
-    pairs = _read_pairs(args)
+    pairs = _read_pairs(args, store)
     pool = [tgt for _, tgt in dg.read_tsv(args.distractor_file)]
+    # any pool line may be drawn as a distractor, so each must fit
+    for path, targets in ((args.data_file, [tgt for _, tgt in pairs]),
+                          (args.distractor_file, pool)):
+        _refuse_overlong(path, targets, store.config.max_seq_len, forced=True)
     result = an.uncertainty_curves(store, vocab, pairs, pool,
                                    model_tag=args.system,
                                    max_positions=args.max_positions,
@@ -554,7 +570,7 @@ def _cmd_analyze_uncertainty(args) -> int:
 def _cmd_sweep_beam(args) -> int:
     store, vocab = _load_model(args.checkpoint, args.vocab)
     spec = _load_domain(args.domain)
-    pairs = _read_pairs(args)
+    pairs = _read_pairs(args, store)
     base = dec.DecodeConfig(length_norm_alpha=args.alpha)
     points = an.beam_sweep(store, vocab, pairs, spec, args.beams, args.threshold,
                            base_config=base)

@@ -198,6 +198,8 @@ class MLEConfig:
                 f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.tokens_per_batch < 1 or self.epochs < 0:
             raise ContractError("tokens_per_batch must be >= 1 and epochs >= 0")
+        if self.warmup_steps < 1:
+            raise ContractError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
 
 
 def smoothed_targets(gold: np.ndarray, vocab_size: int, label_smoothing: float,

@@ -18,14 +18,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import numkit as nk
-from .errors import (ContractError, LengthError, NumericsError, ParseError, ShapeError,
-                     VocabularyError)
+from .errors import ContractError, LengthError, NumericsError, ParseError, VocabularyError
 
 PAD_ID = 0
 BOS_ID = 1
@@ -52,6 +51,8 @@ class ModelSettings:
     tie_embeddings: bool = True
 
     def __post_init__(self):
+        if min(self.embed_dim, self.num_heads) < 1:
+            raise ContractError("embed_dim and num_heads must be >= 1")
         if self.embed_dim % self.num_heads != 0:
             raise ContractError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}")

@@ -67,6 +67,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed"):
             cli.config_from_dict({"seed": True})
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("model", "num_heads", 0), ("model", "embed_dim", 0), ("model", "max_seq_len", 1),
+        ("model", "dropout_rate", 1.0), ("eval", "eval_beam", 0),
+        ("eval", "hallucination_n", 0), ("eval", "sweep_n", 0), ("eval", "uncertainty_n", -1),
+        ("mle", "warmup_steps", 0)])
+    def test_bad_value_named_at_load(self, section, field, value):
+        with pytest.raises(ConfigError, match=rf"^{section}: .*{field}"):
+            cli.config_from_dict({section: {field: value}})
+
     def test_contract_violations_name_the_section(self):
         with pytest.raises(ConfigError, match="mrt"):
             cli.config_from_dict({"mrt": {"alpha": -1.0}})
@@ -156,6 +165,23 @@ class TestExitCodes:
         assert code == 1 and "mrt: temperature must be > 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["reproduce", "gen-data"])
+    @pytest.mark.parametrize("override, says", [
+        ("model.num_heads=3", "model: embed_dim 16 not divisible by num_heads 3"),
+        ("model.dropout_rate=1.5", "model: dropout_rate must be in [0, 1), got 1.5"),
+        ("model.max_seq_len=1", "model: max_seq_len must be >= 2, got 1"),
+        ("eval.eval_beam=0", "eval: eval_beam must be >= 1, got 0"),
+        ("eval.sweep_n=0", "eval: sweep_n must be >= 1, got 0"),
+        ("mle.warmup_steps=0", "mle: warmup_steps must be >= 1, got 0")])
+    def test_bad_setting_fails_before_any_file(self, tmp_path, capsys, command,
+                                               override, says):
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", str(write_tiny_config(tmp_path)),
+                         "--set", override, "--outdir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and says in err, err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
@@ -240,6 +266,49 @@ class TestModelCommands:
         assert code == 1
         assert str(src_file) in err and "line 2 has 17 tokens" in err and "16" in err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("command, flag, source, target, says", [
+        ("evaluate", "--data-file", 17, 3, "line 2 has 17 tokens, more than the "
+         "model's max_seq_len 16"),
+        ("sweep-beam", "--data-file", 17, 3, "line 2 has 17 tokens"),
+        ("analyze-uncertainty", "--data-file", 17, 3, "line 2 has 17 tokens"),
+        ("analyze-uncertainty", "--data-file", 3, 16, "line 2 has 16 target tokens, "
+         "more than the 15 that the model's max_seq_len 16 leaves after BOS"),
+        ("analyze-uncertainty", "--distractor-file", 3, 16, "line 2 has 16 target tokens")])
+    def test_overlong_line_refused_naming_it(self, workspace, tmp_path, capsys,
+                                             command, flag, source, target, says):
+        config, data, run = workspace
+        files = {"--data-file": data / "test_ood.tsv", "--distractor-file": data / "test_id.tsv"}
+        lines = (data / "test_id.tsv").read_text().splitlines()[:3]
+        lines[1] = " ".join(["sf0"] * source) + "\t" + " ".join(["tf0"] * target)
+        files[flag] = tmp_path / "long.tsv"
+        files[flag].write_text("\n".join(lines) + "\n")
+        output = tmp_path / "out.csv"
+        argv = {
+            "evaluate": ["--domain", str(data / "domain.json"),
+                         "--judgments", str(output)],
+            "sweep-beam": ["--domain", str(data / "domain.json"), "--output", str(output)],
+            "analyze-uncertainty": ["--distractor-file", str(files["--distractor-file"]),
+                                    "--output", str(output)],
+        }[command]
+        code = cli.main([command, "--checkpoint", str(run / "mle.ckpt"),
+                         "--vocab", str(data / "vocab.json"),
+                         "--data-file", str(files["--data-file"]), *argv])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"{files[flag]}: {says}" in err
+        assert not output.exists()
+
+    def test_forced_target_may_fill_all_but_bos(self, workspace, tmp_path, capsys):
+        config, data, run = workspace
+        lines = (data / "test_ood.tsv").read_text().splitlines()[:3]
+        lines[1] = "sf0\t" + " ".join(["tf0"] * 15)
+        (tmp_path / "full.tsv").write_text("\n".join(lines) + "\n")
+        assert cli.main(["analyze-uncertainty", "--checkpoint", str(run / "mle.ckpt"),
+                         "--vocab", str(data / "vocab.json"),
+                         "--data-file", str(tmp_path / "full.tsv"),
+                         "--distractor-file", str(tmp_path / "full.tsv"),
+                         "--output", str(tmp_path / "curves.csv")]) == 0
 
     @pytest.mark.parametrize("beams", ["1,x", "0,4", ""])
     def test_beams_must_be_positive_integers(self, workspace, beams, tmp_path, capsys):

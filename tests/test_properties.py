@@ -1,15 +1,19 @@
 """Property tests: checkpoint round trips over random model configurations,
-and the invariants of token-budget batching and padding."""
+the configuration's model section against the model's own checks, and the
+invariants of token-budget batching and padding."""
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqrisk import cli
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
+from seqrisk.errors import ConfigError, ContractError
 
 FEW = settings(max_examples=40, deadline=None)
 
@@ -45,6 +49,27 @@ def test_checkpoint_round_trip_is_bit_exact(config, seed, step_count):
     for name, t in store.items():
         assert loaded[name].shape == t.shape
         assert loaded[name].data.tobytes() == t.data.tobytes(), name
+
+
+# each field optional, values around the bounds of the model's checks
+MODEL_SECTIONS = st.fixed_dictionaries({}, optional={
+    "embed_dim": st.integers(-1, 12), "num_heads": st.integers(-1, 5),
+    "enc_layers": st.integers(0, 2), "dec_layers": st.integers(0, 2),
+    "ffn_dim": st.integers(1, 8), "dropout_rate": st.floats(-0.5, 1.5),
+    "max_seq_len": st.integers(-1, 4), "tie_embeddings": st.booleans()})
+
+
+@FEW
+@given(MODEL_SECTIONS, st.integers(5, 40))
+def test_model_section_is_refused_exactly_when_the_model_is(section, vocab_size):
+    try:
+        want = sm.ModelConfig(vocab_size=vocab_size, **section)
+    except ContractError:
+        with pytest.raises(ConfigError, match="^model: "):
+            cli.config_from_dict({"model": section})
+    else:
+        config = cli.config_from_dict({"model": section})
+        assert config.model.to_model_config(vocab_size) == want
 
 
 @FEW
