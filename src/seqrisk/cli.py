@@ -71,6 +71,11 @@ class EvalSettings:
             raise ContractError("overlap_threshold must be in [0, 1]")
         if self.max_positions is not None and self.max_positions < 1:
             raise ContractError("max_positions must be >= 1 when set")
+        if self.min_position < 1:
+            raise ContractError(f"min_position must be >= 1, got {self.min_position}")
+        if self.max_positions is not None and self.min_position > self.max_positions:
+            raise ContractError(f"min_position {self.min_position} exceeds "
+                                f"max_positions {self.max_positions}")
 
     def decode_config(self) -> dec.DecodeConfig:
         return dec.DecodeConfig(beam_size=self.eval_beam,
@@ -148,6 +153,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     kwargs = {"seed": seed}
     for name, cls in _SECTION_TYPES.items():
         kwargs[name] = _build_section(cls, data.get(name, {}), name)
+    # a target holds at most max_seq_len tokens, so max_seq_len - 1 forced positions
+    forced = kwargs["model"].max_seq_len - 1
+    if kwargs["eval"].min_position > forced:
+        raise ConfigError(f"eval: min_position {kwargs['eval'].min_position} exceeds the "
+                          f"{forced} forced positions of a target (model.max_seq_len - 1)")
     return ExperimentConfig(**kwargs)
 
 
@@ -642,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional CSV recording reference-to-distractor pairing")
     p.add_argument("--system", default="model", help="model tag for the CSV rows")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-position", type=int, default=3)
+    p.add_argument("--min-position", type=_positive_int, default=3)
     p.add_argument("--max-positions", type=int, default=None)
     p.set_defaults(func=_cmd_analyze_uncertainty)
 

@@ -180,6 +180,14 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
 # ---------------------------------------------------------------------------
 
 
+def _require_non_negative(config, *names: str) -> None:
+    """Refuse a negative (or NaN) setting, naming it; 0 stays valid."""
+    for name in names:
+        value = getattr(config, name)
+        if not value >= 0:
+            raise ContractError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass
 class MLEConfig:
     epochs: int = 3
@@ -200,6 +208,7 @@ class MLEConfig:
             raise ContractError("tokens_per_batch must be >= 1 and epochs >= 0")
         if self.warmup_steps < 1:
             raise ContractError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
+        _require_non_negative(self, "peak_lr", "grad_clip")
 
 
 def smoothed_targets(gold: np.ndarray, vocab_size: int, label_smoothing: float,
@@ -348,7 +357,6 @@ class MRTConfig:
     alpha: float = 0.005
     lr: float = 1.5e-4
     temperature: float = 1.0
-    sampling_strategy: str = "random"  # "random" | "beam"
     include_reference: bool = False
     grad_clip: float = 1.0  # 0 disables clipping
     beta1: float = 0.9
@@ -362,12 +370,9 @@ class MRTConfig:
             raise ContractError(f"alpha must be > 0, got {self.alpha}")
         if self.temperature <= 0.0:
             raise ContractError(f"temperature must be > 0, got {self.temperature}")
-        if self.sampling_strategy not in ("random", "beam"):
-            raise ContractError(
-                f"sampling_strategy must be 'random' or 'beam', "
-                f"got {self.sampling_strategy!r}")
         if self.sentences_per_batch < 1:
             raise ContractError("sentences_per_batch must be >= 1")
+        _require_non_negative(self, "steps", "lr", "grad_clip")
 
 
 def cost_delta(hyp_ids: Sequence[int], ref_ids: Sequence[int]) -> float:
@@ -379,23 +384,11 @@ def cost_delta(hyp_ids: Sequence[int], ref_ids: Sequence[int]) -> float:
     return 1.0 - metrics.smoothed_sentence_bleu(hyp, ref)
 
 
-def _beam_candidates(store: sm.ParameterStore, src_batch: np.ndarray,
-                     beam_size: int) -> list[list[IdSeq]]:
-    # ranking normalization is irrelevant here: the whole beam is kept
-    cfg = dec.DecodeConfig(beam_size=beam_size, length_norm_alpha=1.0)
-    sources = [[int(t) for t in row if t != sm.PAD_ID] for row in np.asarray(src_batch)]
-    return [[list(h.tokens) for h in hyps]
-            for hyps in dec.beam_search_corpus(store, sources, cfg)]
-
-
 def sample_decode_dedup(store: sm.ParameterStore, src_batch: np.ndarray,
                         refs: list[IdSeq], config: MRTConfig,
                         rng: np.random.Generator) -> list[list[IdSeq]]:
-    if config.sampling_strategy == "beam":
-        raw = _beam_candidates(store, src_batch, config.n_samples)
-    else:
-        raw = dec.sample_decode_batch(store, src_batch, config.n_samples, rng,
-                                      temperature=config.temperature)
+    raw = dec.sample_decode_batch(store, src_batch, config.n_samples, rng,
+                                  temperature=config.temperature)
     out = []
     for b, group in enumerate(raw):
         seen = set()
@@ -428,13 +421,6 @@ class RiskBatch:
     candidates: list[list[IdSeq]]  # per source, deduplicated
     deltas: list[list[float]]      # cost per candidate
 
-    def segments(self) -> list[tuple[int, int]]:
-        offs, off = [], 0
-        for group in self.candidates:
-            offs.append((off, len(group)))
-            off += len(group)
-        return offs
-
 
 def build_risk_batch(store: sm.ParameterStore, src_seqs: list[IdSeq],
                      refs: list[IdSeq], config: MRTConfig,
@@ -454,15 +440,18 @@ def mrt_risk(store: sm.ParameterStore, batch: RiskBatch,
     Each source is encoded once; every candidate of every source is then
     rescored in one flattened teacher-forced pass whose cross-attention
     slots name its source's memory rows, so the memory's keys and values
-    are projected once per source row.  Each source then gets its own
-    sharpened distribution over its candidates.  Returns the scalar risk
-    and a diagnostics dict (per-source risks, candidate counts).
+    are projected once per source row.  The candidates' log-probabilities
+    are then laid out as a [sources, candidates] grid, and one sharpened
+    softmax over its rows gives each source its own distribution over its
+    candidates.  Returns the scalar risk and a diagnostics dict (candidate
+    counts).
     """
     flat: list[IdSeq] = [c for group in batch.candidates for c in group]
     if not flat:
         raise ContractError("risk batch has no candidates")
-    owner = np.asarray([b for b, group in enumerate(batch.candidates) for _ in group],
-                       dtype=np.int64)
+    counts = [len(group) for group in batch.candidates]
+    filled = np.arange(max(counts)) < np.asarray(counts)[:, None]  # [B, K]
+    owner = np.nonzero(filled)[0]  # each candidate's source
 
     cand = pad_batch(flat)
     src = sm.pack(store.config, batch.src_batch, "source")
@@ -474,27 +463,21 @@ def mrt_risk(store: sm.ParameterStore, batch: RiskBatch,
     # member[c, i]: row i is a scored position of candidate c
     member = ((np.nonzero(~dec_in.pad)[0] == np.arange(len(flat))[:, None])
               & (gold != sm.PAD_ID)).astype(store.dtype)
-    log_probs = nk.reshape(nk.matmul(nk.Tensor(member), nk.reshape(picked, (-1, 1))),
-                           (len(flat),))
+    log_probs = nk.matmul(nk.Tensor(member), nk.reshape(picked, (-1, 1)))  # [C, 1]
 
-    per_source = []
-    per_weights = []
-    risk_total = None
-    for (off, cnt), deltas in zip(batch.segments(), batch.deltas):
-        seg = nk.narrow(log_probs, 0, off, cnt)
-        weights = sharpened_distribution(seg, alpha)
-        delta_t = nk.Tensor(np.asarray(deltas, dtype=store.dtype))
-        risk_b = nk.sum_(nk.mul(weights, delta_t))
-        per_source.append(risk_b.item())
-        per_weights.append(weights.data.astype(np.float64).tolist())
-        risk_total = risk_b if risk_total is None else nk.add(risk_total, risk_b)
-    risk = nk.scale(risk_total, 1.0 / len(batch.candidates))
-    info = {
-        "per_source_risk": per_source,
-        "candidate_counts": [len(g) for g in batch.candidates],
-        "weights": per_weights,
-    }
-    return risk, info
+    # empty slots score NEG_INF_FILL once sharpened, so they weigh exactly 0
+    # (in float32 below alpha ~ 3e-30: the dtype's lowest value, also weight 0)
+    slot = np.zeros(filled.shape, dtype=np.int64)
+    slot[filled] = np.arange(len(flat))
+    fill = max(nk.NEG_INF_FILL / alpha, float(np.finfo(store.dtype).min))
+    grid = nk.masked_fill(nk.reshape(nk.embedding(log_probs, slot), filled.shape),
+                          ~filled, fill)
+    cost = np.zeros(filled.shape, dtype=store.dtype)
+    cost[filled] = [d for deltas in batch.deltas for d in deltas]
+    weights = sharpened_distribution(grid, alpha)
+    per_source = nk.sum_(nk.mul(weights, nk.Tensor(cost)), axis=-1)  # expected cost [B]
+    risk = nk.scale(nk.sum_(per_source), 1.0 / len(counts))
+    return risk, {"candidate_counts": counts}
 
 
 @dataclass

@@ -71,10 +71,27 @@ class TestConfigValidation:
         ("model", "num_heads", 0), ("model", "embed_dim", 0), ("model", "max_seq_len", 1),
         ("model", "dropout_rate", 1.0), ("eval", "eval_beam", 0),
         ("eval", "hallucination_n", 0), ("eval", "sweep_n", 0), ("eval", "uncertainty_n", -1),
-        ("mle", "warmup_steps", 0)])
+        ("mle", "warmup_steps", 0), ("mle", "peak_lr", -1), ("mle", "grad_clip", -1),
+        ("mrt", "lr", -1), ("mrt", "steps", -1), ("mrt", "grad_clip", -1),
+        ("eval", "min_position", 0), ("eval", "min_position", 99)])
     def test_bad_value_named_at_load(self, section, field, value):
         with pytest.raises(ConfigError, match=rf"^{section}: .*{field}"):
             cli.config_from_dict({section: {field: value}})
+
+    @pytest.mark.parametrize("section, fields", [
+        ("mle", ("peak_lr", "grad_clip")), ("mrt", ("lr", "steps", "grad_clip"))])
+    def test_zero_training_settings_load(self, section, fields):
+        config = cli.config_from_dict({section: {f: 0 for f in fields}})
+        assert all(getattr(getattr(config, section), f) == 0 for f in fields)
+
+    def test_min_position_bounded_by_the_forced_positions(self):
+        config = cli.config_from_dict({"model": {"max_seq_len": 16},
+                                       "eval": {"min_position": 15, "max_positions": 15}})
+        assert config.eval.min_position == 15
+        with pytest.raises(ConfigError, match=r"^eval: min_position 16 exceeds the 15 forced"):
+            cli.config_from_dict({"model": {"max_seq_len": 16}, "eval": {"min_position": 16}})
+        with pytest.raises(ConfigError, match=r"^eval: min_position 5 exceeds max_positions 4"):
+            cli.config_from_dict({"eval": {"min_position": 5, "max_positions": 4}})
 
     def test_contract_violations_name_the_section(self):
         with pytest.raises(ConfigError, match="mrt"):
@@ -85,7 +102,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("section, field, value", [
         ("mle", "epochs", 1.5), ("model", "tie_embeddings", 1), ("data", "dev_size", True),
         ("eval", "beam_sizes", [1, "4"]), ("eval", "max_positions", "all"),
-        ("mrt", "sampling_strategy", None), ("domain", "p_two_content", "0.5")])
+        ("mrt", "n_samples", "4"), ("domain", "p_two_content", "0.5")])
     def test_wrongly_typed_field_named(self, section, field, value):
         with pytest.raises(ConfigError, match=rf"^{section}\.{field} must be "):
             cli.config_from_dict({section: {field: value}})
@@ -172,7 +189,15 @@ class TestExitCodes:
         ("model.max_seq_len=1", "model: max_seq_len must be >= 2, got 1"),
         ("eval.eval_beam=0", "eval: eval_beam must be >= 1, got 0"),
         ("eval.sweep_n=0", "eval: sweep_n must be >= 1, got 0"),
-        ("mle.warmup_steps=0", "mle: warmup_steps must be >= 1, got 0")])
+        ("mle.warmup_steps=0", "mle: warmup_steps must be >= 1, got 0"),
+        ("mle.peak_lr=-1", "mle: peak_lr must be >= 0, got -1"),
+        ("mle.grad_clip=-1", "mle: grad_clip must be >= 0, got -1"),
+        ("mrt.lr=-1", "mrt: lr must be >= 0, got -1"),
+        ("mrt.steps=-1", "mrt: steps must be >= 0, got -1"),
+        ("mrt.grad_clip=-1", "mrt: grad_clip must be >= 0, got -1"),
+        ("eval.min_position=0", "eval: min_position must be >= 1, got 0"),
+        ("eval.min_position=99", "eval: min_position 99 exceeds the 15 forced positions"),
+        ("mrt.sampling_strategy=beam", "mrt.sampling_strategy is not a recognized field")])
     def test_bad_setting_fails_before_any_file(self, tmp_path, capsys, command,
                                                override, says):
         out = tmp_path / "out"
@@ -333,6 +358,20 @@ class TestModelCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert "--n" in err and "positive integer" in err
+
+    @pytest.mark.parametrize("position", ["0", "-1", "x"])
+    def test_min_position_must_be_positive(self, workspace, position, tmp_path, capsys):
+        config, data, run = workspace
+        code = cli.main(["analyze-uncertainty", "--checkpoint", str(run / "mle.ckpt"),
+                         "--vocab", str(data / "vocab.json"),
+                         "--data-file", str(data / "test_id.tsv"),
+                         "--distractor-file", str(data / "test_ood.tsv"),
+                         "--output", str(tmp_path / "curves.csv"),
+                         "--min-position", position])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--min-position" in err and "positive integer" in err
+        assert not (tmp_path / "curves.csv").exists()
 
     def test_evaluate_emits_summary_json(self, workspace, capsys):
         config, data, run = workspace

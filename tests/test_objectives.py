@@ -14,11 +14,11 @@ from seqrisk import seqmodel as sm
 from seqrisk.errors import ContractError
 
 
-def make_store(seed=0, vocab=20, dropout=0.0):
+def make_store(seed=0, vocab=20, dropout=0.0, dtype=None):
     cfg = sm.ModelConfig(vocab_size=vocab, embed_dim=16, num_heads=2,
                          enc_layers=1, dec_layers=1, ffn_dim=24,
                          dropout_rate=dropout, max_seq_len=12)
-    return sm.ParameterStore.init(cfg, seed)
+    return sm.ParameterStore.init(cfg, seed, dtype)
 
 
 def uniform_store(vocab=20):
@@ -310,31 +310,6 @@ class TestSubspace:
         assert 1 <= len(cands) <= 8
 
 
-class TestBeamSubspace:
-    def test_beam_strategy_yields_distinct_bos_led_candidates(self):
-        store = make_store(10)
-        config = obj.MRTConfig(n_samples=3, sampling_strategy="beam")
-        [cands] = obj.sample_decode_dedup(store, np.array([[4, 5, 6]]),
-                                          [[sm.BOS_ID, 7, sm.EOS_ID]],
-                                          config, np.random.default_rng(0))
-        assert 1 <= len(cands) <= 3
-        keys = [tuple(c) for c in cands]
-        assert len(keys) == len(set(keys))
-        assert all(c[0] == sm.BOS_ID for c in cands)
-
-    def test_beam_strategy_ignores_the_rng(self):
-        store = make_store(10)
-        config = obj.MRTConfig(n_samples=3, sampling_strategy="beam")
-        args = (store, np.array([[4, 5, 6]]), [[sm.BOS_ID, 7, sm.EOS_ID]], config)
-        a = obj.sample_decode_dedup(*args, np.random.default_rng(0))
-        b = obj.sample_decode_dedup(*args, np.random.default_rng(99))
-        assert a == b
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ContractError):
-            obj.MRTConfig(sampling_strategy="topk")
-
-
 class TestMRTConfig:
     @pytest.mark.parametrize("temperature", [0.0, -1.0])
     def test_rejects_non_positive_temperature(self, temperature):
@@ -377,12 +352,71 @@ class TestRiskBatch:
             grads = nk.backward(g, risk, dict(store.items()))
         store.zero_grads()
         assert 0.0 <= risk.item() <= 1.0
-        assert info["candidate_counts"] == [len(g_) for g_ in batch.candidates]
-        for w in info["weights"]:
-            assert all(x >= 0.0 for x in w)
-            assert sum(w) == pytest.approx(1.0, abs=1e-6)
+        assert info == {"candidate_counts": [len(g_) for g_ in batch.candidates]}
         total = sum(float(np.abs(g_.data).sum()) for g_ in grads.values())
         assert total > 0.0
+
+    @pytest.mark.parametrize("alpha, dtype", [(1e-9, np.float64), (1e-31, np.float32)])
+    def test_flat_limit_weighs_only_real_candidates(self, alpha, dtype):
+        # as alpha -> 0 each source's weights become uniform over its own
+        # candidates: the risk is the mean over sources of their mean costs,
+        # so the grid's empty slots must carry no weight
+        store = make_store(10, dtype=dtype)
+        batch = random_risk_batch(np.random.default_rng(4), 5, store.config.vocab_size)
+        counts = [len(g) for g in batch.candidates]
+        assert min(counts) < max(counts)
+        risk, _ = obj.mrt_risk(store, batch, alpha=alpha)
+        assert risk.item() == pytest.approx(
+            np.mean([np.mean(d) for d in batch.deltas]), abs=1e-6)
+
+
+def random_risk_batch(rng, n_sources, vocab, max_candidates=4):
+    """Random sources whose b-th draws 1 + b % max_candidates random
+    candidates (duplicates dropped), and random costs."""
+    bos, eos = sm.BOS_ID, sm.EOS_ID
+    sources, groups = [], []
+    for b in range(n_sources):
+        sources.append([int(t) for t in rng.integers(4, vocab, rng.integers(1, 6))])
+        group: list = []
+        for _ in range(1 + b % max_candidates):
+            cand = [bos] + [int(t) for t in rng.integers(4, vocab, rng.integers(0, 7))] + [eos]
+            if cand not in group:
+                group.append(cand)
+        groups.append(group)
+    deltas = [[float(d) for d in rng.uniform(0.0, 1.0, len(g))] for g in groups]
+    return obj.RiskBatch(obj.pad_batch(sources), groups, deltas)
+
+
+def per_source_sum(log_probs, batch, alpha, dtype):
+    """Mean over sources of each source's expected cost, with one sharpened
+    distribution and one partial sum per source, added in source order."""
+    total, off = None, 0
+    for deltas in batch.deltas:
+        weights = obj.sharpened_distribution(nk.narrow(log_probs, 0, off, len(deltas)), alpha)
+        off += len(deltas)
+        risk_b = nk.sum_(nk.mul(weights, nk.Tensor(np.asarray(deltas, dtype=dtype))))
+        total = risk_b if total is None else nk.add(total, risk_b)
+    return nk.scale(total, 1.0 / len(batch.candidates))
+
+
+def per_source_mrt_risk(store, batch, alpha):
+    """`objectives.mrt_risk` as it was before the one-grid risk: the same
+    rescoring pass, then the per-source loop of `per_source_sum`."""
+    flat = [c for group in batch.candidates for c in group]
+    owner = np.asarray([b for b, group in enumerate(batch.candidates) for _ in group],
+                       dtype=np.int64)
+    cand = obj.pad_batch(flat)
+    src = sm.pack(store.config, batch.src_batch, "source")
+    dec_in = sm.pack(store.config, cand[:, :-1], "target")
+    memory = sm.encode_rows(store, src)
+    rows = sm.decode_rows(store, memory, src.slots.take(owner), dec_in)
+    gold = cand[:, 1:][~dec_in.pad]
+    picked = nk.take_along_last(rows, gold)
+    member = ((np.nonzero(~dec_in.pad)[0] == np.arange(len(flat))[:, None])
+              & (gold != sm.PAD_ID)).astype(store.dtype)
+    log_probs = nk.reshape(nk.matmul(nk.Tensor(member), nk.reshape(picked, (-1, 1))),
+                           (len(flat),))
+    return per_source_sum(log_probs, batch, alpha, store.dtype)
 
 
 def per_candidate_mrt_risk(store, batch, alpha):
@@ -394,12 +428,57 @@ def per_candidate_mrt_risk(store, batch, alpha):
     rows = sm.decode_batch(store, sm.encode_batch(store, src_rows), src_rows, cand[:, :-1])
     mask = (cand[:, 1:] != sm.PAD_ID).astype(store.dtype)
     log_probs = nk.sum_(nk.mul(nk.take_along_last(rows, cand[:, 1:]), nk.Tensor(mask)), axis=-1)
-    total = None
-    for (off, cnt), deltas in zip(batch.segments(), batch.deltas):
-        weights = obj.sharpened_distribution(nk.narrow(log_probs, 0, off, cnt), alpha)
-        risk_b = nk.sum_(nk.mul(weights, nk.Tensor(np.asarray(deltas, dtype=store.dtype))))
-        total = risk_b if total is None else nk.add(total, risk_b)
-    return nk.scale(total, 1.0 / len(batch.candidates))
+    return per_source_sum(log_probs, batch, alpha, store.dtype)
+
+
+def risk_and_grads(store, risk_fn):
+    with nk.Graph() as g:
+        risk = risk_fn()
+        grads = nk.backward(g, risk, dict(store.items()))
+    store.zero_grads()
+    return risk.item(), {name: t.data.copy() for name, t in grads.items()}
+
+
+class TestOneGrid:
+    @pytest.mark.parametrize("n_sources, risk_ulps", [(3, 0), (8, 1)])
+    def test_float32_matches_the_per_source_sum(self, n_sources, risk_ulps):
+        store = make_store(11)
+        assert store.dtype == np.float32
+        batch = random_risk_batch(np.random.default_rng(n_sources), n_sources,
+                                  store.config.vocab_size)
+        assert len({len(g) for g in batch.candidates}) > 1  # the grid has empty slots
+        got, got_grads = risk_and_grads(store, lambda: obj.mrt_risk(store, batch, 0.005)[0])
+        want, want_grads = risk_and_grads(store, lambda: per_source_mrt_risk(store, batch, 0.005))
+        # every source's partial sum gets the same 1/B, so only the risk's
+        # own summation order may differ
+        for name, grad in want_grads.items():
+            assert np.array_equal(got_grads[name], grad), name
+        assert abs(got - want) <= risk_ulps * np.spacing(np.float32(want))
+        assert any(np.abs(g).max() > 0.0 for g in got_grads.values())
+
+    def test_risk_nodes_do_not_grow_with_the_sources(self):
+        store = make_store(12)
+
+        def nodes_after_rescoring(n_sources):
+            batch = random_risk_batch(np.random.default_rng(0), n_sources,
+                                      store.config.vocab_size)
+            with nk.Graph() as g:
+                obj.mrt_risk(store, batch, 0.005)
+            names = [node.name for node in g.nodes]
+            last_pick = len(names) - 1 - names[::-1].index("take_along_last")
+            return len(names) - last_pick - 1
+
+        assert nodes_after_rescoring(2) == nodes_after_rescoring(8)
+
+    def test_shipped_step_records_at_most_70_nodes(self):
+        config = sm.ModelSettings().to_model_config(20)
+        store = sm.ParameterStore.init(config, 0)
+        batch = random_risk_batch(np.random.default_rng(1), 8, 20)
+        with nk.Graph() as g:
+            risk, _ = obj.mrt_risk(store, batch, 0.005)
+            nk.backward(g, risk)
+        store.zero_grads()
+        assert len(g.nodes) <= 70
 
 
 class TestEncodeOnce:

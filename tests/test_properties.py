@@ -62,13 +62,16 @@ MODEL_SECTIONS = st.fixed_dictionaries({}, optional={
 @FEW
 @given(MODEL_SECTIONS, st.integers(5, 40))
 def test_model_section_is_refused_exactly_when_the_model_is(section, vocab_size):
+    # eval.min_position is checked against model.max_seq_len; at 1 it fits
+    # every valid model, so the model section alone decides
+    data = {"model": section, "eval": {"min_position": 1}}
     try:
         want = sm.ModelConfig(vocab_size=vocab_size, **section)
     except ContractError:
         with pytest.raises(ConfigError, match="^model: "):
-            cli.config_from_dict({"model": section})
+            cli.config_from_dict(data)
     else:
-        config = cli.config_from_dict({"model": section})
+        config = cli.config_from_dict(data)
         assert config.model.to_model_config(vocab_size) == want
 
 

@@ -606,9 +606,10 @@ def ref_mrt_risk(store, batch, alpha):
     rows = ref_decode(store, ref_encode(store, src), src, cand[:, :-1])
     mask = (cand[:, 1:] != sm.PAD_ID).astype(store.dtype)
     log_probs = nk.sum_(nk.mul(nk.take_along_last(rows, cand[:, 1:]), nk.Tensor(mask)), axis=-1)
-    total = None
-    for (off, cnt), deltas in zip(batch.segments(), batch.deltas):
-        weights = obj.sharpened_distribution(nk.narrow(log_probs, 0, off, cnt), alpha)
+    total, off = None, 0
+    for deltas in batch.deltas:
+        weights = obj.sharpened_distribution(nk.narrow(log_probs, 0, off, len(deltas)), alpha)
+        off += len(deltas)
         risk_b = nk.sum_(nk.mul(weights, nk.Tensor(np.asarray(deltas))))
         total = risk_b if total is None else nk.add(total, risk_b)
     return nk.scale(total, 1.0 / len(batch.candidates))
