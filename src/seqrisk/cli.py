@@ -475,6 +475,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _unit_float(text: str) -> float:
+    """A number in [0, 1], such as an overlap threshold."""
+    try:
+        if 0.0 <= float(text) <= 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+
+
 def _positive_ints(text: str) -> list[int]:
     """A comma-separated list of positive integers, such as "1,4,50"."""
     return [_positive_int(part.strip()) for part in text.split(",")]
@@ -556,6 +566,18 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze_uncertainty(args) -> int:
     store, vocab = _load_model(args.checkpoint, args.vocab)
+    # a target holds at most max_seq_len tokens, so max_seq_len - 1 forced positions
+    forced = store.config.max_seq_len - 1
+    if args.min_position > forced:
+        raise ConfigError(f"argument --min-position: {args.min_position} exceeds the {forced} "
+                          f"forced positions of {args.checkpoint}'s targets (max_seq_len - 1)")
+    if args.max_positions is not None and args.min_position > args.max_positions:
+        raise ConfigError(f"argument --min-position: {args.min_position} exceeds "
+                          f"--max-positions {args.max_positions}")
+    # two files are written: fail before the first rather than between them
+    for path in filter(None, (args.output, args.assignment)):
+        if not os.access(os.path.dirname(path) or ".", os.W_OK):
+            raise ContractError(f"cannot write {path}: its directory is missing or read-only")
     pairs = _read_pairs(args, store)
     pool = [tgt for _, tgt in dg.read_tsv(args.distractor_file)]
     # any pool line may be drawn as a distractor, so each must fit
@@ -566,11 +588,12 @@ def _cmd_analyze_uncertainty(args) -> int:
                                    model_tag=args.system,
                                    max_positions=args.max_positions,
                                    seed=args.seed)
+    gap = result.gap_mean(args.min_position)  # may fail: before any file is written
     an.write_curves_csv(args.output, [result.references, result.distractors])
     if args.assignment:
         an.write_assignment_csv(args.assignment, result)
     print(json.dumps({
-        "certainty_gap": result.gap_mean(args.min_position),
+        "certainty_gap": gap,
         "positions": len(result.references.positions),
         "exact_length_matches": sum(result.exact_length),
     }, sort_keys=True))
@@ -624,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--input", required=True, help="one source sentence per line")
     p.add_argument("--output", default="-")
-    p.add_argument("--beam", type=int, default=4)
+    p.add_argument("--beam", type=_positive_int, default=4)
     p.add_argument("--alpha", type=float, default=1.0,
                    help="length normalization exponent")
     p.add_argument("--scores", action="store_true",
@@ -635,9 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--domain", required=True)
     _add_pair_flags(p)
-    p.add_argument("--beam", type=int, default=4)
+    p.add_argument("--beam", type=_positive_int, default=4)
     p.add_argument("--alpha", type=float, default=an.DEFAULT_EVAL_ALPHA)
-    p.add_argument("--threshold", type=float, default=an.DEFAULT_OVERLAP_THRESHOLD)
+    p.add_argument("--threshold", type=_unit_float, default=an.DEFAULT_OVERLAP_THRESHOLD)
     p.add_argument("--judgments", default=None, help="write per-sentence JSONL here")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -653,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default="model", help="model tag for the CSV rows")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-position", type=_positive_int, default=3)
-    p.add_argument("--max-positions", type=int, default=None)
+    p.add_argument("--max-positions", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_analyze_uncertainty)
 
     p = sub.add_parser("sweep-beam", help="score and hallucination rate by beam size")
@@ -666,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=",".join(str(k) for k in an.DEFAULT_BEAM_SIZES),
                    help="comma-separated beam sizes")
     p.add_argument("--alpha", type=float, default=an.DEFAULT_EVAL_ALPHA)
-    p.add_argument("--threshold", type=float, default=an.DEFAULT_OVERLAP_THRESHOLD)
+    p.add_argument("--threshold", type=_unit_float, default=an.DEFAULT_OVERLAP_THRESHOLD)
     p.set_defaults(func=_cmd_sweep_beam)
 
     p = sub.add_parser("reproduce", help="run the full study into one directory")

@@ -25,16 +25,6 @@ DEFAULT_DTYPE = np.float32
 # the score `attention` gives a masked key: exp() of it underflows to 0
 NEG_INF_FILL = -1e9
 
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle per-op NaN/Inf detection; returns the previous setting."""
-    global _FINITE_CHECKS
-    previous = _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
-    return previous
-
 
 class Tensor:
     """A shaped buffer of floats, optionally tracked by the active graph."""
@@ -120,7 +110,7 @@ class no_grad:
 def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
             backward_rule: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result, check finiteness, and record it on the tape."""
-    if _FINITE_CHECKS and not np.isfinite(out_data).all():
+    if not np.isfinite(out_data).all():
         raise NumericsError(f"non-finite values produced by op '{op}'")
     graph = _active_graph()
     requires = graph is not None and any(t.requires_grad for t in inputs)
@@ -539,7 +529,7 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
     s = 1.0 / math.sqrt(dh)
 
     def checked(what: str, arr: np.ndarray) -> np.ndarray:
-        if _FINITE_CHECKS and not np.isfinite(arr).all():
+        if not np.isfinite(arr).all():
             raise NumericsError(f"non-finite values produced by op 'attention' ({what})")
         return arr
 

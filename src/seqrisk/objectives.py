@@ -52,7 +52,8 @@ pad_batch = sm.pad_batch
 
 
 class Adam:
-    """Adam with bias correction and optional global-norm gradient clipping.
+    """Adam with bias correction and optional global-norm gradient clipping
+    (`grad_clip` 0 disables it).
 
     Works on the store's flat buffers: the moments are flat arrays and one
     update is a handful of whole-buffer numpy calls, each element going
@@ -60,10 +61,12 @@ class Adam:
     would.  The global norm is still summed per tensor, in store order, in
     float64."""
 
-    def __init__(self, store: sm.ParameterStore, beta1: float = 0.9,
-                 beta2: float = 0.98, eps: float = 1e-9, grad_clip: float = 1.0):
+    BETA1 = 0.9
+    BETA2 = 0.98
+    EPS = 1e-9
+
+    def __init__(self, store: sm.ParameterStore, grad_clip: float):
         self.store = store
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.grad_clip = grad_clip
         self.t = 0
         self.m = np.zeros_like(store.flat)
@@ -85,15 +88,15 @@ class Adam:
             g = g * (self.grad_clip / norm)
 
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         m, v = self.m, self.v
         # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
-        m *= self.beta1
-        tmp = g * (1.0 - self.beta1)
+        m *= self.BETA1
+        tmp = g * (1.0 - self.BETA1)
         m += tmp
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        v *= self.BETA2
+        np.multiply(g, 1.0 - self.BETA2, out=tmp)
         tmp *= g
         v += tmp
         # param -= lr m_hat / (sqrt(v_hat) + eps)
@@ -101,7 +104,7 @@ class Adam:
         update *= lr
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += self.EPS
         update /= tmp
         store.flat -= update
         store.step_count += 1
@@ -133,14 +136,14 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
 
     Per batch: `objective(batch)` returns (scalar tensor, info) built on a
     fresh tape (any sampling it does first runs tape-free), then backward,
-    a divergence check that names the step, and one Adam step (the config's
-    betas, eps and clipping) at `lr_at(step)`.  Writes one CSV trace row
+    a divergence check that names the step, and one Adam step (with the
+    config's clipping) at `lr_at(step)`.  Writes one CSV trace row
     (step, objective_value, learning_rate) per step when `trace_path` is
     set, and returns one `_Step` per step.  The trace file is replaced when
     the loop ends: after the last step, or, when training diverges, with
     the rows of the steps before it; any other exception leaves no trace."""
     nk.retain_heap_top()  # each step frees its whole tape; keep that memory
-    optim = Adam(store, config.beta1, config.beta2, config.adam_eps, config.grad_clip)
+    optim = Adam(store, config.grad_clip)
     store.zero_grads()  # backward adds into the store's gradient buffer
     steps = []
     diverged = None
@@ -196,9 +199,6 @@ class MLEConfig:
     warmup_steps: int = 200
     label_smoothing: float = 0.1
     grad_clip: float = 1.0  # 0 disables clipping
-    beta1: float = 0.9
-    beta2: float = 0.98
-    adam_eps: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -359,9 +359,6 @@ class MRTConfig:
     temperature: float = 1.0
     include_reference: bool = False
     grad_clip: float = 1.0  # 0 disables clipping
-    beta1: float = 0.9
-    beta2: float = 0.98
-    adam_eps: float = 1e-9
 
     def __post_init__(self):
         if self.n_samples < 1:

@@ -15,8 +15,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, asdict
 from typing import Iterable, NamedTuple, Sequence
@@ -48,7 +50,6 @@ class ModelSettings:
     ffn_dim: int = 128
     dropout_rate: float = 0.1
     max_seq_len: int = 32  # also every decoder's cap, BOS included
-    tie_embeddings: bool = True
 
     def __post_init__(self):
         if min(self.embed_dim, self.num_heads) < 1:
@@ -79,6 +80,11 @@ class ModelConfig(ModelSettings):
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of `to_dict`.  Checkpoints written while embeddings could
+        be untied also carry `tie_embeddings`, which must be true."""
+        d = dict(d)
+        if d.pop("tie_embeddings", True) is not True:
+            raise ContractError("untied embeddings (tie_embeddings false) are not supported")
         return cls(**d)
 
 
@@ -184,6 +190,41 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
         raise
 
 
+def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in the order `ParameterStore.init`
+    draws them and a checkpoint stores them.  One embedding, `embed.shared`,
+    serves the source, the target and the output projection."""
+    d, f = config.embed_dim, config.ffn_dim
+    layout = [("embed.shared", (config.vocab_size, d))]
+
+    def attn_block(prefix: str):
+        layout.extend((f"{prefix}.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo"))
+
+    def ln_block(prefix: str):
+        layout.extend([(f"{prefix}.gain", (d,)), (f"{prefix}.bias", (d,))])
+
+    def ffn_block(prefix: str):
+        layout.extend([(f"{prefix}.w1", (d, f)), (f"{prefix}.b1", (f,)),
+                       (f"{prefix}.w2", (f, d)), (f"{prefix}.b2", (d,))])
+
+    for i in range(config.enc_layers):
+        ln_block(f"enc.{i}.ln1")
+        attn_block(f"enc.{i}.attn")
+        ln_block(f"enc.{i}.ln2")
+        ffn_block(f"enc.{i}.ffn")
+    ln_block("enc.final_ln")
+
+    for i in range(config.dec_layers):
+        ln_block(f"dec.{i}.ln1")
+        attn_block(f"dec.{i}.self")
+        ln_block(f"dec.{i}.ln2")
+        attn_block(f"dec.{i}.cross")
+        ln_block(f"dec.{i}.ln3")
+        ffn_block(f"dec.{i}.ffn")
+    ln_block("dec.final_ln")
+    return layout
+
+
 class ParameterStore:
     """Named, shaped parameter tensors plus the step counter; the checkpoint
     unit.  Every tensor's data is a view into one contiguous buffer, `flat`,
@@ -209,49 +250,17 @@ class ParameterStore:
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int, dtype=None) -> "ParameterStore":
+        """Draw every tensor of `parameter_layout(config)`, in its order:
+        matrices Xavier-uniform, layer-norm gains one, other vectors zero."""
         dtype = dtype or nk.DEFAULT_DTYPE
         rng = np.random.default_rng(seed)
-        d, f, v = config.embed_dim, config.ffn_dim, config.vocab_size
-        p: dict[str, np.ndarray] = {}
-
-        if config.tie_embeddings:
-            p["embed.shared"] = _xavier(rng, v, d, dtype)
-        else:
-            p["embed.src"] = _xavier(rng, v, d, dtype)
-            p["embed.tgt"] = _xavier(rng, v, d, dtype)
-            p["out.weight"] = _xavier(rng, v, d, dtype)
-
-        def attn_block(prefix: str):
-            for w in ("wq", "wk", "wv", "wo"):
-                p[f"{prefix}.{w}"] = _xavier(rng, d, d, dtype)
-
-        def ln_block(prefix: str):
-            p[f"{prefix}.gain"] = np.ones(d, dtype=dtype)
-            p[f"{prefix}.bias"] = np.zeros(d, dtype=dtype)
-
-        def ffn_block(prefix: str):
-            p[f"{prefix}.w1"] = _xavier(rng, d, f, dtype)
-            p[f"{prefix}.b1"] = np.zeros(f, dtype=dtype)
-            p[f"{prefix}.w2"] = _xavier(rng, f, d, dtype)
-            p[f"{prefix}.b2"] = np.zeros(d, dtype=dtype)
-
-        for i in range(config.enc_layers):
-            ln_block(f"enc.{i}.ln1")
-            attn_block(f"enc.{i}.attn")
-            ln_block(f"enc.{i}.ln2")
-            ffn_block(f"enc.{i}.ffn")
-        ln_block("enc.final_ln")
-
-        for i in range(config.dec_layers):
-            ln_block(f"dec.{i}.ln1")
-            attn_block(f"dec.{i}.self")
-            ln_block(f"dec.{i}.ln2")
-            attn_block(f"dec.{i}.cross")
-            ln_block(f"dec.{i}.ln3")
-            ffn_block(f"dec.{i}.ffn")
-        ln_block("dec.final_ln")
-
-        tensors = {name: nk.Tensor(arr, requires_grad=True) for name, arr in p.items()}
+        tensors = {}
+        for name, shape in parameter_layout(config):
+            if len(shape) == 2:
+                arr = _xavier(rng, *shape, dtype)
+            else:
+                arr = (np.ones if name.endswith(".gain") else np.zeros)(shape, dtype=dtype)
+            tensors[name] = nk.Tensor(arr, requires_grad=True)
         return cls(config, tensors, step_count=0)
 
     def __getitem__(self, name: str) -> nk.Tensor:
@@ -274,15 +283,6 @@ class ParameterStore:
     def copy(self) -> "ParameterStore":
         params = {n: nk.Tensor(t.data, requires_grad=True) for n, t in self._params.items()}
         return ParameterStore(self.config, params, self.step_count)
-
-    def src_embedding(self) -> nk.Tensor:
-        return self["embed.shared"] if self.config.tie_embeddings else self["embed.src"]
-
-    def tgt_embedding(self) -> nk.Tensor:
-        return self["embed.shared"] if self.config.tie_embeddings else self["embed.tgt"]
-
-    def output_weight(self) -> nk.Tensor:
-        return self["embed.shared"] if self.config.tie_embeddings else self["out.weight"]
 
     # -- checkpoint io -----------------------------------------------------
 
@@ -312,10 +312,12 @@ class ParameterStore:
     @classmethod
     def load(cls, path) -> "ParameterStore":
         """Read a checkpoint into a fresh, writable store (the payload is
-        copied once).  A file whose manifest is unreadable, whose tensors
-        do not exactly tile the payload, or whose payload does not match
-        the manifest's `payload_sha256` raises ContractError naming the
-        file.  Files written before the checksum (no such key) still load."""
+        copied once).  A file whose manifest is unreadable or holds an
+        invalid config, whose tensors are not `parameter_layout` of that
+        config or do not exactly tile the payload, or whose payload does
+        not match the manifest's `payload_sha256` raises ContractError
+        naming the file.  Files written before the checksum (no such key)
+        still load."""
         with open(path, "rb") as fh:
             header = fh.readline()
             payload = fh.read()
@@ -327,11 +329,19 @@ class ParameterStore:
             raise ContractError(f"not a {CHECKPOINT_FORMAT} file: {path}")
         try:
             config = ModelConfig.from_dict(manifest["config"])
-            entries = [(e["name"], tuple(e["shape"]), int(e["offset"]))
+            layout = parameter_layout(config)
+            entries = [(e["name"], tuple(map(operator.index, e["shape"])), int(e["offset"]))
                        for e in manifest["tensors"]]
             step_count = int(manifest["step_count"])
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
+        for have, want in itertools.zip_longest([e[:2] for e in entries], layout):
+            if have != want:
+                held = f"tensor {have[0]} {have[1]}" if have else "no tensor"
+                needed = f"{want[0]} {want[1]}" if want else "none"
+                raise ContractError(f"{path}: holds {held} where its config's model has {needed}")
         flat = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
         params: dict[str, nk.Tensor] = {}
         end = 0
@@ -453,10 +463,9 @@ def _ln(store: ParameterStore, prefix: str, x: nk.Tensor) -> nk.Tensor:
     return nk.layer_norm(x, store[f"{prefix}.gain"], store[f"{prefix}.bias"])
 
 
-def _embed(store: ParameterStore, weight: nk.Tensor, tokens: Packed,
-           rng: np.random.Generator | None) -> nk.Tensor:
+def _embed(store: ParameterStore, tokens: Packed, rng: np.random.Generator | None) -> nk.Tensor:
     cfg = store.config
-    x = nk.scale(nk.embedding(weight, tokens.ids), math.sqrt(cfg.embed_dim))
+    x = nk.scale(nk.embedding(store["embed.shared"], tokens.ids), math.sqrt(cfg.embed_dim))
     table = sinusoid_table(cfg.max_seq_len, cfg.embed_dim, dtype=store.dtype)
     x = nk.add(x, nk.Tensor(table[tokens.at % tokens.pad.shape[1]]))
     return _dropout(x, cfg.dropout_rate, rng, tokens)
@@ -467,7 +476,7 @@ def encode_rows(store: ParameterStore, src: Packed,
     """Encoder over packed source tokens; returns memory rows [N, embed_dim].
     Only attention sees the padded grid."""
     pad_mask = src.pad[:, None, None, :] if src.pad.any() else None  # [B,1,1,Ls]
-    x = _embed(store, store.src_embedding(), src, rng)
+    x = _embed(store, src, rng)
     for i in range(store.config.enc_layers):
         normed = _ln(store, f"enc.{i}.ln1", x)
         attn = _attention(store, f"enc.{i}.attn", normed, normed, pad_mask, rng,
@@ -492,7 +501,7 @@ def decode_rows(store: ParameterStore, memory: nk.Tensor, memory_slots: nk.Slots
     memory_pad = memory_slots.index < 0
     cross_mask = memory_pad[:, None, None, :] if memory_pad.any() else None
 
-    x = _embed(store, store.tgt_embedding(), tgt, rng)
+    x = _embed(store, tgt, rng)
     for i in range(cfg.dec_layers):
         normed = _ln(store, f"dec.{i}.ln1", x)
         attn = _attention(store, f"dec.{i}.self", normed, normed, self_mask, rng,
@@ -504,7 +513,7 @@ def decode_rows(store: ParameterStore, memory: nk.Tensor, memory_slots: nk.Slots
         ff = _ffn(store, f"dec.{i}.ffn", _ln(store, f"dec.{i}.ln3", x), rng, tgt)
         x = nk.add(x, _dropout(ff, cfg.dropout_rate, rng, tgt))
     x = _ln(store, "dec.final_ln", x)
-    logits = nk.matmul(x, nk.transpose(store.output_weight(), (1, 0)))
+    logits = nk.matmul(x, nk.transpose(store["embed.shared"], (1, 0)))
     return nk.log_softmax(logits)
 
 
@@ -593,9 +602,9 @@ class IncrementalDecoder:
         self.config = cfg
         self.length = 0  # target positions fed so far
         self._p = {name: t.data for name, t in store.items()}
-        self._embed = store.tgt_embedding().data
+        self._embed = store["embed.shared"].data
         self._embed_scale = store.dtype.type(math.sqrt(cfg.embed_dim))
-        self._out_t = np.ascontiguousarray(store.output_weight().data.T)
+        self._out_t = np.ascontiguousarray(store["embed.shared"].data.T)
         self._table = sinusoid_table(cfg.max_seq_len, cfg.embed_dim, store.dtype)
         pad = src_ids == PAD_ID
         self._cross_mask = pad[:, None, :] if pad.any() else None

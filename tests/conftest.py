@@ -5,15 +5,11 @@ from seqrisk import numkit as nk
 
 @pytest.fixture(autouse=True)
 def numkit_state_is_clean():
-    """Fail a test that leaves numkit's global state changed: a graph still
-    recording, or the per-op finiteness checks switched off.  The state is
-    reset first, so one leak does not fail the tests after it."""
+    """Fail a test that leaves a graph still recording on numkit's global
+    stack.  The stack is cleared first, so one leak does not fail the tests
+    after it."""
     yield
-    leaks = []
     if nk._GRAPH_STACK:
-        leaks.append(f"{len(nk._GRAPH_STACK)} graph(s) still on the stack")
+        depth = len(nk._GRAPH_STACK)
         nk._GRAPH_STACK.clear()
-    if not nk.set_finite_checks(True):
-        leaks.append("finite checks left switched off")
-    if leaks:
-        pytest.fail("numkit state left dirty: " + "; ".join(leaks))
+        pytest.fail(f"numkit state left dirty: {depth} graph(s) still on the stack")

@@ -100,7 +100,7 @@ class TestConfigValidation:
             cli.config_from_dict({"domain": {"min_chunks": 5, "max_chunks": 2}})
 
     @pytest.mark.parametrize("section, field, value", [
-        ("mle", "epochs", 1.5), ("model", "tie_embeddings", 1), ("data", "dev_size", True),
+        ("mle", "epochs", 1.5), ("model", "enc_layers", 1.5), ("data", "dev_size", True),
         ("eval", "beam_sizes", [1, "4"]), ("eval", "max_positions", "all"),
         ("mrt", "n_samples", "4"), ("domain", "p_two_content", "0.5")])
     def test_wrongly_typed_field_named(self, section, field, value):
@@ -165,7 +165,17 @@ class TestExitCodes:
         good = tmp_path / "good.ckpt"
         sm.ParameterStore.init(cfg, 0).save(good)
         whole = good.read_bytes()
-        for name, data in (("truncated.ckpt", whole[:-8]), ("padded.ckpt", whole + b"\0" * 4)):
+        header, payload = whole.split(b"\n", 1)
+
+        def edited(**config):  # the manifest's config misdescribes the tensors
+            manifest = json.loads(header)
+            manifest["config"].update(config)
+            return json.dumps(manifest).encode() + b"\n" + payload
+
+        for name, data in (("truncated.ckpt", whole[:-8]), ("padded.ckpt", whole + b"\0" * 4),
+                           ("layers.ckpt", edited(enc_layers=2)), ("ffn.ckpt", edited(ffn_dim=4)),
+                           ("heads.ckpt", edited(num_heads=3)),
+                           ("untied.ckpt", edited(tie_embeddings=False))):
             (tmp_path / name).write_bytes(data)
             code = cli.main(["translate", "--checkpoint", str(tmp_path / name),
                              "--vocab", str(tmp_path / "vocab.json"),
@@ -197,7 +207,10 @@ class TestExitCodes:
         ("mrt.grad_clip=-1", "mrt: grad_clip must be >= 0, got -1"),
         ("eval.min_position=0", "eval: min_position must be >= 1, got 0"),
         ("eval.min_position=99", "eval: min_position 99 exceeds the 15 forced positions"),
-        ("mrt.sampling_strategy=beam", "mrt.sampling_strategy is not a recognized field")])
+        ("mrt.sampling_strategy=beam", "mrt.sampling_strategy is not a recognized field"),
+        ("model.tie_embeddings=false", "model.tie_embeddings is not a recognized field"),
+        ("mle.beta1=0.8", "mle.beta1 is not a recognized field"),
+        ("mrt.adam_eps=1e-8", "mrt.adam_eps is not a recognized field")])
     def test_bad_setting_fails_before_any_file(self, tmp_path, capsys, command,
                                                override, says):
         out = tmp_path / "out"
@@ -372,6 +385,49 @@ class TestModelCommands:
         assert code == 1
         assert "--min-position" in err and "positive integer" in err
         assert not (tmp_path / "curves.csv").exists()
+
+    @pytest.mark.parametrize("flags, says", [
+        (["--min-position", "99"], "argument --min-position: 99 exceeds the 15 forced positions"),
+        (["--max-positions", "0"], "argument --max-positions: must be a positive integer"),
+        (["--min-position", "5", "--max-positions", "3"],
+         "argument --min-position: 5 exceeds --max-positions 3"),
+        (["--min-position", "15"], "no shared positions >= 15"),
+        (["--assignment", "no-such-dir/assignment.csv"],
+         "cannot write no-such-dir/assignment.csv: its directory is missing")])
+    def test_uncertainty_failure_writes_no_file(self, workspace, tmp_path, capsys,
+                                                flags, says):
+        config, data, run = workspace
+        code = cli.main(["analyze-uncertainty", "--checkpoint", str(run / "mle.ckpt"),
+                         "--vocab", str(data / "vocab.json"),
+                         "--data-file", str(data / "test_id.tsv"),
+                         "--distractor-file", str(data / "test_ood.tsv"),
+                         "--output", str(tmp_path / "curves.csv"),
+                         "--assignment", str(tmp_path / "assignment.csv"), *flags])
+        err = capsys.readouterr().err
+        assert code == 1 and says in err, err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, value, says", [
+        ("evaluate", "--threshold", "5", "must be a number in [0, 1], got '5'"),
+        ("evaluate", "--threshold", "nan", "must be a number in [0, 1], got 'nan'"),
+        ("sweep-beam", "--threshold", "-1", "must be a number in [0, 1], got '-1'"),
+        ("sweep-beam", "--threshold", "x", "must be a number in [0, 1], got 'x'"),
+        ("evaluate", "--beam", "0", "must be a positive integer, got '0'"),
+        ("translate", "--beam", "0", "must be a positive integer, got '0'")])
+    def test_flags_keep_the_eval_bounds(self, workspace, tmp_path, capsys,
+                                        command, flag, value, says):
+        config, data, run = workspace
+        model = ["--checkpoint", str(run / "mle.ckpt"), "--vocab", str(data / "vocab.json")]
+        out = str(tmp_path / "out.txt")
+        rest = {"translate": ["--input", str(data / "test_id.tsv"), "--output", out],
+                "evaluate": ["--domain", str(data / "domain.json"), "--judgments", out,
+                             "--data-file", str(data / "test_id.tsv")],
+                "sweep-beam": ["--domain", str(data / "domain.json"), "--output", out,
+                               "--data-file", str(data / "test_id.tsv")]}[command]
+        code = cli.main([command, *model, *rest, flag, value])
+        err = capsys.readouterr().err
+        assert code == 1 and f"argument {flag}: {says}" in err, err
+        assert list(tmp_path.iterdir()) == []
 
     def test_evaluate_emits_summary_json(self, workspace, capsys):
         config, data, run = workspace

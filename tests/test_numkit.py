@@ -184,15 +184,6 @@ class TestFiniteChecks:
         with np.errstate(divide="ignore"), pytest.raises(NumericsError):
             nk.log(nk.Tensor(np.array([0.0])))
 
-    def test_checks_can_be_disabled(self):
-        previous = nk.set_finite_checks(False)
-        try:
-            with np.errstate(divide="ignore"):
-                out = nk.log(nk.Tensor(np.array([0.0])))
-            assert np.isneginf(out.data[0])
-        finally:
-            nk.set_finite_checks(previous)
-
 
 class TestGradients:
     def test_add_broadcast(self):

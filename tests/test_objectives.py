@@ -122,7 +122,7 @@ class TestOptimizer:
 
     def test_step_advances_counter(self):
         store = make_store(6)
-        obj.Adam(store).step(lr=0.1)
+        obj.Adam(store, grad_clip=1.0).step(lr=0.1)
         assert store.step_count == 1
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -28,8 +28,7 @@ def model_configs(draw):
         enc_layers=draw(st.integers(0, 2)),
         dec_layers=draw(st.integers(0, 2)),
         ffn_dim=draw(st.integers(1, 12)),
-        max_seq_len=draw(st.integers(2, 16)),
-        tie_embeddings=draw(st.booleans()))
+        max_seq_len=draw(st.integers(2, 16)))
 
 
 @FEW
@@ -56,7 +55,7 @@ MODEL_SECTIONS = st.fixed_dictionaries({}, optional={
     "embed_dim": st.integers(-1, 12), "num_heads": st.integers(-1, 5),
     "enc_layers": st.integers(0, 2), "dec_layers": st.integers(0, 2),
     "ffn_dim": st.integers(1, 8), "dropout_rate": st.floats(-0.5, 1.5),
-    "max_seq_len": st.integers(-1, 4), "tie_embeddings": st.booleans()})
+    "max_seq_len": st.integers(-1, 4)})
 
 
 @FEW

@@ -4,6 +4,7 @@ finite-difference check of the full loss in float64."""
 import hashlib
 import json
 import os
+import re
 import stat
 import types
 
@@ -113,16 +114,14 @@ class TestInitialization:
         assert np.array_equal(store["enc.final_ln.gain"].data, np.ones(16, np.float32))
         assert np.array_equal(store["enc.final_ln.bias"].data, np.zeros(16, np.float32))
 
-    def test_tied_embeddings_share_storage(self):
-        store = sm.ParameterStore.init(tiny_config(tie_embeddings=True), 0)
-        assert store.src_embedding() is store.tgt_embedding() is store.output_weight()
-        assert "embed.shared" in store.names()
-
-    def test_untied_embeddings_are_separate(self):
-        store = sm.ParameterStore.init(tiny_config(tie_embeddings=False), 0)
-        names = store.names()
-        assert {"embed.src", "embed.tgt", "out.weight"} <= set(names)
-        assert store.src_embedding() is not store.tgt_embedding()
+    def test_layout_holds_one_embedding(self):
+        # source, target and output projection all read embed.shared
+        cfg = tiny_config()
+        layout = sm.parameter_layout(cfg)
+        assert [n for n, _ in layout if not n.startswith(("enc.", "dec."))] == ["embed.shared"]
+        assert layout[0] == ("embed.shared", (cfg.vocab_size, cfg.embed_dim))
+        store = sm.ParameterStore.init(cfg, 0)
+        assert [(n, t.shape) for n, t in store.items()] == layout
 
     def test_param_count_is_stable(self):
         store = sm.ParameterStore.init(tiny_config(), 0)
@@ -280,22 +279,57 @@ class TestCheckpoint:
             sm.ParameterStore.load(bad)
 
     def test_loads_a_file_without_a_checksum(self, store, tmp_path):
-        path = tmp_path / "model.ckpt"
-        store.save(path)
-        header, payload = path.read_bytes().split(b"\n", 1)
-        manifest = json.loads(header)
-        del manifest["payload_sha256"]
-        old = tmp_path / "old.ckpt"
-        old.write_bytes(json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n" + payload)
+        old = rewrite_manifest(store, tmp_path / "old.ckpt",
+                               lambda manifest: manifest.pop("payload_sha256"))
         loaded = sm.ParameterStore.load(old)
         assert loaded.flat.tobytes() == store.flat.tobytes()
+
+    def test_tie_embeddings_key_of_older_files(self, store, tmp_path):
+        tied = rewrite_manifest(store, tmp_path / "tied.ckpt",
+                                lambda manifest: manifest["config"].update(tie_embeddings=True))
+        loaded = sm.ParameterStore.load(tied)
+        assert loaded.config == store.config
+        assert loaded.flat.tobytes() == store.flat.tobytes()
+        untied = rewrite_manifest(store, tmp_path / "untied.ckpt",
+                                  lambda manifest: manifest["config"].update(tie_embeddings=False))
+        with pytest.raises(ContractError, match=r"untied\.ckpt: untied embeddings"):
+            sm.ParameterStore.load(untied)
+
+    @pytest.mark.parametrize("field, value, says", [
+        ("enc_layers", 3, "holds tensor enc.final_ln.gain (16,) "
+                          "where its config's model has enc.2.ln1.gain (16,)"),
+        ("dec_layers", 1, "holds tensor dec.1.ln1.gain (16,) "
+                          "where its config's model has dec.final_ln.gain (16,)"),
+        ("ffn_dim", 64, "holds tensor enc.0.ffn.w1 (16, 32) "
+                        "where its config's model has enc.0.ffn.w1 (16, 64)"),
+        ("vocab_size", 40, "holds tensor embed.shared (32, 16) "
+                           "where its config's model has embed.shared (40, 16)"),
+        ("num_heads", 3, "embed_dim 16 not divisible by num_heads 3")])
+    def test_rejects_a_config_that_misdescribes_the_tensors(self, store, tmp_path,
+                                                            field, value, says):
+        bad = rewrite_manifest(store, tmp_path / "bad.ckpt",
+                               lambda manifest: manifest["config"].update({field: value}))
+        with pytest.raises(ContractError, match=re.escape(f"{bad}: {says}")):
+            sm.ParameterStore.load(bad)
+
+    def test_rejects_a_missing_last_tensor_or_a_float_shape(self, store, tmp_path):
+        short = rewrite_manifest(store, tmp_path / "short.ckpt",
+                                 lambda manifest: manifest["tensors"].pop())
+        with pytest.raises(ContractError, match=re.escape(
+                "short.ckpt: holds no tensor where its config's model has "
+                "dec.final_ln.bias (16,)")):
+            sm.ParameterStore.load(short)
+        floats = rewrite_manifest(store, tmp_path / "floats.ckpt",
+                                  lambda manifest: manifest["tensors"][0].update(shape=[32.0, 16]))
+        with pytest.raises(ContractError, match=r"floats\.ckpt: malformed checkpoint manifest"):
+            sm.ParameterStore.load(floats)
 
     def test_loaded_store_trains_and_round_trips(self, store, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         store.save(p1)
         loaded = sm.ParameterStore.load(p1)
         loaded.flat_grad.fill(0.5)
-        obj.Adam(loaded).step(lr=1e-3)
+        obj.Adam(loaded, grad_clip=1.0).step(lr=1e-3)
         assert not np.array_equal(loaded["enc.0.attn.wq"].data, store["enc.0.attn.wq"].data)
         loaded.save(p2)
         again = sm.ParameterStore.load(p2)
@@ -307,6 +341,16 @@ class TestCheckpoint:
         clone = store.copy()
         clone["enc.final_ln.bias"].data[0] = 99.0
         assert store["enc.final_ln.bias"].data[0] == 0.0
+
+
+def rewrite_manifest(store, path, edit):
+    """Save `store` at `path` with `edit` applied to its manifest first."""
+    store.save(path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    manifest = json.loads(header)
+    edit(manifest)
+    path.write_bytes(json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n" + payload)
+    return path
 
 
 def diverge(batch):
@@ -437,7 +481,7 @@ class TestFlatStore:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tensors_view_one_buffer_and_save_matches_per_tensor_writer(
             self, dtype, tmp_path):
-        store = sm.ParameterStore.init(tiny_config(tie_embeddings=False), 3, dtype=dtype)
+        store = sm.ParameterStore.init(tiny_config(), 3, dtype=dtype)
         store.flat += np.random.default_rng(0).standard_normal(store.flat.size).astype(dtype)
         store.step_count = 7
         self.assert_tiles(store)
@@ -476,12 +520,13 @@ class TestFlatStore:
         assert np.array_equal(grads["w"].data, 2 * store["w"].data)  # a copy
         for name, t in store.items():
             t.grad[...] = grads[name].data
-        obj.Adam(store).step(lr=0.1)
+        obj.Adam(store, grad_clip=1.0).step(lr=0.1)
         assert store.step_count == 1 and store.flat[0] == 0.0 and store.flat[1] < 3.0
+        # saved whole, but tensors its config does not lay out do not load
         store.save(tmp_path / "loose.ckpt")
-        again = sm.ParameterStore.load(tmp_path / "loose.ckpt")
-        assert again.flat.tobytes() == store.flat.tobytes()
-        assert [t.shape for _, t in again.items()] == [(3, 2), (4,)]
+        with pytest.raises(ContractError, match=r"loose\.ckpt: holds tensor w \(3, 2\) "
+                                                r"where its config's model has embed\.shared"):
+            sm.ParameterStore.load(tmp_path / "loose.ckpt")
 
 
 class TestLossGradient:
@@ -566,7 +611,7 @@ def ref_embed(store, weight, ids):
 def ref_encode(store, src):
     """Memory [B, Ls, D], PAD positions computed like any other (no dropout)."""
     mask = (src == sm.PAD_ID)[:, None, None, :]
-    x = ref_embed(store, store.src_embedding(), src)
+    x = ref_embed(store, store["embed.shared"], src)
     for i in range(store.config.enc_layers):
         normed = ref_ln(store, f"enc.{i}.ln1", x)
         x = nk.add(x, ref_attention(store, f"enc.{i}.attn", normed, normed, mask))
@@ -580,7 +625,7 @@ def ref_decode(store, memory, src, tgt_in):
     self_mask = (np.triu(np.ones((t_len, t_len), dtype=bool), k=1)[None, None]
                  | (tgt_in == sm.PAD_ID)[:, None, None, :])
     cross_mask = (src == sm.PAD_ID)[:, None, None, :]
-    x = ref_embed(store, store.tgt_embedding(), tgt_in)
+    x = ref_embed(store, store["embed.shared"], tgt_in)
     for i in range(store.config.dec_layers):
         normed = ref_ln(store, f"dec.{i}.ln1", x)
         x = nk.add(x, ref_attention(store, f"dec.{i}.self", normed, normed, self_mask))
@@ -588,7 +633,7 @@ def ref_decode(store, memory, src, tgt_in):
                                     memory, cross_mask))
         x = nk.add(x, ref_ffn(store, f"dec.{i}.ffn", ref_ln(store, f"dec.{i}.ln3", x)))
     x = ref_ln(store, "dec.final_ln", x)
-    return nk.log_softmax(nk.matmul(x, nk.transpose(store.output_weight(), (1, 0))))
+    return nk.log_softmax(nk.matmul(x, nk.transpose(store["embed.shared"], (1, 0))))
 
 
 def ref_mle_loss(store, src, tgt, label_smoothing):
