@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import types
@@ -110,14 +111,17 @@ _SECTION_TYPES = {
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value has a field's annotated type; an int fits a float."""
+    """Whether a JSON value has a field's annotated type; an int fits a
+    float, and NaN and the infinities fit nothing."""
     if typing.get_origin(hint) is types.UnionType:
         return any(_fits(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is list:
         return isinstance(value, list) and all(_fits(v, *typing.get_args(hint)) for v in value)
     if isinstance(value, bool) and hint is not bool:
         return False
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:
+        return isinstance(value, (int, float)) and -math.inf < value < math.inf
+    return isinstance(value, hint)
 
 
 def _build_section(cls, data: dict, path: str):
@@ -129,8 +133,9 @@ def _build_section(cls, data: dict, path: str):
             raise ConfigError(f"{path}.{key} is not a recognized field")
         hint = hints[key]
         if not _fits(value, hint):
-            raise ConfigError(f"{path}.{key} must be "
-                              f"{hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
+            what = ("a finite number" if hint is float
+                    else hint.__name__ if isinstance(hint, type) else hint)
+            raise ConfigError(f"{path}.{key} must be {what}, got {value!r}")
     try:
         return cls(**data)
     except ContractError as exc:
@@ -475,6 +480,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    """A finite number, such as a length-normalization exponent."""
+    try:
+        if math.isfinite(float(text)):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
 def _unit_float(text: str) -> float:
     """A number in [0, 1], such as an overlap threshold."""
     try:
@@ -648,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="one source sentence per line")
     p.add_argument("--output", default="-")
     p.add_argument("--beam", type=_positive_int, default=4)
-    p.add_argument("--alpha", type=float, default=1.0,
+    p.add_argument("--alpha", type=_finite_float, default=1.0,
                    help="length normalization exponent")
     p.add_argument("--scores", action="store_true",
                    help="append total log-probability to each line")
@@ -659,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     _add_pair_flags(p)
     p.add_argument("--beam", type=_positive_int, default=4)
-    p.add_argument("--alpha", type=float, default=an.DEFAULT_EVAL_ALPHA)
+    p.add_argument("--alpha", type=_finite_float, default=an.DEFAULT_EVAL_ALPHA)
     p.add_argument("--threshold", type=_unit_float, default=an.DEFAULT_OVERLAP_THRESHOLD)
     p.add_argument("--judgments", default=None, help="write per-sentence JSONL here")
     p.set_defaults(func=_cmd_evaluate)
@@ -688,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beams", type=_positive_ints,
                    default=",".join(str(k) for k in an.DEFAULT_BEAM_SIZES),
                    help="comma-separated beam sizes")
-    p.add_argument("--alpha", type=float, default=an.DEFAULT_EVAL_ALPHA)
+    p.add_argument("--alpha", type=_finite_float, default=an.DEFAULT_EVAL_ALPHA)
     p.add_argument("--threshold", type=_unit_float, default=an.DEFAULT_OVERLAP_THRESHOLD)
     p.set_defaults(func=_cmd_sweep_beam)
 

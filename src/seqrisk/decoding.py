@@ -16,6 +16,7 @@ and a second BOS has no meaning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,6 +39,8 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ContractError(f"beam_size must be >= 1, got {self.beam_size}")
+        if not math.isfinite(self.length_norm_alpha):
+            raise ContractError(f"length_norm_alpha must be finite, got {self.length_norm_alpha}")
 
 
 @dataclass

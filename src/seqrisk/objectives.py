@@ -13,12 +13,10 @@ changing how often one stream is consumed never perturbs the others.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,8 +56,8 @@ class Adam:
     Works on the store's flat buffers: the moments are flat arrays and one
     update is a handful of whole-buffer numpy calls, each element going
     through the same arithmetic, in the same order, as a per-tensor update
-    would.  The global norm is still summed per tensor, in store order, in
-    float64."""
+    would.  The global norm is still summed per tensor, over the store's
+    spans, in float64."""
 
     BETA1 = 0.9
     BETA2 = 0.98
@@ -71,8 +69,6 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(store.flat)
         self.v = np.zeros_like(store.flat)
-        ends = np.cumsum([p.data.size for _, p in store.items()]).tolist()
-        self._spans = list(zip([0] + ends[:-1], ends))  # each tensor's place in `flat`
 
     def step(self, lr: float) -> float:
         """Apply one update with the gradients accumulated in the store's
@@ -81,7 +77,7 @@ class Adam:
         g = store.flat_grad
         sq = np.square(g, dtype=np.float64)
         total = 0.0
-        for start, stop in self._spans:
+        for start, stop in store.spans:
             total += float(np.add.reduce(sq[start:stop]))
         norm = math.sqrt(total)
         if self.grad_clip > 0.0 and norm > self.grad_clip:
@@ -121,17 +117,9 @@ def inverse_sqrt_lr(step: int, peak_lr: float, warmup_steps: int) -> float:
     return peak_lr * min(step / warmup_steps, math.sqrt(warmup_steps / step))
 
 
-class _Step(NamedTuple):
-    batch: object
-    value: float
-    lr: float
-    info: object
-    seconds: float
-
-
 def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
               batches: Iterable, objective: Callable, lr_at: Callable[[int], float],
-              trace_path) -> list[_Step]:
+              trace_path) -> None:
     """The step loop both objectives share.
 
     Per batch: `objective(batch)` returns (scalar tensor, info) built on a
@@ -139,24 +127,23 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
     a divergence check that names the step, and one Adam step (with the
     config's clipping) at `lr_at(step)`.  Writes one CSV trace row
     (step, objective_value, learning_rate) per step when `trace_path` is
-    set, and returns one `_Step` per step.  The trace file is replaced when
-    the loop ends: after the last step, or, when training diverges, with
-    the rows of the steps before it; any other exception leaves no trace."""
+    set; the trace is the loop's only record.  The trace file is replaced
+    when the loop ends: after the last step, or, when training diverges,
+    with the rows of the steps before it; any other exception leaves no
+    trace."""
     nk.retain_heap_top()  # each step frees its whole tape; keep that memory
     optim = Adam(store, config.grad_clip)
     store.zero_grads()  # backward adds into the store's gradient buffer
-    steps = []
     diverged = None
     with (sm.atomic_write(trace_path, newline="") if trace_path is not None
           else open(os.devnull, "w")) as trace:
         writer = csv.writer(trace)
         writer.writerow(["step", "objective_value", "learning_rate"])
         for step, batch in enumerate(batches, 1):
-            t0 = time.perf_counter()
             lr = lr_at(step)
             try:
                 with nk.Graph() as tape:
-                    scalar, info = objective(batch)
+                    scalar, _ = objective(batch)
                     nk.backward(tape, scalar)
             except NumericsError as exc:
                 diverged = (f"training diverged at step {step}: {exc}", exc)
@@ -169,13 +156,11 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
             optim.step(lr)
             store.zero_grads()
             writer.writerow([step, f"{value:.6f}", f"{lr:.6g}"])
-            steps.append(_Step(batch, value, lr, info, time.perf_counter() - t0))
     if diverged is not None:
         message, cause = diverged
         if trace_path is not None:
             message += f" (trace of the steps before it: {trace_path})"
         raise ContractError(message) from cause
-    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +267,6 @@ def corpus_nll(store: sm.ParameterStore, corpus: Corpus, batch_size: int = 32) -
     return total / max(count, 1)
 
 
-@dataclass
-class EpochStats:
-    epoch: int
-    steps: int
-    mean_loss: float
-    final_lr: float
-    seconds: float
-
-
 def token_batches(corpus: Corpus, order: Sequence[int],
                   tokens_per_batch: int) -> list[list[int]]:
     """Greedily pack indices in the given order until the framed-target token
@@ -311,7 +287,7 @@ def token_batches(corpus: Corpus, order: Sequence[int],
 
 
 def train_mle(store: sm.ParameterStore, corpus: Corpus, config: MLEConfig,
-              seed: int, trace_path=None) -> list[EpochStats]:
+              seed: int, trace_path=None) -> None:
     """Shuffle-and-batch training with the inverse-sqrt schedule.
 
     Batches are packed by target token count rather than sentence count, so
@@ -321,27 +297,19 @@ def train_mle(store: sm.ParameterStore, corpus: Corpus, config: MLEConfig,
         raise ContractError("training corpus is empty")
     shuffle_rng = stream_rng(seed, STREAM_SHUFFLE)
     dropout_rng = stream_rng(seed, STREAM_DROPOUT)
-    batches = ((epoch, idx) for epoch in range(config.epochs)
+    batches = (idx for _ in range(config.epochs)
                for idx in token_batches(corpus, shuffle_rng.permutation(len(corpus)),
                                         config.tokens_per_batch))
 
     def loss(batch):
-        chunk = [corpus[i] for i in batch[1]]
+        chunk = [corpus[i] for i in batch]
         return mle_loss(store, pad_batch([s for s, _ in chunk]),
                         pad_batch([t for _, t in chunk]),
                         config.label_smoothing, dropout_rng)
 
-    steps = _optimize(
-        store, config, batches, loss,
-        lambda step: inverse_sqrt_lr(step, config.peak_lr, config.warmup_steps),
-        trace_path)
-    history = []
-    for epoch, group in itertools.groupby(steps, key=lambda s: s.batch[0]):
-        group = list(group)
-        history.append(EpochStats(
-            epoch, len(group), float(np.mean([s.value for s in group])),
-            group[-1].lr, math.fsum(s.seconds for s in group)))
-    return history
+    _optimize(store, config, batches, loss,
+              lambda step: inverse_sqrt_lr(step, config.peak_lr, config.warmup_steps),
+              trace_path)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +331,9 @@ class MRTConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ContractError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ContractError(f"alpha must be > 0, got {self.alpha}")
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:
             raise ContractError(f"temperature must be > 0, got {self.temperature}")
         if self.sentences_per_batch < 1:
             raise ContractError("sentences_per_batch must be >= 1")
@@ -477,16 +445,8 @@ def mrt_risk(store: sm.ParameterStore, batch: RiskBatch,
     return risk, {"candidate_counts": counts}
 
 
-@dataclass
-class MRTStepStats:
-    step: int
-    mean_risk: float
-    mean_candidates: float
-    seconds: float
-
-
 def finetune_mrt(store: sm.ParameterStore, corpus: Corpus, config: MRTConfig,
-                 seed: int, trace_path=None) -> list[MRTStepStats]:
+                 seed: int, trace_path=None) -> None:
     """Risk fine-tuning with a fresh optimizer and a constant learning rate.
 
     Walks shuffled batches (counted in sentences) for a fixed number of
@@ -512,6 +472,4 @@ def finetune_mrt(store: sm.ParameterStore, corpus: Corpus, config: MRTConfig,
         return mrt_risk(store, build_risk_batch(store, *batch, config, sampler_rng),
                         config.alpha)
 
-    steps = _optimize(store, config, batches(), risk, lambda step: config.lr, trace_path)
-    return [MRTStepStats(n, s.value, float(np.mean(s.info["candidate_counts"])), s.seconds)
-            for n, s in enumerate(steps, 1)]
+    _optimize(store, config, batches(), risk, lambda step: config.lr, trace_path)

@@ -145,11 +145,6 @@ class Vocabulary:
         return cls(tokens)
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
-
 def read_utf8(path) -> str:
     """The text of file `path` decoded as UTF-8.  Bytes that are not UTF-8
     raise ParseError naming the file and the line."""
@@ -226,42 +221,41 @@ def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 class ParameterStore:
-    """Named, shaped parameter tensors plus the step counter; the checkpoint
-    unit.  Every tensor's data is a view into one contiguous buffer, `flat`,
-    in name order, and its grad the view at the same place in `flat_grad`,
-    so the optimizer and checkpoint io work on whole buffers."""
+    """The tensors of `parameter_layout(config)` plus the step counter; the
+    checkpoint unit.  Every tensor's data is a view into one contiguous
+    buffer, `flat`, in layout order, and its grad the view at the same place
+    in `flat_grad`, so the optimizer and checkpoint io work on whole
+    buffers."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, nk.Tensor], step_count: int = 0):
-        """Packs the tensors' values, in the order given, into a new buffer
-        (one copy); each tensor is kept, its data rebound to its view and
-        its grad to a zeroed one."""
+    def __init__(self, config: ModelConfig, step_count: int = 0, dtype=None):
+        """A zeroed store: both buffers allocated, each tensor's span in
+        them, `spans[i]` for the i-th layout entry, computed once here."""
         self.config = config
-        self._params = dict(params)
         self.step_count = step_count
-        arrays = [t.data.reshape(-1) for t in self._params.values()]
-        self.flat = np.concatenate(arrays) if arrays else np.zeros(0, nk.DEFAULT_DTYPE)
-        self.flat_grad = np.zeros_like(self.flat)
-        start = 0
-        for t in self._params.values():
-            stop = start + t.data.size
-            t.data = self.flat[start:stop].reshape(t.shape)
-            t.grad = self.flat_grad[start:stop].reshape(t.shape)
-            start = stop
+        layout = parameter_layout(config)
+        ends = list(itertools.accumulate(math.prod(shape) for _, shape in layout))
+        self.spans = list(zip([0] + ends[:-1], ends))
+        self.flat = np.zeros(ends[-1], dtype or nk.DEFAULT_DTYPE)
+        self.flat_grad = np.zeros(ends[-1], self.flat.dtype)
+        self._params = {}
+        for (name, shape), (start, stop) in zip(layout, self.spans):
+            t = self._params[name] = nk.Tensor(self.flat[start:stop].reshape(shape),
+                                               requires_grad=True)
+            t.grad = self.flat_grad[start:stop].reshape(shape)
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int, dtype=None) -> "ParameterStore":
-        """Draw every tensor of `parameter_layout(config)`, in its order:
-        matrices Xavier-uniform, layer-norm gains one, other vectors zero."""
-        dtype = dtype or nk.DEFAULT_DTYPE
+        """Draw every tensor, in layout order: matrices Xavier-uniform,
+        layer-norm gains one, other vectors zero."""
+        store = cls(config, dtype=dtype)
         rng = np.random.default_rng(seed)
-        tensors = {}
-        for name, shape in parameter_layout(config):
-            if len(shape) == 2:
-                arr = _xavier(rng, *shape, dtype)
-            else:
-                arr = (np.ones if name.endswith(".gain") else np.zeros)(shape, dtype=dtype)
-            tensors[name] = nk.Tensor(arr, requires_grad=True)
-        return cls(config, tensors, step_count=0)
+        for name, t in store.items():
+            if t.data.ndim == 2:
+                limit = math.sqrt(6.0 / sum(t.shape))
+                t.data[...] = rng.uniform(-limit, limit, size=t.shape)
+            elif name.endswith(".gain"):
+                t.data[...] = 1
+        return store
 
     def __getitem__(self, name: str) -> nk.Tensor:
         return self._params[name]
@@ -281,27 +275,29 @@ class ParameterStore:
         self.flat_grad.fill(0)
 
     def copy(self) -> "ParameterStore":
-        params = {n: nk.Tensor(t.data, requires_grad=True) for n, t in self._params.items()}
-        return ParameterStore(self.config, params, self.step_count)
+        clone = ParameterStore(self.config, self.step_count, self.dtype)
+        clone.flat[...] = self.flat
+        return clone
 
     # -- checkpoint io -----------------------------------------------------
+
+    def _entries(self) -> list[tuple[str, tuple[int, ...], int]]:
+        """Each tensor's name, shape and byte offset in a checkpoint payload."""
+        return [(name, t.shape, 4 * start)
+                for (name, t), (start, _) in zip(self.items(), self.spans)]
 
     def save(self, path) -> None:
         """Write a manifest line (JSON) followed by the raw little-endian
         float32 payload: the flat buffer, so each tensor's bytes in order.
         The manifest carries the payload's sha256.  The file is written
         with `atomic_write`, so a failed save leaves any earlier file whole."""
-        entries = []
-        offset = 0
-        for name, t in self._params.items():
-            entries.append({"name": name, "shape": list(t.shape), "offset": offset})
-            offset += 4 * t.data.size
         payload = np.ascontiguousarray(self.flat, dtype="<f4").tobytes()
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "config": self.config.to_dict(),
             "step_count": self.step_count,
-            "tensors": entries,
+            "tensors": [{"name": name, "shape": list(shape), "offset": offset}
+                        for name, shape, offset in self._entries()],
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
         }
         with atomic_write(path, "wb") as fh:
@@ -311,13 +307,13 @@ class ParameterStore:
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
-        """Read a checkpoint into a fresh, writable store (the payload is
+        """Read a checkpoint into a fresh float32 store (the payload is
         copied once).  A file whose manifest is unreadable or holds an
-        invalid config, whose tensors are not `parameter_layout` of that
-        config or do not exactly tile the payload, or whose payload does
-        not match the manifest's `payload_sha256` raises ContractError
-        naming the file.  Files written before the checksum (no such key)
-        still load."""
+        invalid config, whose tensors' names, shapes and offsets are not
+        those of a store of that config, whose payload is not exactly
+        their bytes, or whose payload does not match the manifest's
+        `payload_sha256` raises ContractError naming the file.  Files
+        written before the checksum (no such key) still load."""
         with open(path, "rb") as fh:
             header = fh.readline()
             payload = fh.read()
@@ -328,38 +324,33 @@ class ParameterStore:
         if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
             raise ContractError(f"not a {CHECKPOINT_FORMAT} file: {path}")
         try:
-            config = ModelConfig.from_dict(manifest["config"])
-            layout = parameter_layout(config)
+            store = cls(ModelConfig.from_dict(manifest["config"]),
+                        int(manifest["step_count"]), np.float32)
             entries = [(e["name"], tuple(map(operator.index, e["shape"])), int(e["offset"]))
                        for e in manifest["tensors"]]
-            step_count = int(manifest["step_count"])
         except ContractError as exc:
             raise ContractError(f"{path}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
-        for have, want in itertools.zip_longest([e[:2] for e in entries], layout):
-            if have != want:
-                held = f"tensor {have[0]} {have[1]}" if have else "no tensor"
-                needed = f"{want[0]} {want[1]}" if want else "none"
-                raise ContractError(f"{path}: holds {held} where its config's model has {needed}")
-        flat = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
-        params: dict[str, nk.Tensor] = {}
-        end = 0
-        for name, shape, start in entries:
-            count = int(np.prod(shape))
-            if start != end or start + 4 * count > len(payload):
-                raise ContractError(
-                    f"{path}: tensor {name} at byte {start} (+{4 * count}) does not "
-                    f"fit the {len(payload)}-byte payload; file truncated or corrupt")
-            end = start + 4 * count
-            params[name] = nk.Tensor(flat[start // 4: end // 4].reshape(shape), requires_grad=True)
-        if end != len(payload):
-            raise ContractError(
-                f"{path}: {len(payload) - end} bytes after the last tensor; file corrupt")
+        except MemoryError:
+            raise ContractError(f"{path}: its config's model does not fit in memory") from None
+        for have, want in itertools.zip_longest(entries, store._entries()):
+            if have == want:
+                continue
+            if have and want and have[:2] == want[:2]:
+                raise ContractError(f"{path}: tensor {have[0]} starts at byte {have[2]} "
+                                    f"where its config's model puts it at {want[2]}")
+            held = f"tensor {have[0]} {have[1]}" if have else "no tensor"
+            needed = f"{want[0]} {want[1]}" if want else "none"
+            raise ContractError(f"{path}: holds {held} where its config's model has {needed}")
+        if len(payload) != store.flat.nbytes:
+            raise ContractError(f"{path}: a {len(payload)}-byte payload where its tensors "
+                                f"take {store.flat.nbytes}; file truncated or corrupt")
         digest = manifest.get("payload_sha256")
         if digest is not None and digest != hashlib.sha256(payload).hexdigest():
             raise ContractError(f"{path}: payload does not match its sha256; file corrupt")
-        return cls(config, params, step_count=step_count)
+        store.flat[...] = np.frombuffer(payload, dtype="<f4")
+        return store
 
 
 # ---------------------------------------------------------------------------

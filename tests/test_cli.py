@@ -78,6 +78,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"^{section}: .*{field}"):
             cli.config_from_dict({section: {field: value}})
 
+    @pytest.mark.parametrize("override", [
+        "mrt.alpha=NaN", "mrt.temperature=NaN", "eval.length_norm_alpha=NaN",
+        "mrt.alpha=Infinity", "mle.peak_lr=Infinity", "domain.p_two_content=-Infinity"])
+    def test_non_finite_value_named_at_load(self, override):
+        field = override.split("=")[0].replace(".", r"\.")
+        with pytest.raises(ConfigError, match=rf"^{field} must be a finite number, got "):
+            cli.load_config(None, [override], None)
+
     @pytest.mark.parametrize("section, fields", [
         ("mle", ("peak_lr", "grad_clip")), ("mrt", ("lr", "steps", "grad_clip"))])
     def test_zero_training_settings_load(self, section, fields):
@@ -413,7 +421,11 @@ class TestModelCommands:
         ("sweep-beam", "--threshold", "-1", "must be a number in [0, 1], got '-1'"),
         ("sweep-beam", "--threshold", "x", "must be a number in [0, 1], got 'x'"),
         ("evaluate", "--beam", "0", "must be a positive integer, got '0'"),
-        ("translate", "--beam", "0", "must be a positive integer, got '0'")])
+        ("translate", "--beam", "0", "must be a positive integer, got '0'"),
+        ("translate", "--alpha", "nan", "must be a finite number, got 'nan'"),
+        ("evaluate", "--alpha", "inf", "must be a finite number, got 'inf'"),
+        ("sweep-beam", "--alpha", "1e999", "must be a finite number, got '1e999'"),
+        ("sweep-beam", "--alpha", "x", "must be a finite number, got 'x'")])
     def test_flags_keep_the_eval_bounds(self, workspace, tmp_path, capsys,
                                         command, flag, value, says):
         config, data, run = workspace
@@ -479,6 +491,8 @@ MALFORMED_INPUTS = [
     ("finetune-mrt", "vocab.json", SMALL_VOCAB, "mle.ckpt"),
     ("evaluate", "domain.json", b'{"bogus": 1}', "domain.bogus is not a recognized field"),
     ("evaluate", "domain.json", b'{"n_function": "x"}', "domain.n_function must be int"),
+    ("evaluate", "domain.json", b'{"p_two_content": NaN}',
+     "domain.p_two_content must be a finite number, got nan"),
     ("evaluate", "test_ood.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", ":2: not UTF-8"),
     ("analyze-uncertainty", "test_id.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", ":2: not UTF-8"),
     ("train-mle", "train.tsv", b"sf0\ttf0\n\xfe\ttf1\n", ":2: not UTF-8"),

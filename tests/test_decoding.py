@@ -1,6 +1,8 @@
 """Decoding contracts: greedy/beam agreement, determinism, scoring
 consistency, and sampler behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,9 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ContractError):
             dec.DecodeConfig(beam_size=0)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContractError, match="length_norm_alpha"):
+                dec.DecodeConfig(length_norm_alpha=alpha)
 
     def test_length_penalty(self):
         assert dec.length_penalty(1, 1.0) == 1.0

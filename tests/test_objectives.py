@@ -311,10 +311,15 @@ class TestSubspace:
 
 
 class TestMRTConfig:
-    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan])
     def test_rejects_non_positive_temperature(self, temperature):
         with pytest.raises(ContractError, match="temperature"):
             obj.MRTConfig(temperature=temperature)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_alpha(self, alpha):
+        with pytest.raises(ContractError, match="alpha"):
+            obj.MRTConfig(alpha=alpha)
 
 
 class TestTokenBatches:
@@ -520,6 +525,14 @@ class TestEncodeOnce:
         assert float(np.abs(want_grads["enc.0.attn.wq"].data).max()) > 0.0
 
 
+def read_trace(path) -> list[list[str]]:
+    """A training trace's rows, header first; checks the header."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["step", "objective_value", "learning_rate"]
+    return rows
+
+
 class TestTrainingLoops:
     def test_mle_training_reduces_loss(self, tmp_path):
         vocab, corpus = tiny_corpus()
@@ -530,13 +543,18 @@ class TestTrainingLoops:
         config = obj.MLEConfig(epochs=6, tokens_per_batch=64, peak_lr=0.01,
                                warmup_steps=10)
         trace = tmp_path / "trace.csv"
-        history = obj.train_mle(store, corpus, config, seed=0, trace_path=trace)
-        assert history[-1].mean_loss < history[0].mean_loss * 0.7
-        with open(trace) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "objective_value", "learning_rate"]
-        assert len(rows) - 1 == sum(h.steps for h in history)
-        assert store.step_count == sum(h.steps for h in history)
+        assert obj.train_mle(store, corpus, config, seed=0, trace_path=trace) is None
+        rows = read_trace(trace)
+        assert store.step_count == len(rows) - 1
+        # replay the shuffle stream for each epoch's step count
+        shuffle = obj.stream_rng(0, obj.STREAM_SHUFFLE)
+        lengths = [len(obj.token_batches(corpus, shuffle.permutation(len(corpus)),
+                                         config.tokens_per_batch))
+                   for _ in range(config.epochs)]
+        assert sum(lengths) == len(rows) - 1
+        values = [float(r[1]) for r in rows[1:]]
+        first, last = values[:lengths[0]], values[-lengths[-1]:]
+        assert np.mean(last) < np.mean(first) * 0.7
 
     def test_mle_training_is_deterministic(self):
         vocab, corpus = tiny_corpus()
@@ -560,13 +578,10 @@ class TestTrainingLoops:
         before = {n: t.data.copy() for n, t in store.items()}
         trace = tmp_path / "mrt.csv"
         config = obj.MRTConfig(steps=2, sentences_per_batch=4, n_samples=3, lr=1e-3)
-        history = obj.finetune_mrt(store, corpus, config, seed=0, trace_path=trace)
-        assert len(history) == 2
+        assert obj.finetune_mrt(store, corpus, config, seed=0, trace_path=trace) is None
         assert any(not np.array_equal(before[n], store[n].data) for n in before)
-        with open(trace) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "objective_value", "learning_rate"]
-        assert len(rows) == 3
+        rows = read_trace(trace)
+        assert len(rows) - 1 == 2 == store.step_count
 
     def test_empty_corpus_rejected(self):
         store = make_store(11)

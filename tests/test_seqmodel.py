@@ -324,6 +324,12 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match=r"floats\.ckpt: malformed checkpoint manifest"):
             sm.ParameterStore.load(floats)
 
+    def test_rejects_a_config_too_large_to_hold(self, store, tmp_path):
+        huge = rewrite_manifest(store, tmp_path / "huge.ckpt",
+                                lambda manifest: manifest["config"].update(vocab_size=10**12))
+        with pytest.raises(ContractError, match=r"huge\.ckpt: "):
+            sm.ParameterStore.load(huge)
+
     def test_loaded_store_trains_and_round_trips(self, store, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         store.save(p1)
@@ -465,6 +471,23 @@ def per_tensor_save(store, path):
         fh.write(bytes(payload))
 
 
+def per_tensor_init(config, seed, dtype):
+    """The construction that `ParameterStore.init` replaced: each tensor
+    drawn on its own, in layout order, then packed into one buffer.
+    Returns the names, the shapes and the packed buffer."""
+    rng = np.random.default_rng(seed)
+    layout = sm.parameter_layout(config)
+    arrays = []
+    for name, shape in layout:
+        if len(shape) == 2:
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            arrays.append(rng.uniform(-limit, limit, size=shape).astype(dtype))
+        else:
+            arrays.append((np.ones if name.endswith(".gain") else np.zeros)(shape, dtype=dtype))
+    return ([n for n, _ in layout], [s for _, s in layout],
+            np.concatenate([a.reshape(-1) for a in arrays]))
+
+
 class TestFlatStore:
     @staticmethod
     def assert_tiles(store):
@@ -502,31 +525,52 @@ class TestFlatStore:
             for theirs in (clone.flat, clone.flat_grad):
                 assert not np.shares_memory(mine, theirs)
 
-    def test_loose_tensors_are_packed_and_kept(self, tmp_path):
-        loose = {"w": nk.Tensor(np.arange(6, dtype=np.float32).reshape(2, 3).T,
-                                requires_grad=True),
-                 "b": nk.Tensor(np.full(4, 0.5, dtype=np.float32), requires_grad=True)}
-        store = sm.ParameterStore(tiny_config(), loose)
-        self.assert_tiles(store)
-        assert store["w"] is loose["w"] and store.names() == ["w", "b"]
-        assert np.array_equal(store["w"].data, np.arange(6).reshape(2, 3).T)
-        assert store.flat.tolist() == [0, 3, 1, 4, 2, 5, 0.5, 0.5, 0.5, 0.5]
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_matches_the_per_tensor_construction(self, dtype):
+        store = sm.ParameterStore.init(tiny_config(), 5, dtype=dtype)
+        names, shapes, flat = per_tensor_init(tiny_config(), 5, dtype)
+        assert store.names() == names
+        assert [t.shape for _, t in store.items()] == shapes
+        assert store.flat.dtype == flat.dtype and store.flat.tobytes() == flat.tobytes()
+        assert store.step_count == 0 and not store.flat_grad.any()
+
+    def test_backward_zero_grads_and_adam_work_on_the_buffers(self):
+        store = sm.ParameterStore.init(tiny_config(dropout_rate=0.0), 2)
+        before = store.flat.copy()
         with nk.Graph() as g:
-            loss = nk.sum_(nk.mul(store["w"], store["w"]))
+            loss, _ = obj.mle_loss(store, np.array([[5, 6, 7]]),
+                                   np.array([[sm.BOS_ID, 8, 9, sm.EOS_ID]]))
             grads = nk.backward(g, loss, dict(store.items()))
-        assert np.array_equal(store["w"].grad, 2 * store["w"].data)
+        assert store.flat_grad.any()
+        for name, t in store.items():  # returned copies, equal to the grad views
+            assert np.array_equal(grads[name].data, t.grad), name
+            assert not np.shares_memory(grads[name].data, store.flat_grad), name
         store.zero_grads()
         assert not store.flat_grad.any()
-        assert np.array_equal(grads["w"].data, 2 * store["w"].data)  # a copy
+        assert any(grads[name].data.any() for name in store.names())
         for name, t in store.items():
             t.grad[...] = grads[name].data
         obj.Adam(store, grad_clip=1.0).step(lr=0.1)
-        assert store.step_count == 1 and store.flat[0] == 0.0 and store.flat[1] < 3.0
-        # saved whole, but tensors its config does not lay out do not load
-        store.save(tmp_path / "loose.ckpt")
-        with pytest.raises(ContractError, match=r"loose\.ckpt: holds tensor w \(3, 2\) "
-                                                r"where its config's model has embed\.shared"):
-            sm.ParameterStore.load(tmp_path / "loose.ckpt")
+        self.assert_tiles(store)
+        assert store.step_count == 1 and not np.array_equal(store.flat, before)
+
+    def test_load_refuses_swapped_offsets(self, store, tmp_path):
+        def swap(manifest):
+            first, second = manifest["tensors"][1:3]
+            first["offset"], second["offset"] = second["offset"], first["offset"]
+
+        bad = rewrite_manifest(store, tmp_path / "swapped.ckpt", swap)
+        with pytest.raises(ContractError, match=r"swapped\.ckpt: tensor enc\.0\.ln1\.gain "
+                                                r"starts at byte \d+ where"):
+            sm.ParameterStore.load(bad)
+
+    def test_load_refuses_a_renamed_tensor(self, store, tmp_path):
+        bad = rewrite_manifest(store, tmp_path / "renamed.ckpt",
+                               lambda manifest: manifest["tensors"][2].update(name="w"))
+        with pytest.raises(ContractError, match=re.escape(
+                "renamed.ckpt: holds tensor w (16,) where its config's model has "
+                "enc.0.ln1.bias (16,)")):
+            sm.ParameterStore.load(bad)
 
 
 class TestLossGradient:
