@@ -59,6 +59,7 @@ class HallucinationSummary:
     n_hallucinated: int
     rate: float
     mean_overlap: float
+    corpus_bleu: float
 
 
 def adequacy_overlap(hyp_tokens: Sequence[str], ref_tokens: Sequence[str],
@@ -83,27 +84,21 @@ def judge_hypothesis(src: Sequence[str], ref: Sequence[str], hyp: Sequence[str],
     overlap since every well-formed sentence shares them."""
     fluent = dg.is_fluent(hyp, spec)
     partial = fluent or dg.is_partially_fluent(hyp, spec)
-    overlap = adequacy_overlap(hyp, ref, spec.tgt_content())
+    overlap = adequacy_overlap(hyp, ref, spec.tgt_content)
     return HallucinationJudgment(
         list(src), list(ref), list(hyp), fluent, partial, overlap,
         partial and overlap < threshold)
-
-
-def translate_corpus(store: sm.ParameterStore, vocab: sm.Vocabulary,
-                     pairs: Sequence[dg.TokenPair],
-                     config: dec.DecodeConfig | None = None) -> list[list[str]]:
-    """Beam-decode every source; returns token hypotheses."""
-    results = dec.beam_search_corpus(store, [vocab.encode(src) for src, _ in pairs], config)
-    return [vocab.decode(hyps[0].generated()) if hyps else [] for hyps in results]
 
 
 def judge_corpus(store: sm.ParameterStore, vocab: sm.Vocabulary,
                  pairs: Sequence[dg.TokenPair], spec: dg.DomainSpec,
                  config: dec.DecodeConfig | None = None,
                  threshold: float = DEFAULT_OVERLAP_THRESHOLD) -> list[HallucinationJudgment]:
-    hyps = translate_corpus(store, vocab, pairs, config)
-    return [judge_hypothesis(src, ref, hyp, spec, threshold)
-            for (src, ref), hyp in zip(pairs, hyps)]
+    """Beam-decode every source and judge its best hypothesis."""
+    results = dec.beam_search_corpus(store, [vocab.encode(src) for src, _ in pairs], config)
+    return [judge_hypothesis(src, ref, vocab.decode(hyps[0].generated()) if hyps else [],
+                             spec, threshold)
+            for (src, ref), hyps in zip(pairs, results)]
 
 
 def summarize_judgments(judgments: Sequence[HallucinationJudgment]) -> HallucinationSummary:
@@ -117,6 +112,7 @@ def summarize_judgments(judgments: Sequence[HallucinationJudgment]) -> Hallucina
         n_hallucinated=sum(j.hallucinated for j in judgments),
         rate=sum(j.hallucinated for j in judgments) / n,
         mean_overlap=float(np.mean([j.overlap for j in judgments])),
+        corpus_bleu=metrics.corpus_bleu([(j.hypothesis, j.reference) for j in judgments]),
     )
 
 
@@ -320,8 +316,7 @@ def sweep_point(beam_size: int,
                 judgments: Sequence[HallucinationJudgment]) -> BeamSweepPoint:
     """The sweep point of judgments made on outputs decoded at `beam_size`."""
     summary = summarize_judgments(judgments)
-    bleu = metrics.corpus_bleu([(j.hypothesis, j.reference) for j in judgments])
-    return BeamSweepPoint(beam_size, bleu, summary.rate, summary.mean_overlap)
+    return BeamSweepPoint(beam_size, summary.corpus_bleu, summary.rate, summary.mean_overlap)
 
 
 def write_sweep_csv(path, sweeps: dict[str, list[BeamSweepPoint]]) -> None:

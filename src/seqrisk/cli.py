@@ -27,7 +27,6 @@ from . import __version__
 from . import analysis as an
 from . import datagen as dg
 from . import decoding as dec
-from . import metrics
 from . import numkit as nk
 from . import objectives as obj
 from . import seqmodel as sm
@@ -303,12 +302,27 @@ def _refuse_overlong(path, lines: list[list[str]], max_seq_len: int,
                                 f"{'target ' if forced else ''}tokens, more than {cap}")
 
 
-def _read_pairs(args, store: sm.ParameterStore) -> list[dg.TokenPair]:
+def _read_corpus(path) -> list[dg.TokenPair]:
+    """The pairs of corpus file `path`; a file that holds none is refused."""
+    pairs = dg.read_tsv(path)
+    if not pairs:
+        raise ParseError(f"{path}: no sentence pairs in the file")
+    return pairs
+
+
+def _read_pairs(args, store: sm.ParameterStore,
+                spec: dg.DomainSpec | None = None) -> list[dg.TokenPair]:
     """The pairs of --data-file, cut to the first --n when given; a source
-    the model cannot take is refused."""
-    pairs = dg.read_tsv(args.data_file)
+    the model cannot take is refused, and so, with `spec`, is a reference
+    holding none of its content tokens (its overlap is undefined)."""
+    pairs = _read_corpus(args.data_file)
     pairs = pairs if args.n is None else pairs[: args.n]
     _refuse_overlong(args.data_file, [src for src, _ in pairs], store.config.max_seq_len)
+    if spec is not None:
+        for number, (_, ref) in enumerate(pairs, 1):
+            if spec.tgt_content.isdisjoint(ref):
+                raise ContractError(f"{args.data_file}: line {number} has a reference "
+                                    f"with no content token of the domain")
     return pairs
 
 
@@ -376,8 +390,7 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
             sys_info[split] = {
                 "hallucination_rate": summary.rate,
                 "mean_overlap": summary.mean_overlap,
-                "corpus_bleu": metrics.corpus_bleu(
-                    [(j.hypothesis, j.reference) for j in judgments]),
+                "corpus_bleu": summary.corpus_bleu,
             }
             if split == "test_ood":
                 judgments_ood[system] = judgments
@@ -568,14 +581,13 @@ def _cmd_translate(args) -> int:
 def _cmd_evaluate(args) -> int:
     store, vocab = _load_model(args.checkpoint, args.vocab)
     spec = _load_domain(args.domain)
-    pairs = _read_pairs(args, store)
+    pairs = _read_pairs(args, store, spec)
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
     judgments = an.judge_corpus(store, vocab, pairs, spec, config, args.threshold)
     summary = an.summarize_judgments(judgments)
-    bleu = metrics.corpus_bleu([(j.hypothesis, j.reference) for j in judgments])
     if args.judgments:
         an.write_judgments_jsonl(args.judgments, judgments)
-    print(json.dumps({"corpus_bleu": bleu, **asdict(summary)}, sort_keys=True))
+    print(json.dumps(asdict(summary), sort_keys=True))
     return 0
 
 
@@ -594,7 +606,7 @@ def _cmd_analyze_uncertainty(args) -> int:
         if not os.access(os.path.dirname(path) or ".", os.W_OK):
             raise ContractError(f"cannot write {path}: its directory is missing or read-only")
     pairs = _read_pairs(args, store)
-    pool = [tgt for _, tgt in dg.read_tsv(args.distractor_file)]
+    pool = [tgt for _, tgt in _read_corpus(args.distractor_file)]
     # any pool line may be drawn as a distractor, so each must fit
     for path, targets in ((args.data_file, [tgt for _, tgt in pairs]),
                           (args.distractor_file, pool)):
@@ -618,7 +630,7 @@ def _cmd_analyze_uncertainty(args) -> int:
 def _cmd_sweep_beam(args) -> int:
     store, vocab = _load_model(args.checkpoint, args.vocab)
     spec = _load_domain(args.domain)
-    pairs = _read_pairs(args, store)
+    pairs = _read_pairs(args, store, spec)
     base = dec.DecodeConfig(length_norm_alpha=args.alpha)
     points = an.beam_sweep(store, vocab, pairs, spec, args.beams, args.threshold,
                            base_config=base)

@@ -8,16 +8,20 @@ split into a base domain (training) and a novel domain (held out); shifted
 test sets mix novel content into base-domain sentences.  Function symbols
 are shared across domains.
 
-Target-side well-formedness is checked two ways: a full parse against the
-chunk grammar, and a sliding-window relaxation for mostly well-formed
-output.
+Target-side well-formedness is judged from one classification of the
+tokens (F target function, C target content, ? anything else): a full
+parse of that string against the chunk grammar, and a relaxation that
+counts its 3-letter windows for mostly well-formed output.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, asdict
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,9 +36,12 @@ STREAM_TEST_OOD = 13
 TokenPair = tuple[list[str], list[str]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainSpec:
-    """Symbol inventory and sentence-shape parameters for one task instance."""
+    """Symbol inventory and sentence-shape parameters for one task instance.
+
+    The inventories are built once per instance, on first use; the spec is
+    frozen so that they cannot go stale."""
 
     n_function: int = 8
     n_base_content: int = 26
@@ -55,26 +62,32 @@ class DomainSpec:
             raise ContractError("ood_novel_rate must be in (0, 1]")
 
     # symbol inventories; 's'/'t' prefix is source/target side
-    def src_functions(self) -> list[str]:
-        return [f"sf{i}" for i in range(self.n_function)]
+    @cached_property
+    def src_functions(self) -> tuple[str, ...]:
+        return tuple(f"sf{i}" for i in range(self.n_function))
 
-    def src_base_content(self) -> list[str]:
-        return [f"sb{i}" for i in range(self.n_base_content)]
+    @cached_property
+    def src_base_content(self) -> tuple[str, ...]:
+        return tuple(f"sb{i}" for i in range(self.n_base_content))
 
-    def src_novel_content(self) -> list[str]:
-        return [f"sn{i}" for i in range(self.n_novel_content)]
+    @cached_property
+    def src_novel_content(self) -> tuple[str, ...]:
+        return tuple(f"sn{i}" for i in range(self.n_novel_content))
 
-    def lexicon(self) -> dict[str, str]:
+    @cached_property
+    def lexicon(self) -> Mapping[str, str]:
         """Source symbol to target symbol, bijective by construction."""
-        return {s: "t" + s[1:] for s in (
-            self.src_functions() + self.src_base_content() + self.src_novel_content())}
+        return MappingProxyType({s: "t" + s[1:] for s in (
+            self.src_functions + self.src_base_content + self.src_novel_content)})
 
-    def tgt_functions(self) -> set[str]:
-        return {f"tf{i}" for i in range(self.n_function)}
+    @cached_property
+    def tgt_functions(self) -> frozenset[str]:
+        return frozenset(f"tf{i}" for i in range(self.n_function))
 
-    def tgt_content(self) -> set[str]:
-        return ({f"tb{i}" for i in range(self.n_base_content)}
-                | {f"tn{i}" for i in range(self.n_novel_content)})
+    @cached_property
+    def tgt_content(self) -> frozenset[str]:
+        return (frozenset(f"tb{i}" for i in range(self.n_base_content))
+                | frozenset(f"tn{i}" for i in range(self.n_novel_content)))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -82,34 +95,13 @@ class DomainSpec:
 
 def build_vocabulary(spec: DomainSpec) -> sm.Vocabulary:
     """One shared vocabulary holding both source and target symbol spaces."""
-    tokens = (spec.src_functions() + spec.src_base_content() + spec.src_novel_content()
-              + sorted(spec.tgt_functions()) + sorted(spec.tgt_content()))
-    return sm.Vocabulary(tokens)
-
-
-class _Symbols(NamedTuple):
-    """A spec's source inventories and lexicon, built once per corpus."""
-
-    functions: list[str]
-    base: list[str]
-    novel: list[str]
-    lexicon: dict[str, str]
-    function_set: frozenset[str]
-
-    @classmethod
-    def of(cls, spec: DomainSpec) -> "_Symbols":
-        functions = spec.src_functions()
-        return cls(functions, spec.src_base_content(), spec.src_novel_content(),
-                   spec.lexicon(), frozenset(functions))
+    return sm.Vocabulary([*spec.src_functions, *spec.src_base_content, *spec.src_novel_content,
+                          *sorted(spec.tgt_functions), *sorted(spec.tgt_content)])
 
 
 def transform_source(tokens: Sequence[str], spec: DomainSpec) -> list[str]:
     """Reference translation: lexicon mapping plus the in-chunk content swap."""
-    return _transform(tokens, _Symbols.of(spec))
-
-
-def _transform(tokens: Sequence[str], symbols: _Symbols) -> list[str]:
-    lex, funcs = symbols.lexicon, symbols.function_set
+    lex, funcs = spec.lexicon, spec.src_functions
     out: list[str] = []
     i = 0
     while i < len(tokens):
@@ -129,9 +121,9 @@ def _transform(tokens: Sequence[str], symbols: _Symbols) -> list[str]:
     return out
 
 
-def _draw_sentence(spec: DomainSpec, symbols: _Symbols, rng: np.random.Generator,
+def _draw_sentence(spec: DomainSpec, rng: np.random.Generator,
                    novel_rate: float) -> list[str]:
-    funcs, base, novel = symbols.functions, symbols.base, symbols.novel
+    funcs, base, novel = spec.src_functions, spec.src_base_content, spec.src_novel_content
     n_chunks = int(rng.integers(spec.min_chunks, spec.max_chunks + 1))
     toks: list[str] = []
     for _ in range(n_chunks):
@@ -150,8 +142,7 @@ def generate_corpus(spec: DomainSpec, size: int, rng: np.random.Generator,
     is guaranteed at least one novel-domain content symbol."""
     forbid = set(forbid or ())
     seen: set[tuple[str, ...]] = set()
-    symbols = _Symbols.of(spec)
-    novel = set(symbols.novel)
+    novel = set(spec.src_novel_content)
     pairs: list[TokenPair] = []
     attempts = 0
     limit = max(1000, 1000 * size)
@@ -160,14 +151,14 @@ def generate_corpus(spec: DomainSpec, size: int, rng: np.random.Generator,
         if attempts > limit:
             raise ContractError(
                 f"could not draw {size} unique sentences after {limit} attempts")
-        src = _draw_sentence(spec, symbols, rng, novel_rate)
+        src = _draw_sentence(spec, rng, novel_rate)
         key = tuple(src)
         if key in seen or key in forbid:
             continue
         if novel_rate > 0.0 and not any(t in novel for t in src):
             continue
         seen.add(key)
-        pairs.append((src, _transform(src, symbols)))
+        pairs.append((src, transform_source(src, spec)))
     return pairs
 
 
@@ -195,70 +186,39 @@ def generate_suite(spec: DomainSpec, seed: int, train_size: int = 1500,
 # target-side well-formedness
 # ---------------------------------------------------------------------------
 
-
-def target_grammar_check(tokens: Sequence[str], spec: DomainSpec) -> bool:
-    """Full parse: one or more chunks of a function symbol followed by one
-    or two content symbols, all from the target side."""
-    funcs = spec.tgt_functions()
-    content = spec.tgt_content()
-    if not tokens:
-        return False
-    i = 0
-    while i < len(tokens):
-        if tokens[i] not in funcs:
-            return False
-        i += 1
-        n_content = 0
-        while i < len(tokens) and tokens[i] in content and n_content < 2:
-            n_content += 1
-            i += 1
-        if n_content == 0:
-            return False
-    return True
+# the chunk grammar over token kinds, and the 3-letter windows of its
+# sentences: no "?", no two functions in a row, no three contents in a row
+_CHUNKS = re.compile("(FC{1,2})+")
+_PASSING_WINDOWS = frozenset({"FCF", "FCC", "CFC", "CCF"})
+PARTIAL_FLUENCY = 0.8  # share of passing windows for partial fluency
 
 
-def window_pass_fraction(tokens: Sequence[str], spec: DomainSpec,
-                         window: int = 3) -> float:
-    """Fraction of length-`window` slices locally consistent with the chunk
-    grammar: all tokens on the target side, no adjacent function symbols,
-    and no three content symbols in a row.  Short sequences fall back to
-    the full parse."""
-    if len(tokens) < window:
-        return 1.0 if target_grammar_check(tokens, spec) else 0.0
-    funcs = spec.tgt_functions()
-    content = spec.tgt_content()
-    passes = 0
-    total = len(tokens) - window + 1
-    for i in range(total):
-        chunk = tokens[i: i + window]
-        kinds = []
-        for t in chunk:
-            if t in funcs:
-                kinds.append("F")
-            elif t in content:
-                kinds.append("C")
-            else:
-                kinds.append("?")
-        if "?" in kinds:
-            continue
-        if any(a == b == "F" for a, b in zip(kinds, kinds[1:])):
-            continue
-        if all(k == "C" for k in kinds):
-            continue
-        passes += 1
-    return passes / total
+def _kinds(tokens: Sequence[str], spec: DomainSpec) -> str:
+    """One letter per token: F for a target function symbol, C for a target
+    content symbol, ? for anything else."""
+    funcs, content = spec.tgt_functions, spec.tgt_content
+    return "".join("F" if t in funcs else "C" if t in content else "?" for t in tokens)
 
 
 def is_fluent(tokens: Sequence[str], spec: DomainSpec) -> bool:
-    return target_grammar_check(tokens, spec)
+    """Full parse: one or more chunks of a function symbol followed by one
+    or two content symbols, all from the target side."""
+    return _CHUNKS.fullmatch(_kinds(tokens, spec)) is not None
 
 
-def is_partially_fluent(tokens: Sequence[str], spec: DomainSpec,
-                        window: int = 3, threshold: float = 0.8) -> bool:
-    """Mostly well-formed: at least `threshold` of sliding windows pass."""
-    if not tokens:
-        return False
-    return window_pass_fraction(tokens, spec, window) >= threshold
+def window_pass_fraction(tokens: Sequence[str], spec: DomainSpec) -> float:
+    """Fraction of the 3-token windows locally consistent with the chunk
+    grammar.  Sequences shorter than a window fall back to the full parse."""
+    kinds = _kinds(tokens, spec)
+    windows = [kinds[i: i + 3] for i in range(len(kinds) - 2)]
+    if not windows:
+        return 1.0 if _CHUNKS.fullmatch(kinds) else 0.0
+    return sum(w in _PASSING_WINDOWS for w in windows) / len(windows)
+
+
+def is_partially_fluent(tokens: Sequence[str], spec: DomainSpec) -> bool:
+    """Mostly well-formed: at least 80 % of the 3-token windows pass."""
+    return window_pass_fraction(tokens, spec) >= PARTIAL_FLUENCY
 
 
 # ---------------------------------------------------------------------------

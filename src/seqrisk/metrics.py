@@ -16,6 +16,7 @@ from typing import Hashable, Sequence
 from .errors import ContractError
 
 Token = Hashable
+BLEU_ORDER = 4  # n-gram orders 1..4 enter every BLEU score
 
 
 def ngrams(tokens: Sequence[Token], order: int) -> Counter:
@@ -38,10 +39,9 @@ class NGramCounts:
     ref_len: int
 
     @classmethod
-    def from_pair(cls, hyp: Sequence[Token], ref: Sequence[Token],
-                  max_order: int = 4) -> "NGramCounts":
+    def from_pair(cls, hyp: Sequence[Token], ref: Sequence[Token]) -> "NGramCounts":
         matches, totals = [], []
-        for n in range(1, max_order + 1):
+        for n in range(1, BLEU_ORDER + 1):
             hyp_counts = ngrams(hyp, n)
             ref_counts = ngrams(ref, n)
             totals.append(sum(hyp_counts.values()))
@@ -49,8 +49,6 @@ class NGramCounts:
         return cls(matches, totals, len(hyp), len(ref))
 
     def __add__(self, other: "NGramCounts") -> "NGramCounts":
-        if len(self.matches) != len(other.matches):
-            raise ContractError("cannot pool counts with different max orders")
         return NGramCounts(
             [a + b for a, b in zip(self.matches, other.matches)],
             [a + b for a, b in zip(self.totals, other.totals)],
@@ -71,8 +69,7 @@ def _geometric_mean(precisions: Sequence[float]) -> float:
     return math.exp(sum(math.log(p) for p in precisions) / len(precisions))
 
 
-def smoothed_sentence_bleu(hyp: Sequence[Token], ref: Sequence[Token],
-                           max_order: int = 4) -> float:
+def smoothed_sentence_bleu(hyp: Sequence[Token], ref: Sequence[Token]) -> float:
     """Sentence BLEU with add-one smoothing on orders >= 2.
 
     Unigram precision stays unsmoothed so a hypothesis sharing no tokens
@@ -82,9 +79,9 @@ def smoothed_sentence_bleu(hyp: Sequence[Token], ref: Sequence[Token],
     """
     if len(hyp) == 0:
         return 0.0
-    counts = NGramCounts.from_pair(hyp, ref, max_order)
+    counts = NGramCounts.from_pair(hyp, ref)
     precisions = []
-    for n in range(max_order):
+    for n in range(BLEU_ORDER):
         if n == 0:
             if counts.totals[0] == 0:
                 return 0.0
@@ -94,8 +91,7 @@ def smoothed_sentence_bleu(hyp: Sequence[Token], ref: Sequence[Token],
     return _brevity_penalty(counts.hyp_len, counts.ref_len) * _geometric_mean(precisions)
 
 
-def corpus_bleu(pairs: Sequence[tuple[Sequence[Token], Sequence[Token]]],
-                max_order: int = 4) -> float:
+def corpus_bleu(pairs: Sequence[tuple[Sequence[Token], Sequence[Token]]]) -> float:
     """Pooled, unsmoothed corpus BLEU over (hypothesis, reference) pairs.
 
     Counts are summed across the corpus before precisions are taken; any
@@ -103,11 +99,11 @@ def corpus_bleu(pairs: Sequence[tuple[Sequence[Token], Sequence[Token]]],
     """
     if not pairs:
         raise ContractError("corpus_bleu needs at least one pair")
-    pooled = NGramCounts.from_pair(*pairs[0], max_order=max_order)
+    pooled = NGramCounts.from_pair(*pairs[0])
     for hyp, ref in pairs[1:]:
-        pooled = pooled + NGramCounts.from_pair(hyp, ref, max_order=max_order)
+        pooled = pooled + NGramCounts.from_pair(hyp, ref)
     precisions = []
-    for n in range(max_order):
+    for n in range(BLEU_ORDER):
         if pooled.totals[n] == 0:
             return 0.0
         precisions.append(pooled.matches[n] / pooled.totals[n])

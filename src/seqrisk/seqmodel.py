@@ -103,9 +103,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
     def id_of(self, token: str) -> int:
         """Map a token to its id; unknown tokens map to the UNK id."""
         return self._token_to_id.get(token, UNK_ID)
@@ -118,13 +115,9 @@ class Vocabulary:
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.id_of(t) for t in tokens]
 
-    def decode(self, ids: Iterable[int], strip_specials: bool = True) -> list[str]:
-        out = []
-        for i in ids:
-            if strip_specials and i in (PAD_ID, BOS_ID, EOS_ID):
-                continue
-            out.append(self.token_of(int(i)))
-        return out
+    def decode(self, ids: Iterable[int]) -> list[str]:
+        """Ids to tokens, dropping PAD, BOS and EOS."""
+        return [self.token_of(int(i)) for i in ids if i not in (PAD_ID, BOS_ID, EOS_ID)]
 
     def content_tokens(self) -> list[str]:
         return self._id_to_token[len(SPECIAL_TOKENS):]
@@ -551,9 +544,9 @@ def decode_batch(store: ParameterStore, memory: nk.Tensor, src_ids: np.ndarray,
 MAX_LIVE_ROWS = 256
 
 
-def pad_batch(seqs: Sequence[Sequence[int]], pad_id: int = PAD_ID) -> np.ndarray:
+def pad_batch(seqs: Sequence[Sequence[int]]) -> np.ndarray:
     width = max(len(s) for s in seqs)
-    out = np.full((len(seqs), width), pad_id, dtype=np.int64)
+    out = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
     for i, s in enumerate(seqs):
         out[i, : len(s)] = s
     return out

@@ -115,6 +115,7 @@ class TestJudgment:
         s = an.summarize_judgments(js)
         assert (s.n, s.n_hallucinated) == (3, 1)
         assert s.rate == pytest.approx(1 / 3)
+        assert s.corpus_bleu == metrics.corpus_bleu([(j.hypothesis, j.reference) for j in js])
         with pytest.raises(ContractError):
             an.summarize_judgments([])
 
@@ -258,11 +259,11 @@ class TestSweepAndFiles:
             assert 0.0 <= p.bleu <= 1.0
             assert 0.0 <= p.hallucination_rate <= 1.0
 
-    def test_translate_corpus_shapes(self):
+    def test_judge_corpus_shapes(self):
         spec, vocab, pairs, store = trained_setup(epochs=1, n_train=30)
-        hyps = an.translate_corpus(store, vocab, pairs[:5])
-        assert len(hyps) == 5
-        assert all(isinstance(h, list) for h in hyps)
+        judgments = an.judge_corpus(store, vocab, pairs[:5], spec)
+        assert [(j.source, j.reference) for j in judgments] == pairs[:5]
+        assert all(isinstance(j.hypothesis, list) for j in judgments)
 
     def test_judgments_jsonl(self, tmp_path):
         spec = small_spec()
@@ -283,7 +284,7 @@ class TestSweepAndFiles:
                            "mean_overlap"]
         assert len(rows) == 2 and rows[1][0] == "mle"
 
-        summary = an.HallucinationSummary(10, 8, 9, 2, 0.2, 0.7)
+        summary = an.HallucinationSummary(10, 8, 9, 2, 0.2, 0.7, 0.4)
         an.write_hallucination_csv(tmp_path / "h.csv", {("mle", "test_ood"): summary})
         rows = list(csv.reader(open(tmp_path / "h.csv")))
         assert len(rows) == 2 and rows[1][:2] == ["mle", "test_ood"]

@@ -499,6 +499,10 @@ MALFORMED_INPUTS = [
     ("train-mle", "dev.tsv", b"sf0\ttf0\nsf0\ttf0\n\xfe\ttf1\n", ":3: not UTF-8"),
     ("translate", "in.txt", b"sf0 sf1\nsf1 \xc3\n", ":2: not UTF-8"),
     ("gen-data", "config.json", b'{"seed": 1, "mle": {"epochs": "\xe9"}}', ":1: not UTF-8"),
+    ("evaluate", "test_ood.tsv", b"", "no sentence pairs"),
+    ("sweep-beam", "test_ood.tsv", b"", "no sentence pairs"),
+    ("analyze-uncertainty", "test_ood.tsv", b"", "no sentence pairs"),
+    ("analyze-uncertainty", "test_id.tsv", b"", "no sentence pairs"),
 ]
 
 
@@ -509,6 +513,9 @@ def _command_line(command: str, data: Path, checkpoint: Path) -> list[str]:
         "translate": ["translate", *model, "--input", str(data / "in.txt")],
         "evaluate": ["evaluate", *model, "--domain", str(data / "domain.json"),
                      "--data-file", str(data / "test_ood.tsv"), "--n", "2"],
+        "sweep-beam": ["sweep-beam", *model, "--domain", str(data / "domain.json"),
+                       "--data-file", str(data / "test_ood.tsv"), "--n", "2",
+                       "--output", str(data / "sweep.csv")],
         "analyze-uncertainty": ["analyze-uncertainty", *model,
                                 "--data-file", str(data / "test_ood.tsv"),
                                 "--distractor-file", str(data / "test_id.tsv"),
@@ -533,6 +540,26 @@ def test_malformed_input_exits_one_naming_the_file(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 1, err
     assert str(copy / name) in err and says in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep-beam"])
+def test_reference_without_content_refused_before_decoding(workspace, tmp_path, capsys,
+                                                           monkeypatch, command):
+    config, data, run = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    (copy / "test_ood.tsv").write_text("sf0 sb0\ttf0 tb0\nsf0 sb0\ttf0\n")
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decoded before every reference was checked")
+
+    monkeypatch.setattr(dec, "beam_search_corpus", no_decoding)
+    code = cli.main(_command_line(command, copy, run / "mle.ckpt"))
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert (f"{copy / 'test_ood.tsv'}: line 2 has a reference with no content token "
+            f"of the domain") in err
+    assert not (copy / "sweep.csv").exists()
 
 
 class TestReproduce:

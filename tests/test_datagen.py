@@ -1,8 +1,13 @@
 """Corpus generator contracts: the reference transform, split hygiene,
 grammar checks, and the strict corpus file format."""
 
+import json
+from dataclasses import FrozenInstanceError, asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqrisk import cli
 from seqrisk import datagen as dg
@@ -39,8 +44,31 @@ class TestDomainSpec:
         assert len(vocab) <= 128
 
     def test_lexicon_is_bijective(self):
-        lex = small_spec().lexicon()
+        lex = small_spec().lexicon
         assert len(set(lex.values())) == len(lex)
+
+    def test_inventories_are_built_once_and_leave_the_fields_alone(self):
+        spec = small_spec()
+        for name in ("src_functions", "src_base_content", "src_novel_content",
+                     "lexicon", "tgt_functions", "tgt_content"):
+            assert getattr(spec, name) is getattr(spec, name), name
+        fields = {"n_function": 3, "n_base_content": 5, "n_novel_content": 4,
+                  "min_chunks": 1, "max_chunks": 3, "p_two_content": 0.5,
+                  "ood_novel_rate": 0.6}
+        assert asdict(spec) == fields
+        assert spec.to_json() == json.dumps(fields, sort_keys=True)
+        assert spec == small_spec()
+        with pytest.raises(FrozenInstanceError):
+            spec.n_function = 4
+        with pytest.raises(TypeError):
+            spec.lexicon["sf0"] = "tb0"
+
+    def test_vocabulary_order(self):
+        spec = small_spec()
+        tokens = ([f"sf{i}" for i in range(3)] + [f"sb{i}" for i in range(5)]
+                  + [f"sn{i}" for i in range(4)] + sorted(f"tf{i}" for i in range(3))
+                  + sorted([f"tb{i}" for i in range(5)] + [f"tn{i}" for i in range(4)]))
+        assert dg.build_vocabulary(spec).content_tokens() == tokens
 
 
 class TestTransform:
@@ -86,7 +114,7 @@ class TestGeneration:
         assert len({tuple(s) for s, _ in pairs}) == 50
         for src, tgt in pairs:
             assert tgt == dg.transform_source(src, spec)
-            assert dg.target_grammar_check(tgt, spec)
+            assert dg.is_fluent(tgt, spec)
 
     def test_lengths_follow_chunk_bounds(self):
         spec = small_spec(min_chunks=2, max_chunks=3)
@@ -96,13 +124,13 @@ class TestGeneration:
 
     def test_base_corpus_has_no_novel_symbols(self):
         spec = small_spec()
-        novel = set(spec.src_novel_content())
+        novel = set(spec.src_novel_content)
         pairs = dg.generate_corpus(spec, 30, np.random.default_rng(3))
         assert all(not (set(src) & novel) for src, _ in pairs)
 
     def test_shifted_corpus_guarantees_novel_content(self):
         spec = small_spec()
-        novel = set(spec.src_novel_content())
+        novel = set(spec.src_novel_content)
         pairs = dg.generate_corpus(spec, 30, np.random.default_rng(4),
                                    novel_rate=spec.ood_novel_rate)
         assert all(set(src) & novel for src, _ in pairs)
@@ -145,18 +173,17 @@ class TestGrammarChecks:
     def test_accepts_generated_targets(self):
         spec = small_spec()
         for _, tgt in dg.generate_corpus(spec, 30, np.random.default_rng(7)):
-            assert dg.target_grammar_check(tgt, spec)
             assert dg.is_fluent(tgt, spec)
             assert dg.is_partially_fluent(tgt, spec)
 
     def test_rejects_malformed_targets(self):
         spec = small_spec()
-        assert not dg.target_grammar_check([], spec)
-        assert not dg.target_grammar_check(["tf0"], spec)
-        assert not dg.target_grammar_check(["tb0", "tf0", "tb1"], spec)
-        assert not dg.target_grammar_check(["tf0", "tb0", "tb1", "tb2"], spec)
-        assert not dg.target_grammar_check(["tf0", "sb0"], spec)  # source side
-        assert not dg.target_grammar_check(["tf0", "tf1", "tb0"], spec)
+        assert not dg.is_fluent([], spec)
+        assert not dg.is_fluent(["tf0"], spec)
+        assert not dg.is_fluent(["tb0", "tf0", "tb1"], spec)
+        assert not dg.is_fluent(["tf0", "tb0", "tb1", "tb2"], spec)
+        assert not dg.is_fluent(["tf0", "sb0"], spec)  # source side
+        assert not dg.is_fluent(["tf0", "tf1", "tb0"], spec)
 
     def test_window_fraction_hand_cases(self):
         spec = small_spec()
@@ -183,6 +210,73 @@ class TestGrammarChecks:
         spec = small_spec()
         assert dg.window_pass_fraction(["tf0", "tb0"], spec) == 1.0
         assert dg.window_pass_fraction(["tb0", "tb1"], spec) == 0.0
+
+
+# The token-by-token judges that the kind-string ones replaced, kept as the
+# reference they must agree with.
+def reference_full_parse(tokens, spec):
+    funcs, content = spec.tgt_functions, spec.tgt_content
+    if not tokens:
+        return False
+    i = 0
+    while i < len(tokens):
+        if tokens[i] not in funcs:
+            return False
+        i += 1
+        n_content = 0
+        while i < len(tokens) and tokens[i] in content and n_content < 2:
+            n_content += 1
+            i += 1
+        if n_content == 0:
+            return False
+    return True
+
+
+def reference_window_fraction(tokens, spec, window=3):
+    if len(tokens) < window:
+        return 1.0 if reference_full_parse(tokens, spec) else 0.0
+    funcs, content = spec.tgt_functions, spec.tgt_content
+    passes = 0
+    total = len(tokens) - window + 1
+    for i in range(total):
+        kinds = ["F" if t in funcs else "C" if t in content else "?"
+                 for t in tokens[i: i + window]]
+        if "?" in kinds:
+            continue
+        if any(a == b == "F" for a, b in zip(kinds, kinds[1:])):
+            continue
+        if all(k == "C" for k in kinds):
+            continue
+        passes += 1
+    return passes / total
+
+
+def reference_partially_fluent(tokens, spec, window=3, threshold=0.8):
+    if not tokens:
+        return False
+    return reference_window_fraction(tokens, spec, window) >= threshold
+
+
+JUDGED = small_spec()
+FUNCTIONS = st.sampled_from(sorted(JUDGED.tgt_functions))
+CONTENT = st.sampled_from(sorted(JUDGED.tgt_content))
+# source-side symbols, target-looking symbols past the inventory, reserved and unknown
+OTHERS = st.sampled_from(["sf0", "sb1", "sn2", "tf9", "tb99", "<unk>", "<eos>", "xyz"])
+ANY = st.one_of(FUNCTIONS, CONTENT, OTHERS)
+CHUNK = st.builds(lambda f, cs: [f, *cs], FUNCTIONS, st.lists(CONTENT, min_size=1, max_size=2))
+SEQUENCES = (st.lists(ANY, max_size=14)
+             # mostly fluent: up to four chunks, at most one token replaced
+             | st.builds(lambda chunks, at, token: [
+                 token if i == at else t for i, t in enumerate(sum(chunks, []))],
+                 st.lists(CHUNK, max_size=4), st.integers(-1, 11), ANY))
+
+
+@settings(max_examples=500, deadline=None)
+@given(SEQUENCES)
+def test_judges_agree_with_the_token_by_token_reference(tokens):
+    assert dg.is_fluent(tokens, JUDGED) == reference_full_parse(tokens, JUDGED)
+    assert dg.window_pass_fraction(tokens, JUDGED) == reference_window_fraction(tokens, JUDGED)
+    assert dg.is_partially_fluent(tokens, JUDGED) == reference_partially_fluent(tokens, JUDGED)
 
 
 class TestCorpusFiles:

@@ -35,3 +35,46 @@ def test_the_scan_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_imported_name(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names (`_x`, not dunders) that the modules in
+    `sources` (module name to source) define and none of them reads, each
+    with its module and line; an import or an attribute of that name counts
+    as a read."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{name} ({where})" for name, where in sorted(defined.items())
+            if name not in read]
+
+
+def test_the_scan_finds_unread_private_names():
+    sources = {"a": "_LIMIT = 3\n_Left: int = 1\ndef _helper():\n    return _LIMIT\n"
+                    "class _Box:\n    pass\n__all__ = []\n",
+               "b": "from .a import _helper\n"}
+    assert unread_private_names(sources) == ["_Box (a:5)", "_Left (a:2)"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -72,7 +72,6 @@ class TestVocabulary:
         v = sm.Vocabulary(["x"])
         ids = [sm.BOS_ID, 4, sm.EOS_ID, sm.PAD_ID]
         assert v.decode(ids) == ["x"]
-        assert v.decode(ids, strip_specials=False) == ["<bos>", "x", "<eos>", "<pad>"]
 
     def test_duplicate_and_reserved_tokens_rejected(self):
         with pytest.raises(VocabularyError):
