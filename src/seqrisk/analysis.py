@@ -18,7 +18,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
@@ -63,13 +63,10 @@ class HallucinationSummary:
 
 
 def adequacy_overlap(hyp_tokens: Sequence[str], ref_tokens: Sequence[str],
-                     content: set[str] | None = None) -> float:
+                     content: AbstractSet[str]) -> float:
     """Fraction of the reference's content-token types present in the
-    hypothesis.  `content` narrows which tokens carry meaning; without it
-    every reference token type counts."""
-    ref_types = set(ref_tokens)
-    if content is not None:
-        ref_types &= content
+    hypothesis; `content` names the tokens that carry meaning."""
+    ref_types = content & set(ref_tokens)
     if not ref_types:
         raise ContractError("reference has no content tokens")
     return len(ref_types & set(hyp_tokens)) / len(ref_types)

@@ -18,8 +18,6 @@ import json
 import math
 import os
 import sys
-import types
-import typing
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -92,6 +90,13 @@ class ExperimentConfig:
     mrt: obj.MRTConfig = field(default_factory=obj.MRTConfig)
     eval: EvalSettings = field(default_factory=EvalSettings)
 
+    def __post_init__(self):
+        # a target holds at most max_seq_len tokens, so max_seq_len - 1 forced positions
+        forced = self.model.max_seq_len - 1
+        if self.eval.min_position > forced:
+            raise ContractError(f"eval: min_position {self.eval.min_position} exceeds the "
+                                f"{forced} forced positions of a target (model.max_seq_len - 1)")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -99,70 +104,9 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-_SECTION_TYPES = {
-    "domain": dg.DomainSpec,
-    "model": sm.ModelSettings,
-    "data": DataSettings,
-    "mle": obj.MLEConfig,
-    "mrt": obj.MRTConfig,
-    "eval": EvalSettings,
-}
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has a field's annotated type; an int fits a
-    float, and NaN and the infinities fit nothing."""
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, *typing.get_args(hint)) for v in value)
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    if hint is float:
-        return isinstance(value, (int, float)) and -math.inf < value < math.inf
-    return isinstance(value, hint)
-
-
-def _build_section(cls, data: dict, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must be an object")
-    hints = typing.get_type_hints(cls)
-    for key, value in data.items():
-        if key not in hints:
-            raise ConfigError(f"{path}.{key} is not a recognized field")
-        hint = hints[key]
-        if not _fits(value, hint):
-            what = ("a finite number" if hint is float
-                    else hint.__name__ if isinstance(hint, type) else hint)
-            raise ConfigError(f"{path}.{key} must be {what}, got {value!r}")
-    try:
-        return cls(**data)
-    except ContractError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Strict construction: any unknown field is rejected by name."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be an object")
-    known = {"seed"} | set(_SECTION_TYPES)
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"{key} is not a recognized field")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
-    kwargs = {"seed": seed}
-    for name, cls in _SECTION_TYPES.items():
-        kwargs[name] = _build_section(cls, data.get(name, {}), name)
-    # a target holds at most max_seq_len tokens, so max_seq_len - 1 forced positions
-    forced = kwargs["model"].max_seq_len - 1
-    if kwargs["eval"].min_position > forced:
-        raise ConfigError(f"eval: min_position {kwargs['eval'].min_position} exceeds the "
-                          f"{forced} forced positions of a target (model.max_seq_len - 1)")
-    return ExperimentConfig(**kwargs)
+    return sm.build_settings(ExperimentConfig, data)
 
 
 def _apply_override(data: dict, assignment: str) -> None:
@@ -275,7 +219,18 @@ def _load_vocab(path) -> sm.Vocabulary:
 
 
 def _load_domain(path) -> dg.DomainSpec:
-    return _build_section(dg.DomainSpec, _load_json(path), f"{path}: domain")
+    return sm.build_settings(dg.DomainSpec, _load_json(path), f"{path}: domain")
+
+
+def _load_judge(args) -> tuple[sm.ParameterStore, sm.Vocabulary, dg.DomainSpec]:
+    """The model, vocabulary and domain that `evaluate` and `sweep-beam`
+    judge with; a domain whose vocabulary is not the --vocab file's is
+    refused, naming both files."""
+    store, vocab = _load_model(args.checkpoint, args.vocab)
+    spec = _load_domain(args.domain)
+    if dg.build_vocabulary(spec).content_tokens() != vocab.content_tokens():
+        raise ContractError(f"{args.domain} does not describe the vocabulary in {args.vocab}")
+    return store, vocab, spec
 
 
 def _load_model(checkpoint, vocab_path) -> tuple[sm.ParameterStore, sm.Vocabulary]:
@@ -579,8 +534,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    store, vocab = _load_model(args.checkpoint, args.vocab)
-    spec = _load_domain(args.domain)
+    store, vocab, spec = _load_judge(args)
     pairs = _read_pairs(args, store, spec)
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
     judgments = an.judge_corpus(store, vocab, pairs, spec, config, args.threshold)
@@ -628,8 +582,7 @@ def _cmd_analyze_uncertainty(args) -> int:
 
 
 def _cmd_sweep_beam(args) -> int:
-    store, vocab = _load_model(args.checkpoint, args.vocab)
-    spec = _load_domain(args.domain)
+    store, vocab, spec = _load_judge(args)
     pairs = _read_pairs(args, store, spec)
     base = dec.DecodeConfig(length_norm_alpha=args.alpha)
     points = an.beam_sweep(store, vocab, pairs, spec, args.beams, args.threshold,

@@ -25,6 +25,8 @@ DEFAULT_DTYPE = np.float32
 # the score `attention` gives a masked key: exp() of it underflows to 0
 NEG_INF_FILL = -1e9
 
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+
 
 class Tensor:
     """A shaped buffer of floats, optionally tracked by the active graph."""
@@ -268,24 +270,24 @@ def log_softmax(a: Tensor) -> Tensor:
     return _finish("log_softmax", out_data, (a,), rule)
 
 
-def normalize_last(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+def normalize_last(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero mean and unit variance along the last axis of a plain array:
     returns (x_hat, 1 / std).  The reductions call np.add.reduce directly,
     which sums exactly as ndarray.mean does without its wrapper."""
     n = x.shape[-1]
     centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(LAYER_NORM_EPS))
     return centered * inv_std, inv_std
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim of {a.shape}")
     n = a.shape[-1]
-    x_hat, inv_std = normalize_last(a.data, eps)
+    x_hat, inv_std = normalize_last(a.data)
     out_data = x_hat * gain.data + bias.data
 
     def rule(g: np.ndarray) -> None:

@@ -20,13 +20,15 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, asdict
+import types
+import typing
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import numkit as nk
-from .errors import ContractError, LengthError, NumericsError, ParseError, VocabularyError
+from .errors import ConfigError, ContractError, LengthError, NumericsError, ParseError, VocabularyError
 
 PAD_ID = 0
 BOS_ID = 1
@@ -80,12 +82,12 @@ class ModelConfig(ModelSettings):
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of `to_dict`.  Checkpoints written while embeddings could
-        be untied also carry `tie_embeddings`, which must be true."""
+        """Inverse of `to_dict`, through `build_settings`.  Checkpoints written
+        while embeddings could be untied carry `tie_embeddings`, which must be true."""
         d = dict(d)
         if d.pop("tie_embeddings", True) is not True:
             raise ContractError("untied embeddings (tie_embeddings false) are not supported")
-        return cls(**d)
+        return build_settings(cls, d)
 
 
 class Vocabulary:
@@ -148,6 +150,47 @@ def read_utf8(path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{line}: not UTF-8 text") from None
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a field's annotated type; an int fits a
+    float, and NaN and the infinities fit nothing."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, *typing.get_args(hint)) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float)) and -math.inf < value < math.inf
+    return isinstance(value, hint)
+
+
+def build_settings(cls, data, path: str = ""):
+    """The settings dataclass `cls` built from the JSON object `data`; a
+    dataclass-typed field is built from its own object the same way.  An
+    unknown field, a mistyped value or one that `cls` refuses raises
+    ConfigError naming it `path.field` (with no path, `field`)."""
+    where = f"{path}." if path else ""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'configuration root'} must be an object")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        if key not in hints:
+            raise ConfigError(f"{where}{key} is not a recognized field")
+        hint = hints[key]
+        if is_dataclass(hint):
+            value = build_settings(hint, value, where + key)
+        elif not _fits(value, hint):
+            what = ("a finite number" if hint is float
+                    else hint.__name__ if isinstance(hint, type) else hint)
+            raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except (ContractError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 @contextlib.contextmanager
@@ -301,12 +344,12 @@ class ParameterStore:
     @classmethod
     def load(cls, path) -> "ParameterStore":
         """Read a checkpoint into a fresh float32 store (the payload is
-        copied once).  A file whose manifest is unreadable or holds an
-        invalid config, whose tensors' names, shapes and offsets are not
-        those of a store of that config, whose payload is not exactly
-        their bytes, or whose payload does not match the manifest's
-        `payload_sha256` raises ContractError naming the file.  Files
-        written before the checksum (no such key) still load."""
+        copied once).  A file whose manifest is unreadable or holds a
+        config that `build_settings` refuses, whose tensors' names, shapes
+        and offsets are not those of a store of that config, whose payload
+        is not exactly their bytes, or whose payload does not match the
+        manifest's `payload_sha256` raises ContractError naming the file.
+        Files written before the checksum (no such key) still load."""
         with open(path, "rb") as fh:
             header = fh.readline()
             payload = fh.read()
@@ -321,7 +364,7 @@ class ParameterStore:
                         int(manifest["step_count"]), np.float32)
             entries = [(e["name"], tuple(map(operator.index, e["shape"])), int(e["offset"]))
                        for e in manifest["tensors"]]
-        except ContractError as exc:
+        except (ConfigError, ContractError) as exc:
             raise ContractError(f"{path}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractError(f"{path}: malformed checkpoint manifest ({exc!r})") from None

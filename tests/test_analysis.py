@@ -36,10 +36,11 @@ def trained_setup(epochs=12, n_train=60, seed=0):
 
 class TestAdequacyOverlap:
     def test_type_level_fraction(self):
-        assert an.adequacy_overlap(["a", "a", "b"], ["a", "b", "c"]) == pytest.approx(2 / 3)
-        assert an.adequacy_overlap([], ["a"]) == 0.0
-        assert an.adequacy_overlap(["a", "b"], ["b", "a"]) == 1.0
-        assert an.adequacy_overlap(["x"], ["a", "b"]) == 0.0
+        content = {"a", "b", "c", "x"}
+        assert an.adequacy_overlap(["a", "a", "b"], ["a", "b", "c"], content) == pytest.approx(2 / 3)
+        assert an.adequacy_overlap([], ["a"], content) == 0.0
+        assert an.adequacy_overlap(["a", "b"], ["b", "a"], content) == 1.0
+        assert an.adequacy_overlap(["x"], ["a", "b"], content) == 0.0
 
     def test_content_filter_ignores_function_tokens(self):
         # hyp shares only the function token; content overlap must be zero
@@ -50,7 +51,7 @@ class TestAdequacyOverlap:
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ContractError):
-            an.adequacy_overlap(["a"], [])
+            an.adequacy_overlap(["a"], [], content={"a"})
         with pytest.raises(ContractError):
             an.adequacy_overlap(["a"], ["f"], content={"a"})
 

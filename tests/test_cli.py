@@ -180,17 +180,25 @@ class TestExitCodes:
             manifest["config"].update(config)
             return json.dumps(manifest).encode() + b"\n" + payload
 
-        for name, data in (("truncated.ckpt", whole[:-8]), ("padded.ckpt", whole + b"\0" * 4),
-                           ("layers.ckpt", edited(enc_layers=2)), ("ffn.ckpt", edited(ffn_dim=4)),
-                           ("heads.ckpt", edited(num_heads=3)),
-                           ("untied.ckpt", edited(tie_embeddings=False))):
+        for name, data, says in (
+                ("truncated.ckpt", whole[:-8], "truncated"),
+                ("padded.ckpt", whole + b"\0" * 4, "truncated or corrupt"),
+                ("layers.ckpt", edited(enc_layers=2), "enc.1.ln1.gain"),
+                ("ffn.ckpt", edited(ffn_dim=4), "enc.0.ffn.w1"),
+                ("heads.ckpt", edited(num_heads=3), "embed_dim 8 not divisible by num_heads 3"),
+                ("untied.ckpt", edited(tie_embeddings=False), "untied embeddings"),
+                # mistyped fields are refused by name, not met later as a TypeError
+                ("len.ckpt", edited(max_seq_len=8.0), "max_seq_len must be int, got 8.0"),
+                ("bool.ckpt", edited(num_heads=True), "num_heads must be int, got True"),
+                ("str.ckpt", edited(enc_layers="1"), "enc_layers must be int, got '1'")):
             (tmp_path / name).write_bytes(data)
             code = cli.main(["translate", "--checkpoint", str(tmp_path / name),
                              "--vocab", str(tmp_path / "vocab.json"),
                              "--input", str(tmp_path / "in.txt")])
             err = capsys.readouterr().err
             assert code == 1, err
-            assert name in err and "internal error" not in err
+            assert f"{tmp_path / name}: " in err and says in err, err
+            assert "internal error" not in err
 
     def test_bad_mrt_temperature_fails_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -478,6 +486,7 @@ class TestModelCommands:
 
 
 SMALL_VOCAB = sm.Vocabulary(["tf0", "tf1"]).to_json().encode()
+OTHER_DOMAIN = json.dumps(dict(TINY["domain"], n_novel_content=2)).encode()  # the run used 4
 
 # command, file replaced (in a copy of the gen-data directory), its bytes,
 # and what the error must say besides the file's name
@@ -493,6 +502,8 @@ MALFORMED_INPUTS = [
     ("evaluate", "domain.json", b'{"n_function": "x"}', "domain.n_function must be int"),
     ("evaluate", "domain.json", b'{"p_two_content": NaN}',
      "domain.p_two_content must be a finite number, got nan"),
+    ("evaluate", "domain.json", OTHER_DOMAIN, "does not describe the vocabulary in"),
+    ("sweep-beam", "domain.json", OTHER_DOMAIN, "does not describe the vocabulary in"),
     ("evaluate", "test_ood.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", ":2: not UTF-8"),
     ("analyze-uncertainty", "test_id.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", ":2: not UTF-8"),
     ("train-mle", "train.tsv", b"sf0\ttf0\n\xfe\ttf1\n", ":2: not UTF-8"),

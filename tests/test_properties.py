@@ -1,13 +1,17 @@
 """Property tests: checkpoint round trips over random model configurations,
-the configuration's model section against the model's own checks, and the
-invariants of token-budget batching and padding."""
+the configuration's model section against the model's own checks, the
+invariants of token-budget batching and padding, and the settings walk
+(`seqmodel.build_settings`) over every field of every section."""
 
+import dataclasses
 import tempfile
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from seqrisk import cli
@@ -96,3 +100,118 @@ def test_pad_batch_keeps_prefixes_and_pads_the_rest(seqs):
     for row, seq in zip(out, seqs):
         assert row[: len(seq)].tolist() == seq
         assert (row[len(seq):] == sm.PAD_ID).all()
+
+
+# -- the settings walk: every field of every section ---------------------------
+
+# values of a wrong kind, each with the kinds of field that would take it
+WRONG_VALUES = [(True, {bool}), (2.5, {float}), ("1", {str}), ([1], {list}),
+                (float("nan"), set()), (None, {type(None)}), ({"x": 1}, set())]
+
+
+def _kinds(hint) -> set:
+    """The kinds of JSON value a field's annotated type takes."""
+    if typing.get_origin(hint) is types.UnionType:
+        return set().union(*map(_kinds, typing.get_args(hint)))
+    if typing.get_origin(hint) is list:
+        return {list}
+    return {int, float} if hint is float else {hint}
+
+
+def _right_values(hint, default, near: bool):
+    """Values of a field's own type: `near` its default (small positive
+    ints for a field with no default), or anywhere."""
+    if typing.get_origin(hint) is types.UnionType:
+        return st.one_of([_right_values(h, default, near) for h in typing.get_args(hint)])
+    if typing.get_origin(hint) is list:
+        return st.lists(_right_values(*typing.get_args(hint), None, near), max_size=4)
+    if hint is type(None):
+        return st.none()
+    if hint is bool:
+        return st.booleans()
+    if hint is int and near:
+        return st.integers(1, 8) if default is None else st.integers(default - 2, default + 2)
+    if hint is int:
+        return st.integers(-2, 64) | st.integers()
+    if near:
+        return st.floats(0.5, 1.5).map(lambda x: x * default)
+    return st.integers(-1, 2) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _fields(cls, prefix: tuple = ()) -> list[tuple[tuple, object]]:
+    """The path of names to, and the annotated type of, every field of
+    dataclass `cls` and of the dataclasses among them, depth first."""
+    out = []
+    for name, hint in typing.get_type_hints(cls).items():
+        out.append((prefix + (name,), hint))
+        if dataclasses.is_dataclass(hint):
+            out.extend(_fields(hint, prefix + (name,)))
+    return out
+
+
+@st.composite
+def settings_objects(draw, cls, near: bool, mistyped: tuple = (), prefix: tuple = ()):
+    """A JSON object for dataclass `cls` (at path `prefix`): each field left
+    out or drawn of its own type (a dataclass-typed field: such an object
+    itself), but the field at path `mistyped` takes a value of a wrong kind."""
+    hints = typing.get_type_hints(cls)
+    data = {}
+    for f in dataclasses.fields(cls):
+        path, hint = prefix + (f.name,), hints[f.name]
+        if path == mistyped:
+            data[f.name] = draw(st.sampled_from(
+                [value for value, takers in WRONG_VALUES if not takers & _kinds(hint)]))
+        elif mistyped[: len(path)] == path or draw(st.booleans()):
+            if dataclasses.is_dataclass(hint):
+                data[f.name] = draw(settings_objects(hint, near, mistyped, path))
+            else:
+                default = (f.default_factory() if f.default_factory is not dataclasses.MISSING
+                           else f.default)
+                data[f.name] = draw(_right_values(hint, default, near))
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.just(()) | st.sampled_from([path for path, _ in _fields(cli.ExperimentConfig)]),
+       st.booleans(), st.data())
+def test_every_configuration_builds_or_is_refused(mistyped, near, data):
+    raw = data.draw(settings_objects(cli.ExperimentConfig, near, mistyped))
+    try:
+        config = cli.config_from_dict(raw)
+    except ConfigError:
+        return
+    event(f"built ({'near' if near else 'anywhere'})")
+    assert not mistyped, f"{'.'.join(mistyped)} of a wrong kind was accepted"
+    again = cli.config_from_dict(config.to_dict())  # the config that manifest.json records
+    assert again == config and again.canonical_json() == config.canonical_json()
+
+
+def _walkable(hint) -> bool:
+    """Whether `build_settings` checks a value against `hint`: int, float,
+    bool, str, `list[...]` and `X | None` of those, or a dataclass."""
+    if typing.get_origin(hint) is types.UnionType:
+        return all(h is type(None) or _walkable(h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return _walkable(*typing.get_args(hint))
+    return hint in (int, float, bool, str) or dataclasses.is_dataclass(hint)
+
+
+@pytest.mark.parametrize("cls", [cli.ExperimentConfig, sm.ModelConfig], ids=lambda c: c.__name__)
+def test_every_settings_field_has_a_type_the_walk_checks(cls):
+    assert [(path, h) for path, h in _fields(cls) if not _walkable(h)] == []
+
+
+def test_the_type_scan_finds_unchecked_types():
+    @dataclasses.dataclass
+    class Section:
+        pairs: tuple[int, int] = (1, 2)
+        table: dict = dataclasses.field(default_factory=dict)
+        size: int | None = None
+
+    @dataclasses.dataclass
+    class Root:
+        section: Section = dataclasses.field(default_factory=Section)
+        names: list[str] = dataclasses.field(default_factory=list)
+
+    assert [(path, h) for path, h in _fields(Root) if not _walkable(h)] == [
+        (("section", "pairs"), tuple[int, int]), (("section", "table"), dict)]
