@@ -395,6 +395,8 @@ def run_reproduce(config: ExperimentConfig, outdir: Path) -> dict:
     """The full study: data, MLE, risk fine-tuning, all diagnostics, manifest."""
     outdir.mkdir(parents=True, exist_ok=True)
     with OutputLock(outdir):
+        for name in ("manifest.json", "summary.json"):  # no failed rerun looks finished
+            (outdir / name).unlink(missing_ok=True)
         suite = stage_gen_data(config, outdir)
         vocab = dg.build_vocabulary(config.domain)
         mle_store = stage_train_mle(config, vocab, suite["train"], outdir)

@@ -97,18 +97,6 @@ def _active_graph() -> Graph | None:
     return _GRAPH_STACK[-1] if _GRAPH_STACK else None
 
 
-class no_grad:
-    """Context that suspends recording even if a graph is active."""
-
-    def __enter__(self):
-        self._saved = list(_GRAPH_STACK)
-        _GRAPH_STACK.clear()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        _GRAPH_STACK.extend(self._saved)
-
-
 def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
             backward_rule: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result, check finiteness, and record it on the tape."""
@@ -491,10 +479,10 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
     The form query_x [B, Lq, D], key_x [B, Lk, D] without slots is the
     layout in which every slot holds its own row, and returns [B, Lq, D].
 
-    `mask`, a bool array broadcastable to [B, heads, Lq, Lk], marks keys to
-    suppress (their scores become NEG_INF_FILL); it must cover every empty
-    key slot.  `keep`, shaped [B, heads, Lq, Lk], scales the attention
-    weights (dropout).
+    Every empty key slot is suppressed (its score becomes NEG_INF_FILL),
+    and so are the keys that `mask`, a bool array broadcastable to
+    [B, heads, Lq, Lk], marks.  `keep`, shaped [B, heads, Lq, Lk], scales
+    the attention weights (dropout).
 
     In the 3-D form, forward and backward make the numpy calls of the
     composed chain of matmul, reshape, transpose, scale, masked_fill,
@@ -529,6 +517,9 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
     if keep is not None and keep.shape != scores_shape:
         raise ShapeError(f"attention keep mask {keep.shape} must be {scores_shape}")
     s = 1.0 / math.sqrt(dh)
+    empty = (key_slots.index < 0)[:, None, None, :]
+    if empty.any():
+        mask = empty if mask is None else np.asarray(mask, dtype=bool) | empty
 
     def checked(what: str, arr: np.ndarray) -> np.ndarray:
         if not np.isfinite(arr).all():

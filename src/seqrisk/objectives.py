@@ -2,9 +2,10 @@
 
 Two objectives share one model: label-smoothed maximum likelihood with
 teacher forcing, and expected-risk fine-tuning over a sampled candidate
-subspace.  Risk training samples without gradients, then rescores the
-candidates teacher-forced inside the graph, so the only backward path is
-through the rescoring pass.
+subspace.  Only a training step's loss is taped: risk training samples
+each step's candidates before the step's tape opens, then rescores them
+teacher-forced on it, so the only backward path is through the rescoring
+pass.
 
 Randomness is split into named streams derived from the run seed, so
 changing how often one stream is consumed never perturbs the others.
@@ -13,6 +14,7 @@ changing how often one stream is consumed never perturbs the others.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -122,45 +124,52 @@ def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
               trace_path) -> None:
     """The step loop both objectives share.
 
-    Per batch: `objective(batch)` returns (scalar tensor, info) built on a
-    fresh tape (any sampling it does first runs tape-free), then backward,
-    a divergence check that names the step, and one Adam step (with the
-    config's clipping) at `lr_at(step)`.  Writes one CSV trace row
-    (step, objective_value, learning_rate) per step when `trace_path` is
-    set; the trace is the loop's only record.  The trace file is replaced
-    when the loop ends: after the last step, or, when training diverges,
-    with the rows of the steps before it; any other exception leaves no
-    trace."""
+    Per step: the next batch from `batches` (drawing it may run the model
+    untaped, as risk training's sampling does), then `objective(batch)`,
+    which returns (scalar tensor, info) built on a fresh tape, backward, a
+    divergence check that names the step, and one Adam step (with the
+    config's clipping) at `lr_at(step)`.  The step, the draw of its batch
+    included, runs with numpy's overflow and invalid-operation errors
+    raised: like a non-finite op output, they are a divergence, even where
+    later arithmetic would make the numbers finite again.  Writes one CSV
+    trace row (step, objective_value, learning_rate) per step when
+    `trace_path` is set; the trace is the loop's only record.  The trace
+    file is replaced when the loop ends: after the last step, or, when
+    training diverges, with the rows of the steps before it; any other
+    exception leaves no trace."""
     nk.retain_heap_top()  # each step frees its whole tape; keep that memory
     optim = Adam(store, config.grad_clip)
     store.zero_grads()  # backward adds into the store's gradient buffer
+    batches = iter(batches)
     diverged = None
     with (sm.atomic_write(trace_path, newline="") if trace_path is not None
           else open(os.devnull, "w")) as trace:
         writer = csv.writer(trace)
         writer.writerow(["step", "objective_value", "learning_rate"])
-        for step, batch in enumerate(batches, 1):
-            lr = lr_at(step)
+        for step in itertools.count(1):
             try:
-                with nk.Graph() as tape:
-                    scalar, _ = objective(batch)
-                    nk.backward(tape, scalar)
-            except NumericsError as exc:
-                diverged = (f"training diverged at step {step}: {exc}", exc)
+                with np.errstate(over="raise", invalid="raise"):
+                    batch = next(batches, None)
+                    if batch is None:
+                        break
+                    with nk.Graph() as tape:
+                        scalar, _ = objective(batch)
+                        nk.backward(tape, scalar)
+                    del tape  # frees the activations before the update allocates
+                    value, lr = scalar.item(), lr_at(step)
+                    if not math.isfinite(value):
+                        raise NumericsError(f"objective is {value}")
+                    optim.step(lr)
+            except (NumericsError, FloatingPointError) as exc:
+                diverged = exc
                 break
-            del tape  # frees the activations before the update allocates
-            value = scalar.item()
-            if not math.isfinite(value):
-                diverged = (f"training diverged at step {step}: objective is {value}", None)
-                break
-            optim.step(lr)
             store.zero_grads()
             writer.writerow([step, f"{value:.6f}", f"{lr:.6g}"])
     if diverged is not None:
-        message, cause = diverged
+        message = f"training diverged at step {step}: {diverged}"
         if trace_path is not None:
             message += f" (trace of the steps before it: {trace_path})"
-        raise ContractError(message) from cause
+        raise ContractError(message) from diverged
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +250,16 @@ def mle_loss(store: sm.ParameterStore, src_batch: np.ndarray, tgt_batch: np.ndar
 def forced_log_probs(store: sm.ParameterStore, src_ids: Sequence[IdSeq],
                      tgt_ids: Sequence[IdSeq],
                      batch_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Teacher-forced log-probability of every gold target token, tape-free,
-    over padded batches of `batch_size`.  Yields per batch the
-    log-probabilities [B, T-1] of tgt[:, 1:] and the mask of its scored
-    positions (non-PAD input and gold); masked entries are zero."""
+    """Teacher-forced log-probability of every gold target token, over
+    padded batches of `batch_size`; call it outside any tape.  Yields per
+    batch the log-probabilities [B, T-1] of tgt[:, 1:] and the mask of its
+    scored positions (non-PAD input and gold); masked entries are zero."""
     for start in range(0, len(src_ids), batch_size):
         src = sm.pack(store.config, pad_batch(src_ids[start: start + batch_size]), "source")
         tgt = pad_batch(tgt_ids[start: start + batch_size])
         dec_in = sm.pack(store.config, tgt[:, :-1], "target")
         gold = tgt[:, 1:]
-        with nk.no_grad():
-            rows = sm.decode_rows(store, sm.encode_rows(store, src), src.slots, dec_in).data
+        rows = sm.decode_rows(store, sm.encode_rows(store, src), src.slots, dec_in).data
         picked = np.zeros(gold.shape, dtype=rows.dtype)
         picked[~dec_in.pad] = np.take_along_axis(rows, gold[~dec_in.pad][:, None], axis=-1)[:, 0]
         yield picked, ~dec_in.pad & (gold != sm.PAD_ID)
@@ -450,8 +458,10 @@ def finetune_mrt(store: sm.ParameterStore, corpus: Corpus, config: MRTConfig,
     """Risk fine-tuning with a fresh optimizer and a constant learning rate.
 
     Walks shuffled batches (counted in sentences) for a fixed number of
-    steps; optionally writes a per-step CSV trace (step, objective_value,
-    learning_rate)."""
+    steps.  Each step's candidates are sampled and costed
+    (`build_risk_batch`) as its batch is drawn, before its tape opens; the
+    tape holds `mrt_risk` alone.  Optionally writes a per-step CSV trace
+    (step, objective_value, learning_rate)."""
     if not corpus:
         raise ContractError("fine-tuning corpus is empty")
     shuffle_rng = stream_rng(seed, STREAM_SHUFFLE)
@@ -466,10 +476,8 @@ def finetune_mrt(store: sm.ParameterStore, corpus: Corpus, config: MRTConfig,
                 cursor = 0
             chunk = [corpus[i] for i in order[cursor: cursor + config.sentences_per_batch]]
             cursor += config.sentences_per_batch
-            yield [s for s, _ in chunk], [t for _, t in chunk]
+            yield build_risk_batch(store, [s for s, _ in chunk], [t for _, t in chunk],
+                                   config, sampler_rng)
 
-    def risk(batch):
-        return mrt_risk(store, build_risk_batch(store, *batch, config, sampler_rng),
-                        config.alpha)
-
-    _optimize(store, config, batches(), risk, lambda step: config.lr, trace_path)
+    _optimize(store, config, batches(), lambda batch: mrt_risk(store, batch, config.alpha),
+              lambda step: config.lr, trace_path)

@@ -20,9 +20,10 @@ import json
 import math
 import operator
 import os
+import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -154,7 +155,7 @@ def read_utf8(path) -> str:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value has a field's annotated type; an int fits a
-    float, and NaN and the infinities fit nothing."""
+    float within its range, and NaN and the infinities fit nothing."""
     if typing.get_origin(hint) is types.UnionType:
         return any(_fits(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is list:
@@ -162,15 +163,15 @@ def _fits(value, hint) -> bool:
     if isinstance(value, bool) and hint is not bool:
         return False
     if hint is float:
-        return isinstance(value, (int, float)) and -math.inf < value < math.inf
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 
 def build_settings(cls, data, path: str = ""):
     """The settings dataclass `cls` built from the JSON object `data`; a
     dataclass-typed field is built from its own object the same way.  An
-    unknown field, a mistyped value or one that `cls` refuses raises
-    ConfigError naming it `path.field` (with no path, `field`)."""
+    unknown or missing field, a mistyped value or one that `cls` refuses
+    raises ConfigError naming it `path.field` (with no path, `field`)."""
     where = f"{path}." if path else ""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'configuration root'} must be an object")
@@ -186,7 +187,10 @@ def build_settings(cls, data, path: str = ""):
             what = ("a finite number" if hint is float
                     else hint.__name__ if isinstance(hint, type) else hint)
             raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
-        kwargs[key] = value
+        kwargs[key] = float(value) if hint is float else value  # 1 and 1.0: one config
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}{f.name} is required")
     try:
         return cls(**kwargs)
     except (ContractError, TypeError, ValueError) as exc:
@@ -464,9 +468,9 @@ def _attention(store: ParameterStore, prefix: str, query_x: nk.Tensor, key_x: nk
                mask: np.ndarray | None, rng: np.random.Generator | None,
                query_slots: nk.Slots, key_slots: nk.Slots) -> nk.Tensor:
     """Multi-head attention of packed rows (one `numkit.attention` op);
-    `mask` is a bool array broadcastable to [batch, heads, q_len, k_len]
-    marking positions to suppress.  With `rng`, the attention weights take
-    dropout."""
+    `mask`, broadcastable to [batch, heads, q_len, k_len], marks keys to
+    suppress beside the empty key slots.  With `rng`, the attention weights
+    take dropout."""
     cfg = store.config
     keep = None
     if rng is not None and cfg.dropout_rate > 0.0:
@@ -502,11 +506,10 @@ def encode_rows(store: ParameterStore, src: Packed,
                 rng: np.random.Generator | None = None) -> nk.Tensor:
     """Encoder over packed source tokens; returns memory rows [N, embed_dim].
     Only attention sees the padded grid."""
-    pad_mask = src.pad[:, None, None, :] if src.pad.any() else None  # [B,1,1,Ls]
     x = _embed(store, src, rng)
     for i in range(store.config.enc_layers):
         normed = _ln(store, f"enc.{i}.ln1", x)
-        attn = _attention(store, f"enc.{i}.attn", normed, normed, pad_mask, rng,
+        attn = _attention(store, f"enc.{i}.attn", normed, normed, None, rng,
                           src.slots, src.slots)
         x = nk.add(x, _dropout(attn, store.config.dropout_rate, rng, src))
         ff = _ffn(store, f"enc.{i}.ffn", _ln(store, f"enc.{i}.ln2", x), rng, src)
@@ -524,18 +527,15 @@ def decode_rows(store: ParameterStore, memory: nk.Tensor, memory_slots: nk.Slots
     cfg = store.config
     t_len = tgt.pad.shape[1]
     causal = np.triu(np.ones((t_len, t_len), dtype=bool), k=1)[None, None, :, :]
-    self_mask = causal | tgt.pad[:, None, None, :] if tgt.pad.any() else causal
-    memory_pad = memory_slots.index < 0
-    cross_mask = memory_pad[:, None, None, :] if memory_pad.any() else None
 
     x = _embed(store, tgt, rng)
     for i in range(cfg.dec_layers):
         normed = _ln(store, f"dec.{i}.ln1", x)
-        attn = _attention(store, f"dec.{i}.self", normed, normed, self_mask, rng,
+        attn = _attention(store, f"dec.{i}.self", normed, normed, causal, rng,
                           tgt.slots, tgt.slots)
         x = nk.add(x, _dropout(attn, cfg.dropout_rate, rng, tgt))
         cross = _attention(store, f"dec.{i}.cross", _ln(store, f"dec.{i}.ln2", x),
-                           memory, cross_mask, rng, tgt.slots, memory_slots)
+                           memory, None, rng, tgt.slots, memory_slots)
         x = nk.add(x, _dropout(cross, cfg.dropout_rate, rng, tgt))
         ff = _ffn(store, f"dec.{i}.ffn", _ln(store, f"dec.{i}.ln3", x), rng, tgt)
         x = nk.add(x, _dropout(ff, cfg.dropout_rate, rng, tgt))
@@ -608,8 +608,8 @@ def _np_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 
 class IncrementalDecoder:
-    """No-grad decoder that feeds one token per row and step, in plain numpy
-    on the store's arrays: no Tensor, no tape, no per-op checks.
+    """Decoder that feeds one token per row and step, in plain numpy on the
+    store's arrays: no Tensor, no tape (build it outside one), no per-op checks.
 
     Rows start as one per source row of `src_ids`.  `step(parents, tokens)`
     first reorders the rows by `parents` (indices into the current rows, so
@@ -624,8 +624,7 @@ class IncrementalDecoder:
     def __init__(self, store: ParameterStore, src_ids: np.ndarray):
         cfg = store.config
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        with nk.no_grad():
-            memory = encode_batch(store, src_ids).data
+        memory = encode_batch(store, src_ids).data
         self.config = cfg
         self.length = 0  # target positions fed so far
         self._p = {name: t.data for name, t in store.items()}

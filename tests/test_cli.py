@@ -5,6 +5,8 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,12 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             cli.load_config(str(path), [], None)
+
+    def test_an_int_for_a_float_field_hashes_as_the_float(self):
+        as_int = cli.load_config(None, ["mrt.alpha=1", "mle.peak_lr=0"], None)
+        as_float = cli.load_config(None, ["mrt.alpha=1.0", "mle.peak_lr=0.0"], None)
+        assert as_int.canonical_json() == as_float.canonical_json()
+        assert type(as_int.mrt.alpha) is float
 
     def test_canonical_json_is_stable(self):
         a = cli.config_from_dict({"seed": 3}).canonical_json()
@@ -621,6 +629,30 @@ class TestReproduce:
         assert manifest["seed"] == 1
         assert "mle.ckpt" in manifest["files"]
         assert not (out_a / ".seqrisk-lock").exists()
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+        # a diverging rerun into a finished run's directory: the earlier
+        # manifest and summary go before any stage writes, and the one
+        # error line names the step and the trace of the steps before it
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["reproduce", "--config", str(config), "--outdir", str(out)]) == 0
+        capsys.readouterr()
+        # in a child process, so that numpy's warnings would reach its stderr
+        run = subprocess.run(
+            [sys.executable, "-m", "seqrisk", "reproduce", "--config", str(config),
+             "--seed", "7", "--set", "mrt.lr=1e30", "--outdir", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+        err = run.stderr
+        assert run.returncode == 1, err
+        assert err.startswith("error: training diverged at step 2: ") and err.endswith(
+            f" (trace of the steps before it: {out / 'mrt_trace.csv'})\n"), err
+        assert len(err.splitlines()) == 1, err
+        assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
+        trace = (out / "mrt_trace.csv").read_text().splitlines()
+        assert len(trace) == 2 and trace[1].startswith("1,")
+        assert not (out / ".seqrisk-lock").exists()
 
     def test_sweep_reuses_the_judging_decodes(self, tmp_path, monkeypatch, capsys):
         config = write_tiny_config(tmp_path)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from seqrisk import datagen as dg
+from seqrisk import decoding as dec
 from seqrisk import numkit as nk
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
-from seqrisk.errors import ContractError
+from seqrisk.errors import ContractError, NumericsError
 
 
 def make_store(seed=0, vocab=20, dropout=0.0, dtype=None):
@@ -620,6 +621,43 @@ class TestTrainingLoops:
             obj.finetune_mrt(store, corpus,
                              obj.MRTConfig(steps=2, sentences_per_batch=4),
                              seed=0)
+
+    def test_mrt_samples_with_no_tape_open(self, monkeypatch):
+        vocab, corpus = tiny_corpus()
+        store = make_store(2, vocab=len(vocab))
+        real, tapes = dec.sample_decode_batch, []
+
+        def watched(*args, **kwargs):
+            tapes.append(nk._active_graph())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dec, "sample_decode_batch", watched)
+        obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2, sentences_per_batch=4,
+                                                      n_samples=2), seed=0)
+        assert tapes == [None, None]
+
+    @pytest.mark.parametrize("failure", ["numerics", "overflow"])
+    def test_divergence_while_sampling_names_the_step(self, monkeypatch, tmp_path, failure):
+        vocab, corpus = tiny_corpus()
+        store = make_store(2, vocab=len(vocab))
+        real, calls = dec.sample_decode_batch, []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                if failure == "numerics":
+                    raise NumericsError("non-finite values produced by op 'add'")
+                np.full(2, 3e38, dtype=np.float32) * np.float32(10)  # overflows
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dec, "sample_decode_batch", failing)
+        trace = tmp_path / "mrt.csv"
+        with pytest.raises(ContractError, match=r"^training diverged at step 3: .*"
+                                                r"\(trace of the steps before it: .*mrt\.csv\)$"):
+            obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=5, sentences_per_batch=4,
+                                                          n_samples=2),
+                             seed=0, trace_path=trace)
+        assert [row[0] for row in read_trace(trace)] == ["step", "1", "2"]
 
     def test_mrt_reduces_heldout_risk(self):
         vocab, corpus = tiny_corpus(32, seed=3)

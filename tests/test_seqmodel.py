@@ -294,6 +294,12 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match=r"untied\.ckpt: untied embeddings"):
             sm.ParameterStore.load(untied)
 
+    def test_a_config_without_a_required_field_is_refused_naming_it(self, store, tmp_path):
+        bad = rewrite_manifest(store, tmp_path / "bad.ckpt",
+                               lambda manifest: manifest["config"].pop("vocab_size"))
+        with pytest.raises(ContractError, match=r"^\S*bad\.ckpt: vocab_size is required$"):
+            sm.ParameterStore.load(bad)
+
     @pytest.mark.parametrize("field, value, says", [
         ("enc_layers", 3, "holds tensor enc.final_ln.gain (16,) "
                           "where its config's model has enc.2.ln1.gain (16,)"),
@@ -590,8 +596,7 @@ class TestLossGradient:
         store.zero_grads()
 
         def loss_value():
-            with nk.no_grad():
-                value, _ = obj.mle_loss(store, src, tgt, label_smoothing=0.1)
+            value, _ = obj.mle_loss(store, src, tgt, label_smoothing=0.1)
             return value.item()
 
         rng = np.random.default_rng(0)
@@ -706,8 +711,7 @@ def ref_mrt_risk(store, batch, alpha):
 def ref_corpus_nll(store, corpus):
     src = obj.pad_batch([s for s, _ in corpus])
     tgt = obj.pad_batch([t for _, t in corpus])
-    with nk.no_grad():
-        rows = ref_decode(store, ref_encode(store, src), src, tgt[:, :-1]).data
+    rows = ref_decode(store, ref_encode(store, src), src, tgt[:, :-1]).data
     gold = tgt[:, 1:]
     picked = np.take_along_axis(rows, gold[..., None], axis=-1)[..., 0]
     return float(-(picked * (gold != sm.PAD_ID)).sum() / (gold != sm.PAD_ID).sum())
