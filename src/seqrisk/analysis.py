@@ -220,16 +220,11 @@ def _forced_token_probs(store: sm.ParameterStore, src_ids: list[list[int]],
     return out
 
 
-def _curve_from_probs(probs: list[list[float]], label: str, model_tag: str,
-                      max_positions: int | None) -> UncertaintyCurve:
-    width = max(len(p) for p in probs)
-    if max_positions is not None:
-        width = min(width, max_positions)
+def _curve_from_probs(probs: list[list[float]], label: str,
+                      model_tag: str) -> UncertaintyCurve:
     positions, means, counts = [], [], []
-    for t in range(width):
+    for t in range(max(len(p) for p in probs)):
         vals = [p[t] for p in probs if len(p) > t]
-        if not vals:
-            break
         positions.append(t + 1)
         means.append(math.fsum(vals) / len(vals))  # exact, order-independent
         counts.append(len(vals))
@@ -240,7 +235,6 @@ def uncertainty_curves(store: sm.ParameterStore, vocab: sm.Vocabulary,
                        pairs: Sequence[dg.TokenPair],
                        distractor_pool: Sequence[Sequence[str]],
                        model_tag: str = "model",
-                       max_positions: int | None = None,
                        seed: int = 0) -> UncertaintyResult:
     """Teacher-force each reference and a length-matched distractor drawn
     from `distractor_pool` on the same source; average forced-token
@@ -259,8 +253,8 @@ def uncertainty_curves(store: sm.ParameterStore, vocab: sm.Vocabulary,
     ref_probs = _forced_token_probs(store, src_ids, ref_ids)
     dis_probs = _forced_token_probs(store, src_ids, dis_ids)
     return UncertaintyResult(
-        _curve_from_probs(ref_probs, "references", model_tag, max_positions),
-        _curve_from_probs(dis_probs, "distractors", model_tag, max_positions),
+        _curve_from_probs(ref_probs, "references", model_tag),
+        _curve_from_probs(dis_probs, "distractors", model_tag),
         assignment, exact)
 
 

@@ -6,8 +6,9 @@ diagnostics) into one output directory and is written so that two runs
 with the same configuration and seed produce byte-identical artifacts;
 nothing time- or host-dependent lands in an output file.
 
-Exit codes: 0 on success, 1 for anticipated failures (bad configuration,
-malformed data, a held lock), 2 for unexpected internal errors.
+Exit codes: 0 on success, 1 for anticipated failures (bad configuration, a
+path the system refuses, malformed data, a held lock), 2 for unexpected
+internal errors.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class EvalSettings:
     eval_beam: int = 4
     length_norm_alpha: float = an.DEFAULT_EVAL_ALPHA
     min_position: int = 3
-    max_positions: int | None = None
 
     def __post_init__(self):
         for name in ("hallucination_n", "sweep_n", "uncertainty_n", "eval_beam"):
@@ -67,13 +67,8 @@ class EvalSettings:
             raise ContractError("beam_sizes must be a non-empty list of sizes >= 1")
         if not 0.0 <= self.overlap_threshold <= 1.0:
             raise ContractError("overlap_threshold must be in [0, 1]")
-        if self.max_positions is not None and self.max_positions < 1:
-            raise ContractError("max_positions must be >= 1 when set")
         if self.min_position < 1:
             raise ContractError(f"min_position must be >= 1, got {self.min_position}")
-        if self.max_positions is not None and self.min_position > self.max_positions:
-            raise ContractError(f"min_position {self.min_position} exceeds "
-                                f"max_positions {self.max_positions}")
 
     def decode_config(self) -> dec.DecodeConfig:
         return dec.DecodeConfig(beam_size=self.eval_beam,
@@ -91,6 +86,8 @@ class ExperimentConfig:
     eval: EvalSettings = field(default_factory=EvalSettings)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         # a target holds at most max_seq_len tokens, so max_seq_len - 1 forced positions
         forced = self.model.max_seq_len - 1
         if self.eval.min_position > forced:
@@ -365,7 +362,7 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
     for i, (system, store) in enumerate(stores.items()):
         result = an.uncertainty_curves(
             store, vocab, suite["test_ood"][: ev.uncertainty_n], pool,
-            model_tag=system, max_positions=ev.max_positions, seed=config.seed)
+            model_tag=system, seed=config.seed)
         curves.extend([result.references, result.distractors])
         headline["systems"][system]["certainty_gap"] = result.gap_mean(ev.min_position)
         if i == 0:  # assignment depends only on data and seed, not the model
@@ -447,6 +444,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -554,9 +557,6 @@ def _cmd_analyze_uncertainty(args) -> int:
     if args.min_position > forced:
         raise ConfigError(f"argument --min-position: {args.min_position} exceeds the {forced} "
                           f"forced positions of {args.checkpoint}'s targets (max_seq_len - 1)")
-    if args.max_positions is not None and args.min_position > args.max_positions:
-        raise ConfigError(f"argument --min-position: {args.min_position} exceeds "
-                          f"--max-positions {args.max_positions}")
     # two files are written: fail before the first rather than between them
     for path in filter(None, (args.output, args.assignment)):
         if not os.access(os.path.dirname(path) or ".", os.W_OK):
@@ -568,9 +568,7 @@ def _cmd_analyze_uncertainty(args) -> int:
                           (args.distractor_file, pool)):
         _refuse_overlong(path, targets, store.config.max_seq_len, forced=True)
     result = an.uncertainty_curves(store, vocab, pairs, pool,
-                                   model_tag=args.system,
-                                   max_positions=args.max_positions,
-                                   seed=args.seed)
+                                   model_tag=args.system, seed=args.seed)
     gap = result.gap_mean(args.min_position)  # may fail: before any file is written
     an.write_curves_csv(args.output, [result.references, result.distractors])
     if args.assignment:
@@ -656,9 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", default=None,
                    help="optional CSV recording reference-to-distractor pairing")
     p.add_argument("--system", default="model", help="model tag for the CSV rows")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--min-position", type=_positive_int, default=3)
-    p.add_argument("--max-positions", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_analyze_uncertainty)
 
     p = sub.add_parser("sweep-beam", help="score and hallucination rate by beam size")
@@ -688,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         with nk.single_blas_thread():
             return args.func(args)
-    except (SeqriskError, FileNotFoundError, IsADirectoryError) as exc:
+    except (SeqriskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

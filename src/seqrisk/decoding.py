@@ -220,8 +220,7 @@ def greedy_decode(store: sm.ParameterStore, src: Sequence[int],
 
 
 def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
-                        n_samples: int, rng: np.random.Generator,
-                        temperature: float = 1.0) -> list[list[list[int]]]:
+                        n_samples: int, rng: np.random.Generator) -> list[list[list[int]]]:
     """Ancestral sampling, `n_samples` sequences per source row.
 
     Returns, per source, a list of id sequences including BOS (and EOS when
@@ -230,8 +229,6 @@ def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
     sequence, finished or not, so the stream `rng` yields does not depend
     on when sequences end.
     """
-    if temperature <= 0.0:
-        raise ContractError(f"temperature must be > 0, got {temperature}")
     src_batch = np.asarray(src_batch, dtype=np.int64)
     bsz = src_batch.shape[0]
     rows_n = bsz * n_samples
@@ -242,7 +239,7 @@ def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
     parents = np.repeat(np.arange(bsz), n_samples)
     tokens = np.full(rows_n, sm.BOS_ID, dtype=np.int64)
     for _ in range(store.config.max_seq_len - 1):
-        logits = state.step(parents, tokens) / temperature
+        logits = state.step(parents, tokens)
         logits[:, list(BANNED_CONTINUATIONS)] = -np.inf
         shifted = logits - logits.max(axis=1, keepdims=True)
         probs = np.exp(shifted)

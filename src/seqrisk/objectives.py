@@ -332,7 +332,6 @@ class MRTConfig:
     n_samples: int = 4
     alpha: float = 0.005
     lr: float = 1.5e-4
-    temperature: float = 1.0
     include_reference: bool = False
     grad_clip: float = 1.0  # 0 disables clipping
 
@@ -341,8 +340,6 @@ class MRTConfig:
             raise ContractError(f"n_samples must be >= 1, got {self.n_samples}")
         if not self.alpha > 0.0:
             raise ContractError(f"alpha must be > 0, got {self.alpha}")
-        if not self.temperature > 0.0:
-            raise ContractError(f"temperature must be > 0, got {self.temperature}")
         if self.sentences_per_batch < 1:
             raise ContractError("sentences_per_batch must be >= 1")
         _require_non_negative(self, "steps", "lr", "grad_clip")
@@ -360,8 +357,7 @@ def cost_delta(hyp_ids: Sequence[int], ref_ids: Sequence[int]) -> float:
 def sample_decode_dedup(store: sm.ParameterStore, src_batch: np.ndarray,
                         refs: list[IdSeq], config: MRTConfig,
                         rng: np.random.Generator) -> list[list[IdSeq]]:
-    raw = dec.sample_decode_batch(store, src_batch, config.n_samples, rng,
-                                  temperature=config.temperature)
+    raw = dec.sample_decode_batch(store, src_batch, config.n_samples, rng)
     out = []
     for b, group in enumerate(raw):
         seen = set()

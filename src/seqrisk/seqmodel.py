@@ -21,7 +21,6 @@ import math
 import operator
 import os
 import sys
-import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -156,8 +155,6 @@ def read_utf8(path) -> str:
 def _fits(value, hint) -> bool:
     """Whether a JSON value has a field's annotated type; an int fits a
     float within its range, and NaN and the infinities fit nothing."""
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_fits(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is list:
         return isinstance(value, list) and all(_fits(v, *typing.get_args(hint)) for v in value)
     if isinstance(value, bool) and hint is not bool:

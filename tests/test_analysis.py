@@ -213,14 +213,6 @@ class TestCurves:
         assert forward.references.mean_prob == backward.references.mean_prob
         assert forward.references.counts == backward.references.counts
 
-    def test_max_positions_caps_curve(self):
-        spec, vocab, pairs, store = trained_setup(epochs=1, n_train=30)
-        pool = [tgt for _, tgt in pairs[15:30]]
-        result = an.uncertainty_curves(store, vocab, pairs[:15], pool,
-                                       max_positions=2)
-        assert result.references.positions == [1, 2]
-        assert result.distractors.positions == [1, 2]
-
     def test_gap_mean_respects_min_position(self):
         refs = an.UncertaintyCurve("references", "m", [1, 2, 3, 4],
                                    [0.9, 0.8, 0.7, 0.6], [10, 10, 10, 10])

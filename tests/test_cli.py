@@ -81,7 +81,7 @@ class TestConfigValidation:
             cli.config_from_dict({section: {field: value}})
 
     @pytest.mark.parametrize("override", [
-        "mrt.alpha=NaN", "mrt.temperature=NaN", "eval.length_norm_alpha=NaN",
+        "mrt.alpha=NaN", "eval.overlap_threshold=NaN", "eval.length_norm_alpha=NaN",
         "mrt.alpha=Infinity", "mle.peak_lr=Infinity", "domain.p_two_content=-Infinity"])
     def test_non_finite_value_named_at_load(self, override):
         field = override.split("=")[0].replace(".", r"\.")
@@ -96,12 +96,10 @@ class TestConfigValidation:
 
     def test_min_position_bounded_by_the_forced_positions(self):
         config = cli.config_from_dict({"model": {"max_seq_len": 16},
-                                       "eval": {"min_position": 15, "max_positions": 15}})
+                                       "eval": {"min_position": 15}})
         assert config.eval.min_position == 15
         with pytest.raises(ConfigError, match=r"^eval: min_position 16 exceeds the 15 forced"):
             cli.config_from_dict({"model": {"max_seq_len": 16}, "eval": {"min_position": 16}})
-        with pytest.raises(ConfigError, match=r"^eval: min_position 5 exceeds max_positions 4"):
-            cli.config_from_dict({"eval": {"min_position": 5, "max_positions": 4}})
 
     def test_contract_violations_name_the_section(self):
         with pytest.raises(ConfigError, match="mrt"):
@@ -111,7 +109,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section, field, value", [
         ("mle", "epochs", 1.5), ("model", "enc_layers", 1.5), ("data", "dev_size", True),
-        ("eval", "beam_sizes", [1, "4"]), ("eval", "max_positions", "all"),
+        ("eval", "beam_sizes", [1, "4"]),
         ("mrt", "n_samples", "4"), ("domain", "p_two_content", "0.5")])
     def test_wrongly_typed_field_named(self, section, field, value):
         with pytest.raises(ConfigError, match=rf"^{section}\.{field} must be "):
@@ -208,14 +206,6 @@ class TestExitCodes:
             assert f"{tmp_path / name}: " in err and says in err, err
             assert "internal error" not in err
 
-    def test_bad_mrt_temperature_fails_before_any_output(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        code = cli.main(["reproduce", "--config", str(write_tiny_config(tmp_path)),
-                         "--set", "mrt.temperature=0", "--outdir", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1 and "mrt: temperature must be > 0" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["reproduce", "gen-data"])
     @pytest.mark.parametrize("override, says", [
         ("model.num_heads=3", "model: embed_dim 16 not divisible by num_heads 3"),
@@ -234,7 +224,9 @@ class TestExitCodes:
         ("mrt.sampling_strategy=beam", "mrt.sampling_strategy is not a recognized field"),
         ("model.tie_embeddings=false", "model.tie_embeddings is not a recognized field"),
         ("mle.beta1=0.8", "mle.beta1 is not a recognized field"),
-        ("mrt.adam_eps=1e-8", "mrt.adam_eps is not a recognized field")])
+        ("mrt.adam_eps=1e-8", "mrt.adam_eps is not a recognized field"),
+        ("mrt.temperature=1", "mrt.temperature is not a recognized field"),
+        ("eval.max_positions=5", "eval.max_positions is not a recognized field")])
     def test_bad_setting_fails_before_any_file(self, tmp_path, capsys, command,
                                                override, says):
         out = tmp_path / "out"
@@ -412,9 +404,8 @@ class TestModelCommands:
 
     @pytest.mark.parametrize("flags, says", [
         (["--min-position", "99"], "argument --min-position: 99 exceeds the 15 forced positions"),
-        (["--max-positions", "0"], "argument --max-positions: must be a positive integer"),
-        (["--min-position", "5", "--max-positions", "3"],
-         "argument --min-position: 5 exceeds --max-positions 3"),
+        (["--max-positions", "3"], "unrecognized arguments: --max-positions 3"),
+        (["--seed", "-3"], "argument --seed: must be a non-negative integer, got '-3'"),
         (["--min-position", "15"], "no shared positions >= 15"),
         (["--assignment", "no-such-dir/assignment.csv"],
          "cannot write no-such-dir/assignment.csv: its directory is missing")])
@@ -559,6 +550,37 @@ def test_malformed_input_exits_one_naming_the_file(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 1, err
     assert str(copy / name) in err and says in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["reproduce", "gen-data", "train-mle", "translate"])
+def test_a_path_through_a_regular_file_exits_one_naming_it(workspace, tmp_path, capsys,
+                                                           command):
+    config, data, run = workspace
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file\n")
+    code = cli.main({
+        "reproduce": ["reproduce", "--config", str(config), "--outdir", str(blocker)],
+        "gen-data": ["gen-data", "--config", str(config), "--outdir", str(blocker / "sub")],
+        "train-mle": ["train-mle", "--config", str(config), "--data", str(blocker),
+                      "--outdir", str(tmp_path / "run")],
+        "translate": ["translate", "--checkpoint", str(run / "mle.ckpt"),
+                      "--vocab", str(data / "vocab.json"), "--input", str(blocker / "x")],
+    }[command])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert str(blocker) in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["reproduce", "gen-data", "train-mle"])
+def test_a_negative_seed_exits_one_before_any_file(workspace, tmp_path, capsys, command):
+    config, data, run = workspace
+    out = tmp_path / "out"
+    data_flag = ["--data", str(data)] if command == "train-mle" else []
+    code = cli.main([command, "--config", str(config), "--seed", "-1", *data_flag,
+                     "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and "seed must be >= 0, got -1" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep-beam"])
