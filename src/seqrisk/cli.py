@@ -494,11 +494,11 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train_mle(args) -> int:
     config = load_config(args.config, args.overrides, args.seed)
     data = Path(args.data)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     vocab = _load_vocab(data / "vocab.json")
     train = dg.read_tsv(data / "train.tsv")
     dev = dg.encode_corpus(vocab, dg.read_tsv(data / "dev.tsv"))  # fail before training
+    outdir = Path(args.outdir)  # made only once every input has been read
+    outdir.mkdir(parents=True, exist_ok=True)
     store = stage_train_mle(config, vocab, train, outdir)
     print(f"dev nll per token: {obj.corpus_nll(store, dev):.4f}")
     print(f"wrote {outdir / 'mle.ckpt'}")
@@ -508,10 +508,10 @@ def _cmd_train_mle(args) -> int:
 def _cmd_finetune_mrt(args) -> int:
     config = load_config(args.config, args.overrides, args.seed)
     data = Path(args.data)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     mle_store, vocab = _load_model(args.checkpoint, data / "vocab.json")
     train = dg.read_tsv(data / "train.tsv")
+    outdir = Path(args.outdir)  # made only once every input has been read
+    outdir.mkdir(parents=True, exist_ok=True)
     stage_finetune_mrt(config, vocab, mle_store, train, outdir)
     print(f"wrote {outdir / 'mrt.ckpt'}")
     return 0

@@ -8,6 +8,7 @@ code paths because they disagree by design on short or partial matches.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -26,6 +27,14 @@ def ngrams(tokens: Sequence[Token], order: int) -> Counter:
     return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
 
 
+@functools.lru_cache(maxsize=16)
+def _reference_ngrams(ref: tuple[Token, ...]) -> tuple[Counter, ...]:
+    """The n-grams of orders 1..BLEU_ORDER of one reference, kept for the
+    last few references: risk training costs all candidates of a source in
+    a row, against the same reference.  Callers only read the counters."""
+    return tuple(ngrams(ref, n) for n in range(1, BLEU_ORDER + 1))
+
+
 @dataclass
 class NGramCounts:
     """Clipped match and total counts per order, plus length bookkeeping.
@@ -41,9 +50,8 @@ class NGramCounts:
     @classmethod
     def from_pair(cls, hyp: Sequence[Token], ref: Sequence[Token]) -> "NGramCounts":
         matches, totals = [], []
-        for n in range(1, BLEU_ORDER + 1):
+        for n, ref_counts in enumerate(_reference_ngrams(tuple(ref)), start=1):
             hyp_counts = ngrams(hyp, n)
-            ref_counts = ngrams(ref, n)
             totals.append(sum(hyp_counts.values()))
             matches.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
         return cls(matches, totals, len(hyp), len(ref))

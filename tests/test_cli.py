@@ -583,6 +583,23 @@ def test_a_negative_seed_exits_one_before_any_file(workspace, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train-mle", "finetune-mrt"])
+def test_a_failed_read_creates_no_outdir(workspace, tmp_path, capsys, command):
+    config, data, run = workspace
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file\n")
+    out = tmp_path / "new" / "out"
+    code = cli.main({
+        "train-mle": ["train-mle", "--config", str(config), "--data", str(blocker),
+                      "--outdir", str(out)],
+        "finetune-mrt": ["finetune-mrt", "--config", str(config), "--data", str(data),
+                         "--checkpoint", str(tmp_path / "nope.ckpt"), "--outdir", str(out)],
+    }[command])
+    err = capsys.readouterr().err
+    assert code == 1 and "internal error" not in err, err
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "sweep-beam"])
 def test_reference_without_content_refused_before_decoding(workspace, tmp_path, capsys,
                                                            monkeypatch, command):

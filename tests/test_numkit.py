@@ -3,6 +3,7 @@ primitive in the autodiff layer.  All gradient checks run in float64 so the
 finite-difference reference itself is trustworthy."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -406,6 +407,93 @@ class TestGraphMechanics:
         x = np.array([1.0, -2.0, 0.5])
         grad = nk.finite_difference(lambda v: float(np.sum(v ** 2)), x)
         assert nk.max_relative_error(grad, 2 * x) < 1e-8
+
+
+def _leaf(rng, *shape):
+    return nk.Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def _watch_output(t):
+    return t, t
+
+
+def _watch_input(t, op):
+    return t, op(t)
+
+
+# each builds, on the open graph, a tensor whose data no backward rule reads
+# and the output that the loss is taken of; the leaves must get gradients
+UNREAD_ON_THE_TAPE = {
+    "add output": lambda leaves, rng: _watch_output(nk.add(leaves(3, 4), leaves(4))),
+    "scale output": lambda leaves, rng: _watch_output(nk.scale(leaves(3, 4), 0.5)),
+    "embedding output": lambda leaves, rng: _watch_output(
+        nk.embedding(leaves(5, 4), [[0, 3], [3, 1]])),
+    "attention output": lambda leaves, rng: _watch_output(nk.attention(
+        *2 * [leaves(2, 3, 4)], *(leaves(4, 4) for _ in range(4)), 2, None,
+        rng.random((2, 2, 3, 3)))),
+    "pre-bias matmul output": lambda leaves, rng: _watch_input(
+        nk.matmul(leaves(3, 4), leaves(4, 5)), lambda h: nk.add(h, leaves(5))),
+    "layer_norm input": lambda leaves, rng: _watch_input(
+        nk.scale(leaves(3, 4), 2.0), lambda a: nk.layer_norm(a, leaves(4), leaves(4))),
+    "relu input": lambda leaves, rng: _watch_input(nk.add(leaves(3, 4), leaves(4)), nk.relu),
+}
+
+
+class TestTapeHoldsWhatRulesRead:
+    """The tape holds gradient slots and the arrays its rules read, not
+    the ops' outputs: an array that no rule reads goes with its tensor."""
+
+    @pytest.mark.parametrize("case", list(UNREAD_ON_THE_TAPE))
+    def test_unread_array_is_freed_with_its_tensor(self, case):
+        rng = np.random.default_rng(11)
+        made = []
+
+        def leaves(*shape):
+            made.append(_leaf(rng, *shape))
+            return made[-1]
+
+        with nk.Graph() as g:
+            watched, out = UNREAD_ON_THE_TAPE[case](leaves, rng)
+            freed = weakref.ref(watched.data)
+            loss = nk.sum_(nk.mul(out, nk.Tensor(rng.standard_normal(out.shape))))
+            del watched, out
+            assert freed() is None, f"the tape still holds the {case}"
+            nk.backward(g, loss)
+        assert all(leaf.grad is not None and leaf.grad.shape == leaf.shape for leaf in made)
+
+    def test_read_array_lives_until_its_rule_has_run(self):
+        # matmul's rule reads the layer_norm output for the weight's gradient
+        rng = np.random.default_rng(12)
+        x, gain, bias, w = _leaf(rng, 3, 4), _leaf(rng, 4), _leaf(rng, 4), _leaf(rng, 4, 5)
+        proj = rng.standard_normal((3, 5))
+        with nk.Graph() as g:
+            normed = nk.layer_norm(x, gain, bias)
+            kept, want = weakref.ref(normed.data), normed.data.T @ proj
+            loss = nk.sum_(nk.mul(nk.matmul(normed, w), nk.Tensor(proj)))
+            del normed
+            assert kept() is not None
+            nk.backward(g, loss)
+            assert kept() is None, "backward kept the rule's arrays after running it"
+        assert np.array_equal(w.grad, want)
+        assert all(node.backward_rule is None for node in g.nodes)
+
+    def test_a_graph_runs_backward_once(self):
+        x = nk.tensor([1.0, 2.0], requires_grad=True, dtype=F64)
+        with nk.Graph() as g:
+            loss = nk.sum_(nk.mul(x, x))
+            nk.backward(g, loss)
+            with pytest.raises(ContractError, match="already run"):
+                nk.backward(g, loss)
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
+    def test_gradient_slot_is_shared_by_tensor_and_node(self):
+        x = _leaf(np.random.default_rng(13), 2, 3)
+        with nk.Graph() as g:
+            out = nk.scale(x, 3.0)
+        assert g.nodes[0].slot is out.slot and out.slot.shape == (2, 3)
+        assert out.slot.dtype == out.dtype
+        with pytest.raises(ContractError, match="requires no grad"):
+            nk.tensor([1.0]).grad = np.ones(1)
 
 
 def composed_attention(query_x, key_x, wq, wk, wv, wo, heads, mask, keep):

@@ -9,6 +9,7 @@ import pytest
 
 from seqrisk import datagen as dg
 from seqrisk import decoding as dec
+from seqrisk import metrics
 from seqrisk import numkit as nk
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
@@ -274,6 +275,22 @@ class TestCostDelta:
             hyp = list(rng.integers(4, 12, size=rng.integers(0, 8)))
             ref = list(rng.integers(4, 12, size=rng.integers(1, 8)))
             assert 0.0 <= obj.cost_delta(hyp, ref) <= 1.0
+
+    def test_counts_a_reference_once_for_all_its_candidates(self, monkeypatch):
+        ref = [sm.BOS_ID, 5, 6, 7, 8, sm.EOS_ID]
+        candidates = [[sm.BOS_ID, 5, 6, sm.EOS_ID], [sm.BOS_ID, 7, sm.EOS_ID],
+                      [5, 6, 7, 9], [8, 8]]
+        counted = []
+        count = metrics.ngrams
+        monkeypatch.setattr(metrics, "ngrams",
+                            lambda tokens, order: counted.append(tuple(tokens))
+                            or count(tokens, order))
+        metrics._reference_ngrams.cache_clear()
+        for cand in candidates:
+            obj.cost_delta(cand, ref)
+        # one count per BLEU order for the reference, one per candidate and order
+        assert counted.count((5, 6, 7, 8)) == metrics.BLEU_ORDER
+        assert len(counted) == metrics.BLEU_ORDER * (1 + len(candidates))
 
 
 class TestSubspace:

@@ -1,7 +1,8 @@
 """Property tests: checkpoint round trips over random model configurations,
 the configuration's model section against the model's own checks, the
-invariants of token-budget batching and padding, and the settings walk
-(`seqmodel.build_settings`) over every field of every section."""
+invariants of token-budget batching and padding, the risk costs against
+sentence BLEU, and the settings walk (`seqmodel.build_settings`) over every
+field of every section."""
 
 import dataclasses
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from seqrisk import cli
+from seqrisk import metrics
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
 from seqrisk.errors import ConfigError, ContractError
@@ -140,6 +142,25 @@ def _fields(cls, prefix: tuple = ()) -> list[tuple[tuple, object]]:
         if dataclasses.is_dataclass(hint):
             out.extend(_fields(hint, prefix + (name,)))
     return out
+
+
+IDS = st.lists(st.integers(0, 9), max_size=10)  # 0-2 are PAD, BOS and EOS
+
+
+@FEW
+@given(st.lists(st.tuples(IDS, st.lists(IDS, min_size=1, max_size=5)), min_size=1, max_size=8))
+def test_risk_costs_equal_one_minus_sentence_bleu(sources):
+    # costs taken per candidate, as a risk batch takes them, so each
+    # reference's n-grams are counted once; each expected value is a
+    # sentence BLEU whose reference is counted afresh
+    costs = [[obj.cost_delta(cand, ref) for cand in cands] for ref, cands in sources]
+    specials = {sm.PAD_ID, sm.BOS_ID, sm.EOS_ID}
+    for (ref, cands), row in zip(sources, costs):
+        for cand, cost in zip(cands, row):
+            metrics._reference_ngrams.cache_clear()
+            want = 1.0 - metrics.smoothed_sentence_bleu(
+                [t for t in cand if t not in specials], [t for t in ref if t not in specials])
+            assert cost.hex() == want.hex()
 
 
 @st.composite
