@@ -33,6 +33,7 @@ DEFAULT_OVERLAP_THRESHOLD = 0.2
 DEFAULT_BEAM_SIZES = (1, 4, 50)
 DEFAULT_EVAL_ALPHA = 0.6  # mild length normalization, as in the source setup
 STREAM_DISTRACTOR = 5
+GAP_FROM_POSITION = 3  # the certainty gap skips the first two forced tokens
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +173,15 @@ class UncertaintyResult:
     assignment: list[int]
     exact_length: list[bool]
 
-    def gap_mean(self, min_position: int = 3) -> float:
+    def gap_mean(self) -> float:
         """Mean of (reference - distractor) certainty over shared positions
-        at or past `min_position`."""
+        at or past `GAP_FROM_POSITION`."""
         dis = dict(zip(self.distractors.positions, self.distractors.mean_prob))
         gaps = [r - dis[p] for p, r in
                 zip(self.references.positions, self.references.mean_prob)
-                if p >= min_position and p in dis]
+                if p >= GAP_FROM_POSITION and p in dis]
         if not gaps:
-            raise ContractError(f"no shared positions >= {min_position}")
+            raise ContractError(f"no shared positions >= {GAP_FROM_POSITION}")
         return math.fsum(gaps) / len(gaps)
 
 

@@ -57,7 +57,6 @@ class EvalSettings:
     overlap_threshold: float = an.DEFAULT_OVERLAP_THRESHOLD
     eval_beam: int = 4
     length_norm_alpha: float = an.DEFAULT_EVAL_ALPHA
-    min_position: int = 3
 
     def __post_init__(self):
         for name in ("hallucination_n", "sweep_n", "uncertainty_n", "eval_beam"):
@@ -67,8 +66,6 @@ class EvalSettings:
             raise ContractError("beam_sizes must be a non-empty list of sizes >= 1")
         if not 0.0 <= self.overlap_threshold <= 1.0:
             raise ContractError("overlap_threshold must be in [0, 1]")
-        if self.min_position < 1:
-            raise ContractError(f"min_position must be >= 1, got {self.min_position}")
 
     def decode_config(self) -> dec.DecodeConfig:
         return dec.DecodeConfig(beam_size=self.eval_beam,
@@ -88,11 +85,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
-        # a target holds at most max_seq_len tokens, so max_seq_len - 1 forced positions
-        forced = self.model.max_seq_len - 1
-        if self.eval.min_position > forced:
-            raise ContractError(f"eval: min_position {self.eval.min_position} exceeds the "
-                                f"{forced} forced positions of a target (model.max_seq_len - 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -127,6 +119,8 @@ def _apply_override(data: dict, assignment: str) -> None:
 def load_config(path: str | None, overrides: list[str],
                 seed: int | None) -> ExperimentConfig:
     data = _load_json(path) if path is not None else {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: the configuration must be a JSON object")
     for assignment in overrides:
         _apply_override(data, assignment)
     if seed is not None:
@@ -254,6 +248,13 @@ def _refuse_overlong(path, lines: list[list[str]], max_seq_len: int,
                                 f"{'target ' if forced else ''}tokens, more than {cap}")
 
 
+def _refuse_overlong_pairs(path, pairs: list[dg.TokenPair], max_seq_len: int) -> None:
+    """Refuse a line of corpus file `path` whose source, or whose target
+    forced after BOS, the model cannot take."""
+    _refuse_overlong(path, [src for src, _ in pairs], max_seq_len)
+    _refuse_overlong(path, [tgt for _, tgt in pairs], max_seq_len, forced=True)
+
+
 def _read_corpus(path) -> list[dg.TokenPair]:
     """The pairs of corpus file `path`; a file that holds none is refused."""
     pairs = dg.read_tsv(path)
@@ -364,7 +365,7 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
             store, vocab, suite["test_ood"][: ev.uncertainty_n], pool,
             model_tag=system, seed=config.seed)
         curves.extend([result.references, result.distractors])
-        headline["systems"][system]["certainty_gap"] = result.gap_mean(ev.min_position)
+        headline["systems"][system]["certainty_gap"] = result.gap_mean()
         if i == 0:  # assignment depends only on data and seed, not the model
             an.write_assignment_csv(outdir / "distractor_assignment.csv", result)
     an.write_curves_csv(outdir / "uncertainty_curves.csv", curves)
@@ -395,6 +396,8 @@ def run_reproduce(config: ExperimentConfig, outdir: Path) -> dict:
         for name in ("manifest.json", "summary.json"):  # no failed rerun looks finished
             (outdir / name).unlink(missing_ok=True)
         suite = stage_gen_data(config, outdir)
+        for name, pairs in suite.items():  # a config can make lines the model cannot take
+            _refuse_overlong_pairs(outdir / f"{name}.tsv", pairs, config.model.max_seq_len)
         vocab = dg.build_vocabulary(config.domain)
         mle_store = stage_train_mle(config, vocab, suite["train"], outdir)
         mrt_store = stage_finetune_mrt(config, vocab, mle_store, suite["train"], outdir)
@@ -495,12 +498,13 @@ def _cmd_train_mle(args) -> int:
     config = load_config(args.config, args.overrides, args.seed)
     data = Path(args.data)
     vocab = _load_vocab(data / "vocab.json")
-    train = dg.read_tsv(data / "train.tsv")
-    dev = dg.encode_corpus(vocab, dg.read_tsv(data / "dev.tsv"))  # fail before training
+    train, dev = dg.read_tsv(data / "train.tsv"), dg.read_tsv(data / "dev.tsv")
+    for name, pairs in (("train", train), ("dev", dev)):  # fail before training
+        _refuse_overlong_pairs(data / f"{name}.tsv", pairs, config.model.max_seq_len)
     outdir = Path(args.outdir)  # made only once every input has been read
     outdir.mkdir(parents=True, exist_ok=True)
     store = stage_train_mle(config, vocab, train, outdir)
-    print(f"dev nll per token: {obj.corpus_nll(store, dev):.4f}")
+    print(f"dev nll per token: {obj.corpus_nll(store, dg.encode_corpus(vocab, dev)):.4f}")
     print(f"wrote {outdir / 'mle.ckpt'}")
     return 0
 
@@ -510,6 +514,7 @@ def _cmd_finetune_mrt(args) -> int:
     data = Path(args.data)
     mle_store, vocab = _load_model(args.checkpoint, data / "vocab.json")
     train = dg.read_tsv(data / "train.tsv")
+    _refuse_overlong_pairs(data / "train.tsv", train, mle_store.config.max_seq_len)
     outdir = Path(args.outdir)  # made only once every input has been read
     outdir.mkdir(parents=True, exist_ok=True)
     stage_finetune_mrt(config, vocab, mle_store, train, outdir)
@@ -552,11 +557,6 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze_uncertainty(args) -> int:
     store, vocab = _load_model(args.checkpoint, args.vocab)
-    # a target holds at most max_seq_len tokens, so max_seq_len - 1 forced positions
-    forced = store.config.max_seq_len - 1
-    if args.min_position > forced:
-        raise ConfigError(f"argument --min-position: {args.min_position} exceeds the {forced} "
-                          f"forced positions of {args.checkpoint}'s targets (max_seq_len - 1)")
     # two files are written: fail before the first rather than between them
     for path in filter(None, (args.output, args.assignment)):
         if not os.access(os.path.dirname(path) or ".", os.W_OK):
@@ -569,7 +569,7 @@ def _cmd_analyze_uncertainty(args) -> int:
         _refuse_overlong(path, targets, store.config.max_seq_len, forced=True)
     result = an.uncertainty_curves(store, vocab, pairs, pool,
                                    model_tag=args.system, seed=args.seed)
-    gap = result.gap_mean(args.min_position)  # may fail: before any file is written
+    gap = result.gap_mean()  # may fail: before any file is written
     an.write_curves_csv(args.output, [result.references, result.distractors])
     if args.assignment:
         an.write_assignment_csv(args.assignment, result)
@@ -655,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional CSV recording reference-to-distractor pairing")
     p.add_argument("--system", default="model", help="model tag for the CSV rows")
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--min-position", type=_positive_int, default=3)
     p.set_defaults(func=_cmd_analyze_uncertainty)
 
     p = sub.add_parser("sweep-beam", help="score and hallucination rate by beam size")

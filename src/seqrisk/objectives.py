@@ -52,8 +52,8 @@ pad_batch = sm.pad_batch
 
 
 class Adam:
-    """Adam with bias correction and optional global-norm gradient clipping
-    (`grad_clip` 0 disables it).
+    """Adam with bias correction and global-norm gradient clipping at
+    `CLIP_NORM`.
 
     Works on the store's flat buffers: the moments are flat arrays and one
     update is a handful of whole-buffer numpy calls, each element going
@@ -64,10 +64,10 @@ class Adam:
     BETA1 = 0.9
     BETA2 = 0.98
     EPS = 1e-9
+    CLIP_NORM = 1.0
 
-    def __init__(self, store: sm.ParameterStore, grad_clip: float):
+    def __init__(self, store: sm.ParameterStore):
         self.store = store
-        self.grad_clip = grad_clip
         self.t = 0
         self.m = np.zeros_like(store.flat)
         self.v = np.zeros_like(store.flat)
@@ -82,8 +82,8 @@ class Adam:
         for start, stop in store.spans:
             total += float(np.add.reduce(sq[start:stop]))
         norm = math.sqrt(total)
-        if self.grad_clip > 0.0 and norm > self.grad_clip:
-            g = g * (self.grad_clip / norm)
+        if norm > self.CLIP_NORM:
+            g = g * (self.CLIP_NORM / norm)
 
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
@@ -119,26 +119,24 @@ def inverse_sqrt_lr(step: int, peak_lr: float, warmup_steps: int) -> float:
     return peak_lr * min(step / warmup_steps, math.sqrt(warmup_steps / step))
 
 
-def _optimize(store: sm.ParameterStore, config: MLEConfig | MRTConfig,
-              batches: Iterable, objective: Callable, lr_at: Callable[[int], float],
-              trace_path) -> None:
+def _optimize(store: sm.ParameterStore, batches: Iterable, objective: Callable,
+              lr_at: Callable[[int], float], trace_path) -> None:
     """The step loop both objectives share.
 
     Per step: the next batch from `batches` (drawing it may run the model
     untaped, as risk training's sampling does), then `objective(batch)`,
     which returns (scalar tensor, info) built on a fresh tape, backward, a
-    divergence check that names the step, and one Adam step (with the
-    config's clipping) at `lr_at(step)`.  The step, the draw of its batch
-    included, runs with numpy's overflow and invalid-operation errors
-    raised: like a non-finite op output, they are a divergence, even where
-    later arithmetic would make the numbers finite again.  Writes one CSV
-    trace row (step, objective_value, learning_rate) per step when
-    `trace_path` is set; the trace is the loop's only record.  The trace
-    file is replaced when the loop ends: after the last step, or, when
-    training diverges, with the rows of the steps before it; any other
-    exception leaves no trace."""
+    divergence check that names the step, and one Adam step at
+    `lr_at(step)`.  The step, the draw of its batch included, runs with
+    numpy's overflow and invalid-operation errors raised: like a non-finite
+    op output, they are a divergence, even where later arithmetic would
+    make the numbers finite again.  Writes one CSV trace row (step,
+    objective_value, learning_rate) per step when `trace_path` is set; the
+    trace is the loop's only record.  The trace file is replaced when the
+    loop ends: after the last step, or, when training diverges, with the
+    rows of the steps before it; any other exception leaves no trace."""
     nk.retain_heap_top()  # each step frees its whole tape; keep that memory
-    optim = Adam(store, config.grad_clip)
+    optim = Adam(store)
     store.zero_grads()  # backward adds into the store's gradient buffer
     batches = iter(batches)
     diverged = None
@@ -192,7 +190,6 @@ class MLEConfig:
     peak_lr: float = 0.01
     warmup_steps: int = 200
     label_smoothing: float = 0.1
-    grad_clip: float = 1.0  # 0 disables clipping
 
     def __post_init__(self):
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -202,7 +199,7 @@ class MLEConfig:
             raise ContractError("tokens_per_batch must be >= 1 and epochs >= 0")
         if self.warmup_steps < 1:
             raise ContractError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
-        _require_non_negative(self, "peak_lr", "grad_clip")
+        _require_non_negative(self, "peak_lr")
 
 
 def smoothed_targets(gold: np.ndarray, vocab_size: int, label_smoothing: float,
@@ -315,7 +312,7 @@ def train_mle(store: sm.ParameterStore, corpus: Corpus, config: MLEConfig,
                         pad_batch([t for _, t in chunk]),
                         config.label_smoothing, dropout_rng)
 
-    _optimize(store, config, batches, loss,
+    _optimize(store, batches, loss,
               lambda step: inverse_sqrt_lr(step, config.peak_lr, config.warmup_steps),
               trace_path)
 
@@ -333,7 +330,6 @@ class MRTConfig:
     alpha: float = 0.005
     lr: float = 1.5e-4
     include_reference: bool = False
-    grad_clip: float = 1.0  # 0 disables clipping
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -342,7 +338,7 @@ class MRTConfig:
             raise ContractError(f"alpha must be > 0, got {self.alpha}")
         if self.sentences_per_batch < 1:
             raise ContractError("sentences_per_batch must be >= 1")
-        _require_non_negative(self, "steps", "lr", "grad_clip")
+        _require_non_negative(self, "steps", "lr")
 
 
 def cost_delta(hyp_ids: Sequence[int], ref_ids: Sequence[int]) -> float:
@@ -475,5 +471,5 @@ def finetune_mrt(store: sm.ParameterStore, corpus: Corpus, config: MRTConfig,
             yield build_risk_batch(store, [s for s, _ in chunk], [t for _, t in chunk],
                                    config, sampler_rng)
 
-    _optimize(store, config, batches(), lambda batch: mrt_risk(store, batch, config.alpha),
+    _optimize(store, batches(), lambda batch: mrt_risk(store, batch, config.alpha),
               lambda step: config.lr, trace_path)

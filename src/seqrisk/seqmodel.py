@@ -80,15 +80,6 @@ class ModelConfig(ModelSettings):
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of `to_dict`, through `build_settings`.  Checkpoints written
-        while embeddings could be untied carry `tie_embeddings`, which must be true."""
-        d = dict(d)
-        if d.pop("tie_embeddings", True) is not True:
-            raise ContractError("untied embeddings (tie_embeddings false) are not supported")
-        return build_settings(cls, d)
-
 
 class Vocabulary:
     """Bidirectional token/id map with the four reserved ids fixed up front."""
@@ -349,8 +340,9 @@ class ParameterStore:
         config that `build_settings` refuses, whose tensors' names, shapes
         and offsets are not those of a store of that config, whose payload
         is not exactly their bytes, or whose payload does not match the
-        manifest's `payload_sha256` raises ContractError naming the file.
-        Files written before the checksum (no such key) still load."""
+        manifest's `payload_sha256` raises ContractError naming the file;
+        so does a step count or offset that is no integer, or a negative
+        step count."""
         with open(path, "rb") as fh:
             header = fh.readline()
             payload = fh.read()
@@ -361,10 +353,13 @@ class ParameterStore:
         if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
             raise ContractError(f"not a {CHECKPOINT_FORMAT} file: {path}")
         try:
-            store = cls(ModelConfig.from_dict(manifest["config"]),
-                        int(manifest["step_count"]), np.float32)
-            entries = [(e["name"], tuple(map(operator.index, e["shape"])), int(e["offset"]))
-                       for e in manifest["tensors"]]
+            step_count = operator.index(manifest["step_count"])
+            if step_count < 0:
+                raise ContractError(f"step_count must be >= 0, got {step_count}")
+            store = cls(build_settings(ModelConfig, manifest["config"]), step_count, np.float32)
+            entries = [(e["name"], tuple(map(operator.index, e["shape"])),
+                        operator.index(e["offset"])) for e in manifest["tensors"]]
+            digest = manifest["payload_sha256"]
         except (ConfigError, ContractError) as exc:
             raise ContractError(f"{path}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
@@ -383,8 +378,7 @@ class ParameterStore:
         if len(payload) != store.flat.nbytes:
             raise ContractError(f"{path}: a {len(payload)}-byte payload where its tensors "
                                 f"take {store.flat.nbytes}; file truncated or corrupt")
-        digest = manifest.get("payload_sha256")
-        if digest is not None and digest != hashlib.sha256(payload).hexdigest():
+        if digest != hashlib.sha256(payload).hexdigest():
             raise ContractError(f"{path}: payload does not match its sha256; file corrupt")
         store.flat[...] = np.frombuffer(payload, dtype="<f4")
         return store

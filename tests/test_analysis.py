@@ -213,15 +213,17 @@ class TestCurves:
         assert forward.references.mean_prob == backward.references.mean_prob
         assert forward.references.counts == backward.references.counts
 
-    def test_gap_mean_respects_min_position(self):
+    def test_gap_mean_starts_at_position_3(self):
         refs = an.UncertaintyCurve("references", "m", [1, 2, 3, 4],
                                    [0.9, 0.8, 0.7, 0.6], [10, 10, 10, 10])
         dis = an.UncertaintyCurve("distractors", "m", [1, 2, 3, 4],
                                   [0.5, 0.5, 0.5, 0.1], [10, 10, 10, 10])
         result = an.UncertaintyResult(refs, dis, [0] * 10, [True] * 10)
-        assert result.gap_mean(3) == pytest.approx((0.2 + 0.5) / 2)
-        with pytest.raises(ContractError):
-            result.gap_mean(9)
+        assert an.GAP_FROM_POSITION == 3
+        assert result.gap_mean() == pytest.approx((0.2 + 0.5) / 2)
+        short = an.UncertaintyCurve("references", "m", [1, 2], [0.9, 0.8], [10, 10])
+        with pytest.raises(ContractError, match="no shared positions >= 3"):
+            an.UncertaintyResult(short, dis, [0] * 10, [True] * 10).gap_mean()
 
     def test_csv_output(self, tmp_path):
         refs = an.UncertaintyCurve("references", "mle", [1, 2], [0.9, 0.8], [3, 3])

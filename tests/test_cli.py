@@ -73,9 +73,8 @@ class TestConfigValidation:
         ("model", "num_heads", 0), ("model", "embed_dim", 0), ("model", "max_seq_len", 1),
         ("model", "dropout_rate", 1.0), ("eval", "eval_beam", 0),
         ("eval", "hallucination_n", 0), ("eval", "sweep_n", 0), ("eval", "uncertainty_n", -1),
-        ("mle", "warmup_steps", 0), ("mle", "peak_lr", -1), ("mle", "grad_clip", -1),
-        ("mrt", "lr", -1), ("mrt", "steps", -1), ("mrt", "grad_clip", -1),
-        ("eval", "min_position", 0), ("eval", "min_position", 99)])
+        ("mle", "warmup_steps", 0), ("mle", "peak_lr", -1),
+        ("mrt", "lr", -1), ("mrt", "steps", -1)])
     def test_bad_value_named_at_load(self, section, field, value):
         with pytest.raises(ConfigError, match=rf"^{section}: .*{field}"):
             cli.config_from_dict({section: {field: value}})
@@ -89,17 +88,10 @@ class TestConfigValidation:
             cli.load_config(None, [override], None)
 
     @pytest.mark.parametrize("section, fields", [
-        ("mle", ("peak_lr", "grad_clip")), ("mrt", ("lr", "steps", "grad_clip"))])
+        ("mle", ("peak_lr",)), ("mrt", ("lr", "steps"))])
     def test_zero_training_settings_load(self, section, fields):
         config = cli.config_from_dict({section: {f: 0 for f in fields}})
         assert all(getattr(getattr(config, section), f) == 0 for f in fields)
-
-    def test_min_position_bounded_by_the_forced_positions(self):
-        config = cli.config_from_dict({"model": {"max_seq_len": 16},
-                                       "eval": {"min_position": 15}})
-        assert config.eval.min_position == 15
-        with pytest.raises(ConfigError, match=r"^eval: min_position 16 exceeds the 15 forced"):
-            cli.config_from_dict({"model": {"max_seq_len": 16}, "eval": {"min_position": 16}})
 
     def test_contract_violations_name_the_section(self):
         with pytest.raises(ConfigError, match="mrt"):
@@ -192,7 +184,10 @@ class TestExitCodes:
                 ("layers.ckpt", edited(enc_layers=2), "enc.1.ln1.gain"),
                 ("ffn.ckpt", edited(ffn_dim=4), "enc.0.ffn.w1"),
                 ("heads.ckpt", edited(num_heads=3), "embed_dim 8 not divisible by num_heads 3"),
-                ("untied.ckpt", edited(tie_embeddings=False), "untied embeddings"),
+                ("untied.ckpt", edited(tie_embeddings=False),
+                 "tie_embeddings is not a recognized field"),
+                ("tied.ckpt", edited(tie_embeddings=True),
+                 "tie_embeddings is not a recognized field"),
                 # mistyped fields are refused by name, not met later as a TypeError
                 ("len.ckpt", edited(max_seq_len=8.0), "max_seq_len must be int, got 8.0"),
                 ("bool.ckpt", edited(num_heads=True), "num_heads must be int, got True"),
@@ -215,18 +210,17 @@ class TestExitCodes:
         ("eval.sweep_n=0", "eval: sweep_n must be >= 1, got 0"),
         ("mle.warmup_steps=0", "mle: warmup_steps must be >= 1, got 0"),
         ("mle.peak_lr=-1", "mle: peak_lr must be >= 0, got -1"),
-        ("mle.grad_clip=-1", "mle: grad_clip must be >= 0, got -1"),
         ("mrt.lr=-1", "mrt: lr must be >= 0, got -1"),
         ("mrt.steps=-1", "mrt: steps must be >= 0, got -1"),
-        ("mrt.grad_clip=-1", "mrt: grad_clip must be >= 0, got -1"),
-        ("eval.min_position=0", "eval: min_position must be >= 1, got 0"),
-        ("eval.min_position=99", "eval: min_position 99 exceeds the 15 forced positions"),
         ("mrt.sampling_strategy=beam", "mrt.sampling_strategy is not a recognized field"),
         ("model.tie_embeddings=false", "model.tie_embeddings is not a recognized field"),
         ("mle.beta1=0.8", "mle.beta1 is not a recognized field"),
         ("mrt.adam_eps=1e-8", "mrt.adam_eps is not a recognized field"),
         ("mrt.temperature=1", "mrt.temperature is not a recognized field"),
-        ("eval.max_positions=5", "eval.max_positions is not a recognized field")])
+        ("eval.max_positions=5", "eval.max_positions is not a recognized field"),
+        ("mle.grad_clip=1", "mle.grad_clip is not a recognized field"),
+        ("mrt.grad_clip=1", "mrt.grad_clip is not a recognized field"),
+        ("eval.min_position=3", "eval.min_position is not a recognized field")])
     def test_bad_setting_fails_before_any_file(self, tmp_path, capsys, command,
                                                override, says):
         out = tmp_path / "out"
@@ -388,25 +382,10 @@ class TestModelCommands:
         assert code == 1
         assert "--n" in err and "positive integer" in err
 
-    @pytest.mark.parametrize("position", ["0", "-1", "x"])
-    def test_min_position_must_be_positive(self, workspace, position, tmp_path, capsys):
-        config, data, run = workspace
-        code = cli.main(["analyze-uncertainty", "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"),
-                         "--data-file", str(data / "test_id.tsv"),
-                         "--distractor-file", str(data / "test_ood.tsv"),
-                         "--output", str(tmp_path / "curves.csv"),
-                         "--min-position", position])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "--min-position" in err and "positive integer" in err
-        assert not (tmp_path / "curves.csv").exists()
-
     @pytest.mark.parametrize("flags, says", [
-        (["--min-position", "99"], "argument --min-position: 99 exceeds the 15 forced positions"),
         (["--max-positions", "3"], "unrecognized arguments: --max-positions 3"),
+        (["--min-position", "3"], "unrecognized arguments: --min-position 3"),
         (["--seed", "-3"], "argument --seed: must be a non-negative integer, got '-3'"),
-        (["--min-position", "15"], "no shared positions >= 15"),
         (["--assignment", "no-such-dir/assignment.csv"],
          "cannot write no-such-dir/assignment.csv: its directory is missing")])
     def test_uncertainty_failure_writes_no_file(self, workspace, tmp_path, capsys,
@@ -421,6 +400,20 @@ class TestModelCommands:
         err = capsys.readouterr().err
         assert code == 1 and says in err, err
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_corpus_without_position_3_writes_no_file(self, workspace, tmp_path, capsys):
+        config, data, run = workspace
+        short = tmp_path / "short.tsv"  # one-token targets: forced positions 1 and 2 only
+        short.write_text("".join(f"{' '.join(src)}\t{tgt[0]}\n"
+                                 for src, tgt in dg.read_tsv(data / "test_id.tsv")[:4]))
+        code = cli.main(["analyze-uncertainty", "--checkpoint", str(run / "mle.ckpt"),
+                         "--vocab", str(data / "vocab.json"), "--data-file", str(short),
+                         "--distractor-file", str(short),
+                         "--output", str(tmp_path / "curves.csv"),
+                         "--assignment", str(tmp_path / "assignment.csv")])
+        err = capsys.readouterr().err
+        assert code == 1 and "no shared positions >= 3" in err, err
+        assert list(tmp_path.iterdir()) == [short]
 
     @pytest.mark.parametrize("command, flag, value, says", [
         ("evaluate", "--threshold", "5", "must be a number in [0, 1], got '5'"),
@@ -583,6 +576,44 @@ def test_a_negative_seed_exits_one_before_any_file(workspace, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("root", ["[1]", '"seed"', "null"])
+@pytest.mark.parametrize("overrides", [[], ["--set", "mrt.steps=1"]], ids=["plain", "set"])
+def test_a_config_root_that_is_no_object_exits_one_naming_the_file(tmp_path, capsys,
+                                                                   root, overrides):
+    path = tmp_path / "C.json"
+    path.write_text(root)
+    out = tmp_path / "o"
+    code = cli.main(["gen-data", "--config", str(path), "--seed", "1", *overrides,
+                     "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"{path}: the configuration must be a JSON object" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name, source, target, says", [
+    ("train-mle", "train.tsv", 17, 3, "line 2 has 17 tokens, more than the model's "
+     "max_seq_len 16"),
+    ("train-mle", "dev.tsv", 3, 16, "line 2 has 16 target tokens, more than the 15"),
+    ("finetune-mrt", "train.tsv", 17, 3, "line 2 has 17 tokens"),
+    ("finetune-mrt", "train.tsv", 3, 16, "line 2 has 16 target tokens")])
+def test_an_overlong_training_line_is_refused_before_training(workspace, tmp_path, capsys,
+                                                              command, name, source,
+                                                              target, says):
+    config, data, run = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    shutil.copy(config, copy / "config.json")
+    lines = (copy / name).read_text().splitlines()
+    lines[1] = " ".join(["sf0"] * source) + "\t" + " ".join(["tf0"] * target)
+    (copy / name).write_text("\n".join(lines) + "\n")
+    code = cli.main(_command_line(command, copy, run / "mle.ckpt"))
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"{copy / name}: {says}" in err, err
+    assert not (copy / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["train-mle", "finetune-mrt"])
 def test_a_failed_read_creates_no_outdir(workspace, tmp_path, capsys, command):
     config, data, run = workspace
@@ -668,6 +699,17 @@ class TestReproduce:
         assert manifest["seed"] == 1
         assert "mle.ckpt" in manifest["files"]
         assert not (out_a / ".seqrisk-lock").exists()
+
+    def test_an_overlong_generated_line_is_refused_before_training(self, tmp_path, capsys):
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        code = cli.main(["reproduce", "--config", str(config), "--set", "model.max_seq_len=8",
+                         "--outdir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"{out / 'train.tsv'}: line " in err and "max_seq_len 8" in err, err
+        assert (out / "train.tsv").exists() and not (out / "mle.ckpt").exists()
+        assert not (out / "manifest.json").exists() and not (out / ".seqrisk-lock").exists()
 
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
         # a diverging rerun into a finished run's directory: the earlier

@@ -66,9 +66,7 @@ MODEL_SECTIONS = st.fixed_dictionaries({}, optional={
 @FEW
 @given(MODEL_SECTIONS, st.integers(5, 40))
 def test_model_section_is_refused_exactly_when_the_model_is(section, vocab_size):
-    # eval.min_position is checked against model.max_seq_len; at 1 it fits
-    # every valid model, so the model section alone decides
-    data = {"model": section, "eval": {"min_position": 1}}
+    data = {"model": section}
     try:
         want = sm.ModelConfig(vocab_size=vocab_size, **section)
     except ContractError:
@@ -230,8 +228,8 @@ def test_the_type_scan_finds_unchecked_types():
         (("section", "size"), int | None)]
 
 
-def test_the_configuration_has_39_settable_values():
+def test_the_configuration_has_36_settable_values():
     # adding or removing a setting changes this figure on purpose
     leaves = [path for path, hint in _fields(cli.ExperimentConfig)
               if not dataclasses.is_dataclass(hint)]
-    assert len(leaves) == 39, [".".join(path) for path in leaves]
+    assert len(leaves) == 36, [".".join(path) for path in leaves]

@@ -47,7 +47,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = tiny_config()
-        assert sm.ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert sm.build_settings(sm.ModelConfig, cfg.to_dict()) == cfg
 
 
 class TestVocabulary:
@@ -277,22 +277,36 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match="flipped.ckpt"):
             sm.ParameterStore.load(bad)
 
-    def test_loads_a_file_without_a_checksum(self, store, tmp_path):
+    def test_refuses_a_file_without_a_checksum(self, store, tmp_path):
         old = rewrite_manifest(store, tmp_path / "old.ckpt",
                                lambda manifest: manifest.pop("payload_sha256"))
-        loaded = sm.ParameterStore.load(old)
-        assert loaded.flat.tobytes() == store.flat.tobytes()
+        with pytest.raises(ContractError, match=r"old\.ckpt: malformed checkpoint manifest"):
+            sm.ParameterStore.load(old)
 
-    def test_tie_embeddings_key_of_older_files(self, store, tmp_path):
-        tied = rewrite_manifest(store, tmp_path / "tied.ckpt",
-                                lambda manifest: manifest["config"].update(tie_embeddings=True))
-        loaded = sm.ParameterStore.load(tied)
-        assert loaded.config == store.config
-        assert loaded.flat.tobytes() == store.flat.tobytes()
-        untied = rewrite_manifest(store, tmp_path / "untied.ckpt",
-                                  lambda manifest: manifest["config"].update(tie_embeddings=False))
-        with pytest.raises(ContractError, match=r"untied\.ckpt: untied embeddings"):
-            sm.ParameterStore.load(untied)
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_refuses_a_tie_embeddings_key(self, store, tmp_path, tied):
+        old = rewrite_manifest(store, tmp_path / "old.ckpt",
+                               lambda manifest: manifest["config"].update(tie_embeddings=tied))
+        with pytest.raises(ContractError,
+                           match=r"old\.ckpt: tie_embeddings is not a recognized field"):
+            sm.ParameterStore.load(old)
+
+    @pytest.mark.parametrize("field, text, says", [
+        ("step_count", "1e999", "malformed checkpoint manifest"),
+        ("step_count", "2.5", "malformed checkpoint manifest"),
+        ("step_count", '"3"', "malformed checkpoint manifest"),
+        ("step_count", "-5", "step_count must be >= 0, got -5"),
+        ("offset", "0.0", "malformed checkpoint manifest"),
+        ("offset", '"0"', "malformed checkpoint manifest")])
+    def test_reads_the_manifest_integers_strictly(self, store, tmp_path, field, text, says):
+        path = tmp_path / "bad.ckpt"
+        store.save(path)  # the fixture's step count and first offset are 0
+        whole = path.read_bytes()
+        edited = whole.replace(f'"{field}": 0'.encode(), f'"{field}": {text}'.encode(), 1)
+        assert edited != whole
+        path.write_bytes(edited)
+        with pytest.raises(ContractError, match=re.escape(f"{path}: {says}")):
+            sm.ParameterStore.load(path)
 
     def test_a_config_without_a_required_field_is_refused_naming_it(self, store, tmp_path):
         bad = rewrite_manifest(store, tmp_path / "bad.ckpt",
@@ -340,7 +354,7 @@ class TestCheckpoint:
         store.save(p1)
         loaded = sm.ParameterStore.load(p1)
         loaded.flat_grad.fill(0.5)
-        obj.Adam(loaded, grad_clip=1.0).step(lr=1e-3)
+        obj.Adam(loaded).step(lr=1e-3)
         assert not np.array_equal(loaded["enc.0.attn.wq"].data, store["enc.0.attn.wq"].data)
         loaded.save(p2)
         again = sm.ParameterStore.load(p2)
@@ -389,7 +403,7 @@ FAILING_WRITERS = {
     "jsonl": lambda path: an.write_judgments_jsonl(path, [None]),
     "json": lambda path: cli._write_json(path, {"ok": 1, "bad": object()}),
     "trace": lambda path: obj._optimize(
-        sm.ParameterStore.init(tiny_config(), 0), obj.MLEConfig(), [0], interrupt,
+        sm.ParameterStore.init(tiny_config(), 0), [0], interrupt,
         lambda step: 0.0, path),
 }
 
@@ -416,8 +430,7 @@ class TestAtomicWrite:
         path = tmp_path / "trace.csv"
         path.write_bytes(b"earlier\n")
         with pytest.raises(ContractError, match=r"diverged at step 3.*trace\.csv"):
-            obj._optimize(store, obj.MLEConfig(), [0, 1, 2, 3], objective,
-                          lambda step: 0.0, path)
+            obj._optimize(store, [0, 1, 2, 3], objective, lambda step: 0.0, path)
         assert path.read_text().splitlines() == [
             "step,objective_value,learning_rate", "1,1.000000,0", "2,1.000000,0"]
         assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
@@ -555,7 +568,7 @@ class TestFlatStore:
         assert any(grads[name].data.any() for name in store.names())
         for name, t in store.items():
             t.grad[...] = grads[name].data
-        obj.Adam(store, grad_clip=1.0).step(lr=0.1)
+        obj.Adam(store).step(lr=0.1)
         self.assert_tiles(store)
         assert store.step_count == 1 and not np.array_equal(store.flat, before)
 
