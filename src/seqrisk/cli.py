@@ -255,20 +255,12 @@ def _refuse_overlong_pairs(path, pairs: list[dg.TokenPair], max_seq_len: int) ->
     _refuse_overlong(path, [tgt for _, tgt in pairs], max_seq_len, forced=True)
 
 
-def _read_corpus(path) -> list[dg.TokenPair]:
-    """The pairs of corpus file `path`; a file that holds none is refused."""
-    pairs = dg.read_tsv(path)
-    if not pairs:
-        raise ParseError(f"{path}: no sentence pairs in the file")
-    return pairs
-
-
 def _read_pairs(args, store: sm.ParameterStore,
                 spec: dg.DomainSpec | None = None) -> list[dg.TokenPair]:
     """The pairs of --data-file, cut to the first --n when given; a source
     the model cannot take is refused, and so, with `spec`, is a reference
     holding none of its content tokens (its overlap is undefined)."""
-    pairs = _read_corpus(args.data_file)
+    pairs = dg.read_tsv(args.data_file)
     pairs = pairs if args.n is None else pairs[: args.n]
     _refuse_overlong(args.data_file, [src for src, _ in pairs], store.config.max_seq_len)
     if spec is not None:
@@ -328,28 +320,41 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
                    suite: dict[str, list[dg.TokenPair]], outdir: Path) -> dict:
     ev = config.eval
     decode_cfg = ev.decode_config()
+    ood, pool = suite["test_ood"], [tgt for _, tgt in suite["test_id"]]
     summaries: dict[tuple[str, str], an.HallucinationSummary] = {}
     judgments_ood: dict[str, list[an.HallucinationJudgment]] = {}
+    curves: list[an.UncertaintyCurve] = []
+    sweeps = {}
     headline: dict = {"systems": {}}
 
     for system, store in stores.items():
-        sys_info: dict = {}
-        for split in ("test_id", "test_ood"):
-            pairs = suite[split][: ev.hallucination_n]
-            judgments = an.judge_corpus(store, vocab, pairs, spec, decode_cfg,
-                                        ev.overlap_threshold)
-            summary = an.summarize_judgments(judgments)
-            summaries[(system, split)] = summary
-            sys_info[split] = {
+        info = headline["systems"][system] = {}
+        for split in ("test_id", "test_ood"):  # test_ood last: the Fisher test and sweep reuse it
+            judgments = an.judge_corpus(store, vocab, suite[split][: ev.hallucination_n],
+                                        spec, decode_cfg, ev.overlap_threshold)
+            summary = summaries[(system, split)] = an.summarize_judgments(judgments)
+            info[split] = {
                 "hallucination_rate": summary.rate,
                 "mean_overlap": summary.mean_overlap,
                 "corpus_bleu": summary.corpus_bleu,
             }
-            if split == "test_ood":
-                judgments_ood[system] = judgments
-                an.write_judgments_jsonl(
-                    outdir / f"judgments_{system}_ood.jsonl", judgments)
-        headline["systems"][system] = sys_info
+        judgments_ood[system] = judgments
+        an.write_judgments_jsonl(outdir / f"judgments_{system}_ood.jsonl", judgments)
+
+        result = an.uncertainty_curves(store, vocab, ood[: ev.uncertainty_n], pool,
+                                       model_tag=system, seed=config.seed)
+        curves.extend([result.references, result.distractors])
+        info["certainty_gap"] = result.gap_mean()
+
+        # judging already decoded these sentences at eval_beam with decode_cfg
+        by_k = ({ev.eval_beam: an.sweep_point(ev.eval_beam, judgments[: ev.sweep_n])}
+                if ev.sweep_n <= ev.hallucination_n else {})
+        rest = [k for k in ev.beam_sizes if k not in by_k]
+        by_k.update(zip(rest, an.beam_sweep(
+            store, vocab, ood[: ev.sweep_n], spec, rest,
+            ev.overlap_threshold, base_config=decode_cfg)))
+        sweeps[system] = points = [by_k[k] for k in ev.beam_sizes]
+        info["beam_sweep"] = [asdict(p) for p in points]
 
     p_value, table = an.compare_hallucination_significance(
         judgments_ood["mle"], judgments_ood["mrt"])
@@ -357,34 +362,11 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
         "p_value": p_value,
         "table": [[table.a, table.b], [table.c, table.d]],
     }
-
-    pool = [tgt for _, tgt in suite["test_id"]]
-    curves: list[an.UncertaintyCurve] = []
-    for i, (system, store) in enumerate(stores.items()):
-        result = an.uncertainty_curves(
-            store, vocab, suite["test_ood"][: ev.uncertainty_n], pool,
-            model_tag=system, seed=config.seed)
-        curves.extend([result.references, result.distractors])
-        headline["systems"][system]["certainty_gap"] = result.gap_mean()
-        if i == 0:  # assignment depends only on data and seed, not the model
-            an.write_assignment_csv(outdir / "distractor_assignment.csv", result)
+    # any system's result will do: the assignment depends only on data and seed
+    an.write_assignment_csv(outdir / "distractor_assignment.csv", result)
     an.write_curves_csv(outdir / "uncertainty_curves.csv", curves)
-
-    sweeps = {}
-    for system, store in stores.items():
-        # judging already decoded these sentences at eval_beam with decode_cfg
-        by_k = ({ev.eval_beam: an.sweep_point(
-                    ev.eval_beam, judgments_ood[system][: ev.sweep_n])}
-                if ev.sweep_n <= ev.hallucination_n else {})
-        rest = [k for k in ev.beam_sizes if k not in by_k]
-        by_k.update(zip(rest, an.beam_sweep(
-            store, vocab, suite["test_ood"][: ev.sweep_n], spec, rest,
-            ev.overlap_threshold, base_config=decode_cfg)))
-        sweeps[system] = points = [by_k[k] for k in ev.beam_sizes]
-        headline["systems"][system]["beam_sweep"] = [asdict(p) for p in points]
     an.write_sweep_csv(outdir / "beam_sweep.csv", sweeps)
     an.write_hallucination_csv(outdir / "hallucination_summary.csv", summaries)
-
     _write_json(outdir / "summary.json", headline)
     return headline
 
@@ -562,7 +544,7 @@ def _cmd_analyze_uncertainty(args) -> int:
         if not os.access(os.path.dirname(path) or ".", os.W_OK):
             raise ContractError(f"cannot write {path}: its directory is missing or read-only")
     pairs = _read_pairs(args, store)
-    pool = [tgt for _, tgt in _read_corpus(args.distractor_file)]
+    pool = [tgt for _, tgt in dg.read_tsv(args.distractor_file)]
     # any pool line may be drawn as a distractor, so each must fit
     for path, targets in ((args.data_file, [tgt for _, tgt in pairs]),
                           (args.distractor_file, pool)):

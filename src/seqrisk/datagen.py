@@ -237,8 +237,8 @@ def read_tsv(path) -> list[TokenPair]:
     """Strict reader for the two-column corpus format.
 
     Rejects bytes that are not UTF-8, carriage returns, wrong column counts,
-    and blank token fields; a trailing newline on the last row is the only
-    latitude given."""
+    blank token fields and a file holding no pair; a trailing newline on the
+    last row is the only latitude given."""
     lines = sm.read_utf8(path).split("\n")
     if lines[-1] == "":
         lines.pop()  # the trailing newline
@@ -256,6 +256,8 @@ def read_tsv(path) -> list[TokenPair]:
         if not src or not tgt:
             raise ParseError(f"{path}:{lineno}: empty source or target field")
         pairs.append((src, tgt))
+    if not pairs:
+        raise ParseError(f"{path}: no sentence pairs in the file")
     return pairs
 
 

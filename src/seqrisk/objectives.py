@@ -263,13 +263,15 @@ def forced_log_probs(store: sm.ParameterStore, src_ids: Sequence[IdSeq],
 
 
 def corpus_nll(store: sm.ParameterStore, corpus: Corpus, batch_size: int = 32) -> float:
-    """Mean unsmoothed negative log-likelihood per token over a corpus."""
+    """Mean unsmoothed negative log-likelihood per token over a non-empty corpus."""
+    if not corpus:
+        raise ContractError("corpus_nll needs at least one sentence pair")
     total, count = 0.0, 0
     for picked, mask in forced_log_probs(store, [s for s, _ in corpus],
                                          [t for _, t in corpus], batch_size):
         total += float(-(picked * mask).sum())
         count += int(mask.sum())
-    return total / max(count, 1)
+    return total / count
 
 
 def token_batches(corpus: Corpus, order: Sequence[int],

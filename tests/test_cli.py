@@ -506,6 +506,9 @@ MALFORMED_INPUTS = [
     ("sweep-beam", "test_ood.tsv", b"", "no sentence pairs"),
     ("analyze-uncertainty", "test_ood.tsv", b"", "no sentence pairs"),
     ("analyze-uncertainty", "test_id.tsv", b"", "no sentence pairs"),
+    ("train-mle", "train.tsv", b"", "no sentence pairs"),
+    ("train-mle", "dev.tsv", b"", "no sentence pairs"),
+    ("finetune-mrt", "train.tsv", b"", "no sentence pairs"),
 ]
 
 
@@ -543,6 +546,7 @@ def test_malformed_input_exits_one_naming_the_file(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 1, err
     assert str(copy / name) in err and says in err and "internal error" not in err
+    assert not (copy / "run").exists()  # refused before --outdir is made
 
 
 @pytest.mark.parametrize("command", ["reproduce", "gen-data", "train-mle", "translate"])

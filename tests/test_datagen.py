@@ -311,6 +311,12 @@ class TestCorpusFiles:
         with pytest.raises(ParseError, match="empty source or target"):
             dg.read_tsv(path)
 
+    def test_rejects_a_file_holding_no_pair(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match="empty.tsv: no sentence pairs in the file"):
+            dg.read_tsv(path)
+
     def test_encode_corpus_frames_targets(self):
         spec = small_spec()
         vocab = dg.build_vocabulary(spec)

@@ -706,3 +706,7 @@ class TestPadBatch:
                            dropout_rate=0.0, max_seq_len=12), 2)
         nll = obj.corpus_nll(store, corpus)
         assert np.isfinite(nll) and nll > 0
+
+    def test_corpus_nll_refuses_an_empty_corpus(self):
+        with pytest.raises(ContractError, match="at least one sentence pair"):
+            obj.corpus_nll(make_store(), [])
