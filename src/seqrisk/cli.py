@@ -29,7 +29,7 @@ from . import decoding as dec
 from . import numkit as nk
 from . import objectives as obj
 from . import seqmodel as sm
-from .errors import ConfigError, ContractError, ParseError, SeqriskError, VocabularyError
+from .errors import ConfigError, ContractError, SeqriskError
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +62,20 @@ class EvalSettings:
         for name in ("hallucination_n", "sweep_n", "uncertainty_n", "eval_beam"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.beam_sizes or any(k < 1 for k in self.beam_sizes):
-            raise ContractError("beam_sizes must be a non-empty list of sizes >= 1")
+        if self.eval_beam > sm.MAX_LIVE_ROWS:
+            raise ContractError(f"eval_beam must be <= {sm.MAX_LIVE_ROWS}, got {self.eval_beam}")
+        _refuse_beam_sizes("beam_sizes", self.beam_sizes)
         if not 0.0 <= self.overlap_threshold <= 1.0:
             raise ContractError("overlap_threshold must be in [0, 1]")
 
-    def decode_config(self) -> dec.DecodeConfig:
-        return dec.DecodeConfig(beam_size=self.eval_beam,
-                                length_norm_alpha=self.length_norm_alpha)
+
+def _refuse_beam_sizes(name: str, sizes: list[int]) -> None:
+    """Refuse the beam-size list `name` unless it holds distinct sizes in
+    [1, seqmodel.MAX_LIVE_ROWS]; a repeat would decode into the same row."""
+    if not sizes or len(set(sizes)) < len(sizes) or not all(
+            1 <= k <= sm.MAX_LIVE_ROWS for k in sizes):
+        raise ContractError(
+            f"{name} must be distinct sizes in [1, {sm.MAX_LIVE_ROWS}], got {sizes}")
 
 
 @dataclass
@@ -202,37 +208,20 @@ class OutputLock:
         return False
 
 
-def _load_vocab(path) -> sm.Vocabulary:
-    try:
-        return sm.Vocabulary.from_json(sm.read_utf8(path))
-    except VocabularyError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def _load_domain(path) -> dg.DomainSpec:
     return sm.build_settings(dg.DomainSpec, _load_json(path), f"{path}: domain")
 
 
-def _load_judge(args) -> tuple[sm.ParameterStore, sm.Vocabulary, dg.DomainSpec]:
-    """The model, vocabulary and domain that `evaluate` and `sweep-beam`
-    judge with; a domain whose vocabulary is not the --vocab file's is
-    refused, naming both files."""
-    store, vocab = _load_model(args.checkpoint, args.vocab)
-    spec = _load_domain(args.domain)
-    if dg.build_vocabulary(spec).content_tokens() != vocab.content_tokens():
-        raise ContractError(f"{args.domain} does not describe the vocabulary in {args.vocab}")
-    return store, vocab, spec
-
-
-def _load_model(checkpoint, vocab_path) -> tuple[sm.ParameterStore, sm.Vocabulary]:
-    """A checkpoint and the vocabulary it was trained with; a vocabulary
-    of another size is refused, naming both files."""
-    store, vocab = sm.ParameterStore.load(checkpoint), _load_vocab(vocab_path)
+def _load_model(checkpoint, domain) -> tuple[sm.ParameterStore, sm.Vocabulary, dg.DomainSpec]:
+    """A checkpoint with the domain and vocabulary it was trained on; a
+    domain whose vocabulary is of another size is refused, naming both files."""
+    store, spec = sm.ParameterStore.load(checkpoint), _load_domain(domain)
+    vocab = dg.build_vocabulary(spec)
     if len(vocab) != store.config.vocab_size:
         raise ContractError(
-            f"{vocab_path} holds {len(vocab)} tokens (with the 4 reserved), but "
-            f"{checkpoint} was trained on a vocabulary of {store.config.vocab_size}")
-    return store, vocab
+            f"{domain} gives a vocabulary of {len(vocab)} tokens (with the 4 reserved), "
+            f"but {checkpoint} was trained on a vocabulary of {store.config.vocab_size}")
+    return store, vocab, spec
 
 
 def _refuse_overlong(path, lines: list[list[str]], max_seq_len: int,
@@ -319,7 +308,7 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
                    spec: dg.DomainSpec, stores: dict[str, sm.ParameterStore],
                    suite: dict[str, list[dg.TokenPair]], outdir: Path) -> dict:
     ev = config.eval
-    decode_cfg = ev.decode_config()
+    decode_cfg = dec.DecodeConfig(beam_size=ev.eval_beam, length_norm_alpha=ev.length_norm_alpha)
     ood, pool = suite["test_ood"], [tgt for _, tgt in suite["test_id"]]
     summaries: dict[tuple[str, str], an.HallucinationSummary] = {}
     judgments_ood: dict[str, list[an.HallucinationJudgment]] = {}
@@ -423,7 +412,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
+    p.add_argument("--domain", required=True, help="domain.json from gen-data")
 
 
 def _positive_int(text: str) -> int:
@@ -479,7 +468,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train_mle(args) -> int:
     config = load_config(args.config, args.overrides, args.seed)
     data = Path(args.data)
-    vocab = _load_vocab(data / "vocab.json")
+    vocab = dg.build_vocabulary(_load_domain(data / "domain.json"))
     train, dev = dg.read_tsv(data / "train.tsv"), dg.read_tsv(data / "dev.tsv")
     for name, pairs in (("train", train), ("dev", dev)):  # fail before training
         _refuse_overlong_pairs(data / f"{name}.tsv", pairs, config.model.max_seq_len)
@@ -494,7 +483,7 @@ def _cmd_train_mle(args) -> int:
 def _cmd_finetune_mrt(args) -> int:
     config = load_config(args.config, args.overrides, args.seed)
     data = Path(args.data)
-    mle_store, vocab = _load_model(args.checkpoint, data / "vocab.json")
+    mle_store, vocab, _ = _load_model(args.checkpoint, data / "domain.json")
     train = dg.read_tsv(data / "train.tsv")
     _refuse_overlong_pairs(data / "train.tsv", train, mle_store.config.max_seq_len)
     outdir = Path(args.outdir)  # made only once every input has been read
@@ -505,7 +494,7 @@ def _cmd_finetune_mrt(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    store, vocab = _load_model(args.checkpoint, args.vocab)
+    store, vocab, _ = _load_model(args.checkpoint, args.domain)
     sources = [line.split() for line in sm.read_utf8(args.input).splitlines()]
     _refuse_overlong(args.input, sources, store.config.max_seq_len)
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
@@ -526,7 +515,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    store, vocab, spec = _load_judge(args)
+    store, vocab, spec = _load_model(args.checkpoint, args.domain)
     pairs = _read_pairs(args, store, spec)
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
     judgments = an.judge_corpus(store, vocab, pairs, spec, config, args.threshold)
@@ -538,7 +527,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze_uncertainty(args) -> int:
-    store, vocab = _load_model(args.checkpoint, args.vocab)
+    store, vocab, _ = _load_model(args.checkpoint, args.domain)
     # two files are written: fail before the first rather than between them
     for path in filter(None, (args.output, args.assignment)):
         if not os.access(os.path.dirname(path) or ".", os.W_OK):
@@ -564,7 +553,9 @@ def _cmd_analyze_uncertainty(args) -> int:
 
 
 def _cmd_sweep_beam(args) -> int:
-    store, vocab, spec = _load_judge(args)
+    # beam_sweep builds each width's config only when it reaches that width
+    _refuse_beam_sizes("--beams", args.beams)
+    store, vocab, spec = _load_model(args.checkpoint, args.domain)
     pairs = _read_pairs(args, store, spec)
     base = dec.DecodeConfig(length_norm_alpha=args.alpha)
     points = an.beam_sweep(store, vocab, pairs, spec, args.beams, args.threshold,
@@ -618,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="corpus score plus hallucination summary")
     _add_model_flags(p)
-    p.add_argument("--domain", required=True)
     _add_pair_flags(p)
     p.add_argument("--beam", type=_positive_int, default=4)
     p.add_argument("--alpha", type=_finite_float, default=an.DEFAULT_EVAL_ALPHA)
@@ -641,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-beam", help="score and hallucination rate by beam size")
     _add_model_flags(p)
-    p.add_argument("--domain", required=True)
     _add_pair_flags(p)
     p.add_argument("--output", required=True, help="sweep CSV path")
     p.add_argument("--system", default="model")
@@ -671,6 +660,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a machine smaller than the sizes the checks allow
+        print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

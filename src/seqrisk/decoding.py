@@ -37,8 +37,9 @@ class DecodeConfig:
     length_norm_alpha: float = 1.0
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ContractError(f"beam_size must be >= 1, got {self.beam_size}")
+        if not 1 <= self.beam_size <= sm.MAX_LIVE_ROWS:
+            raise ContractError(f"beam_size must be in [1, {sm.MAX_LIVE_ROWS}], "
+                                f"got {self.beam_size}")
         if not math.isfinite(self.length_norm_alpha):
             raise ContractError(f"length_norm_alpha must be finite, got {self.length_norm_alpha}")
 
@@ -180,7 +181,7 @@ def beam_search_corpus(store: sm.ParameterStore, sources: Sequence[Sequence[int]
     as many per batch as keep beam_size x sources within
     `seqmodel.MAX_LIVE_ROWS`."""
     config = config or DecodeConfig()
-    per_batch = max(1, sm.MAX_LIVE_ROWS // config.beam_size)
+    per_batch = sm.MAX_LIVE_ROWS // config.beam_size
     out: list[list[Hypothesis]] = []
     for start in range(0, len(sources), per_batch):
         chunk = sources[start: start + per_batch]

@@ -340,6 +340,9 @@ class MRTConfig:
             raise ContractError(f"alpha must be > 0, got {self.alpha}")
         if self.sentences_per_batch < 1:
             raise ContractError("sentences_per_batch must be >= 1")
+        if self.sentences_per_batch * self.n_samples > sm.MAX_LIVE_ROWS:  # sampler rows
+            raise ContractError(f"sentences_per_batch * n_samples must be <= {sm.MAX_LIVE_ROWS}, "
+                                f"got {self.sentences_per_batch} * {self.n_samples}")
         _require_non_negative(self, "steps", "lr")
 
 

@@ -574,7 +574,8 @@ def decode_batch(store: ParameterStore, memory: nk.Tensor, src_ids: np.ndarray,
 
 # Rows one IncrementalDecoder should hold: corpus beam search splits its
 # sources so that beam_size x sources stays within this, which keeps a wide
-# beam over a long corpus from growing the KV cache without limit.
+# beam over a long corpus from growing the KV cache without limit.  A wider
+# beam, or a risk batch of more sentences x samples, is refused at load.
 MAX_LIVE_ROWS = 256
 
 

@@ -4,6 +4,7 @@ file outputs, locking, and a reduced-size byte-identity run."""
 import dataclasses
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -158,14 +159,15 @@ class TestExitCodes:
 
     def test_missing_file_is_one(self, tmp_path, capsys):
         code = cli.main(["translate", "--checkpoint", str(tmp_path / "no.ckpt"),
-                         "--vocab", str(tmp_path / "no.json"),
+                         "--domain", str(tmp_path / "no.json"),
                          "--input", str(tmp_path / "no.txt")])
         assert code == 1
 
     def test_corrupt_checkpoint_is_one(self, tmp_path, capsys):
-        vocab = sm.Vocabulary(["a", "b", "c"])
-        (tmp_path / "vocab.json").write_text(vocab.to_json())
+        spec = dg.DomainSpec()
+        (tmp_path / "domain.json").write_text(spec.to_json())
         (tmp_path / "in.txt").write_text("a b\n")
+        vocab = dg.build_vocabulary(spec)
         cfg = sm.ModelConfig(vocab_size=len(vocab), embed_dim=8, num_heads=2,
                              enc_layers=1, dec_layers=1, ffn_dim=8, max_seq_len=8)
         good = tmp_path / "good.ckpt"
@@ -194,7 +196,7 @@ class TestExitCodes:
                 ("str.ckpt", edited(enc_layers="1"), "enc_layers must be int, got '1'")):
             (tmp_path / name).write_bytes(data)
             code = cli.main(["translate", "--checkpoint", str(tmp_path / name),
-                             "--vocab", str(tmp_path / "vocab.json"),
+                             "--domain", str(tmp_path / "domain.json"),
                              "--input", str(tmp_path / "in.txt")])
             err = capsys.readouterr().err
             assert code == 1, err
@@ -220,7 +222,14 @@ class TestExitCodes:
         ("eval.max_positions=5", "eval.max_positions is not a recognized field"),
         ("mle.grad_clip=1", "mle.grad_clip is not a recognized field"),
         ("mrt.grad_clip=1", "mrt.grad_clip is not a recognized field"),
-        ("eval.min_position=3", "eval.min_position is not a recognized field")])
+        ("eval.min_position=3", "eval.min_position is not a recognized field"),
+        # sizes one decoder would hold beyond seqmodel.MAX_LIVE_ROWS, and a repeated width
+        ("mrt.n_samples=65", "mrt: sentences_per_batch * n_samples must be <= 256, got 4 * 65"),
+        ("eval.eval_beam=257", "eval: eval_beam must be <= 256, got 257"),
+        ("eval.beam_sizes=[1,257]", "eval: beam_sizes must be distinct sizes in [1, 256], "
+         "got [1, 257]"),
+        ("eval.beam_sizes=[2,1,2]", "eval: beam_sizes must be distinct sizes in [1, 256], "
+         "got [2, 1, 2]")])
     def test_bad_setting_fails_before_any_file(self, tmp_path, capsys, command,
                                                override, says):
         out = tmp_path / "out"
@@ -229,6 +238,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1 and says in err, err
         assert not out.exists()
+
+    def test_out_of_memory_is_one_naming_the_command(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.10 GiB for an array")
+
+        monkeypatch.setattr(cli, "stage_gen_data", exhausted)
+        code = cli.main(["gen-data", "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == ("error: gen-data ran out of memory: "
+                       "Unable to allocate 2.10 GiB for an array\n")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -281,7 +301,7 @@ class TestModelCommands:
         src_file.write_text("".join(" ".join(s) + "\n" for s, _ in pairs))
         out_file = tmp_path / "hyps.txt"
         assert cli.main(["translate", "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"),
+                         "--domain", str(data / "domain.json"),
                          "--input", str(src_file),
                          "--output", str(out_file), "--beam", "2"]) == 0
         lines = out_file.read_text().splitlines()
@@ -294,7 +314,7 @@ class TestModelCommands:
         for name, text in (("dense.txt", "{0}\n{1}\n"), ("gappy.txt", "{0}\n\n{1}\n")):
             (tmp_path / name).write_text(text.format(*(" ".join(s) for s, _ in pairs)))
             assert cli.main(["translate", "--checkpoint", str(run / "mle.ckpt"),
-                             "--vocab", str(data / "vocab.json"),
+                             "--domain", str(data / "domain.json"),
                              "--input", str(tmp_path / name), "--beam", "2"]) == 0
             outputs.append(capsys.readouterr().out.split("\n"))
         dense, gappy = outputs
@@ -308,7 +328,7 @@ class TestModelCommands:
                             f"{' '.join(pairs[1][0])}\n")
         out_file = tmp_path / "hyps.txt"
         code = cli.main(["translate", "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"), "--input", str(src_file),
+                         "--domain", str(data / "domain.json"), "--input", str(src_file),
                          "--output", str(out_file)])
         err = capsys.readouterr().err
         assert code == 1
@@ -333,14 +353,13 @@ class TestModelCommands:
         files[flag].write_text("\n".join(lines) + "\n")
         output = tmp_path / "out.csv"
         argv = {
-            "evaluate": ["--domain", str(data / "domain.json"),
-                         "--judgments", str(output)],
-            "sweep-beam": ["--domain", str(data / "domain.json"), "--output", str(output)],
+            "evaluate": ["--judgments", str(output)],
+            "sweep-beam": ["--output", str(output)],
             "analyze-uncertainty": ["--distractor-file", str(files["--distractor-file"]),
                                     "--output", str(output)],
         }[command]
         code = cli.main([command, "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"),
+                         "--domain", str(data / "domain.json"),
                          "--data-file", str(files["--data-file"]), *argv])
         err = capsys.readouterr().err
         assert code == 1, err
@@ -353,7 +372,7 @@ class TestModelCommands:
         lines[1] = "sf0\t" + " ".join(["tf0"] * 15)
         (tmp_path / "full.tsv").write_text("\n".join(lines) + "\n")
         assert cli.main(["analyze-uncertainty", "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"),
+                         "--domain", str(data / "domain.json"),
                          "--data-file", str(tmp_path / "full.tsv"),
                          "--distractor-file", str(tmp_path / "full.tsv"),
                          "--output", str(tmp_path / "curves.csv")]) == 0
@@ -362,7 +381,6 @@ class TestModelCommands:
     def test_beams_must_be_positive_integers(self, workspace, beams, tmp_path, capsys):
         config, data, run = workspace
         code = cli.main(["sweep-beam", "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"),
                          "--domain", str(data / "domain.json"),
                          "--data-file", str(data / "test_ood.tsv"),
                          "--output", str(tmp_path / "sweep.csv"), "--beams", beams])
@@ -375,7 +393,6 @@ class TestModelCommands:
     def test_n_must_be_positive(self, workspace, n, capsys):
         config, data, run = workspace
         code = cli.main(["evaluate", "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"),
                          "--domain", str(data / "domain.json"),
                          "--data-file", str(data / "test_id.tsv"), "--n", n])
         err = capsys.readouterr().err
@@ -392,7 +409,7 @@ class TestModelCommands:
                                                 flags, says):
         config, data, run = workspace
         code = cli.main(["analyze-uncertainty", "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"),
+                         "--domain", str(data / "domain.json"),
                          "--data-file", str(data / "test_id.tsv"),
                          "--distractor-file", str(data / "test_ood.tsv"),
                          "--output", str(tmp_path / "curves.csv"),
@@ -407,7 +424,7 @@ class TestModelCommands:
         short.write_text("".join(f"{' '.join(src)}\t{tgt[0]}\n"
                                  for src, tgt in dg.read_tsv(data / "test_id.tsv")[:4]))
         code = cli.main(["analyze-uncertainty", "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"), "--data-file", str(short),
+                         "--domain", str(data / "domain.json"), "--data-file", str(short),
                          "--distractor-file", str(short),
                          "--output", str(tmp_path / "curves.csv"),
                          "--assignment", str(tmp_path / "assignment.csv")])
@@ -429,13 +446,12 @@ class TestModelCommands:
     def test_flags_keep_the_eval_bounds(self, workspace, tmp_path, capsys,
                                         command, flag, value, says):
         config, data, run = workspace
-        model = ["--checkpoint", str(run / "mle.ckpt"), "--vocab", str(data / "vocab.json")]
+        model = ["--checkpoint", str(run / "mle.ckpt"), "--domain", str(data / "domain.json")]
         out = str(tmp_path / "out.txt")
         rest = {"translate": ["--input", str(data / "test_id.tsv"), "--output", out],
-                "evaluate": ["--domain", str(data / "domain.json"), "--judgments", out,
-                             "--data-file", str(data / "test_id.tsv")],
-                "sweep-beam": ["--domain", str(data / "domain.json"), "--output", out,
-                               "--data-file", str(data / "test_id.tsv")]}[command]
+                "evaluate": ["--judgments", out, "--data-file", str(data / "test_id.tsv")],
+                "sweep-beam": ["--output", out, "--data-file", str(data / "test_id.tsv")]
+                }[command]
         code = cli.main([command, *model, *rest, flag, value])
         err = capsys.readouterr().err
         assert code == 1 and f"argument {flag}: {says}" in err, err
@@ -444,7 +460,6 @@ class TestModelCommands:
     def test_evaluate_emits_summary_json(self, workspace, capsys):
         config, data, run = workspace
         assert cli.main(["evaluate", "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"),
                          "--domain", str(data / "domain.json"),
                          "--data-file", str(data / "test_id.tsv"),
                          "--beam", "2", "--n", "6"]) == 0
@@ -456,7 +471,6 @@ class TestModelCommands:
         config, data, run = workspace
         sweep_csv = tmp_path / "sweep.csv"
         assert cli.main(["sweep-beam", "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"),
                          "--domain", str(data / "domain.json"),
                          "--data-file", str(data / "test_ood.tsv"),
                          "--output", str(sweep_csv), "--beams", "1,2",
@@ -466,7 +480,7 @@ class TestModelCommands:
         assignment_csv = tmp_path / "assignment.csv"
         assert cli.main(["analyze-uncertainty",
                          "--checkpoint", str(run / "mle.ckpt"),
-                         "--vocab", str(data / "vocab.json"),
+                         "--domain", str(data / "domain.json"),
                          "--data-file", str(data / "test_ood.tsv"),
                          "--distractor-file", str(data / "test_id.tsv"),
                          "--output", str(curve_csv),
@@ -477,25 +491,21 @@ class TestModelCommands:
         assert {"certainty_gap", "positions", "exact_length_matches"} <= set(payload)
 
 
-SMALL_VOCAB = sm.Vocabulary(["tf0", "tf1"]).to_json().encode()
 OTHER_DOMAIN = json.dumps(dict(TINY["domain"], n_novel_content=2)).encode()  # the run used 4
 
 # command, file replaced (in a copy of the gen-data directory), its bytes,
 # and what the error must say besides the file's name
 MALFORMED_INPUTS = [
-    ("translate", "vocab.json", b'{"tokens": ["tf0", ', "invalid JSON"),
-    ("translate", "vocab.json", b'{"token": ["tf0"]}', '"tokens"'),
-    ("translate", "vocab.json", b'{"tokens": "tf0 tf1"}', '"tokens"'),
-    ("translate", "vocab.json", b'{"tokens": ["tf0", 1]}', '"tokens"'),
-    ("translate", "vocab.json", b'{"tokens": ["tf0", "t\xff"]}', ":1: not UTF-8"),
-    ("translate", "vocab.json", SMALL_VOCAB, "mle.ckpt"),
-    ("finetune-mrt", "vocab.json", SMALL_VOCAB, "mle.ckpt"),
+    ("translate", "domain.json", b'{"n_function": ', "invalid JSON"),
+    ("translate", "domain.json", b'{"n_function": 3, "x": "t\xff"}', ":1: not UTF-8"),
+    ("translate", "domain.json", OTHER_DOMAIN, "mle.ckpt"),
+    ("finetune-mrt", "domain.json", OTHER_DOMAIN, "mle.ckpt"),
     ("evaluate", "domain.json", b'{"bogus": 1}', "domain.bogus is not a recognized field"),
     ("evaluate", "domain.json", b'{"n_function": "x"}', "domain.n_function must be int"),
     ("evaluate", "domain.json", b'{"p_two_content": NaN}',
      "domain.p_two_content must be a finite number, got nan"),
-    ("evaluate", "domain.json", OTHER_DOMAIN, "does not describe the vocabulary in"),
-    ("sweep-beam", "domain.json", OTHER_DOMAIN, "does not describe the vocabulary in"),
+    ("evaluate", "domain.json", OTHER_DOMAIN, "mle.ckpt"),
+    ("sweep-beam", "domain.json", OTHER_DOMAIN, "mle.ckpt"),
     ("evaluate", "test_ood.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", ":2: not UTF-8"),
     ("analyze-uncertainty", "test_id.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", ":2: not UTF-8"),
     ("train-mle", "train.tsv", b"sf0\ttf0\n\xfe\ttf1\n", ":2: not UTF-8"),
@@ -513,14 +523,14 @@ MALFORMED_INPUTS = [
 
 
 def _command_line(command: str, data: Path, checkpoint: Path) -> list[str]:
-    model = ["--checkpoint", str(checkpoint), "--vocab", str(data / "vocab.json")]
+    model = ["--checkpoint", str(checkpoint), "--domain", str(data / "domain.json")]
     config = ["--config", str(data / "config.json")]
     return {
         "translate": ["translate", *model, "--input", str(data / "in.txt")],
-        "evaluate": ["evaluate", *model, "--domain", str(data / "domain.json"),
-                     "--data-file", str(data / "test_ood.tsv"), "--n", "2"],
-        "sweep-beam": ["sweep-beam", *model, "--domain", str(data / "domain.json"),
-                       "--data-file", str(data / "test_ood.tsv"), "--n", "2",
+        "evaluate": ["evaluate", *model, "--data-file", str(data / "test_ood.tsv"),
+                     "--n", "2"],
+        "sweep-beam": ["sweep-beam", *model, "--data-file", str(data / "test_ood.tsv"),
+                       "--n", "2",
                        "--output", str(data / "sweep.csv")],
         "analyze-uncertainty": ["analyze-uncertainty", *model,
                                 "--data-file", str(data / "test_ood.tsv"),
@@ -561,7 +571,7 @@ def test_a_path_through_a_regular_file_exits_one_naming_it(workspace, tmp_path, 
         "train-mle": ["train-mle", "--config", str(config), "--data", str(blocker),
                       "--outdir", str(tmp_path / "run")],
         "translate": ["translate", "--checkpoint", str(run / "mle.ckpt"),
-                      "--vocab", str(data / "vocab.json"), "--input", str(blocker / "x")],
+                      "--domain", str(data / "domain.json"), "--input", str(blocker / "x")],
     }[command])
     err = capsys.readouterr().err
     assert code == 1, err
@@ -633,6 +643,29 @@ def test_a_failed_read_creates_no_outdir(workspace, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == 1 and "internal error" not in err, err
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command, flags, says", [
+    ("sweep-beam", ["--beams", "1,1"], "--beams must be distinct sizes in [1, 256], got [1, 1]"),
+    ("sweep-beam", ["--beams", "4,257"],
+     "--beams must be distinct sizes in [1, 256], got [4, 257]"),
+    ("translate", ["--beam", "257"], "beam_size must be in [1, 256], got 257"),
+    ("evaluate", ["--beam", "257"], "beam_size must be in [1, 256], got 257")])
+def test_a_beam_size_refused_before_decoding(workspace, tmp_path, capsys, monkeypatch,
+                                            command, flags, says):
+    config, data, run = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    (copy / "in.txt").write_text("sf0 sf1\n")
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decoded before the beam sizes were checked")
+
+    monkeypatch.setattr(dec, "beam_search_corpus", no_decoding)
+    code = cli.main([*_command_line(command, copy, run / "mle.ckpt"), *flags])
+    err = capsys.readouterr().err
+    assert code == 1 and f"error: {says}\n" == err, err
+    assert not (copy / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep-beam"])
@@ -798,3 +831,19 @@ def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch):
     finally:
         if calls is not None:
             calls[1](previous)
+
+
+def test_readme_stage_examples_parse():
+    """Every `seqrisk ...` line of the README's stage examples names flags
+    that the parser takes, so a removed flag cannot linger there."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Individual pipeline stages", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    parser = cli.build_parser()
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["seqrisk"]:
+            commands.append(parser.parse_args(words[1:]).command)
+    assert commands == ["gen-data", "train-mle", "finetune-mrt", "translate", "evaluate",
+                        "analyze-uncertainty", "sweep-beam"]

@@ -33,6 +33,11 @@ class TestConfig:
             with pytest.raises(ContractError, match="length_norm_alpha"):
                 dec.DecodeConfig(length_norm_alpha=alpha)
 
+    def test_refuses_a_beam_wider_than_one_decoder_holds(self):
+        assert dec.DecodeConfig(beam_size=sm.MAX_LIVE_ROWS).beam_size == 256
+        with pytest.raises(ContractError, match=r"beam_size must be in \[1, 256\], got 257"):
+            dec.DecodeConfig(beam_size=sm.MAX_LIVE_ROWS + 1)
+
     def test_length_penalty(self):
         assert dec.length_penalty(1, 1.0) == 1.0
         assert dec.length_penalty(7, 1.0) == 2.0

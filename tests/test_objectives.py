@@ -329,6 +329,12 @@ class TestMRTConfig:
         with pytest.raises(ContractError, match="alpha"):
             obj.MRTConfig(alpha=alpha)
 
+    def test_refuses_more_candidates_than_one_decoder_holds(self):
+        assert obj.MRTConfig(sentences_per_batch=8, n_samples=32).n_samples == 32
+        with pytest.raises(ContractError, match=r"sentences_per_batch \* n_samples must be "
+                                                r"<= 256, got 8 \* 33"):
+            obj.MRTConfig(sentences_per_batch=8, n_samples=33)
+
 
 class TestTokenBatches:
     def test_budget_packs_in_order(self):
