@@ -376,18 +376,20 @@ def run_reproduce(config: ExperimentConfig, outdir: Path) -> dict:
             config, vocab, config.domain,
             {"mle": mle_store, "mrt": mrt_store}, suite, outdir)
 
+        # the files the stages wrote; any other file in outdir stays unlisted
+        artifacts = ("train.tsv", "dev.tsv", "test_id.tsv", "test_ood.tsv", "domain.json",
+                     "vocab.json", "mle_trace.csv", "mle.ckpt", "mrt_trace.csv", "mrt.ckpt",
+                     "judgments_mle_ood.jsonl", "judgments_mrt_ood.jsonl", "summary.json",
+                     "distractor_assignment.csv", "uncertainty_curves.csv", "beam_sweep.csv",
+                     "hallucination_summary.csv")
         manifest = {
             "config": config.to_dict(),
             "config_sha256": hashlib.sha256(
                 config.canonical_json().encode()).hexdigest(),
             "seed": config.seed,
             "package_version": __version__,
-            "files": {},
+            "files": {name: _sha256_file(outdir / name) for name in artifacts},
         }
-        for p in sorted(outdir.iterdir()):
-            if p.name in ("manifest.json", ".seqrisk-lock") or p.is_dir():
-                continue
-            manifest["files"][p.name] = _sha256_file(p)
         _write_json(outdir / "manifest.json", manifest)
     return headline
 

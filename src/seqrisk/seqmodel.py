@@ -1,13 +1,15 @@
 """Miniature pre-norm Transformer encoder-decoder built on numkit.
 
-Sized so that a full training run takes minutes on one CPU core.  Training
-and scoring run the packed core (``pack``, ``encode_rows``, ``decode_rows``):
+Sized so that a full training run takes minutes on one CPU core.  Every
+path runs the packed core (``pack``, ``encode_rows``, ``decode_rows``):
 every token-wise layer sees only the non-PAD positions, and attention alone
-the padded grid.  ``encode_batch`` and ``decode_batch`` give its results in
-padded shapes, and ``forward_teacher_forced``, the one-sequence reference
-that tests check batches against, is a thin wrapper over those.  Decoding
-runs on ``IncrementalDecoder``, a tape-free, KV-cached copy of the decoder's
-forward arithmetic in plain numpy.
+the padded grid.  Training and scoring call it directly, and so does
+``forward_teacher_forced``, the one-sequence reference that tests check
+batches against.  Decoding runs on ``IncrementalDecoder``, a tape-free,
+KV-cached copy of the decoder's forward arithmetic in plain numpy that
+starts from ``encode_rows``' memory rows.  ``encode_batch`` and
+``decode_batch`` give the core's results in padded shapes; only tests, as
+the padded reference, and the benchmark's tracer use them.
 """
 
 from __future__ import annotations
@@ -607,16 +609,17 @@ class IncrementalDecoder:
     first reorders the rows by `parents` (indices into the current rows, so
     beams can fork and rows can drop out; None keeps them) and then feeds
     `tokens`, one per row.  It returns the next-token log-probabilities
-    [rows, vocab], which equal the last rows of `decode_batch` teacher-forced
-    over the same prefixes up to float rounding.  Cross-attention keys and
-    values are computed once per source; self-attention keys and values of
-    earlier positions are cached.  The one finiteness check is on each
-    step's log-probabilities."""
+    [rows, vocab], which equal the rows of `decode_rows` teacher-forced over
+    the same prefixes up to float rounding.  Cross-attention keys and values
+    are projected once from the packed memory rows and spread to the padded
+    source grid, zero at PAD; each reorder copies them with the rows.
+    Self-attention keys and values of earlier positions are cached.  The one
+    finiteness check is on each step's log-probabilities."""
 
     def __init__(self, store: ParameterStore, src_ids: np.ndarray):
         cfg = store.config
-        src_ids = np.asarray(src_ids, dtype=np.int64)
-        memory = encode_batch(store, src_ids).data
+        src = pack(cfg, src_ids, "source")
+        memory = encode_rows(store, src).data
         self.config = cfg
         self.length = 0  # target positions fed so far
         self._p = {name: t.data for name, t in store.items()}
@@ -624,20 +627,13 @@ class IncrementalDecoder:
         self._embed_scale = store.dtype.type(math.sqrt(cfg.embed_dim))
         self._out_t = np.ascontiguousarray(store["embed.shared"].data.T)
         self._table = sinusoid_table(cfg.max_seq_len, cfg.embed_dim, store.dtype)
-        pad = src_ids == PAD_ID
-        self._cross_mask = pad[:, None, :] if pad.any() else None
+        self._cross_mask = src.pad[:, None, :] if src.pad.any() else None
         h = cfg.num_heads
-        dh = cfg.embed_dim // h
-        rows, src_len = src_ids.shape
-
-        def heads(x: np.ndarray) -> np.ndarray:  # [S, Ls, D] -> [S, h, Ls, dh]
-            return np.ascontiguousarray(
-                x.reshape(rows, src_len, h, dh).transpose(0, 2, 1, 3))
-
-        self._cross = [(heads(memory @ self._p[f"dec.{i}.cross.wk"]),
-                        heads(memory @ self._p[f"dec.{i}.cross.wv"]))
+        zero = np.zeros((1, cfg.embed_dim), dtype=store.dtype)  # `spread` puts it at PAD
+        self._cross = [tuple(src.slots.spread(np.concatenate((memory @ self._p[name], zero)), h)
+                             for name in (f"dec.{i}.cross.wk", f"dec.{i}.cross.wv"))
                        for i in range(cfg.dec_layers)]
-        empty = np.zeros((rows, h, 0, dh), dtype=store.dtype)
+        empty = np.zeros((len(src.pad), h, 0, cfg.embed_dim // h), dtype=store.dtype)
         self._self = [(empty, empty) for _ in range(cfg.dec_layers)]
 
     def _ln(self, x: np.ndarray, prefix: str) -> np.ndarray:
@@ -688,11 +684,12 @@ class IncrementalDecoder:
 def forward_teacher_forced(store: ParameterStore, src: Sequence[int],
                            tgt: Sequence[int]) -> nk.Tensor:
     """Log-probability rows [len(tgt), vocab]; row t is the next-token
-    log-distribution after consuming tgt[0..t]."""
+    log-distribution after consuming tgt[0..t].  Runs the packed core on
+    one-row inputs, so a PAD id in either sequence reads as padding: it
+    gets no row, and no row attends to it."""
     tgt = list(tgt)
     if not tgt or tgt[0] != BOS_ID:
         raise ContractError("target must begin with BOS")
-    src_arr = np.asarray([src], dtype=np.int64)
-    memory = encode_batch(store, src_arr)
-    rows = decode_batch(store, memory, src_arr, np.asarray([tgt], dtype=np.int64))
-    return nk.reshape(rows, rows.shape[1:])
+    src = pack(store.config, [src], "source")
+    return decode_rows(store, encode_rows(store, src), src.slots,
+                       pack(store.config, [tgt], "target"))

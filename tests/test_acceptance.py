@@ -14,6 +14,7 @@ than by calling back into the library.
 import inspect
 import json
 import math
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -502,3 +503,31 @@ def test_reproducibility_and_checkpoint_roundtrip(study, tmp_path):
     print(f"PASS determinism: rerun byte-identical across {len(names_a)} "
           f"artifacts ({csv_count} csv); checkpoint round-trip bit-exact over "
           f"{len(list(loaded.names()))} tensors")
+
+
+def _readme_artifacts() -> set[str]:
+    """The names in the first column of the README's artifact table, with a
+    grouped name such as `judgments_{mle,mrt}_ood.jsonl` expanded."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| artifact | contents |\n| --- | --- |\n", 1)[1]
+    names = set()
+    for row in table.split("\n\n", 1)[0].splitlines():
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            group = re.fullmatch(r"(.*)\{(.*)\}(.*)", name)
+            names.update([name] if group is None else
+                         [group[1] + alt + group[3] for alt in group[2].split(",")])
+    return names
+
+
+def test_run_directory_matches_manifest_and_readme(study):
+    """Doc drift: each run directory holds exactly its manifest's files plus
+    `manifest.json`, and those are the artifacts the README's table names."""
+    documented = _readme_artifacts()
+    for seed in STUDY_SEEDS:
+        run = study["root"] / f"seed{seed}"
+        present = {p.name for p in run.iterdir()}
+        listed = set(json.loads((run / "manifest.json").read_text())["files"])
+        assert present == listed | {"manifest.json"}, seed
+        assert present == documented, sorted(present ^ documented)
+    print(f"PASS artifact-docs: {len(documented)} files per run, all in the manifest "
+          f"and the README's table")

@@ -737,6 +737,22 @@ class TestReproduce:
         assert "mle.ckpt" in manifest["files"]
         assert not (out_a / ".seqrisk-lock").exists()
 
+    def test_manifest_lists_only_what_the_run_wrote(self, tmp_path, capsys):
+        # other files in --outdir, a killed run's temporary file among them,
+        # are neither listed nor touched
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        debris = {"notes.txt": b"mine\n", "mle.ckpt.99999.tmp": b"half a checkpoint"}
+        for name, data in debris.items():
+            (out / name).write_bytes(data)
+        assert cli.main(["reproduce", "--config", str(config), "--outdir", str(out)]) == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert len(files) == 17
+        assert set(files) == {p.name for p in out.iterdir()} - set(debris) - {"manifest.json"}
+        for name, data in debris.items():
+            assert (out / name).read_bytes() == data
+
     def test_an_overlong_generated_line_is_refused_before_training(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)
         out = tmp_path / "run"

@@ -852,6 +852,21 @@ class TestIncrementalDecoder:
             assert got.shape == (len(tokens), 32)
             assert np.abs(got - want).max() < 1e-5, step
 
+    @pytest.mark.parametrize("src", [SRC, [[5]]], ids=["ragged", "one-token"])
+    def test_cross_keys_values_are_the_padded_projection(self, store, src):
+        # projected from the packed memory rows, they are bit for bit the
+        # padded memory's projection split into heads, and zero at PAD
+        src = np.asarray(src)
+        state = sm.IncrementalDecoder(store, src)
+        memory = sm.encode_batch(store, src).data
+        h = store.config.num_heads
+        for i, pair in enumerate(state._cross):
+            for got, w in zip(pair, ("wk", "wv")):
+                want = memory @ store[f"dec.{i}.cross.{w}"].data
+                want = want.reshape(*src.shape, h, -1).transpose(0, 2, 1, 3)
+                assert np.array_equal(got, want), (i, w)
+                assert not got.transpose(0, 2, 1, 3)[src == sm.PAD_ID].any(), (i, w)
+
     def test_non_finite_step_raises(self, store):
         broken = store.copy()
         broken["dec.final_ln.gain"].data[0] = np.inf
