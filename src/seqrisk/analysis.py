@@ -94,8 +94,7 @@ def judge_corpus(store: sm.ParameterStore, vocab: sm.Vocabulary,
                  threshold: float = DEFAULT_OVERLAP_THRESHOLD) -> list[HallucinationJudgment]:
     """Beam-decode every source and judge its best hypothesis."""
     results = dec.beam_search_corpus(store, [vocab.encode(src) for src, _ in pairs], config)
-    return [judge_hypothesis(src, ref, vocab.decode(hyps[0].generated()) if hyps else [],
-                             spec, threshold)
+    return [judge_hypothesis(src, ref, vocab.decode(hyps[0].generated()), spec, threshold)
             for (src, ref), hyps in zip(pairs, results)]
 
 
@@ -210,17 +209,6 @@ def assign_distractors(ref_targets: Sequence[Sequence[str]],
     return assignment, exact
 
 
-def _forced_token_probs(store: sm.ParameterStore, src_ids: list[list[int]],
-                        tgt_ids: list[list[int]],
-                        batch_size: int = 64) -> list[list[float]]:
-    """P(forced token) at each target position, per sentence."""
-    out = []
-    for picked, mask in obj.forced_log_probs(store, src_ids, tgt_ids, batch_size):
-        for r, m in zip(np.exp(picked), mask):
-            out.append([float(x) for x in r[: int(m.sum())]])
-    return out
-
-
 def _curve_from_probs(probs: list[list[float]], label: str,
                       model_tag: str) -> UncertaintyCurve:
     positions, means, counts = [], [], []
@@ -238,24 +226,23 @@ def uncertainty_curves(store: sm.ParameterStore, vocab: sm.Vocabulary,
                        model_tag: str = "model",
                        seed: int = 0) -> UncertaintyResult:
     """Teacher-force each reference and a length-matched distractor drawn
-    from `distractor_pool` on the same source; average forced-token
-    probability by position."""
+    from `distractor_pool` on the same source, both scored in one pass from
+    one encoding of the source; average forced-token probability by
+    position."""
     if not pairs:
         raise ContractError("no sentence pairs to score")
     rng = np.random.default_rng([seed, STREAM_DISTRACTOR])
     assignment, exact = assign_distractors(
         [ref for _, ref in pairs], distractor_pool, rng)
     enc = dg.encode_corpus(vocab, pairs)
-    src_ids = [s for s, _ in enc]
-    ref_ids = [t for _, t in enc]
-    dis_ids = [[sm.BOS_ID] + vocab.encode(distractor_pool[j]) + [sm.EOS_ID]
-               for j in assignment]
-
-    ref_probs = _forced_token_probs(store, src_ids, ref_ids)
-    dis_probs = _forced_token_probs(store, src_ids, dis_ids)
+    groups = [[ref, [sm.BOS_ID] + vocab.encode(distractor_pool[j]) + [sm.EOS_ID]]
+              for (_, ref), j in zip(enc, assignment)]
+    probs = []  # P(forced token) at each position: reference, distractor, reference, ...
+    for picked, mask in obj.forced_log_probs(store, [s for s, _ in enc], groups, batch_size=64):
+        probs.extend([float(x) for x in r[: int(m.sum())]] for r, m in zip(np.exp(picked), mask))
     return UncertaintyResult(
-        _curve_from_probs(ref_probs, "references", model_tag),
-        _curve_from_probs(dis_probs, "distractors", model_tag),
+        _curve_from_probs(probs[0::2], "references", model_tag),
+        _curve_from_probs(probs[1::2], "distractors", model_tag),
         assignment, exact)
 
 

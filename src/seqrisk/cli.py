@@ -603,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="one source sentence per line")
     p.add_argument("--output", default="-")
     p.add_argument("--beam", type=_positive_int, default=4)
-    p.add_argument("--alpha", type=_finite_float, default=1.0,
+    p.add_argument("--alpha", type=_finite_float, default=an.DEFAULT_EVAL_ALPHA,
                    help="length normalization exponent")
     p.add_argument("--scores", action="store_true",
                    help="append total log-probability to each line")

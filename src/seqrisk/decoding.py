@@ -83,16 +83,10 @@ def _top_k_rows(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, token) pairs of each row's k best allowed continuations, row by
     row, each row ordered by value (higher first) then token id (lower
     first)."""
-    allowed = np.setdiff1d(np.arange(rows.shape[1]), BANNED_CONTINUATIONS)
-    cols = np.argsort(-rows[:, allowed], axis=1, kind="stable")[:, :k]
-    return np.repeat(np.arange(rows.shape[0]), cols.shape[1]), allowed[cols.reshape(-1)]
-
-
-def _lex_rank(seqs: np.ndarray) -> np.ndarray:
-    """Rank of each row of `seqs` in lexicographic order."""
-    rank = np.empty(seqs.shape[0], dtype=np.int64)
-    rank[np.lexsort(seqs.T[::-1])] = np.arange(seqs.shape[0])
-    return rank
+    # PAD and BOS are ids 0 and 1, so the allowed ids are the columns after them
+    first = len(BANNED_CONTINUATIONS)
+    cols = np.argsort(-rows[:, first:], axis=1, kind="stable")[:, :k]
+    return np.repeat(np.arange(rows.shape[0]), cols.shape[1]), cols.reshape(-1) + first
 
 
 def _beam_core(advance: AdvanceFn, n_sources: int, max_len: int,
@@ -103,7 +97,10 @@ def _beam_core(advance: AdvanceFn, n_sources: int, max_len: int,
     Per source, candidates are pruned on raw float64 totals each step: each
     live beam offers its k best continuations, and the source keeps its k
     best candidates, ranked by total (higher first), then by the
-    lexicographic order of the id sequence.  Beams still open at the length
+    lexicographic order of the id sequence.  That order is carried as each
+    live beam's `rank` among its source's beams: a source's live prefixes
+    are distinct and of equal length, so a candidate's place is its
+    parent's rank, then its token.  Beams still open at the length
     cap are closed as-is.  A source stops expanding once it has k finished
     hypotheses, or once no open beam could beat its best finished score
     even with cost-free continuations.
@@ -119,6 +116,7 @@ def _beam_core(advance: AdvanceFn, n_sources: int, max_len: int,
     src = np.arange(n_sources)  # source of each live beam, grouped by source
     totals = np.zeros(n_sources)
     seqs = np.full((n_sources, 1), sm.BOS_ID, dtype=np.int64)
+    rank = np.zeros(n_sources, dtype=np.int64)  # lexicographic place within the source
     parents = src
 
     while src.size:
@@ -135,10 +133,11 @@ def _beam_core(advance: AdvanceFn, n_sources: int, max_len: int,
             kth = np.partition(grid, k - 1, axis=1)[:, k - 1]
             near = np.flatnonzero(-total <= kth[group])
             row, tok, total, cand_src = row[near], tok[near], total[near], cand_src[near]
-        order = np.lexsort((tok, _lex_rank(seqs)[row], -total, cand_src))
+        order = np.lexsort((tok, rank[row], -total, cand_src))
         order = order[_rank_in_group(cand_src[order]) < k]
-        parents, total, cand_src = row[order], total[order], cand_src[order]
-        seqs = np.concatenate((seqs[parents], tok[order, None]), axis=1)
+        parents, tok, total, cand_src = row[order], tok[order], total[order], cand_src[order]
+        rank = np.argsort(np.lexsort((tok, rank[parents])))
+        seqs = np.concatenate((seqs[parents], tok[:, None]), axis=1)
 
         gen_len = seqs.shape[1] - 1
         closed = (seqs[:, -1] == sm.EOS_ID) | (seqs.shape[1] >= max_len)
@@ -156,6 +155,7 @@ def _beam_core(advance: AdvanceFn, n_sources: int, max_len: int,
         done = (n_finished >= k) | (bound <= best_done)
         live = open_ & ~done[cand_src]
         parents, seqs, totals, src = parents[live], seqs[live], total[live], cand_src[live]
+        rank = rank[live]
 
     for hyps in finished:
         hyps.sort(key=lambda h: (-h.normalized_score, h.tokens))

@@ -245,18 +245,24 @@ def mle_loss(store: sm.ParameterStore, src_batch: np.ndarray, tgt_batch: np.ndar
 
 
 def forced_log_probs(store: sm.ParameterStore, src_ids: Sequence[IdSeq],
-                     tgt_ids: Sequence[IdSeq],
+                     tgt_groups: Sequence[Sequence[IdSeq]],
                      batch_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Teacher-forced log-probability of every gold target token, over
-    padded batches of `batch_size`; call it outside any tape.  Yields per
-    batch the log-probabilities [B, T-1] of tgt[:, 1:] and the mask of its
-    scored positions (non-PAD input and gold); masked entries are zero."""
+    """Teacher-forced log-probability of every gold token of the targets
+    `tgt_groups[i]` of each source `src_ids[i]`, over batches of
+    `batch_size` sources; call it outside any tape.  Each batch's sources
+    are encoded once, however many targets read them.  Yields per batch the
+    log-probabilities [T, L-1] of tgt[:, 1:], its T targets in source order,
+    and the mask of its scored positions (non-PAD input and gold); masked
+    entries are zero."""
     for start in range(0, len(src_ids), batch_size):
         src = sm.pack(store.config, pad_batch(src_ids[start: start + batch_size]), "source")
-        tgt = pad_batch(tgt_ids[start: start + batch_size])
+        groups = tgt_groups[start: start + batch_size]
+        owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        tgt = pad_batch([t for g in groups for t in g])
         dec_in = sm.pack(store.config, tgt[:, :-1], "target")
         gold = tgt[:, 1:]
-        rows = sm.decode_rows(store, sm.encode_rows(store, src), src.slots, dec_in).data
+        memory = sm.encode_rows(store, src)
+        rows = sm.decode_rows(store, memory, src.slots.take(owner), dec_in).data
         picked = np.zeros(gold.shape, dtype=rows.dtype)
         picked[~dec_in.pad] = np.take_along_axis(rows, gold[~dec_in.pad][:, None], axis=-1)[:, 0]
         yield picked, ~dec_in.pad & (gold != sm.PAD_ID)
@@ -268,7 +274,7 @@ def corpus_nll(store: sm.ParameterStore, corpus: Corpus, batch_size: int = 32) -
         raise ContractError("corpus_nll needs at least one sentence pair")
     total, count = 0.0, 0
     for picked, mask in forced_log_probs(store, [s for s, _ in corpus],
-                                         [t for _, t in corpus], batch_size):
+                                         [[t] for _, t in corpus], batch_size):
         total += float(-(picked * mask).sum())
         count += int(mask.sum())
     return total / count

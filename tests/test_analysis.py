@@ -205,6 +205,19 @@ class TestCurves:
         assert result.references.mean_prob == result.distractors.mean_prob
         assert result.assignment == [0] and result.exact_length == [True]
 
+    def test_encodes_each_source_once(self, monkeypatch):
+        # the reference and the distractor of a source read one encoding of it
+        spec, vocab, pairs, store = trained_setup(epochs=1, n_train=64)
+        real, encoded = sm.encode_rows, []
+
+        def counting(store, src, rng=None):
+            encoded.append(src.pad.shape[0])
+            return real(store, src, rng)
+
+        monkeypatch.setattr(sm, "encode_rows", counting)
+        an.uncertainty_curves(store, vocab, pairs, [tgt for _, tgt in pairs])
+        assert encoded == [64]
+
     def test_reference_curve_is_order_invariant(self):
         spec, vocab, pairs, store = trained_setup(epochs=1, n_train=40)
         pool = [tgt for _, tgt in pairs[20:40]]

@@ -863,3 +863,15 @@ def test_readme_stage_examples_parse():
             commands.append(parser.parse_args(words[1:]).command)
     assert commands == ["gen-data", "train-mle", "finetune-mrt", "translate", "evaluate",
                         "analyze-uncertainty", "sweep-beam"]
+
+
+def test_decoding_commands_default_to_the_evaluation_alpha():
+    """`translate` ranks hypotheses with the exponent `evaluate`, `sweep-beam`
+    and `reproduce` decode with, so at one `--beam` they pick the same best."""
+    model = ["--checkpoint", "m.ckpt", "--domain", "domain.json"]
+    parser = cli.build_parser()
+    for argv in (["translate", *model, "--input", "in.txt"],
+                 ["evaluate", *model, "--data-file", "pairs.tsv"],
+                 ["sweep-beam", *model, "--data-file", "pairs.tsv", "--output", "s.csv"]):
+        assert parser.parse_args(argv).alpha == an.DEFAULT_EVAL_ALPHA
+    assert cli.EvalSettings().length_norm_alpha == an.DEFAULT_EVAL_ALPHA

@@ -92,8 +92,8 @@ class TestBeamSearch:
         # the summed step scores must equal rescoring the final sequence
         store = make_store(5)
         hyps = dec.beam_search(store, [4, 5, 6], dec.DecodeConfig(beam_size=3))
-        (picked, mask), = obj.forced_log_probs(store, [[4, 5, 6]] * len(hyps),
-                                               [h.tokens for h in hyps], len(hyps))
+        (picked, mask), = obj.forced_log_probs(store, [[4, 5, 6]],
+                                               [[h.tokens for h in hyps]], 1)
         for h, row, scored in zip(hyps, picked, mask):
             assert int(scored.sum()) == len(h.tokens) - 1
             assert float(row.sum()) == pytest.approx(h.total_log_prob, abs=1e-4)
@@ -235,6 +235,7 @@ class TestBatchedBeamCore:
         for k in (1, 3):
             config = dec.DecodeConfig(beam_size=k)
             batched = dec.beam_search_corpus(store, sources, config)
+            assert all(batched)  # every source ends with a finished hypothesis
             for src, got in zip(sources, batched):
                 alone = dec.beam_search(store, src, config)
                 assert [h.tokens for h in got] == [h.tokens for h in alone]
@@ -285,7 +286,7 @@ class TestScoreSequence:
         store = make_store(11)
         src = [4, 5, 6]
         tgt = [sm.BOS_ID, 7, 8, 9, sm.EOS_ID]
-        (picked, mask), = obj.forced_log_probs(store, [src], [tgt], 1)
+        (picked, mask), = obj.forced_log_probs(store, [src], [[tgt]], 1)
         assert mask.tolist() == [[True] * (len(tgt) - 1)]
         state = sm.IncrementalDecoder(store, np.asarray([src]))
         for i in range(1, len(tgt)):

@@ -228,8 +228,17 @@ def test_the_type_scan_finds_unchecked_types():
         (("section", "size"), int | None)]
 
 
+def _settable_values() -> list[tuple]:
+    return [path for path, hint in _fields(cli.ExperimentConfig)
+            if not dataclasses.is_dataclass(hint)]
+
+
 def test_the_configuration_has_36_settable_values():
     # adding or removing a setting changes this figure on purpose
-    leaves = [path for path, hint in _fields(cli.ExperimentConfig)
-              if not dataclasses.is_dataclass(hint)]
+    leaves = _settable_values()
     assert len(leaves) == 36, [".".join(path) for path in leaves]
+
+
+def test_readme_states_the_number_of_settable_values():
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    assert f"The configuration has {len(_settable_values())} settable values." in readme
