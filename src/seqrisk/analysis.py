@@ -29,9 +29,9 @@ from . import objectives as obj
 from . import seqmodel as sm
 from .errors import ContractError
 
-DEFAULT_OVERLAP_THRESHOLD = 0.2
+OVERLAP_THRESHOLD = 0.2  # a hallucination holds less of its reference's content
 DEFAULT_BEAM_SIZES = (1, 4, 50)
-DEFAULT_EVAL_ALPHA = 0.6  # mild length normalization, as in the source setup
+EVAL_ALPHA = 0.6  # mild length normalization, as in the source setup
 STREAM_DISTRACTOR = 5
 GAP_FROM_POSITION = 3  # the certainty gap skips the first two forced tokens
 
@@ -74,8 +74,7 @@ def adequacy_overlap(hyp_tokens: Sequence[str], ref_tokens: Sequence[str],
 
 
 def judge_hypothesis(src: Sequence[str], ref: Sequence[str], hyp: Sequence[str],
-                     spec: dg.DomainSpec,
-                     threshold: float = DEFAULT_OVERLAP_THRESHOLD) -> HallucinationJudgment:
+                     spec: dg.DomainSpec) -> HallucinationJudgment:
     """A hallucination is output that looks like language but not like the
     input: (at least partially) fluent, yet carrying almost none of the
     expected content symbols.  Function symbols are excluded from the
@@ -85,16 +84,15 @@ def judge_hypothesis(src: Sequence[str], ref: Sequence[str], hyp: Sequence[str],
     overlap = adequacy_overlap(hyp, ref, spec.tgt_content)
     return HallucinationJudgment(
         list(src), list(ref), list(hyp), fluent, partial, overlap,
-        partial and overlap < threshold)
+        partial and overlap < OVERLAP_THRESHOLD)
 
 
 def judge_corpus(store: sm.ParameterStore, vocab: sm.Vocabulary,
                  pairs: Sequence[dg.TokenPair], spec: dg.DomainSpec,
-                 config: dec.DecodeConfig | None = None,
-                 threshold: float = DEFAULT_OVERLAP_THRESHOLD) -> list[HallucinationJudgment]:
+                 config: dec.DecodeConfig) -> list[HallucinationJudgment]:
     """Beam-decode every source and judge its best hypothesis."""
     results = dec.beam_search_corpus(store, [vocab.encode(src) for src, _ in pairs], config)
-    return [judge_hypothesis(src, ref, vocab.decode(hyps[0].generated()), spec, threshold)
+    return [judge_hypothesis(src, ref, vocab.decode(hyps[0].generated()), spec)
             for (src, ref), hyps in zip(pairs, results)]
 
 
@@ -280,14 +278,12 @@ class BeamSweepPoint:
 
 def beam_sweep(store: sm.ParameterStore, vocab: sm.Vocabulary,
                pairs: Sequence[dg.TokenPair], spec: dg.DomainSpec,
-               beam_sizes: Sequence[int] = DEFAULT_BEAM_SIZES,
-               threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-               base_config: dec.DecodeConfig | None = None) -> list[BeamSweepPoint]:
-    """Decode the corpus at each beam size; report pooled corpus BLEU and
-    the hallucination rate at that width."""
-    base = base_config or dec.DecodeConfig()
+               beam_sizes: Sequence[int],
+               base_config: dec.DecodeConfig) -> list[BeamSweepPoint]:
+    """Decode the corpus at each beam size, otherwise as `base_config`;
+    report pooled corpus BLEU and the hallucination rate at that width."""
     return [sweep_point(k, judge_corpus(store, vocab, pairs, spec,
-                                        dataclasses.replace(base, beam_size=k), threshold))
+                                        dataclasses.replace(base_config, beam_size=k)))
             for k in beam_sizes]
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, asdict
@@ -54,9 +53,7 @@ class EvalSettings:
     sweep_n: int = 150
     uncertainty_n: int = 200
     beam_sizes: list[int] = field(default_factory=lambda: list(an.DEFAULT_BEAM_SIZES))
-    overlap_threshold: float = an.DEFAULT_OVERLAP_THRESHOLD
     eval_beam: int = 4
-    length_norm_alpha: float = an.DEFAULT_EVAL_ALPHA
 
     def __post_init__(self):
         for name in ("hallucination_n", "sweep_n", "uncertainty_n", "eval_beam"):
@@ -65,8 +62,6 @@ class EvalSettings:
         if self.eval_beam > sm.MAX_LIVE_ROWS:
             raise ContractError(f"eval_beam must be <= {sm.MAX_LIVE_ROWS}, got {self.eval_beam}")
         _refuse_beam_sizes("beam_sizes", self.beam_sizes)
-        if not 0.0 <= self.overlap_threshold <= 1.0:
-            raise ContractError("overlap_threshold must be in [0, 1]")
 
 
 def _refuse_beam_sizes(name: str, sizes: list[int]) -> None:
@@ -91,6 +86,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
+        for name in ("hallucination_n", "sweep_n", "uncertainty_n"):  # taken from a test set
+            if getattr(self.eval, name) > self.data.test_size:
+                raise ContractError(f"eval.{name} must be <= data.test_size "
+                                    f"{self.data.test_size}, got {getattr(self.eval, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -308,7 +307,7 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
                    spec: dg.DomainSpec, stores: dict[str, sm.ParameterStore],
                    suite: dict[str, list[dg.TokenPair]], outdir: Path) -> dict:
     ev = config.eval
-    decode_cfg = dec.DecodeConfig(beam_size=ev.eval_beam, length_norm_alpha=ev.length_norm_alpha)
+    decode_cfg = dec.DecodeConfig(beam_size=ev.eval_beam, length_norm_alpha=an.EVAL_ALPHA)
     ood, pool = suite["test_ood"], [tgt for _, tgt in suite["test_id"]]
     summaries: dict[tuple[str, str], an.HallucinationSummary] = {}
     judgments_ood: dict[str, list[an.HallucinationJudgment]] = {}
@@ -320,7 +319,7 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
         info = headline["systems"][system] = {}
         for split in ("test_id", "test_ood"):  # test_ood last: the Fisher test and sweep reuse it
             judgments = an.judge_corpus(store, vocab, suite[split][: ev.hallucination_n],
-                                        spec, decode_cfg, ev.overlap_threshold)
+                                        spec, decode_cfg)
             summary = summaries[(system, split)] = an.summarize_judgments(judgments)
             info[split] = {
                 "hallucination_rate": summary.rate,
@@ -340,8 +339,7 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
                 if ev.sweep_n <= ev.hallucination_n else {})
         rest = [k for k in ev.beam_sizes if k not in by_k]
         by_k.update(zip(rest, an.beam_sweep(
-            store, vocab, ood[: ev.sweep_n], spec, rest,
-            ev.overlap_threshold, base_config=decode_cfg)))
+            store, vocab, ood[: ev.sweep_n], spec, rest, decode_cfg)))
         sweeps[system] = points = [by_k[k] for k in ev.beam_sizes]
         info["beam_sweep"] = [asdict(p) for p in points]
 
@@ -429,26 +427,6 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _finite_float(text: str) -> float:
-    """A finite number, such as a length-normalization exponent."""
-    try:
-        if math.isfinite(float(text)):
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-
-
-def _unit_float(text: str) -> float:
-    """A number in [0, 1], such as an overlap threshold."""
-    try:
-        if 0.0 <= float(text) <= 1.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
-
-
 def _positive_ints(text: str) -> list[int]:
     """A comma-separated list of positive integers, such as "1,4,50"."""
     return [_positive_int(part.strip()) for part in text.split(",")]
@@ -499,7 +477,7 @@ def _cmd_translate(args) -> int:
     store, vocab, _ = _load_model(args.checkpoint, args.domain)
     sources = [line.split() for line in sm.read_utf8(args.input).splitlines()]
     _refuse_overlong(args.input, sources, store.config.max_seq_len)
-    config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
+    config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=an.EVAL_ALPHA)
     lines = [""] * len(sources)  # a blank input line gives a blank output line
     kept = [i for i, src in enumerate(sources) if src]
     for i, hyps in zip(kept, dec.beam_search_corpus(
@@ -519,8 +497,8 @@ def _cmd_translate(args) -> int:
 def _cmd_evaluate(args) -> int:
     store, vocab, spec = _load_model(args.checkpoint, args.domain)
     pairs = _read_pairs(args, store, spec)
-    config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=args.alpha)
-    judgments = an.judge_corpus(store, vocab, pairs, spec, config, args.threshold)
+    config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=an.EVAL_ALPHA)
+    judgments = an.judge_corpus(store, vocab, pairs, spec, config)
     summary = an.summarize_judgments(judgments)
     if args.judgments:
         an.write_judgments_jsonl(args.judgments, judgments)
@@ -559,9 +537,8 @@ def _cmd_sweep_beam(args) -> int:
     _refuse_beam_sizes("--beams", args.beams)
     store, vocab, spec = _load_model(args.checkpoint, args.domain)
     pairs = _read_pairs(args, store, spec)
-    base = dec.DecodeConfig(length_norm_alpha=args.alpha)
-    points = an.beam_sweep(store, vocab, pairs, spec, args.beams, args.threshold,
-                           base_config=base)
+    points = an.beam_sweep(store, vocab, pairs, spec, args.beams,
+                           dec.DecodeConfig(length_norm_alpha=an.EVAL_ALPHA))
     an.write_sweep_csv(args.output, {args.system: points})
     print(json.dumps([asdict(p) for p in points]))
     return 0
@@ -603,8 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="one source sentence per line")
     p.add_argument("--output", default="-")
     p.add_argument("--beam", type=_positive_int, default=4)
-    p.add_argument("--alpha", type=_finite_float, default=an.DEFAULT_EVAL_ALPHA,
-                   help="length normalization exponent")
     p.add_argument("--scores", action="store_true",
                    help="append total log-probability to each line")
     p.set_defaults(func=_cmd_translate)
@@ -613,8 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_pair_flags(p)
     p.add_argument("--beam", type=_positive_int, default=4)
-    p.add_argument("--alpha", type=_finite_float, default=an.DEFAULT_EVAL_ALPHA)
-    p.add_argument("--threshold", type=_unit_float, default=an.DEFAULT_OVERLAP_THRESHOLD)
     p.add_argument("--judgments", default=None, help="write per-sentence JSONL here")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -639,8 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beams", type=_positive_ints,
                    default=",".join(str(k) for k in an.DEFAULT_BEAM_SIZES),
                    help="comma-separated beam sizes")
-    p.add_argument("--alpha", type=_finite_float, default=an.DEFAULT_EVAL_ALPHA)
-    p.add_argument("--threshold", type=_unit_float, default=an.DEFAULT_OVERLAP_THRESHOLD)
     p.set_defaults(func=_cmd_sweep_beam)
 
     p = sub.add_parser("reproduce", help="run the full study into one directory")

@@ -34,6 +34,8 @@ STREAM_SHUFFLE = 2
 STREAM_DROPOUT = 3
 STREAM_SAMPLER = 4
 
+LABEL_SMOOTHING = 0.1  # of the likelihood baseline's training targets
+
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
@@ -189,12 +191,8 @@ class MLEConfig:
     tokens_per_batch: int = 320  # batches are sized by framed target tokens
     peak_lr: float = 0.01
     warmup_steps: int = 200
-    label_smoothing: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ContractError(
-                f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.tokens_per_batch < 1 or self.epochs < 0:
             raise ContractError("tokens_per_batch must be >= 1 and epochs >= 0")
         if self.warmup_steps < 1:
@@ -221,7 +219,7 @@ def smoothed_targets(gold: np.ndarray, vocab_size: int, label_smoothing: float,
 
 
 def mle_loss(store: sm.ParameterStore, src_batch: np.ndarray, tgt_batch: np.ndarray,
-             label_smoothing: float = 0.1,
+             label_smoothing: float = LABEL_SMOOTHING,
              rng: np.random.Generator | None = None) -> tuple[nk.Tensor, int]:
     """Mean label-smoothed negative log-likelihood per non-PAD target token.
 
@@ -318,7 +316,7 @@ def train_mle(store: sm.ParameterStore, corpus: Corpus, config: MLEConfig,
         chunk = [corpus[i] for i in batch]
         return mle_loss(store, pad_batch([s for s, _ in chunk]),
                         pad_batch([t for _, t in chunk]),
-                        config.label_smoothing, dropout_rng)
+                        LABEL_SMOOTHING, dropout_rng)
 
     _optimize(store, batches, loss,
               lambda step: inverse_sqrt_lr(step, config.peak_lr, config.warmup_steps),

@@ -9,6 +9,7 @@ import pytest
 
 from seqrisk import analysis as an
 from seqrisk import datagen as dg
+from seqrisk import decoding as dec
 from seqrisk import metrics
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
@@ -93,7 +94,7 @@ class TestJudgment:
         spec = small_spec()
         ref = ["tf0", "tb0", "tb1", "tf1", "tb2", "tb3", "tf2", "tb4"]  # 5 content types
         hyp = ["tf0", "tb0", "tf1", "tb5"]  # shares 1 of the 5
-        j = an.judge_hypothesis(["sf0"], ref, hyp, spec, threshold=0.2)
+        j = an.judge_hypothesis(["sf0"], ref, hyp, spec)
         assert j.overlap == pytest.approx(0.2)
         assert not j.hallucinated  # 0.2 is not < 0.2
 
@@ -261,7 +262,7 @@ class TestCurves:
 class TestSweepAndFiles:
     def test_beam_sweep_points(self):
         spec, vocab, pairs, store = trained_setup(epochs=2, n_train=40)
-        points = an.beam_sweep(store, vocab, pairs[:10], spec, beam_sizes=(1, 2))
+        points = an.beam_sweep(store, vocab, pairs[:10], spec, (1, 2), dec.DecodeConfig())
         assert [p.beam_size for p in points] == [1, 2]
         for p in points:
             assert 0.0 <= p.bleu <= 1.0
@@ -269,7 +270,7 @@ class TestSweepAndFiles:
 
     def test_judge_corpus_shapes(self):
         spec, vocab, pairs, store = trained_setup(epochs=1, n_train=30)
-        judgments = an.judge_corpus(store, vocab, pairs[:5], spec)
+        judgments = an.judge_corpus(store, vocab, pairs[:5], spec, dec.DecodeConfig())
         assert [(j.source, j.reference) for j in judgments] == pairs[:5]
         assert all(isinstance(j.hypothesis, list) for j in judgments)
 

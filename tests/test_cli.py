@@ -4,6 +4,7 @@ file outputs, locking, and a reduced-size byte-identity run."""
 import dataclasses
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -49,7 +50,6 @@ class TestConfigValidation:
         assert config.seed == 0
         assert config.mrt.alpha == 0.005
         assert config.mrt.n_samples == 4
-        assert config.mle.label_smoothing == 0.1
         assert config.model.embed_dim == 64
 
     def test_unknown_top_level_field_named(self):
@@ -81,8 +81,8 @@ class TestConfigValidation:
             cli.config_from_dict({section: {field: value}})
 
     @pytest.mark.parametrize("override", [
-        "mrt.alpha=NaN", "eval.overlap_threshold=NaN", "eval.length_norm_alpha=NaN",
-        "mrt.alpha=Infinity", "mle.peak_lr=Infinity", "domain.p_two_content=-Infinity"])
+        "mrt.alpha=NaN", "mrt.alpha=Infinity", "mle.peak_lr=Infinity",
+        "domain.p_two_content=-Infinity"])
     def test_non_finite_value_named_at_load(self, override):
         field = override.split("=")[0].replace(".", r"\.")
         with pytest.raises(ConfigError, match=rf"^{field} must be a finite number, got "):
@@ -223,6 +223,11 @@ class TestExitCodes:
         ("mle.grad_clip=1", "mle.grad_clip is not a recognized field"),
         ("mrt.grad_clip=1", "mrt.grad_clip is not a recognized field"),
         ("eval.min_position=3", "eval.min_position is not a recognized field"),
+        ("eval.length_norm_alpha=0.6", "eval.length_norm_alpha is not a recognized field"),
+        ("eval.overlap_threshold=0.2", "eval.overlap_threshold is not a recognized field"),
+        ("mle.label_smoothing=0.1", "mle.label_smoothing is not a recognized field"),
+        # TINY asks for 10 sentences to judge from each test set
+        ("data.test_size=4", "eval.hallucination_n must be <= data.test_size 4, got 10"),
         # sizes one decoder would hold beyond seqmodel.MAX_LIVE_ROWS, and a repeated width
         ("mrt.n_samples=65", "mrt: sentences_per_batch * n_samples must be <= 256, got 4 * 65"),
         ("eval.eval_beam=257", "eval: eval_beam must be <= 256, got 257"),
@@ -433,16 +438,8 @@ class TestModelCommands:
         assert list(tmp_path.iterdir()) == [short]
 
     @pytest.mark.parametrize("command, flag, value, says", [
-        ("evaluate", "--threshold", "5", "must be a number in [0, 1], got '5'"),
-        ("evaluate", "--threshold", "nan", "must be a number in [0, 1], got 'nan'"),
-        ("sweep-beam", "--threshold", "-1", "must be a number in [0, 1], got '-1'"),
-        ("sweep-beam", "--threshold", "x", "must be a number in [0, 1], got 'x'"),
         ("evaluate", "--beam", "0", "must be a positive integer, got '0'"),
-        ("translate", "--beam", "0", "must be a positive integer, got '0'"),
-        ("translate", "--alpha", "nan", "must be a finite number, got 'nan'"),
-        ("evaluate", "--alpha", "inf", "must be a finite number, got 'inf'"),
-        ("sweep-beam", "--alpha", "1e999", "must be a finite number, got '1e999'"),
-        ("sweep-beam", "--alpha", "x", "must be a finite number, got 'x'")])
+        ("translate", "--beam", "0", "must be a positive integer, got '0'")])
     def test_flags_keep_the_eval_bounds(self, workspace, tmp_path, capsys,
                                         command, flag, value, says):
         config, data, run = workspace
@@ -810,11 +807,10 @@ class TestReproduce:
         vocab = sm.Vocabulary.from_json((out / "vocab.json").read_text())
         spec = cli._load_domain(out / "domain.json")
         pairs = dg.read_tsv(out / "test_ood.tsv")[: ev["sweep_n"]]
-        base = dec.DecodeConfig(length_norm_alpha=an.DEFAULT_EVAL_ALPHA)
+        base = dec.DecodeConfig(length_norm_alpha=an.EVAL_ALPHA)
         for system in ("mle", "mrt"):
             store = sm.ParameterStore.load(out / f"{system}.ckpt")
-            fresh = an.beam_sweep(store, vocab, pairs, spec, [ev["eval_beam"]],
-                                  base_config=base)
+            fresh = an.beam_sweep(store, vocab, pairs, spec, [ev["eval_beam"]], base)
             assert summary["systems"][system]["beam_sweep"][1] == dataclasses.asdict(fresh[0])
 
     def test_different_seed_changes_outputs(self, tmp_path, capsys):
@@ -865,13 +861,78 @@ def test_readme_stage_examples_parse():
                         "analyze-uncertainty", "sweep-beam"]
 
 
-def test_decoding_commands_default_to_the_evaluation_alpha():
-    """`translate` ranks hypotheses with the exponent `evaluate`, `sweep-beam`
-    and `reproduce` decode with, so at one `--beam` they pick the same best."""
-    model = ["--checkpoint", "m.ckpt", "--domain", "domain.json"]
+def test_decoding_commands_rank_with_the_evaluation_alpha(workspace, tmp_path, monkeypatch,
+                                                        capsys):
+    """`translate`, `evaluate`, `sweep-beam` and `reproduce` hand every beam
+    search the exponent `analysis.EVAL_ALPHA`, so at one `--beam` they pick
+    the same best hypothesis."""
+    config, data, run = workspace
+    model = ["--checkpoint", str(run / "mle.ckpt"), "--domain", str(data / "domain.json")]
+    pairs = ["--data-file", str(data / "test_ood.tsv"), "--n", "3"]
+    sources = tmp_path / "sources.txt"
+    sources.write_text("".join(" ".join(src) + "\n"
+                               for src, _ in dg.read_tsv(data / "test_ood.tsv")[:3]))
+    real = dec.beam_search_corpus
+    alphas = []
+
+    def capturing(store, sources, decode_cfg=None):
+        alphas.append(decode_cfg.length_norm_alpha)
+        return real(store, sources, decode_cfg)
+
+    monkeypatch.setattr(dec, "beam_search_corpus", capturing)
+    for argv in (["translate", *model, "--input", str(sources),
+                  "--output", str(tmp_path / "hyps.txt")],
+                 ["evaluate", *model, *pairs],
+                 ["sweep-beam", *model, *pairs, "--beams", "1,2",
+                  "--output", str(tmp_path / "sweep.csv")],
+                 ["reproduce", "--config", str(config), "--set", "mle.epochs=0",
+                  "--set", "mrt.steps=0", "--outdir", str(tmp_path / "study")]):
+        alphas.clear()
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert alphas and set(alphas) == {an.EVAL_ALPHA}, (argv[0], alphas)
+
+
+# each command's required arguments; no file is opened before parsing ends
+REQUIRED = {
+    "translate": ["--checkpoint", "m.ckpt", "--domain", "d.json", "--input", "in.txt"],
+    "evaluate": ["--checkpoint", "m.ckpt", "--domain", "d.json", "--data-file", "p.tsv"],
+    "sweep-beam": ["--checkpoint", "m.ckpt", "--domain", "d.json", "--data-file", "p.tsv",
+                   "--output", "s.csv"],
+    "analyze-uncertainty": ["--checkpoint", "m.ckpt", "--domain", "d.json",
+                            "--data-file", "p.tsv", "--distractor-file", "p.tsv",
+                            "--output", "c.csv"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("translate", "--alpha", "0.6"), ("evaluate", "--alpha", "0.6"),
+    ("sweep-beam", "--alpha", "0.6"), ("evaluate", "--threshold", "0.2"),
+    ("sweep-beam", "--threshold", "0.2")])
+def test_removed_decoding_flags_are_unrecognized(tmp_path, monkeypatch, capsys,
+                                                 command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([command, *REQUIRED[command], flag, value])
+    err = capsys.readouterr().err
+    assert code == 1 and f"unrecognized arguments: {flag} {value}" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_removed_settings_are_refused():
+    """Every field in README's table of removed settings is an unknown
+    field, and every `command --flag` there an unrecognized argument."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Removed settings", 1)[1].split("\n\n#", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    names = [name for cell in rows for name in cell.split("`")[1::2]]
+    fields = [n for n in names if re.fullmatch(r"[a-z]+\.[a-z_0-9]+", n)]
+    flags = [n.split() for n in names if re.fullmatch(r"[a-z-]+ --[a-z-]+", n)]
+    assert len(fields) + len(flags) == len(names) and fields and flags, names
+    for name in fields:
+        section, key = name.split(".")
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} is not a recognized field$"):
+            cli.config_from_dict({section: {key: 1}})
     parser = cli.build_parser()
-    for argv in (["translate", *model, "--input", "in.txt"],
-                 ["evaluate", *model, "--data-file", "pairs.tsv"],
-                 ["sweep-beam", *model, "--data-file", "pairs.tsv", "--output", "s.csv"]):
-        assert parser.parse_args(argv).alpha == an.DEFAULT_EVAL_ALPHA
-    assert cli.EvalSettings().length_norm_alpha == an.DEFAULT_EVAL_ALPHA
+    for command, flag in flags:
+        parser.parse_args([command, *REQUIRED[command]])
+        with pytest.raises(ConfigError, match=f"unrecognized arguments: {flag} 1$"):
+            parser.parse_args([command, *REQUIRED[command], flag, "1"])
