@@ -243,6 +243,13 @@ def _refuse_overlong_pairs(path, pairs: list[dg.TokenPair], max_seq_len: int) ->
     _refuse_overlong(path, [tgt for _, tgt in pairs], max_seq_len, forced=True)
 
 
+def _refuse_unwritable(*paths) -> None:
+    """Refuse, before any decoding, an output path `atomic_write` could not write."""
+    for path in filter(None, paths):
+        if not os.access(path if sm.in_place(path) else os.path.dirname(path) or ".", os.W_OK):
+            raise ContractError(f"cannot write {path}: it or its directory is missing or read-only")
+
+
 def _read_pairs(args, store: sm.ParameterStore,
                 spec: dg.DomainSpec | None = None) -> list[dg.TokenPair]:
     """The pairs of --data-file, cut to the first --n when given; a source
@@ -475,7 +482,8 @@ def _cmd_finetune_mrt(args) -> int:
 
 def _cmd_translate(args) -> int:
     store, vocab, _ = _load_model(args.checkpoint, args.domain)
-    sources = [line.split() for line in sm.read_utf8(args.input).splitlines()]
+    text = sm.read_utf8(args.input)  # lines end at "\n" alone, as corpus lines do
+    sources = [line.split() for line in text.removesuffix("\n").split("\n")] if text else []
     _refuse_overlong(args.input, sources, store.config.max_seq_len)
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=an.EVAL_ALPHA)
     lines = [""] * len(sources)  # a blank input line gives a blank output line
@@ -496,6 +504,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     store, vocab, spec = _load_model(args.checkpoint, args.domain)
+    _refuse_unwritable(args.judgments)
     pairs = _read_pairs(args, store, spec)
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=an.EVAL_ALPHA)
     judgments = an.judge_corpus(store, vocab, pairs, spec, config)
@@ -508,10 +517,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_analyze_uncertainty(args) -> int:
     store, vocab, _ = _load_model(args.checkpoint, args.domain)
-    # two files are written: fail before the first rather than between them
-    for path in filter(None, (args.output, args.assignment)):
-        if not os.access(os.path.dirname(path) or ".", os.W_OK):
-            raise ContractError(f"cannot write {path}: its directory is missing or read-only")
+    _refuse_unwritable(args.output, args.assignment)
     pairs = _read_pairs(args, store)
     pool = [tgt for _, tgt in dg.read_tsv(args.distractor_file)]
     # any pool line may be drawn as a distractor, so each must fit
@@ -536,6 +542,7 @@ def _cmd_sweep_beam(args) -> int:
     # beam_sweep builds each width's config only when it reaches that width
     _refuse_beam_sizes("--beams", args.beams)
     store, vocab, spec = _load_model(args.checkpoint, args.domain)
+    _refuse_unwritable(args.output)
     pairs = _read_pairs(args, store, spec)
     points = an.beam_sweep(store, vocab, pairs, spec, args.beams,
                            dec.DecodeConfig(length_norm_alpha=an.EVAL_ALPHA))

@@ -227,17 +227,12 @@ def mle_loss(store: sm.ParameterStore, src_batch: np.ndarray, tgt_batch: np.ndar
     scored against tgt[:, 1:].  With a uniform predictor the loss equals
     log(vocab_size) for every smoothing value.
     """
-    tgt_batch = np.asarray(tgt_batch, dtype=np.int64)
-    if tgt_batch.shape[1] < 2:
+    if np.shape(tgt_batch)[1] < 2:
         raise ContractError("targets must hold BOS plus at least one token")
-    src = sm.pack(store.config, src_batch, "source")
-    dec_in = sm.pack(store.config, tgt_batch[:, :-1], "target")
-    q, count = smoothed_targets(tgt_batch[:, 1:][~dec_in.pad], store.config.vocab_size,
-                                label_smoothing, dtype=store.dtype)
+    rows, _, gold = sm.teacher_forced(store, src_batch, tgt_batch, rng=rng)
+    q, count = smoothed_targets(gold, store.config.vocab_size, label_smoothing, dtype=store.dtype)
     if count == 0:
         raise ContractError("batch contains no non-PAD target positions")
-    memory = sm.encode_rows(store, src, rng)
-    rows = sm.decode_rows(store, memory, src.slots, dec_in, rng)
     loss = nk.scale(nk.sum_(nk.mul(rows, nk.Tensor(q))), -1.0 / count)
     return loss, count
 
@@ -247,23 +242,20 @@ def forced_log_probs(store: sm.ParameterStore, src_ids: Sequence[IdSeq],
                      batch_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Teacher-forced log-probability of every gold token of the targets
     `tgt_groups[i]` of each source `src_ids[i]`, over batches of
-    `batch_size` sources; call it outside any tape.  Each batch's sources
-    are encoded once, however many targets read them.  Yields per batch the
-    log-probabilities [T, L-1] of tgt[:, 1:], its T targets in source order,
-    and the mask of its scored positions (non-PAD input and gold); masked
-    entries are zero."""
+    `batch_size` sources, each batch in one `teacher_forced` pass; call it
+    outside any tape.  Yields per batch the log-probabilities [T, L-1] of
+    tgt[:, 1:], its T targets in source order, and the mask of its scored
+    positions (non-PAD input and gold); masked entries are zero."""
     for start in range(0, len(src_ids), batch_size):
-        src = sm.pack(store.config, pad_batch(src_ids[start: start + batch_size]), "source")
         groups = tgt_groups[start: start + batch_size]
         owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-        tgt = pad_batch([t for g in groups for t in g])
-        dec_in = sm.pack(store.config, tgt[:, :-1], "target")
-        gold = tgt[:, 1:]
-        memory = sm.encode_rows(store, src)
-        rows = sm.decode_rows(store, memory, src.slots.take(owner), dec_in).data
-        picked = np.zeros(gold.shape, dtype=rows.dtype)
-        picked[~dec_in.pad] = np.take_along_axis(rows, gold[~dec_in.pad][:, None], axis=-1)[:, 0]
-        yield picked, ~dec_in.pad & (gold != sm.PAD_ID)
+        rows, dec_in, gold = sm.teacher_forced(store, pad_batch(src_ids[start: start + batch_size]),
+                                               pad_batch([t for g in groups for t in g]), owner)
+        scored, mask = gold != sm.PAD_ID, ~dec_in.pad
+        mask[mask] = scored
+        picked = np.zeros(mask.shape, dtype=rows.dtype)
+        picked[mask] = np.take_along_axis(rows.data, gold[:, None], axis=-1)[scored, 0]
+        yield picked, mask
 
 
 def corpus_nll(store: sm.ParameterStore, corpus: Corpus, batch_size: int = 32) -> float:
@@ -411,14 +403,11 @@ def mrt_risk(store: sm.ParameterStore, batch: RiskBatch,
     """Mean expected cost over the batch, differentiable through the
     rescoring pass.
 
-    Each source is encoded once; every candidate of every source is then
-    rescored in one flattened teacher-forced pass whose cross-attention
-    slots name its source's memory rows, so the memory's keys and values
-    are projected once per source row.  The candidates' log-probabilities
-    are then laid out as a [sources, candidates] grid, and one sharpened
-    softmax over its rows gives each source its own distribution over its
-    candidates.  Returns the scalar risk and a diagnostics dict (candidate
-    counts).
+    Every candidate is rescored in one `teacher_forced` pass that encodes
+    each source once.  The candidates' log-probabilities are then laid out
+    as a [sources, candidates] grid, and one sharpened softmax over its
+    rows gives each source its own distribution over its candidates.
+    Returns the scalar risk and a diagnostics dict (candidate counts).
     """
     flat: list[IdSeq] = [c for group in batch.candidates for c in group]
     if not flat:
@@ -427,12 +416,7 @@ def mrt_risk(store: sm.ParameterStore, batch: RiskBatch,
     filled = np.arange(max(counts)) < np.asarray(counts)[:, None]  # [B, K]
     owner = np.nonzero(filled)[0]  # each candidate's source
 
-    cand = pad_batch(flat)
-    src = sm.pack(store.config, batch.src_batch, "source")
-    dec_in = sm.pack(store.config, cand[:, :-1], "target")
-    memory = sm.encode_rows(store, src)
-    rows = sm.decode_rows(store, memory, src.slots.take(owner), dec_in)
-    gold = cand[:, 1:][~dec_in.pad]
+    rows, dec_in, gold = sm.teacher_forced(store, batch.src_batch, pad_batch(flat), owner)
     picked = nk.take_along_last(rows, gold)  # [N]
     # member[c, i]: row i is a scored position of candidate c
     member = ((np.nonzero(~dec_in.pad)[0] == np.arange(len(flat))[:, None])

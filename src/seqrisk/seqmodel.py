@@ -3,13 +3,12 @@
 Sized so that a full training run takes minutes on one CPU core.  Every
 path runs the packed core (``pack``, ``encode_rows``, ``decode_rows``):
 every token-wise layer sees only the non-PAD positions, and attention alone
-the padded grid.  Training and scoring call it directly, and so does
-``forward_teacher_forced``, the one-sequence reference that tests check
-batches against.  Decoding runs on ``IncrementalDecoder``, a tape-free,
-KV-cached copy of the decoder's forward arithmetic in plain numpy that
-starts from ``encode_rows``' memory rows.  ``encode_batch`` and
-``decode_batch`` give the core's results in padded shapes; only tests, as
-the padded reference, and the benchmark's tracer use them.
+the padded grid.  ``teacher_forced`` runs it for training, rescoring and
+scoring.  Decoding runs on ``IncrementalDecoder``, a tape-free, KV-cached
+copy of the decoder's forward arithmetic in plain numpy that starts from
+``encode_rows``' memory rows.  ``encode_batch`` and ``decode_batch`` give
+the core's results in padded shapes; only tests, as the padded reference,
+and the benchmark's tracer use them.
 """
 
 from __future__ import annotations
@@ -187,16 +186,19 @@ def build_settings(cls, data, path: str = ""):
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
+def in_place(path) -> bool:
+    """Whether `atomic_write` writes `path` in place: a link, or an existing non-regular file."""
+    return os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
+
+
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "w", **open_kwargs):
     """Open `<path>.<pid>.tmp`, in the same directory, for writing.  When
     the block ends cleanly the file replaces `path`; on any exception it is
-    unlinked, so `path` is either the complete new file or as it was.  A
-    symlink, or a path that exists but is no regular file (a FIFO, a
-    device), is written through in place, as `open` would: so
-    `/dev/stdout` streams and a linked file keeps its link."""
+    unlinked, so `path` is either the complete new file or as it was; but
+    `/dev/stdout` streams and a linked file keeps its link (`in_place`)."""
     path = os.fspath(path)
-    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+    if in_place(path):
         with open(path, mode, **open_kwargs) as fh:
             yield fh
         return
@@ -537,6 +539,20 @@ def decode_rows(store: ParameterStore, memory: nk.Tensor, memory_slots: nk.Slots
     return nk.log_softmax(logits)
 
 
+def teacher_forced(store: ParameterStore, src_ids: np.ndarray, tgt_ids: np.ndarray,
+                   owner: np.ndarray | None = None, rng: np.random.Generator | None = None
+                   ) -> tuple[nk.Tensor, Packed, np.ndarray]:
+    """The teacher-forced pass: target i is fed tgt_ids[i, :-1] against row
+    `owner[i]` (or i) of `src_ids`, each source row encoded once.  Returns
+    the log-probability rows [N, vocab], the packed inputs and the gold ids."""
+    tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
+    src = pack(store.config, src_ids, "source")
+    dec_in = pack(store.config, tgt_ids[:, :-1], "target")
+    slots = src.slots if owner is None else src.slots.take(owner)
+    rows = decode_rows(store, encode_rows(store, src, rng), slots, dec_in, rng)
+    return rows, dec_in, tgt_ids[:, 1:][~dec_in.pad]
+
+
 def _unpack(rows: nk.Tensor, slots: nk.Slots) -> nk.Tensor:
     """Packed rows [N, F] on their padded grid [batch, length, F], zero in
     the slots that hold no row."""
@@ -676,20 +692,3 @@ class IncrementalDecoder:
         if not np.isfinite(log_probs).all():
             raise NumericsError(f"non-finite log-probabilities at decoding step {self.length}")
         return log_probs
-
-
-# -- one-sequence reference ---------------------------------------------------
-
-
-def forward_teacher_forced(store: ParameterStore, src: Sequence[int],
-                           tgt: Sequence[int]) -> nk.Tensor:
-    """Log-probability rows [len(tgt), vocab]; row t is the next-token
-    log-distribution after consuming tgt[0..t].  Runs the packed core on
-    one-row inputs, so a PAD id in either sequence reads as padding: it
-    gets no row, and no row attends to it."""
-    tgt = list(tgt)
-    if not tgt or tgt[0] != BOS_ID:
-        raise ContractError("target must begin with BOS")
-    src = pack(store.config, [src], "source")
-    return decode_rows(store, encode_rows(store, src), src.slots,
-                       pack(store.config, [tgt], "target"))

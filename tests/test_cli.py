@@ -20,7 +20,7 @@ from seqrisk import datagen as dg
 from seqrisk import decoding as dec
 from seqrisk import numkit as nk
 from seqrisk import seqmodel as sm
-from seqrisk.errors import ConfigError
+from seqrisk.errors import ConfigError, ContractError
 
 TINY = {
     "seed": 1,
@@ -325,6 +325,23 @@ class TestModelCommands:
         dense, gappy = outputs
         assert gappy == [dense[0], "", dense[1], ""]
 
+    def test_translate_ends_lines_at_newline_alone(self, workspace, tmp_path, capsys):
+        # each of these is a line break to str.splitlines(), but whitespace to str.split()
+        config, data, run = workspace
+        sources = [s for s, _ in dg.read_tsv(data / "test_id.tsv") if len(s) > 1][:3]
+        outputs = []
+        for name, seps, end in (("plain.txt", [" "] * 3, "\n"),
+                                ("odd.txt", ["\f\v", "\x1c\x1d\x1e\x85", "\u2028\u2029\r"],
+                                 "\r\n")):
+            text = "".join(sep.join(src) + end for sep, src in zip(seps, sources))
+            (tmp_path / name).write_bytes(text.encode("utf-8"))
+            assert cli.main(["translate", "--checkpoint", str(run / "mle.ckpt"),
+                             "--domain", str(data / "domain.json"),
+                             "--input", str(tmp_path / name), "--beam", "2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        plain, odd = outputs
+        assert odd == plain and plain.count("\n") == 3
+
     def test_translate_rejects_overlong_line_naming_it(self, workspace, tmp_path, capsys):
         config, data, run = workspace
         pairs = dg.read_tsv(data / "test_id.tsv")[:2]
@@ -409,7 +426,7 @@ class TestModelCommands:
         (["--min-position", "3"], "unrecognized arguments: --min-position 3"),
         (["--seed", "-3"], "argument --seed: must be a non-negative integer, got '-3'"),
         (["--assignment", "no-such-dir/assignment.csv"],
-         "cannot write no-such-dir/assignment.csv: its directory is missing")])
+         "cannot write no-such-dir/assignment.csv: it or its directory is missing")])
     def test_uncertainty_failure_writes_no_file(self, workspace, tmp_path, capsys,
                                                 flags, says):
         config, data, run = workspace
@@ -663,6 +680,32 @@ def test_a_beam_size_refused_before_decoding(workspace, tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert code == 1 and f"error: {says}\n" == err, err
     assert not (copy / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("evaluate", "--judgments"),
+                                           ("sweep-beam", "--output")])
+def test_an_unwritable_output_refused_before_decoding(workspace, tmp_path, capsys,
+                                                      monkeypatch, command, flag):
+    config, data, run = workspace
+    out = tmp_path / "missing" / "out.txt"
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decoded before the output was checked")
+
+    monkeypatch.setattr(dec, "beam_search_corpus", no_decoding)
+    code = cli.main([*_command_line(command, data, run / "mle.ckpt"), flag, str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and f"error: cannot write {out}: it or its directory is missing" in err, err
+
+
+def test_an_output_written_in_place_is_checked_for_its_own_access(tmp_path, monkeypatch):
+    # a device and a symlink are written through, so their directories' access is moot
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    monkeypatch.setattr(os, "access", lambda path, mode: path in (os.devnull, str(link)))
+    cli._refuse_unwritable(os.devnull, str(link), None)
+    with pytest.raises(ContractError, match=re.escape(f"cannot write {tmp_path / 'new.csv'}")):
+        cli._refuse_unwritable(str(tmp_path / "new.csv"))
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep-beam"])

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from seqrisk import analysis as an
 from seqrisk import datagen as dg
 from seqrisk import decoding as dec
 from seqrisk import metrics
@@ -14,6 +15,14 @@ from seqrisk import numkit as nk
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
 from seqrisk.errors import ContractError, NumericsError
+
+
+def test_every_random_sub_stream_id_is_distinct():
+    # one stream per consumer: two consumers sharing an id would draw correlated numbers
+    ids = {f"{module.__name__}.{name}": value for module in (obj, an, dg)
+           for name, value in vars(module).items() if name.startswith("STREAM_")}
+    assert len(ids) == 9, ids
+    assert len(set(ids.values())) == len(ids), ids
 
 
 def make_store(seed=0, vocab=20, dropout=0.0, dtype=None):
@@ -424,12 +433,7 @@ def per_source_mrt_risk(store, batch, alpha):
     flat = [c for group in batch.candidates for c in group]
     owner = np.asarray([b for b, group in enumerate(batch.candidates) for _ in group],
                        dtype=np.int64)
-    cand = obj.pad_batch(flat)
-    src = sm.pack(store.config, batch.src_batch, "source")
-    dec_in = sm.pack(store.config, cand[:, :-1], "target")
-    memory = sm.encode_rows(store, src)
-    rows = sm.decode_rows(store, memory, src.slots.take(owner), dec_in)
-    gold = cand[:, 1:][~dec_in.pad]
+    rows, dec_in, gold = sm.teacher_forced(store, batch.src_batch, obj.pad_batch(flat), owner)
     picked = nk.take_along_last(rows, gold)
     member = ((np.nonzero(~dec_in.pad)[0] == np.arange(len(flat))[:, None])
               & (gold != sm.PAD_ID)).astype(store.dtype)
