@@ -482,6 +482,7 @@ def _cmd_finetune_mrt(args) -> int:
 
 def _cmd_translate(args) -> int:
     store, vocab, _ = _load_model(args.checkpoint, args.domain)
+    _refuse_unwritable(None if args.output == "-" else args.output)  # stdout needs no check
     text = sm.read_utf8(args.input)  # lines end at "\n" alone, as corpus lines do
     sources = [line.split() for line in text.removesuffix("\n").split("\n")] if text else []
     _refuse_overlong(args.input, sources, store.config.max_seq_len)

@@ -204,20 +204,14 @@ def greedy_decode(store: sm.ParameterStore, src: Sequence[int],
                   length_norm_alpha: float = 1.0) -> Hypothesis:
     """Plain argmax loop; must agree with beam search at beam size 1."""
     state = sm.IncrementalDecoder(store, np.asarray([src], dtype=np.int64))
-    toks = [sm.BOS_ID]
-    total = 0.0
-    finished = False
-    while len(toks) < store.config.max_seq_len:
+    toks, total = [sm.BOS_ID], 0.0
+    while len(toks) < store.config.max_seq_len and toks[-1] != sm.EOS_ID:
         row = state.step(None, [toks[-1]])[0]
         row[list(BANNED_CONTINUATIONS)] = -np.inf
-        best = int(np.argmax(row))  # argmax takes the lowest id on ties
-        total += float(row[best])
-        toks.append(best)
-        if best == sm.EOS_ID:
-            finished = True
-            break
-    gen_len = len(toks) - 1
-    return Hypothesis(toks, total, total / length_penalty(gen_len, length_norm_alpha), finished)
+        toks.append(int(np.argmax(row)))  # argmax takes the lowest id on ties
+        total += float(row[toks[-1]])
+    return Hypothesis(toks, total, total / length_penalty(len(toks) - 1, length_norm_alpha),
+                      toks[-1] == sm.EOS_ID)
 
 
 def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
@@ -225,34 +219,32 @@ def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
     """Ancestral sampling, `n_samples` sequences per source row.
 
     Returns, per source, a list of id sequences including BOS (and EOS when
-    the sample terminated on its own).  All unfinished sequences step
-    together in one batch; every step draws one uniform number per
-    sequence, finished or not, so the stream `rng` yields does not depend
-    on when sequences end.
+    the sample terminated on its own), cut from one PAD-filled id array.  All
+    unfinished sequences step together in one batch; every step draws one
+    uniform number per sequence, finished or not, so the stream `rng` yields
+    does not depend on when sequences end.
     """
     src_batch = np.asarray(src_batch, dtype=np.int64)
     bsz = src_batch.shape[0]
     rows_n = bsz * n_samples
-
     state = sm.IncrementalDecoder(store, src_batch)
-    seqs = [[sm.BOS_ID] for _ in range(rows_n)]
+    ids = np.full((rows_n, store.config.max_seq_len), sm.PAD_ID, dtype=np.int64)
+    ids[:, 0] = sm.BOS_ID
     alive = np.arange(rows_n)  # sequence index of each decoder row
     parents = np.repeat(np.arange(bsz), n_samples)
-    tokens = np.full(rows_n, sm.BOS_ID, dtype=np.int64)
-    for _ in range(store.config.max_seq_len - 1):
-        logits = state.step(parents, tokens)
+    for t in range(1, store.config.max_seq_len):
+        logits = state.step(parents, ids[alive, t - 1])
         logits[:, list(BANNED_CONTINUATIONS)] = -np.inf
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         cdf = np.cumsum(probs, axis=1)
         draws = 1.0 - rng.random(rows_n)  # (0, 1]: zero-mass ids stay unreachable
-        tokens = (cdf < draws[alive, None]).sum(axis=1).astype(np.int64)
-        tokens = np.minimum(tokens, store.config.vocab_size - 1)
-        for i, t in zip(alive.tolist(), tokens.tolist()):
-            seqs[i].append(t)
+        tokens = np.minimum((cdf < draws[alive, None]).sum(axis=1), store.config.vocab_size - 1)
+        ids[alive, t] = tokens
         parents = np.flatnonzero(tokens != sm.EOS_ID)
         if not parents.size:
             break
-        alive, tokens = alive[parents], tokens[parents]
+        alive = alive[parents]
+    # PAD is never drawn, so a row's length is its count of non-PAD ids
+    seqs = [row[:n] for row, n in zip(ids.tolist(), (ids != sm.PAD_ID).sum(axis=1).tolist())]
     return [seqs[b * n_samples: (b + 1) * n_samples] for b in range(bsz)]

@@ -354,21 +354,15 @@ def cost_delta(hyp_ids: Sequence[int], ref_ids: Sequence[int]) -> float:
 def sample_decode_dedup(store: sm.ParameterStore, src_batch: np.ndarray,
                         refs: list[IdSeq], config: MRTConfig,
                         rng: np.random.Generator) -> list[list[IdSeq]]:
-    raw = dec.sample_decode_batch(store, src_batch, config.n_samples, rng)
+    """Per source, each distinct one of its `config.n_samples` draws once, in
+    the order first drawn; with `include_reference`, the reference follows
+    them unless a draw equals it."""
     out = []
-    for b, group in enumerate(raw):
-        seen = set()
-        uniq: list[IdSeq] = []
-        for cand in group:
-            key = tuple(cand)
-            if key not in seen:
-                seen.add(key)
-                uniq.append(cand)
+    for b, group in enumerate(dec.sample_decode_batch(store, src_batch, config.n_samples, rng)):
+        uniq = dict.fromkeys(map(tuple, group))  # keeps first-draw order
         if config.include_reference:
-            ref = list(refs[b])
-            if tuple(ref) not in seen:
-                uniq.append(ref)
-        out.append(uniq)
+            uniq.setdefault(tuple(refs[b]))
+        out.append([list(cand) for cand in uniq])
     return out
 
 

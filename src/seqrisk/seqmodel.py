@@ -345,8 +345,8 @@ class ParameterStore:
         and offsets are not those of a store of that config, whose payload
         is not exactly their bytes, or whose payload does not match the
         manifest's `payload_sha256` raises ContractError naming the file;
-        so does a step count or offset that is no integer, or a negative
-        step count."""
+        so does a payload holding NaN or inf, a step count or offset that
+        is no integer, or a negative step count."""
         with open(path, "rb") as fh:
             header = fh.readline()
             payload = fh.read()
@@ -385,6 +385,8 @@ class ParameterStore:
         if digest != hashlib.sha256(payload).hexdigest():
             raise ContractError(f"{path}: payload does not match its sha256; file corrupt")
         store.flat[...] = np.frombuffer(payload, dtype="<f4")
+        if not np.isfinite(store.flat).all():
+            raise ContractError(f"{path}: holds non-finite weights (NaN or inf)")
         return store
 
 

@@ -682,8 +682,28 @@ def test_a_beam_size_refused_before_decoding(workspace, tmp_path, capsys, monkey
     assert not (copy / "sweep.csv").exists()
 
 
+def test_a_non_finite_checkpoint_refused_at_load(workspace, tmp_path, capsys):
+    # its payload matches its sha256, so the NaN would otherwise surface mid-run
+    config, data, run = workspace
+    store = sm.ParameterStore.load(run / "mle.ckpt")
+    store["embed.shared"].data[5, 0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    store.save(bad)
+    (tmp_path / "in.txt").write_text("sf0 sf1\n")
+    out = tmp_path / "out"
+    for argv in (["translate", "--checkpoint", str(bad), "--domain", str(data / "domain.json"),
+                  "--input", str(tmp_path / "in.txt")],
+                 ["finetune-mrt", "--config", str(config), "--data", str(data),
+                  "--checkpoint", str(bad), "--outdir", str(out)]):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and f"error: {bad}: holds non-finite weights" in err, err
+    assert not (out / "mrt_trace.csv").exists()
+
+
 @pytest.mark.parametrize("command, flag", [("evaluate", "--judgments"),
-                                           ("sweep-beam", "--output")])
+                                           ("sweep-beam", "--output"),
+                                           ("translate", "--output")])
 def test_an_unwritable_output_refused_before_decoding(workspace, tmp_path, capsys,
                                                       monkeypatch, command, flag):
     config, data, run = workspace

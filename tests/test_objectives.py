@@ -332,6 +332,29 @@ class TestSubspace:
         assert 1 <= len(cands) <= 8
 
 
+@pytest.mark.parametrize("include_reference", [False, True])
+def test_dedup_keeps_each_draw_once_in_first_draw_order(include_reference):
+    store = make_store(13)
+    store["dec.final_ln.gain"].data *= 5  # sharp enough that draws repeat
+    src = obj.pad_batch([[4, 5], [6, 7, 8]])
+    raw = dec.sample_decode_batch(store, src, 8, np.random.default_rng(4))
+    firsts = []
+    for draws in raw:
+        first: list = []
+        for seq in draws:
+            if seq not in first:
+                first.append(seq)
+        assert 3 <= len(first) < len(draws)  # some repeats, and an order to keep
+        firsts.append(first)
+    # source 0's reference is one of its draws; source 1's is none of them
+    refs = [firsts[0][1], [sm.BOS_ID, 4, 5, sm.EOS_ID]]
+    assert refs[1] not in raw[1]
+    got = obj.sample_decode_dedup(
+        store, src, refs, obj.MRTConfig(n_samples=8, include_reference=include_reference),
+        np.random.default_rng(4))
+    assert got == [firsts[0], firsts[1] + ([refs[1]] if include_reference else [])]
+
+
 class TestMRTConfig:
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
     def test_rejects_non_positive_alpha(self, alpha):

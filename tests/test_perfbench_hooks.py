@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from seqrisk import decoding as dec
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
 
@@ -52,11 +53,16 @@ def test_counting_hooks_read_real_calls():
 
     groups = feed("objectives.sample_decode_dedup", obj.sample_decode_dedup,
                   store, src, refs, obj.MRTConfig(n_samples=3), np.random.default_rng(0))
+    drawn = feed("decoding.sample_decode_batch", dec.sample_decode_batch,
+                 store, src, 3, np.random.default_rng(0))
+    # counted apart from the hook: the non-PAD ids after BOS of every sample
+    tokens_out = sum(t != sm.PAD_ID for group in drawn for seq in group for t in seq[1:])
     memory = feed("seqmodel.encode_batch", sm.encode_batch, store, src)
     feed("seqmodel.decode_batch", sm.decode_batch, store, memory, src, tgt_in)
     assert dict(tracer.counts) == {
         "objectives.candidates_drawn": 3 * 2,
         "objectives.candidates_kept": sum(len(g) for g in groups),
+        "decoding.tokens_out": tokens_out,
         "seqmodel.encode_batch.rows": 2,
         "seqmodel.decode_batch.rows": 2,
         "seqmodel.decode_batch.positions": 2 * 4,

@@ -280,6 +280,17 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match="flipped.ckpt"):
             sm.ParameterStore.load(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_weight(self, store, tmp_path, value):
+        # the writer hashed the bad bytes too, so only a finiteness check catches them
+        bad = store.copy()
+        bad["dec.final_ln.gain"].data[3] = value
+        path = tmp_path / "bad.ckpt"
+        bad.save(path)
+        with pytest.raises(ContractError,
+                           match=r"bad\.ckpt: holds non-finite weights \(NaN or inf\)"):
+            sm.ParameterStore.load(path)
+
     def test_refuses_a_file_without_a_checksum(self, store, tmp_path):
         old = rewrite_manifest(store, tmp_path / "old.ckpt",
                                lambda manifest: manifest.pop("payload_sha256"))
