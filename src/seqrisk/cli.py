@@ -14,6 +14,8 @@ internal errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -159,52 +161,20 @@ def _write_json(path: Path, payload) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-class OutputLock:
-    """A marker file, holding the owner's PID, that refuses concurrent or
-    dirty reruns in a directory."""
-
-    def __init__(self, outdir: Path):
-        self.path = outdir / ".seqrisk-lock"
-
-    def __enter__(self):
+@contextlib.contextmanager
+def output_lock(outdir: Path):
+    """Hold an exclusive kernel lock on directory `outdir` for the block,
+    refusing a concurrent run; it makes no file and ends with its holder."""
+    fd = os.open(outdir, os.O_RDONLY)
+    try:
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise SeqriskError(self._refusal()) from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        return self
-
-    def _refusal(self) -> str:
-        """Why an existing lock refuses the run: a live owner, or a stale
-        lock (no PID, or no such process).  The file is left in place."""
-        try:
-            text = self.path.read_text(errors="replace").strip()
-        except OSError:
-            text = ""
-        try:
-            pid = int(text)
-        except ValueError:
-            pid = None
-        if pid is None or pid <= 0:
-            return (f"{self.path} is a stale lock: it names no process ({text[:40]!r}); "
-                    "a previous run crashed; remove the file to proceed")
-        try:
-            os.kill(pid, 0)
-        except (ProcessLookupError, OverflowError):
-            return (f"{self.path} is a stale lock: process {pid} is not running; "
-                    "a previous run crashed; remove the file to proceed")
-        except PermissionError:
-            pass  # the process exists under another user
-        return (f"{self.path} exists: process {pid} is running in this directory; "
-                "wait for it to finish")
-
-    def __exit__(self, *exc_info):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-        return False
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise SeqriskError(f"{outdir} is locked: another run is writing into it; "
+                               "wait for it to finish") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def _load_domain(path) -> dg.DomainSpec:
@@ -245,8 +215,12 @@ def _refuse_overlong_pairs(path, pairs: list[dg.TokenPair], max_seq_len: int) ->
 
 def _refuse_unwritable(*paths) -> None:
     """Refuse, before any decoding, an output path `atomic_write` could not write."""
-    for path in filter(None, paths):
-        if not os.access(path if sm.in_place(path) else os.path.dirname(path) or ".", os.W_OK):
+    for path in (path for path in paths if path is not None):
+        if not path or os.path.isdir(path):  # `in_place` counts a directory as written in place
+            raise ContractError(f"cannot write {path!r}: it is empty or a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent) or not os.access(
+                path if sm.in_place(path) else parent, os.W_OK):
             raise ContractError(f"cannot write {path}: it or its directory is missing or read-only")
 
 
@@ -368,7 +342,7 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
 def run_reproduce(config: ExperimentConfig, outdir: Path) -> dict:
     """The full study: data, MLE, risk fine-tuning, all diagnostics, manifest."""
     outdir.mkdir(parents=True, exist_ok=True)
-    with OutputLock(outdir):
+    with output_lock(outdir):
         for name in ("manifest.json", "summary.json"):  # no failed rerun looks finished
             (outdir / name).unlink(missing_ok=True)
         suite = stage_gen_data(config, outdir)
@@ -510,7 +484,7 @@ def _cmd_evaluate(args) -> int:
     config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=an.EVAL_ALPHA)
     judgments = an.judge_corpus(store, vocab, pairs, spec, config)
     summary = an.summarize_judgments(judgments)
-    if args.judgments:
+    if args.judgments is not None:
         an.write_judgments_jsonl(args.judgments, judgments)
     print(json.dumps(asdict(summary), sort_keys=True))
     return 0
@@ -529,7 +503,7 @@ def _cmd_analyze_uncertainty(args) -> int:
                                    model_tag=args.system, seed=args.seed)
     gap = result.gap_mean()  # may fail: before any file is written
     an.write_curves_csv(args.output, [result.references, result.distractors])
-    if args.assignment:
+    if args.assignment is not None:
         an.write_assignment_csv(args.assignment, result)
     print(json.dumps({
         "certainty_gap": gap,

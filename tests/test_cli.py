@@ -2,11 +2,13 @@
 file outputs, locking, and a reduced-size byte-identity run."""
 
 import dataclasses
+import fcntl
 import json
 import os
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -703,19 +705,29 @@ def test_a_non_finite_checkpoint_refused_at_load(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag", [("evaluate", "--judgments"),
                                            ("sweep-beam", "--output"),
-                                           ("translate", "--output")])
+                                           ("translate", "--output"),
+                                           ("analyze-uncertainty", "--output")])
 def test_an_unwritable_output_refused_before_decoding(workspace, tmp_path, capsys,
                                                       monkeypatch, command, flag):
     config, data, run = workspace
-    out = tmp_path / "missing" / "out.txt"
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    (copy / "in.txt").write_text("sf0 sf1\n")
+    (tmp_path / "F").write_text("a regular file\n")
 
     def no_decoding(*args, **kwargs):
         raise AssertionError("decoded before the output was checked")
 
     monkeypatch.setattr(dec, "beam_search_corpus", no_decoding)
-    code = cli.main([*_command_line(command, data, run / "mle.ckpt"), flag, str(out)])
-    err = capsys.readouterr().err
-    assert code == 1 and f"error: cannot write {out}: it or its directory is missing" in err, err
+    monkeypatch.setattr(an, "uncertainty_curves", no_decoding)
+    missing, under_a_file = tmp_path / "missing" / "out.txt", tmp_path / "F" / "out.txt"
+    for out, says in ((missing, f"{missing}: it or its directory is missing"),
+                      (under_a_file, f"{under_a_file}: it or its directory is missing"),
+                      (tmp_path, f"{str(tmp_path)!r}: it is empty or a directory"),
+                      ("", "'': it is empty or a directory")):
+        code = cli.main([*_command_line(command, copy, run / "mle.ckpt"), flag, str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: cannot write {says}"), err
 
 
 def test_an_output_written_in_place_is_checked_for_its_own_access(tmp_path, monkeypatch):
@@ -748,37 +760,49 @@ def test_reference_without_content_refused_before_decoding(workspace, tmp_path, 
     assert not (copy / "sweep.csv").exists()
 
 
+def assert_unlocked(directory: Path) -> None:
+    """A new exclusive lock on `directory` is granted: no run holds it."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    finally:
+        os.close(fd)
+
+
 class TestReproduce:
     def test_lock_refuses_second_run(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)
         out = tmp_path / "locked"
         out.mkdir()
-        (out / ".seqrisk-lock").write_text("held")
-        code = cli.main(["reproduce", "--config", str(config),
-                         "--outdir", str(out)])
-        assert code == 1
-        assert "lock" in capsys.readouterr().err.lower()
-
-    def test_stale_lock_names_the_file_and_the_dead_pid(self, tmp_path, capsys):
-        config = write_tiny_config(tmp_path)
-        out = tmp_path / "locked"
-        out.mkdir()
-        lock = out / ".seqrisk-lock"
-        lock.write_text("999999999")  # above any PID the kernel hands out
-        code = cli.main(["reproduce", "--config", str(config), "--outdir", str(out)])
+        fd = os.open(out, os.O_RDONLY)  # a lock of its own, as another run would hold
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            code = cli.main(["reproduce", "--config", str(config), "--outdir", str(out)])
+        finally:
+            os.close(fd)
         err = capsys.readouterr().err
-        assert code == 1
-        assert "stale lock" in err and str(lock) in err and "999999999" in err
-        assert lock.read_text() == "999999999"  # nothing is deleted
+        assert code == 1 and err.startswith(f"error: {out} is locked") and err.count("\n") == 1
+        assert list(out.iterdir()) == []  # no train.tsv, and no lock file
 
-    def test_lock_of_a_live_process_is_not_called_stale(self, tmp_path, capsys):
+    def test_lock_of_a_killed_run_is_released(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)
-        out = tmp_path / "locked"
+        out = tmp_path / "run"
         out.mkdir()
-        (out / ".seqrisk-lock").write_text(str(os.getpid()))
-        assert cli.main(["reproduce", "--config", str(config), "--outdir", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "stale" not in err and f"process {os.getpid()} is running" in err
+        holder = subprocess.Popen(
+            [sys.executable, "-c", "import sys, time\nfrom pathlib import Path\n"
+             "from seqrisk import cli\nwith cli.output_lock(Path(sys.argv[1])):\n"
+             "    print('held', flush=True)\n    time.sleep(600)\n", str(out)],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+        try:
+            assert holder.stdout.readline() == "held\n"
+            assert cli.main(["reproduce", "--config", str(config), "--outdir", str(out)]) == 1
+        finally:
+            holder.send_signal(signal.SIGKILL)
+            holder.communicate(timeout=60)
+        assert holder.returncode == -signal.SIGKILL
+        assert cli.main(["reproduce", "--config", str(config), "--outdir", str(out)]) == 0
+        assert_unlocked(out)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)
@@ -795,15 +819,17 @@ class TestReproduce:
         manifest = json.loads((out_a / "manifest.json").read_text())
         assert manifest["seed"] == 1
         assert "mle.ckpt" in manifest["files"]
-        assert not (out_a / ".seqrisk-lock").exists()
+        assert_unlocked(out_a)
 
     def test_manifest_lists_only_what_the_run_wrote(self, tmp_path, capsys):
-        # other files in --outdir, a killed run's temporary file among them,
-        # are neither listed nor touched
+        # other files in --outdir, a killed run's temporary file and an older
+        # version's lock file naming a live process among them, are neither
+        # listed nor touched, and lock nothing
         config = write_tiny_config(tmp_path)
         out = tmp_path / "run"
         out.mkdir()
-        debris = {"notes.txt": b"mine\n", "mle.ckpt.99999.tmp": b"half a checkpoint"}
+        debris = {"notes.txt": b"mine\n", "mle.ckpt.99999.tmp": b"half a checkpoint",
+                  ".seqrisk-lock": str(os.getpid()).encode()}
         for name, data in debris.items():
             (out / name).write_bytes(data)
         assert cli.main(["reproduce", "--config", str(config), "--outdir", str(out)]) == 0
@@ -822,7 +848,8 @@ class TestReproduce:
         assert code == 1, err
         assert f"{out / 'train.tsv'}: line " in err and "max_seq_len 8" in err, err
         assert (out / "train.tsv").exists() and not (out / "mle.ckpt").exists()
-        assert not (out / "manifest.json").exists() and not (out / ".seqrisk-lock").exists()
+        assert not (out / "manifest.json").exists()
+        assert_unlocked(out)
 
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
         # a diverging rerun into a finished run's directory: the earlier
@@ -846,7 +873,7 @@ class TestReproduce:
         assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
         trace = (out / "mrt_trace.csv").read_text().splitlines()
         assert len(trace) == 2 and trace[1].startswith("1,")
-        assert not (out / ".seqrisk-lock").exists()
+        assert_unlocked(out)
 
     def test_sweep_reuses_the_judging_decodes(self, tmp_path, monkeypatch, capsys):
         config = write_tiny_config(tmp_path)

@@ -47,15 +47,22 @@ class TestConfig:
 
 class TestBeamSearch:
     def test_beam_one_equals_greedy(self):
-        # two separately written loops must produce the same path
-        for seed in range(6):
-            store = make_store(seed)
+        # two separately written loops must produce the same path, also when
+        # the cap cuts it: at either cap, every seed but 4 never draws EOS
+        capped = []
+        for max_seq_len, seed in [(cap, seed) for cap in (12, 5) for seed in range(6)]:
+            store = make_store(seed, max_seq_len=max_seq_len)
             src = [4 + seed, 5, 6]
             beam = dec.beam_search(store, src, dec.DecodeConfig(beam_size=1))[0]
             greedy = dec.greedy_decode(store, src)
             assert beam.tokens == greedy.tokens, f"seed {seed}"
             assert beam.total_log_prob == pytest.approx(
                 greedy.total_log_prob, abs=1e-5)
+            assert beam.finished == greedy.finished == (greedy.tokens[-1] == sm.EOS_ID)
+            if not greedy.finished:
+                assert len(greedy.tokens) == max_seq_len
+                capped.append((max_seq_len, seed))
+        assert capped == [(cap, seed) for cap in (12, 5) for seed in (0, 1, 2, 3, 5)]
 
     def test_results_sorted_by_normalized_score(self):
         store = make_store(1)

@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and imports only
+from the standard library, numpy and the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,33 @@ def test_every_private_name_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The modules that `source` imports from outside the standard library,
+    numpy and `seqrisk` (a relative import is the package's), each with the
+    line of its import."""
+    allowed = sys.stdlib_module_names | {"numpy", "seqrisk"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_the_scan_finds_foreign_imports():
+    source = ("from __future__ import annotations\nimport os.path, fcntl\n"
+              "import numpy as np\nimport scipy.stats\nfrom . import numkit\n"
+              "from seqrisk.errors import ContractError\nfrom pandas import DataFrame\n")
+    assert foreign_imports(source) == ["scipy.stats (line 4)", "pandas (line 7)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
