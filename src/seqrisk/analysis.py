@@ -14,7 +14,6 @@ Three probes, all over token-level corpora:
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ from .errors import ContractError
 
 OVERLAP_THRESHOLD = 0.2  # a hallucination holds less of its reference's content
 DEFAULT_BEAM_SIZES = (1, 4, 50)
-EVAL_ALPHA = 0.6  # mild length normalization, as in the source setup
 STREAM_DISTRACTOR = 5
 GAP_FROM_POSITION = 3  # the certainty gap skips the first two forced tokens
 
@@ -278,12 +276,10 @@ class BeamSweepPoint:
 
 def beam_sweep(store: sm.ParameterStore, vocab: sm.Vocabulary,
                pairs: Sequence[dg.TokenPair], spec: dg.DomainSpec,
-               beam_sizes: Sequence[int],
-               base_config: dec.DecodeConfig) -> list[BeamSweepPoint]:
-    """Decode the corpus at each beam size, otherwise as `base_config`;
+               beam_sizes: Sequence[int]) -> list[BeamSweepPoint]:
+    """Decode the corpus at each beam size, otherwise as `DecodeConfig()`;
     report pooled corpus BLEU and the hallucination rate at that width."""
-    return [sweep_point(k, judge_corpus(store, vocab, pairs, spec,
-                                        dataclasses.replace(base_config, beam_size=k)))
+    return [sweep_point(k, judge_corpus(store, vocab, pairs, spec, dec.DecodeConfig(beam_size=k)))
             for k in beam_sizes]
 
 

@@ -55,14 +55,11 @@ class EvalSettings:
     sweep_n: int = 150
     uncertainty_n: int = 200
     beam_sizes: list[int] = field(default_factory=lambda: list(an.DEFAULT_BEAM_SIZES))
-    eval_beam: int = 4
 
     def __post_init__(self):
-        for name in ("hallucination_n", "sweep_n", "uncertainty_n", "eval_beam"):
+        for name in ("hallucination_n", "sweep_n", "uncertainty_n"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.eval_beam > sm.MAX_LIVE_ROWS:
-            raise ContractError(f"eval_beam must be <= {sm.MAX_LIVE_ROWS}, got {self.eval_beam}")
         _refuse_beam_sizes("beam_sizes", self.beam_sizes)
 
 
@@ -288,7 +285,7 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
                    spec: dg.DomainSpec, stores: dict[str, sm.ParameterStore],
                    suite: dict[str, list[dg.TokenPair]], outdir: Path) -> dict:
     ev = config.eval
-    decode_cfg = dec.DecodeConfig(beam_size=ev.eval_beam, length_norm_alpha=an.EVAL_ALPHA)
+    decode_cfg = dec.DecodeConfig()
     ood, pool = suite["test_ood"], [tgt for _, tgt in suite["test_id"]]
     summaries: dict[tuple[str, str], an.HallucinationSummary] = {}
     judgments_ood: dict[str, list[an.HallucinationJudgment]] = {}
@@ -315,12 +312,11 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
         curves.extend([result.references, result.distractors])
         info["certainty_gap"] = result.gap_mean()
 
-        # judging already decoded these sentences at eval_beam with decode_cfg
-        by_k = ({ev.eval_beam: an.sweep_point(ev.eval_beam, judgments[: ev.sweep_n])}
+        judged_k = decode_cfg.beam_size  # judging already decoded these sentences at this width
+        by_k = ({judged_k: an.sweep_point(judged_k, judgments[: ev.sweep_n])}
                 if ev.sweep_n <= ev.hallucination_n else {})
         rest = [k for k in ev.beam_sizes if k not in by_k]
-        by_k.update(zip(rest, an.beam_sweep(
-            store, vocab, ood[: ev.sweep_n], spec, rest, decode_cfg)))
+        by_k.update(zip(rest, an.beam_sweep(store, vocab, ood[: ev.sweep_n], spec, rest)))
         sweeps[system] = points = [by_k[k] for k in ev.beam_sizes]
         info["beam_sweep"] = [asdict(p) for p in points]
 
@@ -460,7 +456,7 @@ def _cmd_translate(args) -> int:
     text = sm.read_utf8(args.input)  # lines end at "\n" alone, as corpus lines do
     sources = [line.split() for line in text.removesuffix("\n").split("\n")] if text else []
     _refuse_overlong(args.input, sources, store.config.max_seq_len)
-    config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=an.EVAL_ALPHA)
+    config = dec.DecodeConfig(beam_size=args.beam)
     lines = [""] * len(sources)  # a blank input line gives a blank output line
     kept = [i for i, src in enumerate(sources) if src]
     for i, hyps in zip(kept, dec.beam_search_corpus(
@@ -481,7 +477,7 @@ def _cmd_evaluate(args) -> int:
     store, vocab, spec = _load_model(args.checkpoint, args.domain)
     _refuse_unwritable(args.judgments)
     pairs = _read_pairs(args, store, spec)
-    config = dec.DecodeConfig(beam_size=args.beam, length_norm_alpha=an.EVAL_ALPHA)
+    config = dec.DecodeConfig(beam_size=args.beam)
     judgments = an.judge_corpus(store, vocab, pairs, spec, config)
     summary = an.summarize_judgments(judgments)
     if args.judgments is not None:
@@ -519,8 +515,7 @@ def _cmd_sweep_beam(args) -> int:
     store, vocab, spec = _load_model(args.checkpoint, args.domain)
     _refuse_unwritable(args.output)
     pairs = _read_pairs(args, store, spec)
-    points = an.beam_sweep(store, vocab, pairs, spec, args.beams,
-                           dec.DecodeConfig(length_norm_alpha=an.EVAL_ALPHA))
+    points = an.beam_sweep(store, vocab, pairs, spec, args.beams)
     an.write_sweep_csv(args.output, {args.system: points})
     print(json.dumps([asdict(p) for p in points]))
     return 0
@@ -561,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--input", required=True, help="one source sentence per line")
     p.add_argument("--output", default="-")
-    p.add_argument("--beam", type=_positive_int, default=4)
+    p.add_argument("--beam", type=_positive_int, default=dec.DecodeConfig.beam_size)
     p.add_argument("--scores", action="store_true",
                    help="append total log-probability to each line")
     p.set_defaults(func=_cmd_translate)
@@ -569,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="corpus score plus hallucination summary")
     _add_model_flags(p)
     _add_pair_flags(p)
-    p.add_argument("--beam", type=_positive_int, default=4)
+    p.add_argument("--beam", type=_positive_int, default=dec.DecodeConfig.beam_size)
     p.add_argument("--judgments", default=None, help="write per-sentence JSONL here")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -33,8 +33,9 @@ StepFn = Callable[[list[list[int]]], np.ndarray]
 
 @dataclass
 class DecodeConfig:
+    """The defaults are the study's decoding setup, which `reproduce` judges with."""
     beam_size: int = 4
-    length_norm_alpha: float = 1.0
+    length_norm_alpha: float = 0.6  # mild length normalization, as in the source setup
 
     def __post_init__(self):
         if not 1 <= self.beam_size <= sm.MAX_LIVE_ROWS:
@@ -201,7 +202,7 @@ def beam_search(store: sm.ParameterStore, src: Sequence[int],
 
 
 def greedy_decode(store: sm.ParameterStore, src: Sequence[int],
-                  length_norm_alpha: float = 1.0) -> Hypothesis:
+                  length_norm_alpha: float = DecodeConfig.length_norm_alpha) -> Hypothesis:
     """Plain argmax loop; must agree with beam search at beam size 1."""
     state = sm.IncrementalDecoder(store, np.asarray([src], dtype=np.int64))
     toks, total = [sm.BOS_ID], 0.0

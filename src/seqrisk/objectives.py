@@ -35,6 +35,7 @@ STREAM_DROPOUT = 3
 STREAM_SAMPLER = 4
 
 LABEL_SMOOTHING = 0.1  # of the likelihood baseline's training targets
+MRT_ALPHA = 0.005  # sharpness of risk training's candidate distribution
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -325,15 +326,12 @@ class MRTConfig:
     steps: int = 600
     sentences_per_batch: int = 8  # risk batches count sentences, not tokens
     n_samples: int = 4
-    alpha: float = 0.005
     lr: float = 1.5e-4
     include_reference: bool = False
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ContractError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not self.alpha > 0.0:
-            raise ContractError(f"alpha must be > 0, got {self.alpha}")
         if self.sentences_per_batch < 1:
             raise ContractError("sentences_per_batch must be >= 1")
         if self.sentences_per_batch * self.n_samples > sm.MAX_LIVE_ROWS:  # sampler rows
@@ -458,5 +456,5 @@ def finetune_mrt(store: sm.ParameterStore, corpus: Corpus, config: MRTConfig,
             yield build_risk_batch(store, [s for s, _ in chunk], [t for _, t in chunk],
                                    config, sampler_rng)
 
-    _optimize(store, batches(), lambda batch: mrt_risk(store, batch, config.alpha),
+    _optimize(store, batches(), lambda batch: mrt_risk(store, batch, MRT_ALPHA),
               lambda step: config.lr, trace_path)

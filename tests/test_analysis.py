@@ -262,7 +262,7 @@ class TestCurves:
 class TestSweepAndFiles:
     def test_beam_sweep_points(self):
         spec, vocab, pairs, store = trained_setup(epochs=2, n_train=40)
-        points = an.beam_sweep(store, vocab, pairs[:10], spec, (1, 2), dec.DecodeConfig())
+        points = an.beam_sweep(store, vocab, pairs[:10], spec, (1, 2))
         assert [p.beam_size for p in points] == [1, 2]
         for p in points:
             assert 0.0 <= p.bleu <= 1.0

@@ -3,6 +3,7 @@ file outputs, locking, and a reduced-size byte-identity run."""
 
 import dataclasses
 import fcntl
+import importlib
 import json
 import os
 import re
@@ -34,7 +35,7 @@ TINY = {
     "mle": {"epochs": 2, "tokens_per_batch": 64, "warmup_steps": 10},
     "mrt": {"steps": 2, "sentences_per_batch": 4, "n_samples": 3},
     "eval": {"hallucination_n": 10, "sweep_n": 6, "uncertainty_n": 16,
-             "beam_sizes": [1, 2], "eval_beam": 2},
+             "beam_sizes": [1, 4]},
 }
 
 
@@ -50,7 +51,7 @@ class TestConfigValidation:
     def test_defaults_build(self):
         config = cli.config_from_dict({})
         assert config.seed == 0
-        assert config.mrt.alpha == 0.005
+        assert config.mrt.lr == 1.5e-4
         assert config.mrt.n_samples == 4
         assert config.model.embed_dim == 64
 
@@ -74,16 +75,16 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section, field, value", [
         ("model", "num_heads", 0), ("model", "embed_dim", 0), ("model", "max_seq_len", 1),
-        ("model", "dropout_rate", 1.0), ("eval", "eval_beam", 0),
+        ("model", "dropout_rate", 1.0),
         ("eval", "hallucination_n", 0), ("eval", "sweep_n", 0), ("eval", "uncertainty_n", -1),
         ("mle", "warmup_steps", 0), ("mle", "peak_lr", -1),
-        ("mrt", "lr", -1), ("mrt", "steps", -1)])
+        ("mrt", "lr", -1), ("mrt", "steps", -1), ("mrt", "sentences_per_batch", 0)])
     def test_bad_value_named_at_load(self, section, field, value):
         with pytest.raises(ConfigError, match=rf"^{section}: .*{field}"):
             cli.config_from_dict({section: {field: value}})
 
     @pytest.mark.parametrize("override", [
-        "mrt.alpha=NaN", "mrt.alpha=Infinity", "mle.peak_lr=Infinity",
+        "mrt.lr=NaN", "mrt.lr=Infinity", "mle.peak_lr=Infinity",
         "domain.p_two_content=-Infinity"])
     def test_non_finite_value_named_at_load(self, override):
         field = override.split("=")[0].replace(".", r"\.")
@@ -98,7 +99,7 @@ class TestConfigValidation:
 
     def test_contract_violations_name_the_section(self):
         with pytest.raises(ConfigError, match="mrt"):
-            cli.config_from_dict({"mrt": {"alpha": -1.0}})
+            cli.config_from_dict({"mrt": {"n_samples": 0}})
         with pytest.raises(ConfigError, match="domain"):
             cli.config_from_dict({"domain": {"min_chunks": 5, "max_chunks": 2}})
 
@@ -136,10 +137,10 @@ class TestConfigValidation:
             cli.load_config(str(path), [], None)
 
     def test_an_int_for_a_float_field_hashes_as_the_float(self):
-        as_int = cli.load_config(None, ["mrt.alpha=1", "mle.peak_lr=0"], None)
-        as_float = cli.load_config(None, ["mrt.alpha=1.0", "mle.peak_lr=0.0"], None)
+        as_int = cli.load_config(None, ["mrt.lr=1", "mle.peak_lr=0"], None)
+        as_float = cli.load_config(None, ["mrt.lr=1.0", "mle.peak_lr=0.0"], None)
         assert as_int.canonical_json() == as_float.canonical_json()
-        assert type(as_int.mrt.alpha) is float
+        assert type(as_int.mrt.lr) is float
 
     def test_canonical_json_is_stable(self):
         a = cli.config_from_dict({"seed": 3}).canonical_json()
@@ -210,7 +211,6 @@ class TestExitCodes:
         ("model.num_heads=3", "model: embed_dim 16 not divisible by num_heads 3"),
         ("model.dropout_rate=1.5", "model: dropout_rate must be in [0, 1), got 1.5"),
         ("model.max_seq_len=1", "model: max_seq_len must be >= 2, got 1"),
-        ("eval.eval_beam=0", "eval: eval_beam must be >= 1, got 0"),
         ("eval.sweep_n=0", "eval: sweep_n must be >= 1, got 0"),
         ("mle.warmup_steps=0", "mle: warmup_steps must be >= 1, got 0"),
         ("mle.peak_lr=-1", "mle: peak_lr must be >= 0, got -1"),
@@ -228,11 +228,12 @@ class TestExitCodes:
         ("eval.length_norm_alpha=0.6", "eval.length_norm_alpha is not a recognized field"),
         ("eval.overlap_threshold=0.2", "eval.overlap_threshold is not a recognized field"),
         ("mle.label_smoothing=0.1", "mle.label_smoothing is not a recognized field"),
+        ("eval.eval_beam=4", "eval.eval_beam is not a recognized field"),
+        ("mrt.alpha=0.005", "mrt.alpha is not a recognized field"),
         # TINY asks for 10 sentences to judge from each test set
         ("data.test_size=4", "eval.hallucination_n must be <= data.test_size 4, got 10"),
         # sizes one decoder would hold beyond seqmodel.MAX_LIVE_ROWS, and a repeated width
         ("mrt.n_samples=65", "mrt: sentences_per_batch * n_samples must be <= 256, got 4 * 65"),
-        ("eval.eval_beam=257", "eval: eval_beam must be <= 256, got 257"),
         ("eval.beam_sizes=[1,257]", "eval: beam_sizes must be distinct sizes in [1, 256], "
          "got [1, 257]"),
         ("eval.beam_sizes=[2,1,2]", "eval: beam_sizes must be distinct sizes in [1, 256], "
@@ -897,11 +898,49 @@ class TestReproduce:
         vocab = sm.Vocabulary.from_json((out / "vocab.json").read_text())
         spec = cli._load_domain(out / "domain.json")
         pairs = dg.read_tsv(out / "test_ood.tsv")[: ev["sweep_n"]]
-        base = dec.DecodeConfig(length_norm_alpha=an.EVAL_ALPHA)
         for system in ("mle", "mrt"):
             store = sm.ParameterStore.load(out / f"{system}.ckpt")
-            fresh = an.beam_sweep(store, vocab, pairs, spec, [ev["eval_beam"]], base)
+            fresh = an.beam_sweep(store, vocab, pairs, spec, [dec.DecodeConfig.beam_size])
             assert summary["systems"][system]["beam_sweep"][1] == dataclasses.asdict(fresh[0])
+
+    def test_stage_commands_reproduce_the_summary(self, tmp_path, capsys):
+        # each analysis stage of reproduce, run as its own command on the
+        # run's files at the run's sizes, gives summary.json's figures
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["reproduce", "--config", str(config), "--outdir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())["systems"]
+        capsys.readouterr()
+        ev = TINY["eval"]
+
+        def command(name, system, n, *flags):
+            assert cli.main([name, "--checkpoint", str(out / f"{system}.ckpt"),
+                             "--domain", str(out / "domain.json"),
+                             "--data-file", str(out / "test_ood.tsv"), "--n", str(n),
+                             *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        curve_rows = (out / "uncertainty_curves.csv").read_text().splitlines()
+        for system in ("mle", "mrt"):
+            judgments, curves = tmp_path / f"{system}.jsonl", tmp_path / f"{system}.csv"
+            judged = command("evaluate", system, ev["hallucination_n"],
+                             "--judgments", str(judgments))
+            assert summary[system]["test_ood"] == {
+                "hallucination_rate": judged["rate"], "mean_overlap": judged["mean_overlap"],
+                "corpus_bleu": judged["corpus_bleu"]}
+            # the same hypotheses, not only the same figures
+            assert judgments.read_bytes() == (out / f"judgments_{system}_ood.jsonl").read_bytes()
+            swept = command("sweep-beam", system, ev["sweep_n"],
+                            "--beams", ",".join(map(str, ev["beam_sizes"])),
+                            "--output", str(tmp_path / "sweep.csv"))
+            assert summary[system]["beam_sweep"] == swept
+            certainty = command("analyze-uncertainty", system, ev["uncertainty_n"],
+                                "--distractor-file", str(out / "test_id.tsv"),
+                                "--seed", str(TINY["seed"]), "--system", system,
+                                "--output", str(curves))
+            assert summary[system]["certainty_gap"] == certainty["certainty_gap"]
+            assert curves.read_text().splitlines()[1:] == [
+                row for row in curve_rows if row.endswith(f",{system}")]
 
     def test_different_seed_changes_outputs(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)
@@ -954,7 +993,7 @@ def test_readme_stage_examples_parse():
 def test_decoding_commands_rank_with_the_evaluation_alpha(workspace, tmp_path, monkeypatch,
                                                         capsys):
     """`translate`, `evaluate`, `sweep-beam` and `reproduce` hand every beam
-    search the exponent `analysis.EVAL_ALPHA`, so at one `--beam` they pick
+    search the exponent `DecodeConfig`'s default, so at one `--beam` they pick
     the same best hypothesis."""
     config, data, run = workspace
     model = ["--checkpoint", str(run / "mle.ckpt"), "--domain", str(data / "domain.json")]
@@ -979,7 +1018,7 @@ def test_decoding_commands_rank_with_the_evaluation_alpha(workspace, tmp_path, m
                   "--set", "mrt.steps=0", "--outdir", str(tmp_path / "study")]):
         alphas.clear()
         assert cli.main(argv) == 0, capsys.readouterr().err
-        assert alphas and set(alphas) == {an.EVAL_ALPHA}, (argv[0], alphas)
+        assert alphas and set(alphas) == {dec.DecodeConfig.length_norm_alpha}, (argv[0], alphas)
 
 
 # each command's required arguments; no file is opened before parsing ends
@@ -1007,13 +1046,24 @@ def test_removed_decoding_flags_are_unrecognized(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["translate", "evaluate"])
+def test_beam_defaults_to_the_study_beam(command):
+    # a bare `evaluate` judges at the width `reproduce` judges with
+    args = cli.build_parser().parse_args([command, *REQUIRED[command]])
+    assert args.beam == dec.DecodeConfig().beam_size
+
+
+def _removed_settings_rows() -> list[list[str]]:
+    """README's table of removed settings: [removed, replaced by] per row."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Removed settings", 1)[1].split("\n\n#", 1)[0]
+    return [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `")]
+
+
 def test_readme_removed_settings_are_refused():
     """Every field in README's table of removed settings is an unknown
     field, and every `command --flag` there an unrecognized argument."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    table = readme.split("### Removed settings", 1)[1].split("\n\n#", 1)[0]
-    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
-    names = [name for cell in rows for name in cell.split("`")[1::2]]
+    names = [name for cell, _ in _removed_settings_rows() for name in cell.split("`")[1::2]]
     fields = [n for n in names if re.fullmatch(r"[a-z]+\.[a-z_0-9]+", n)]
     flags = [n.split() for n in names if re.fullmatch(r"[a-z-]+ --[a-z-]+", n)]
     assert len(fields) + len(flags) == len(names) and fields and flags, names
@@ -1026,3 +1076,18 @@ def test_readme_removed_settings_are_refused():
         parser.parse_args([command, *REQUIRED[command]])
         with pytest.raises(ConfigError, match=f"unrecognized arguments: {flag} 1$"):
             parser.parse_args([command, *REQUIRED[command], flag, "1"])
+
+
+def test_readme_removed_settings_name_what_replaced_them():
+    """Every dotted name in the "replaced by" column of README's table of
+    removed settings resolves under `seqrisk`, and one followed by a number
+    in parentheses holds that number."""
+    named = [m for _, cell in _removed_settings_rows()
+             for m in re.finditer(r"`([a-z]+(?:\.\w+)+)(?:\(\))?`(?: \(([^)]+)\))?", cell)]
+    assert len(named) >= 6, named
+    for match in named:
+        module, *attrs = match[1].split(".")
+        value = importlib.import_module(f"seqrisk.{module}")
+        for attr in attrs:
+            value = getattr(value, attr)
+        assert match[2] is None or value == float(match[2]), (match[0], value)

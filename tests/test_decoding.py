@@ -142,7 +142,8 @@ class TestBeamOverFixedTable:
 
     def test_two_step_search_is_hand_checkable(self):
         hyps = dec.beam_search_steps(table_step_fn(self.TABLE), max_len=3,
-                                     config=dec.DecodeConfig(beam_size=2))
+                                     config=dec.DecodeConfig(beam_size=2,
+                                                             length_norm_alpha=1.0))
         assert [h.tokens for h in hyps] == [[1, 4, 2], [1, 5, 4]]
         assert hyps[0].total_log_prob == pytest.approx(np.log(0.5 * 0.9))
         assert hyps[0].finished and not hyps[1].finished

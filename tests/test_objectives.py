@@ -356,10 +356,10 @@ def test_dedup_keeps_each_draw_once_in_first_draw_order(include_reference):
 
 
 class TestMRTConfig:
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
-    def test_rejects_non_positive_alpha(self, alpha):
-        with pytest.raises(ContractError, match="alpha"):
-            obj.MRTConfig(alpha=alpha)
+    @pytest.mark.parametrize("field", ["n_samples", "sentences_per_batch"])
+    def test_refuses_a_size_below_one(self, field):
+        with pytest.raises(ContractError, match=f"{field} must be >= 1"):
+            obj.MRTConfig(**{field: 0})
 
     def test_refuses_more_candidates_than_one_decoder_holds(self):
         assert obj.MRTConfig(sentences_per_batch=8, n_samples=32).n_samples == 32
@@ -623,6 +623,21 @@ class TestTrainingLoops:
         assert any(not np.array_equal(before[n], store[n].data) for n in before)
         rows = read_trace(trace)
         assert len(rows) - 1 == 2 == store.step_count
+
+    def test_mrt_sharpens_with_the_constant_alpha(self, monkeypatch):
+        vocab, corpus = tiny_corpus()
+        store = make_store(vocab=len(vocab))
+        alphas = []
+
+        def spy(store, batch, alpha):
+            alphas.append(alpha)
+            return risk(store, batch, alpha)
+
+        risk = obj.mrt_risk
+        monkeypatch.setattr(obj, "mrt_risk", spy)
+        obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2, sentences_per_batch=4,
+                                                      n_samples=2), seed=0)
+        assert alphas == [obj.MRT_ALPHA] * 2
 
     def test_empty_corpus_rejected(self):
         store = make_store(11)

@@ -233,10 +233,10 @@ def _settable_values() -> list[tuple]:
             if not dataclasses.is_dataclass(hint)]
 
 
-def test_the_configuration_has_33_settable_values():
+def test_the_configuration_has_31_settable_values():
     # adding or removing a setting changes this figure on purpose
     leaves = _settable_values()
-    assert len(leaves) == 33, [".".join(path) for path in leaves]
+    assert len(leaves) == 31, [".".join(path) for path in leaves]
 
 
 def test_readme_states_the_number_of_settable_values():
