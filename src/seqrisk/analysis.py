@@ -90,7 +90,7 @@ def judge_corpus(store: sm.ParameterStore, vocab: sm.Vocabulary,
                  config: dec.DecodeConfig) -> list[HallucinationJudgment]:
     """Beam-decode every source and judge its best hypothesis."""
     results = dec.beam_search_corpus(store, [vocab.encode(src) for src, _ in pairs], config)
-    return [judge_hypothesis(src, ref, vocab.decode(hyps[0].generated()), spec)
+    return [judge_hypothesis(src, ref, vocab.decode(hyps[0].tokens), spec)
             for (src, ref), hyps in zip(pairs, results)]
 
 

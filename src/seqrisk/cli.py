@@ -30,7 +30,7 @@ from . import decoding as dec
 from . import numkit as nk
 from . import objectives as obj
 from . import seqmodel as sm
-from .errors import ConfigError, ContractError, SeqriskError
+from .errors import ContractError, SeqriskError
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def _apply_override(data: dict, assignment: str) -> None:
     """Apply one `section.field=value` (value parsed as JSON when possible)."""
     if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of the form key=value")
+        raise ContractError(f"override {assignment!r} is not of the form key=value")
     path, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
@@ -116,7 +116,7 @@ def _apply_override(data: dict, assignment: str) -> None:
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise ConfigError(f"override path {path!r} crosses a non-object field")
+            raise ContractError(f"override path {path!r} crosses a non-object field")
     node[parts[-1]] = value
 
 
@@ -124,7 +124,7 @@ def load_config(path: str | None, overrides: list[str],
                 seed: int | None) -> ExperimentConfig:
     data = _load_json(path) if path is not None else {}
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: the configuration must be a JSON object")
+        raise ContractError(f"{path}: the configuration must be a JSON object")
     for assignment in overrides:
         _apply_override(data, assignment)
     if seed is not None:
@@ -142,7 +142,7 @@ def _load_json(path):
     try:
         return json.loads(sm.read_utf8(path))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        raise ContractError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _sha256_file(path: Path) -> str:
@@ -376,7 +376,7 @@ def run_reproduce(config: ExperimentConfig, outdir: Path) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route through our codes
-        raise ConfigError(message)
+        raise ContractError(message)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -462,7 +462,7 @@ def _cmd_translate(args) -> int:
     for i, hyps in zip(kept, dec.beam_search_corpus(
             store, [vocab.encode(sources[i]) for i in kept], config)):
         best = hyps[0]
-        text = " ".join(vocab.decode(best.generated()))
+        text = " ".join(vocab.decode(best.tokens))
         lines[i] = f"{text}\t{best.total_log_prob:.6f}" if args.scores else text
     payload = "\n".join(lines) + ("\n" if lines else "")
     if args.output == "-":

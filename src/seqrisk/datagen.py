@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import seqmodel as sm
-from .errors import ContractError, ParseError
+from .errors import ContractError
 
 STREAM_TRAIN = 10
 STREAM_DEV = 11
@@ -245,19 +245,19 @@ def read_tsv(path) -> list[TokenPair]:
     pairs: list[TokenPair] = []
     for lineno, line in enumerate(lines, start=1):
         if "\r" in line:
-            raise ParseError(f"{path}:{lineno}: carriage return in corpus file")
+            raise ContractError(f"{path}:{lineno}: carriage return in corpus file")
         if not line:
-            raise ParseError(f"{path}:{lineno}: blank line")
+            raise ContractError(f"{path}:{lineno}: blank line")
         cols = line.split("\t")
         if len(cols) != 2:
-            raise ParseError(
+            raise ContractError(
                 f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
         src, tgt = cols[0].split(), cols[1].split()
         if not src or not tgt:
-            raise ParseError(f"{path}:{lineno}: empty source or target field")
+            raise ContractError(f"{path}:{lineno}: empty source or target field")
         pairs.append((src, tgt))
     if not pairs:
-        raise ParseError(f"{path}: no sentence pairs in the file")
+        raise ContractError(f"{path}: no sentence pairs in the file")
     return pairs
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import seqmodel as sm
-from .errors import ContractError, LengthError
+from .errors import ContractError
 
 BANNED_CONTINUATIONS = (sm.PAD_ID, sm.BOS_ID)
 
@@ -54,13 +54,6 @@ class Hypothesis:
     total_log_prob: float
     normalized_score: float
     finished: bool
-
-    def generated(self) -> list[int]:
-        """Ids after BOS, without the trailing EOS."""
-        out = self.tokens[1:]
-        if out and out[-1] == sm.EOS_ID:
-            out = out[:-1]
-        return out
 
 
 def length_penalty(length: int, alpha: float) -> float:
@@ -187,7 +180,7 @@ def beam_search_corpus(store: sm.ParameterStore, sources: Sequence[Sequence[int]
     for start in range(0, len(sources), per_batch):
         chunk = sources[start: start + per_batch]
         if min(len(s) for s in chunk) < 1:
-            raise LengthError("source must contain at least one token")
+            raise ContractError("source must contain at least one token")
         state = sm.IncrementalDecoder(store, sm.pad_batch(chunk))
         out.extend(_beam_core(lambda parents, seqs: state.step(parents, seqs[:, -1]),
                               len(chunk), store.config.max_seq_len, config))

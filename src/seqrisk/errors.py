@@ -5,29 +5,9 @@ class SeqriskError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ShapeError(SeqriskError):
-    """Operand shapes are incompatible."""
-
-
 class NumericsError(SeqriskError):
     """A forward value became NaN/Inf, or training diverged."""
 
 
 class ContractError(SeqriskError):
     """A documented precondition was violated by the caller."""
-
-
-class LengthError(SeqriskError):
-    """A sequence exceeds the configured maximum length."""
-
-
-class VocabularyError(SeqriskError):
-    """A token or id is outside the vocabulary."""
-
-
-class ParseError(SeqriskError):
-    """A corpus or config file is malformed."""
-
-
-class ConfigError(SeqriskError):
-    """An experiment config field is missing or invalid."""

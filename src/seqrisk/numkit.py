@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericsError, ShapeError
+from .errors import ContractError, NumericsError
 
 DEFAULT_DTYPE = np.float32
 
@@ -219,11 +219,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.  Supports 2D x 2D, ND x ND with equal batch dims,
     and ND x 2D (the 2D operand acts on the last axis)."""
     if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >=2D operands, got {a.shape} and {b.shape}")
+        raise ContractError(f"matmul needs >=2D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+        raise ContractError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     if b.data.ndim != 2 and a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul batch dimensions disagree: {a.shape} vs {b.shape}")
+        raise ContractError(f"matmul batch dimensions disagree: {a.shape} vs {b.shape}")
     out_data = a.data @ b.data
     sa, sb = a.slot, b.slot
     a_data = a.data if sb is not None else None
@@ -319,7 +319,7 @@ def normalize_last(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
-        raise ShapeError(
+        raise ContractError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim of {a.shape}")
     n = a.shape[-1]
     x_hat, inv_std = normalize_last(a.data)
@@ -344,7 +344,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of `weight` by integer id array; output ids.shape + (dim,)."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
-        raise ShapeError(
+        raise ContractError(
             f"embedding ids out of range [0, {weight.shape[0]}): min={ids.min()}, max={ids.max()}")
     out_data = weight.data[ids]
     sw = weight.slot
@@ -368,7 +368,7 @@ def take_along_last(a: Tensor, idx: np.ndarray) -> Tensor:
     """out[..., t] = a[..., t, idx[..., t]]: select one entry per last-axis row."""
     idx = np.asarray(idx)
     if idx.shape != a.shape[:-1]:
-        raise ShapeError(f"index shape {idx.shape} must equal {a.shape[:-1]}")
+        raise ContractError(f"index shape {idx.shape} must equal {a.shape[:-1]}")
     out_data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
     sa = a.slot
 
@@ -386,7 +386,7 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     out_data = np.where(mask, a.data.dtype.type(value), a.data)
     if out_data.shape != a.shape:
-        raise ShapeError(f"mask shape {mask.shape} does not broadcast onto {a.shape}")
+        raise ContractError(f"mask shape {mask.shape} does not broadcast onto {a.shape}")
     sa = a.slot
 
     def rule(g: np.ndarray) -> None:
@@ -420,7 +420,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
     if start < 0 or start + length > a.shape[axis]:
-        raise ShapeError(f"narrow [{start}:{start + length}) exceeds axis {axis} of {a.shape}")
+        raise ContractError(f"narrow [{start}:{start + length}) exceeds axis {axis} of {a.shape}")
     index = [slice(None)] * a.data.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
@@ -547,29 +547,29 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
     dim = query_x.shape[-1]
     if query_x.data.ndim == 3 and query_slots is None and key_slots is None:
         if key_x.data.ndim != 3 or key_x.shape[0] != query_x.shape[0]:
-            raise ShapeError(f"attention query {query_x.shape} and keys {key_x.shape} disagree")
+            raise ContractError(f"attention query {query_x.shape} and keys {key_x.shape} disagree")
         query_slots, key_slots = Slots.full(*query_x.shape[:2]), Slots.full(*key_x.shape[:2])
     elif query_x.data.ndim != 2 or key_x.data.ndim != 2 or query_slots is None or key_slots is None:
-        raise ShapeError(f"attention takes [B, L, D] inputs, or [N, D] rows with their slots; "
-                         f"got {query_x.shape} and {key_x.shape}")
+        raise ContractError(f"attention takes [B, L, D] inputs, or [N, D] rows with their slots; "
+                            f"got {query_x.shape} and {key_x.shape}")
     q_rows, k_rows = query_x.data.reshape(-1, dim), key_x.data.reshape(-1, dim)
     (bsz, q_len), k_len = query_slots.index.shape, key_slots.index.shape[1]
     if key_x.shape[-1] != dim or key_slots.index.shape[0] != bsz:
-        raise ShapeError(f"attention query {query_x.shape} and keys {key_x.shape} disagree")
+        raise ContractError(f"attention query {query_x.shape} and keys {key_x.shape} disagree")
     if dim % heads:
-        raise ShapeError(f"attention width {dim} not divisible by {heads} heads")
+        raise ContractError(f"attention width {dim} not divisible by {heads} heads")
     q_groups = query_slots.plan(heads)[1]
     if len(q_groups) > 1 or q_groups and q_groups[0][0].size != q_rows.shape[0]:
-        raise ShapeError(f"query slots must hold each of the {q_rows.shape[0]} query rows once")
+        raise ContractError(f"query slots must hold each of the {q_rows.shape[0]} query rows once")
     if key_slots.index.max(initial=-1) >= k_rows.shape[0]:
-        raise ShapeError(f"key slots name rows beyond the {k_rows.shape[0]} key rows")
+        raise ContractError(f"key slots name rows beyond the {k_rows.shape[0]} key rows")
     for w in (wq, wk, wv, wo):
         if w.shape != (dim, dim):
-            raise ShapeError(f"attention projection {w.shape} must be ({dim}, {dim})")
+            raise ContractError(f"attention projection {w.shape} must be ({dim}, {dim})")
     dh = dim // heads
     scores_shape = (bsz, heads, q_len, k_len)
     if keep is not None and keep.shape != scores_shape:
-        raise ShapeError(f"attention keep mask {keep.shape} must be {scores_shape}")
+        raise ContractError(f"attention keep mask {keep.shape} must be {scores_shape}")
     s = 1.0 / math.sqrt(dh)
     empty = (key_slots.index < 0)[:, None, None, :]
     if empty.any():
@@ -597,7 +597,7 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
         mask = np.asarray(mask, dtype=bool)
         scores = np.where(mask, q.dtype.type(NEG_INF_FILL), scores)
         if scores.shape != scores_shape:
-            raise ShapeError(f"mask shape {mask.shape} does not broadcast onto {scores_shape}")
+            raise ContractError(f"mask shape {mask.shape} does not broadcast onto {scores_shape}")
     shifted = scores - _max_last(scores)
     e = np.exp(shifted)
     weights = checked("softmax", e / e.sum(axis=-1, keepdims=True))

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import numkit as nk
-from .errors import ConfigError, ContractError, LengthError, NumericsError, ParseError, VocabularyError
+from .errors import ContractError, NumericsError
 
 PAD_ID = 0
 BOS_ID = 1
@@ -90,7 +90,7 @@ class Vocabulary:
         self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(SPECIAL_TOKENS)}
         for tok in tokens:
             if tok in self._token_to_id:
-                raise VocabularyError(f"duplicate or reserved token: {tok!r}")
+                raise ContractError(f"duplicate or reserved token: {tok!r}")
             self._token_to_id[tok] = len(self._id_to_token)
             self._id_to_token.append(tok)
 
@@ -103,7 +103,7 @@ class Vocabulary:
 
     def token_of(self, idx: int) -> str:
         if not 0 <= idx < len(self._id_to_token):
-            raise VocabularyError(f"id {idx} outside vocabulary of size {len(self)}")
+            raise ContractError(f"id {idx} outside vocabulary of size {len(self)}")
         return self._id_to_token[idx]
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
@@ -121,27 +121,27 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":
-        """Parse `to_json` output; any other text raises VocabularyError."""
+        """Parse `to_json` output; any other text raises ContractError."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise VocabularyError(f"invalid JSON: {exc}") from None
+            raise ContractError(f"invalid JSON: {exc}") from None
         tokens = data.get("tokens") if isinstance(data, dict) else None
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise VocabularyError('expected an object {"tokens": [token strings]}')
+            raise ContractError('expected an object {"tokens": [token strings]}')
         return cls(tokens)
 
 
 def read_utf8(path) -> str:
     """The text of file `path` decoded as UTF-8.  Bytes that are not UTF-8
-    raise ParseError naming the file and the line."""
+    raise ContractError naming the file and the line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}:{line}: not UTF-8 text") from None
+        raise ContractError(f"{path}:{line}: not UTF-8 text") from None
 
 
 def _fits(value, hint) -> bool:
@@ -160,30 +160,30 @@ def build_settings(cls, data, path: str = ""):
     """The settings dataclass `cls` built from the JSON object `data`; a
     dataclass-typed field is built from its own object the same way.  An
     unknown or missing field, a mistyped value or one that `cls` refuses
-    raises ConfigError naming it `path.field` (with no path, `field`)."""
+    raises ContractError naming it `path.field` (with no path, `field`)."""
     where = f"{path}." if path else ""
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'configuration root'} must be an object")
+        raise ContractError(f"{path or 'configuration root'} must be an object")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         if key not in hints:
-            raise ConfigError(f"{where}{key} is not a recognized field")
+            raise ContractError(f"{where}{key} is not a recognized field")
         hint = hints[key]
         if is_dataclass(hint):
             value = build_settings(hint, value, where + key)
         elif not _fits(value, hint):
             what = ("a finite number" if hint is float
                     else hint.__name__ if isinstance(hint, type) else hint)
-            raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
+            raise ContractError(f"{where}{key} must be {what}, got {value!r}")
         kwargs[key] = float(value) if hint is float else value  # 1 and 1.0: one config
     for f in fields(cls):
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where}{f.name} is required")
+            raise ContractError(f"{where}{f.name} is required")
     try:
         return cls(**kwargs)
     except (ContractError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+        raise ContractError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def in_place(path) -> bool:
@@ -364,7 +364,7 @@ class ParameterStore:
             entries = [(e["name"], tuple(map(operator.index, e["shape"])),
                         operator.index(e["offset"])) for e in manifest["tensors"]]
             digest = manifest["payload_sha256"]
-        except (ConfigError, ContractError) as exc:
+        except ContractError as exc:
             raise ContractError(f"{path}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
@@ -409,12 +409,12 @@ def sinusoid_table(max_len: int, dim: int, dtype=np.float32) -> np.ndarray:
 
 def _validate_ids(ids: np.ndarray, config: ModelConfig, what: str) -> None:
     if ids.shape[-1] > config.max_seq_len:
-        raise LengthError(
+        raise ContractError(
             f"{what} length {ids.shape[-1]} exceeds max_seq_len {config.max_seq_len}")
     if ids.shape[-1] < 1:
-        raise LengthError(f"{what} must contain at least one token")
+        raise ContractError(f"{what} must contain at least one token")
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
-        raise VocabularyError(
+        raise ContractError(
             f"{what} ids out of range for vocab_size {config.vocab_size}")
 
 
@@ -661,7 +661,7 @@ class IncrementalDecoder:
     def step(self, parents: np.ndarray | None, tokens: np.ndarray) -> np.ndarray:
         cfg = self.config
         if self.length >= cfg.max_seq_len:
-            raise LengthError(f"target length would exceed max_seq_len {cfg.max_seq_len}")
+            raise ContractError(f"target length would exceed max_seq_len {cfg.max_seq_len}")
         if parents is not None:
             self._cross = [(k[parents], v[parents]) for k, v in self._cross]
             self._self = [(k[parents], v[parents]) for k, v in self._self]

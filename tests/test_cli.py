@@ -23,7 +23,7 @@ from seqrisk import datagen as dg
 from seqrisk import decoding as dec
 from seqrisk import numkit as nk
 from seqrisk import seqmodel as sm
-from seqrisk.errors import ConfigError, ContractError
+from seqrisk.errors import ContractError
 
 TINY = {
     "seed": 1,
@@ -56,21 +56,21 @@ class TestConfigValidation:
         assert config.model.embed_dim == 64
 
     def test_unknown_top_level_field_named(self):
-        with pytest.raises(ConfigError, match="seeed"):
+        with pytest.raises(ContractError, match="seeed"):
             cli.config_from_dict({"seeed": 3})
 
     def test_unknown_nested_field_named(self):
-        with pytest.raises(ConfigError, match=r"mle\.peak_lrr"):
+        with pytest.raises(ContractError, match=r"mle\.peak_lrr"):
             cli.config_from_dict({"mle": {"peak_lrr": 0.1}})
 
     def test_section_must_be_object(self):
-        with pytest.raises(ConfigError, match="mrt must be an object"):
+        with pytest.raises(ContractError, match="mrt must be an object"):
             cli.config_from_dict({"mrt": 5})
 
     def test_seed_must_be_integer(self):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ContractError, match="seed"):
             cli.config_from_dict({"seed": "zero"})
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ContractError, match="seed"):
             cli.config_from_dict({"seed": True})
 
     @pytest.mark.parametrize("section, field, value", [
@@ -80,7 +80,7 @@ class TestConfigValidation:
         ("mle", "warmup_steps", 0), ("mle", "peak_lr", -1),
         ("mrt", "lr", -1), ("mrt", "steps", -1), ("mrt", "sentences_per_batch", 0)])
     def test_bad_value_named_at_load(self, section, field, value):
-        with pytest.raises(ConfigError, match=rf"^{section}: .*{field}"):
+        with pytest.raises(ContractError, match=rf"^{section}: .*{field}"):
             cli.config_from_dict({section: {field: value}})
 
     @pytest.mark.parametrize("override", [
@@ -88,7 +88,7 @@ class TestConfigValidation:
         "domain.p_two_content=-Infinity"])
     def test_non_finite_value_named_at_load(self, override):
         field = override.split("=")[0].replace(".", r"\.")
-        with pytest.raises(ConfigError, match=rf"^{field} must be a finite number, got "):
+        with pytest.raises(ContractError, match=rf"^{field} must be a finite number, got "):
             cli.load_config(None, [override], None)
 
     @pytest.mark.parametrize("section, fields", [
@@ -98,9 +98,9 @@ class TestConfigValidation:
         assert all(getattr(getattr(config, section), f) == 0 for f in fields)
 
     def test_contract_violations_name_the_section(self):
-        with pytest.raises(ConfigError, match="mrt"):
+        with pytest.raises(ContractError, match="mrt"):
             cli.config_from_dict({"mrt": {"n_samples": 0}})
-        with pytest.raises(ConfigError, match="domain"):
+        with pytest.raises(ContractError, match="domain"):
             cli.config_from_dict({"domain": {"min_chunks": 5, "max_chunks": 2}})
 
     @pytest.mark.parametrize("section, field, value", [
@@ -108,7 +108,7 @@ class TestConfigValidation:
         ("eval", "beam_sizes", [1, "4"]),
         ("mrt", "n_samples", "4"), ("domain", "p_two_content", "0.5")])
     def test_wrongly_typed_field_named(self, section, field, value):
-        with pytest.raises(ConfigError, match=rf"^{section}\.{field} must be "):
+        with pytest.raises(ContractError, match=rf"^{section}\.{field} must be "):
             cli.config_from_dict({section: {field: value}})
 
     def test_overrides(self):
@@ -122,7 +122,7 @@ class TestConfigValidation:
         assert config.seed == 7
 
     def test_override_requires_assignment(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError, match="'mle.epochs' is not of the form key=value"):
             cli._apply_override({}, "mle.epochs")
 
     def test_seed_flag_wins_over_file(self, tmp_path):
@@ -133,7 +133,7 @@ class TestConfigValidation:
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError, match="invalid JSON"):
+        with pytest.raises(ContractError, match="invalid JSON"):
             cli.load_config(str(path), [], None)
 
     def test_an_int_for_a_float_field_hashes_as_the_float(self):
@@ -1069,12 +1069,12 @@ def test_readme_removed_settings_are_refused():
     assert len(fields) + len(flags) == len(names) and fields and flags, names
     for name in fields:
         section, key = name.split(".")
-        with pytest.raises(ConfigError, match=rf"^{section}\.{key} is not a recognized field$"):
+        with pytest.raises(ContractError, match=rf"^{section}\.{key} is not a recognized field$"):
             cli.config_from_dict({section: {key: 1}})
     parser = cli.build_parser()
     for command, flag in flags:
         parser.parse_args([command, *REQUIRED[command]])
-        with pytest.raises(ConfigError, match=f"unrecognized arguments: {flag} 1$"):
+        with pytest.raises(ContractError, match=f"unrecognized arguments: {flag} 1$"):
             parser.parse_args([command, *REQUIRED[command], flag, "1"])
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from seqrisk import cli
 from seqrisk import datagen as dg
 from seqrisk import seqmodel as sm
-from seqrisk.errors import ContractError, ParseError
+from seqrisk.errors import ContractError
 
 
 def small_spec(**overrides):
@@ -290,31 +290,31 @@ class TestCorpusFiles:
     def test_rejects_carriage_returns(self, tmp_path):
         path = tmp_path / "crlf.tsv"
         path.write_bytes(b"sf0 sb0\ttf0 tb0\r\n")
-        with pytest.raises(ParseError, match="carriage return"):
+        with pytest.raises(ContractError, match="carriage return"):
             dg.read_tsv(path)
 
     def test_rejects_wrong_column_count(self, tmp_path):
         path = tmp_path / "cols.tsv"
         path.write_text("sf0 sb0\ttf0 tb0\textra\n")
-        with pytest.raises(ParseError, match="2 tab-separated columns"):
+        with pytest.raises(ContractError, match="2 tab-separated columns"):
             dg.read_tsv(path)
         path.write_text("no tabs here\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ContractError, match="cols.tsv:1: expected 2 tab-separated columns, got 1"):
             dg.read_tsv(path)
 
     def test_rejects_blank_lines_and_empty_fields(self, tmp_path):
         path = tmp_path / "blank.tsv"
         path.write_text("sf0 sb0\ttf0 tb0\n\nsf1 sb1\ttf1 tb1\n")
-        with pytest.raises(ParseError, match="blank line"):
+        with pytest.raises(ContractError, match="blank line"):
             dg.read_tsv(path)
         path.write_text("\ttf0 tb0\n")
-        with pytest.raises(ParseError, match="empty source or target"):
+        with pytest.raises(ContractError, match="empty source or target"):
             dg.read_tsv(path)
 
     def test_rejects_a_file_holding_no_pair(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_bytes(b"")
-        with pytest.raises(ParseError, match="empty.tsv: no sentence pairs in the file"):
+        with pytest.raises(ContractError, match="empty.tsv: no sentence pairs in the file"):
             dg.read_tsv(path)
 
     def test_encode_corpus_frames_targets(self):

@@ -112,12 +112,6 @@ class TestBeamSearch:
             lp = dec.length_penalty(len(h.tokens) - 1, 1.0)
             assert h.normalized_score == pytest.approx(h.total_log_prob / lp, rel=1e-6)
 
-    def test_hypothesis_generated_strips_frame(self):
-        h = dec.Hypothesis([sm.BOS_ID, 7, 8, sm.EOS_ID], -1.0, -0.5, True)
-        assert h.generated() == [7, 8]
-        h2 = dec.Hypothesis([sm.BOS_ID, 7, 8], -1.0, -0.5, False)
-        assert h2.generated() == [7, 8]
-
 
 def table_step_fn(table, vocab=6):
     """Next-token scorer from a dict of prefix -> {id: prob}; zero-mass ids

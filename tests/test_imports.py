@@ -1,11 +1,15 @@
 """Every module of the package uses each name it imports, and imports only
-from the standard library, numpy and the package itself."""
+from the standard library, numpy and the package itself; every error type
+is caught somewhere, and every random stream has an id of its own."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+from seqrisk import errors
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "seqrisk"
 
@@ -39,6 +43,22 @@ def test_module_uses_every_imported_name(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def top_level_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """The names that the top level of `tree` binds by `def`, `class` or
+    assignment, each with the line that binds it."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names]
+    return found
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """The module-level private names (`_x`, not dunders) that the modules in
     `sources` (module name to source) define and none of them reads, each
@@ -47,17 +67,9 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     defined, read = {}, set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined[name] = f"{module}:{node.lineno}"
+        for name, line in top_level_names(tree):
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = f"{module}:{line}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -110,3 +122,48 @@ def test_the_scan_finds_foreign_imports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_the_standard_library_and_numpy(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def caught_names(source: str) -> set[str]:
+    """The exception names that the `except` clauses of `source` catch,
+    alone or in a tuple, bare or as a module's attribute."""
+    caught = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.update(t.attr if isinstance(t, ast.Attribute) else t.id for t in types)
+    return caught
+
+
+def test_the_scan_finds_caught_names():
+    source = ("try:\n    f()\nexcept (ContractError, TypeError) as exc:\n    g(exc)\n"
+              "except errors.NumericsError:\n    pass\nexcept:\n    raise\n"
+              "Refusal = ValueError\n")
+    assert caught_names(source) == {"ContractError", "TypeError", "NumericsError"}
+
+
+def test_every_error_type_is_caught_somewhere():
+    """An error type that no handler tells apart from the others would only
+    repeat what its message says; a refusal of any kind is a ContractError."""
+    types = {name for name, value in vars(errors).items()
+             if isinstance(value, type) and value.__module__ == errors.__name__}
+    caught = set().union(*(caught_names(path.read_text(encoding="utf-8"))
+                           for path in sorted(PACKAGE.glob("*.py"))))
+    assert "ContractError" in types
+    assert sorted(types - caught) == []
+
+
+def test_random_stream_ids_are_distinct():
+    """Each random stream draws from `[seed, id]`, so two streams sharing an
+    id would draw the same numbers."""
+    streams = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = [name for name, _ in top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+                 if name.startswith("STREAM_")]
+        if names:
+            module = importlib.import_module(f"seqrisk.{path.stem}")
+            streams.update((f"{path.stem}.{name}", getattr(module, name)) for name in names)
+    assert {"objectives.STREAM_INIT", "analysis.STREAM_DISTRACTOR",
+            "datagen.STREAM_TRAIN"} <= streams.keys()
+    assert all(type(value) is int for value in streams.values()), streams
+    assert len(set(streams.values())) == len(streams), streams

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from seqrisk import numkit as nk
-from seqrisk.errors import ContractError, NumericsError, ShapeError
+from seqrisk.errors import ContractError, NumericsError
 
 F64 = np.float64
 
@@ -76,9 +76,9 @@ class TestForward:
 
     def test_matmul_shape_errors_name_both_shapes(self):
         a, b = nk.zeros((2, 3)), nk.zeros((4, 5))
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
+        with pytest.raises(ContractError, match=r"\(2, 3\).*\(4, 5\)"):
             nk.matmul(a, b)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match="matmul batch dimensions disagree"):
             nk.matmul(nk.zeros((2, 3, 4)), nk.zeros((3, 4, 5)))
 
     def test_softmax_rows_normalize(self):
@@ -116,7 +116,7 @@ class TestForward:
         assert np.allclose(out.var(axis=-1), 1.0, atol=1e-4)
 
     def test_layer_norm_rejects_wrong_affine_shape(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"layer_norm affine shapes \(4,\)/\(8,\)"):
             nk.layer_norm(nk.zeros((2, 8)), nk.zeros(4), nk.zeros(8))
 
     def test_embedding_gathers_rows(self):
@@ -126,7 +126,7 @@ class TestForward:
         assert np.array_equal(out, w[ids])
 
     def test_embedding_rejects_bad_ids(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"embedding ids out of range \[0, 4\): min=0, max=4"):
             nk.embedding(nk.zeros((4, 3)), np.array([0, 4]))
 
     def test_take_along_last(self):
@@ -137,7 +137,7 @@ class TestForward:
         for i in range(2):
             for j in range(3):
                 assert out[i, j] == a[i, j, idx[i, j]]
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"index shape \(2, 4\) must equal \(2, 3\)"):
             nk.take_along_last(nk.Tensor(a), np.zeros((2, 4), dtype=int))
 
     def test_masked_fill(self):
@@ -150,7 +150,7 @@ class TestForward:
         a = nk.Tensor(np.arange(24, dtype=F64).reshape(2, 3, 4))
         out = nk.narrow(a, 1, 1, 2).data
         assert np.array_equal(out, a.data[:, 1:3])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"narrow \[2:4\) exceeds axis 1"):
             nk.narrow(a, 1, 2, 2)
 
     def test_add_mul_broadcast(self):
@@ -640,11 +640,11 @@ class TestAttention:
 
     def test_rejects_mismatched_shapes(self):
         x, w = nk.zeros((2, 3, 8)), nk.zeros((8, 8))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"query \(2, 3, 8\) and keys \(2, 4, 6\) disagree"):
             nk.attention(x, nk.zeros((2, 4, 6)), w, w, w, w, 2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"attention projection \(8, 4\) must be \(8, 8\)"):
             nk.attention(x, x, w, w, nk.zeros((8, 4)), w, 2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"keep mask \(2, 2, 3, 4\) must be \(2, 2, 3, 3\)"):
             nk.attention(x, x, w, w, w, w, 2, keep=np.ones((2, 2, 3, 4)))
 
 

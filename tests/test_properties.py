@@ -18,7 +18,7 @@ from seqrisk import cli
 from seqrisk import metrics
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
-from seqrisk.errors import ConfigError, ContractError
+from seqrisk.errors import ContractError
 
 FEW = settings(max_examples=40, deadline=None)
 
@@ -70,7 +70,7 @@ def test_model_section_is_refused_exactly_when_the_model_is(section, vocab_size)
     try:
         want = sm.ModelConfig(vocab_size=vocab_size, **section)
     except ContractError:
-        with pytest.raises(ConfigError, match="^model: "):
+        with pytest.raises(ContractError, match="^model: "):
             cli.config_from_dict(data)
     else:
         config = cli.config_from_dict(data)
@@ -190,7 +190,7 @@ def test_every_configuration_builds_or_is_refused(mistyped, near, data):
     raw = data.draw(settings_objects(cli.ExperimentConfig, near, mistyped))
     try:
         config = cli.config_from_dict(raw)
-    except ConfigError:
+    except ContractError:
         return
     event(f"built ({'near' if near else 'anywhere'})")
     assert not mistyped, f"{'.'.join(mistyped)} of a wrong kind was accepted"

@@ -17,7 +17,7 @@ from seqrisk import datagen as dg
 from seqrisk import numkit as nk
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
-from seqrisk.errors import (ContractError, LengthError, NumericsError, VocabularyError)
+from seqrisk.errors import ContractError, NumericsError
 
 
 def tiny_config(**overrides):
@@ -74,14 +74,14 @@ class TestVocabulary:
         assert v.decode(ids) == ["x"]
 
     def test_duplicate_and_reserved_tokens_rejected(self):
-        with pytest.raises(VocabularyError):
+        with pytest.raises(ContractError, match="duplicate or reserved token: 'a'"):
             sm.Vocabulary(["a", "a"])
-        with pytest.raises(VocabularyError):
+        with pytest.raises(ContractError, match="duplicate or reserved token: '<pad>'"):
             sm.Vocabulary(["<pad>"])
 
     def test_out_of_range_id_rejected(self):
         v = sm.Vocabulary(["a"])
-        with pytest.raises(VocabularyError):
+        with pytest.raises(ContractError, match="id 99 outside vocabulary of size 5"):
             v.token_of(99)
 
     def test_json_round_trip(self):
@@ -173,15 +173,15 @@ class TestForward:
         assert np.allclose(rows[1, : len(tgt_b)], solo_b, atol=1e-5)
 
     def test_length_limits(self, store):
-        with pytest.raises(LengthError):
+        with pytest.raises(ContractError, match="source length 17 exceeds max_seq_len 16"):
             sm.encode_batch(store, np.full((1, 17), 5))
-        with pytest.raises(LengthError):
+        with pytest.raises(ContractError, match="target length 17 exceeds max_seq_len 16"):
             solo(store, [5], [sm.BOS_ID] + [6] * 16)
-        with pytest.raises(LengthError):
+        with pytest.raises(ContractError, match="source must contain at least one token"):
             sm.encode_batch(store, np.zeros((1, 0), dtype=np.int64))
 
     def test_vocabulary_range(self, store):
-        with pytest.raises(VocabularyError):
+        with pytest.raises(ContractError, match="source ids out of range for vocab_size 32"):
             sm.encode_batch(store, np.asarray([[32]]))
 
     def test_dropout_only_with_rng(self, store):
@@ -892,5 +892,5 @@ class TestIncrementalDecoder:
         state = sm.IncrementalDecoder(store, np.asarray([[5, 6]]))
         for _ in range(store.config.max_seq_len):
             state.step(None, [7])
-        with pytest.raises(LengthError):
+        with pytest.raises(ContractError, match="target length would exceed max_seq_len 16"):
             state.step(None, [7])
