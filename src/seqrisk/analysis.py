@@ -17,7 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -109,16 +109,6 @@ def summarize_judgments(judgments: Sequence[HallucinationJudgment]) -> Hallucina
     )
 
 
-def compare_hallucination_significance(
-        judgments_a: Sequence[HallucinationJudgment],
-        judgments_b: Sequence[HallucinationJudgment]) -> tuple[float, metrics.ContingencyTable2x2]:
-    """Two-tailed Fisher's exact test on hallucinated counts of two systems."""
-    table = metrics.ContingencyTable2x2.from_outcomes(
-        [j.hallucinated for j in judgments_a],
-        [j.hallucinated for j in judgments_b])
-    return metrics.fisher_exact_two_tailed(table), table
-
-
 def write_judgments_jsonl(path, judgments: Sequence[HallucinationJudgment]) -> None:
     """One JSON object per sentence; fluency is collapsed to a single label."""
     with sm.atomic_write(path, newline="\n") as fh:
@@ -147,12 +137,11 @@ def write_judgments_jsonl(path, judgments: Sequence[HallucinationJudgment]) -> N
 
 @dataclass
 class UncertaintyCurve:
-    """Mean forced-token probability by position (1-indexed) for one
-    forced continuation kind under one model."""
+    """Mean forced-token probability by position for one forced
+    continuation kind under one model; `mean_prob[0]` is position 1."""
 
     label: str  # "references" | "distractors"
     model_tag: str
-    positions: list[int]
     mean_prob: list[float]
     counts: list[int]
 
@@ -171,10 +160,8 @@ class UncertaintyResult:
     def gap_mean(self) -> float:
         """Mean of (reference - distractor) certainty over shared positions
         at or past `GAP_FROM_POSITION`."""
-        dis = dict(zip(self.distractors.positions, self.distractors.mean_prob))
-        gaps = [r - dis[p] for p, r in
-                zip(self.references.positions, self.references.mean_prob)
-                if p >= GAP_FROM_POSITION and p in dis]
+        gaps = [r - d for r, d in zip(self.references.mean_prob,
+                                      self.distractors.mean_prob)][GAP_FROM_POSITION - 1:]
         if not gaps:
             raise ContractError(f"no shared positions >= {GAP_FROM_POSITION}")
         return math.fsum(gaps) / len(gaps)
@@ -207,20 +194,18 @@ def assign_distractors(ref_targets: Sequence[Sequence[str]],
 
 def _curve_from_probs(probs: list[list[float]], label: str,
                       model_tag: str) -> UncertaintyCurve:
-    positions, means, counts = [], [], []
+    means, counts = [], []
     for t in range(max(len(p) for p in probs)):
         vals = [p[t] for p in probs if len(p) > t]
-        positions.append(t + 1)
         means.append(math.fsum(vals) / len(vals))  # exact, order-independent
         counts.append(len(vals))
-    return UncertaintyCurve(label, model_tag, positions, means, counts)
+    return UncertaintyCurve(label, model_tag, means, counts)
 
 
 def uncertainty_curves(store: sm.ParameterStore, vocab: sm.Vocabulary,
                        pairs: Sequence[dg.TokenPair],
                        distractor_pool: Sequence[Sequence[str]],
-                       model_tag: str = "model",
-                       seed: int = 0) -> UncertaintyResult:
+                       model_tag: str, seed: int) -> UncertaintyResult:
     """Teacher-force each reference and a length-matched distractor drawn
     from `distractor_pool` on the same source, both scored in one pass from
     one encoding of the source; average forced-token probability by
@@ -242,23 +227,25 @@ def uncertainty_curves(store: sm.ParameterStore, vocab: sm.Vocabulary,
         assignment, exact)
 
 
-def write_curves_csv(path, curves: Sequence[UncertaintyCurve]) -> None:
-    """Plot-ready long format: one row per (model, kind, position)."""
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with sm.atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "mean_prob", "count", "label", "model_tag"])
-        for c in curves:
-            for t, m, n in zip(c.positions, c.mean_prob, c.counts):
-                w.writerow([t, f"{m:.6f}", n, c.label, c.model_tag])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_curves_csv(path, curves: Sequence[UncertaintyCurve]) -> None:
+    """Plot-ready long format: one row per (model, kind, position)."""
+    _write_csv(path, ["t", "mean_prob", "count", "label", "model_tag"],
+               ([t, f"{m:.6f}", n, c.label, c.model_tag] for c in curves
+                for t, (m, n) in enumerate(zip(c.mean_prob, c.counts), start=1)))
 
 
 def write_assignment_csv(path, result: UncertaintyResult) -> None:
     """Record which pool sentence stood in for each reference."""
-    with sm.atomic_write(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pair_index", "pool_index", "exact_length"])
-        for i, (j, hit) in enumerate(zip(result.assignment, result.exact_length)):
-            w.writerow([i, j, int(hit)])
+    _write_csv(path, ["pair_index", "pool_index", "exact_length"],
+               ([i, j, int(hit)] for i, (j, hit) in
+                enumerate(zip(result.assignment, result.exact_length))))
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +278,15 @@ def sweep_point(beam_size: int,
 
 
 def write_sweep_csv(path, sweeps: dict[str, list[BeamSweepPoint]]) -> None:
-    with sm.atomic_write(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["system", "k", "bleu", "hallucination_rate",
-                    "mean_overlap"])
-        for system, points in sweeps.items():
-            for p in points:
-                w.writerow([system, p.beam_size, f"{p.bleu:.6f}",
-                            f"{p.hallucination_rate:.6f}", f"{p.mean_overlap:.6f}"])
+    _write_csv(path, ["system", "k", "bleu", "hallucination_rate", "mean_overlap"],
+               ([system, p.beam_size, f"{p.bleu:.6f}", f"{p.hallucination_rate:.6f}",
+                 f"{p.mean_overlap:.6f}"] for system, points in sweeps.items() for p in points))
 
 
 def write_hallucination_csv(path, summaries: dict[tuple[str, str], HallucinationSummary]) -> None:
     """Rows keyed by (system, corpus)."""
-    with sm.atomic_write(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["system", "corpus", "n", "fluent", "partially_fluent",
-                    "hallucinated", "rate", "mean_overlap"])
-        for (system, corpus), s in summaries.items():
-            w.writerow([system, corpus, s.n, s.n_fluent, s.n_partially_fluent,
-                        s.n_hallucinated, f"{s.rate:.6f}", f"{s.mean_overlap:.6f}"])
+    _write_csv(path, ["system", "corpus", "n", "fluent", "partially_fluent",
+                      "hallucinated", "rate", "mean_overlap"],
+               ([system, corpus, s.n, s.n_fluent, s.n_partially_fluent, s.n_hallucinated,
+                 f"{s.rate:.6f}", f"{s.mean_overlap:.6f}"]
+                for (system, corpus), s in summaries.items()))

@@ -27,6 +27,7 @@ from . import __version__
 from . import analysis as an
 from . import datagen as dg
 from . import decoding as dec
+from . import metrics
 from . import numkit as nk
 from . import objectives as obj
 from . import seqmodel as sm
@@ -288,23 +289,25 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
     decode_cfg = dec.DecodeConfig()
     ood, pool = suite["test_ood"], [tgt for _, tgt in suite["test_id"]]
     summaries: dict[tuple[str, str], an.HallucinationSummary] = {}
-    judgments_ood: dict[str, list[an.HallucinationJudgment]] = {}
+    hallucinated_ood: dict[str, list[bool]] = {}
     curves: list[an.UncertaintyCurve] = []
     sweeps = {}
     headline: dict = {"systems": {}}
 
     for system, store in stores.items():
         info = headline["systems"][system] = {}
-        for split in ("test_id", "test_ood"):  # test_ood last: the Fisher test and sweep reuse it
-            judgments = an.judge_corpus(store, vocab, suite[split][: ev.hallucination_n],
-                                        spec, decode_cfg)
+        # test_ood last, and at least sweep_n of it: the Fisher test and the sweep reuse it
+        for split, n in (("test_id", ev.hallucination_n),
+                         ("test_ood", max(ev.hallucination_n, ev.sweep_n))):
+            judged = an.judge_corpus(store, vocab, suite[split][:n], spec, decode_cfg)
+            judgments = judged[: ev.hallucination_n]
             summary = summaries[(system, split)] = an.summarize_judgments(judgments)
             info[split] = {
                 "hallucination_rate": summary.rate,
                 "mean_overlap": summary.mean_overlap,
                 "corpus_bleu": summary.corpus_bleu,
             }
-        judgments_ood[system] = judgments
+        hallucinated_ood[system] = [j.hallucinated for j in judgments]
         an.write_judgments_jsonl(outdir / f"judgments_{system}_ood.jsonl", judgments)
 
         result = an.uncertainty_curves(store, vocab, ood[: ev.uncertainty_n], pool,
@@ -312,18 +315,16 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
         curves.extend([result.references, result.distractors])
         info["certainty_gap"] = result.gap_mean()
 
-        judged_k = decode_cfg.beam_size  # judging already decoded these sentences at this width
-        by_k = ({judged_k: an.sweep_point(judged_k, judgments[: ev.sweep_n])}
-                if ev.sweep_n <= ev.hallucination_n else {})
+        by_k = {decode_cfg.beam_size: an.sweep_point(decode_cfg.beam_size, judged[: ev.sweep_n])}
         rest = [k for k in ev.beam_sizes if k not in by_k]
         by_k.update(zip(rest, an.beam_sweep(store, vocab, ood[: ev.sweep_n], spec, rest)))
         sweeps[system] = points = [by_k[k] for k in ev.beam_sizes]
         info["beam_sweep"] = [asdict(p) for p in points]
 
-    p_value, table = an.compare_hallucination_significance(
-        judgments_ood["mle"], judgments_ood["mrt"])
+    table = metrics.ContingencyTable2x2.from_outcomes(
+        hallucinated_ood["mle"], hallucinated_ood["mrt"])
     headline["ood_hallucination_fisher"] = {
-        "p_value": p_value,
+        "p_value": metrics.fisher_exact_two_tailed(table),
         "table": [[table.a, table.b], [table.c, table.d]],
     }
     # any system's result will do: the assignment depends only on data and seed
@@ -503,7 +504,7 @@ def _cmd_analyze_uncertainty(args) -> int:
         an.write_assignment_csv(args.assignment, result)
     print(json.dumps({
         "certainty_gap": gap,
-        "positions": len(result.references.positions),
+        "positions": len(result.references.mean_prob),
         "exact_length_matches": sum(result.exact_length),
     }, sort_keys=True))
     return 0

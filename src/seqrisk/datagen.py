@@ -162,8 +162,8 @@ def generate_corpus(spec: DomainSpec, size: int, rng: np.random.Generator,
     return pairs
 
 
-def generate_suite(spec: DomainSpec, seed: int, train_size: int = 1500,
-                   dev_size: int = 200, test_size: int = 500) -> dict[str, list[TokenPair]]:
+def generate_suite(spec: DomainSpec, seed: int, *, train_size: int, dev_size: int,
+                   test_size: int) -> dict[str, list[TokenPair]]:
     """Train/dev/in-domain-test on base content, shifted test with novel
     content mixed in; source sentences are disjoint across all four splits."""
     taken: set[tuple[str, ...]] = set()

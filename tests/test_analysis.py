@@ -121,19 +121,6 @@ class TestJudgment:
         with pytest.raises(ContractError):
             an.summarize_judgments([])
 
-    def test_significance_wiring(self):
-        spec = small_spec()
-        ref = ["tf0", "tb0"]
-        halluc = an.judge_hypothesis(["sf0"], ref, ["tf2", "tb4"], spec)
-        clean = an.judge_hypothesis(["sf0"], ref, list(ref), spec)
-        p, table = an.compare_hallucination_significance(
-            [halluc, halluc], [clean, clean])
-        assert (table.a, table.b, table.c, table.d) == (2, 0, 0, 2)
-        assert p == pytest.approx(1 / 3, abs=1e-12)
-        p_same, _ = an.compare_hallucination_significance(
-            [halluc, clean], [halluc, clean])
-        assert p_same == pytest.approx(1.0, abs=1e-12)
-
 
 class TestDistractorAssignment:
     def test_exact_length_match(self):
@@ -183,9 +170,9 @@ class TestCurves:
     def test_curve_shapes_and_ranges(self):
         spec, vocab, pairs, store = trained_setup(epochs=2)
         pool = [tgt for _, tgt in pairs[30:60]]
-        result = an.uncertainty_curves(store, vocab, pairs[:30], pool)
+        result = an.uncertainty_curves(store, vocab, pairs[:30], pool, "m", 0)
         for curve in (result.references, result.distractors):
-            assert curve.positions == list(range(1, len(curve.positions) + 1))
+            assert len(curve.mean_prob) == len(curve.counts)
             assert all(0.0 <= v <= 1.0 for v in curve.mean_prob)
             assert all(c > 0 for c in curve.counts)
             assert curve.counts == sorted(curve.counts, reverse=True)
@@ -194,7 +181,7 @@ class TestCurves:
     def test_trained_model_prefers_reference(self):
         spec, vocab, pairs, store = trained_setup(epochs=12)
         pool = [tgt for _, tgt in pairs[40:60]]
-        result = an.uncertainty_curves(store, vocab, pairs[:40], pool)
+        result = an.uncertainty_curves(store, vocab, pairs[:40], pool, "m", 0)
         mean_ref = float(np.mean(result.references.mean_prob))
         mean_dis = float(np.mean(result.distractors.mean_prob))
         assert mean_ref > mean_dis
@@ -202,7 +189,7 @@ class TestCurves:
     def test_degenerate_pool_gives_identical_curves(self):
         spec, vocab, pairs, store = trained_setup(epochs=1, n_train=30)
         src, ref = pairs[0]
-        result = an.uncertainty_curves(store, vocab, [(src, ref)], [ref])
+        result = an.uncertainty_curves(store, vocab, [(src, ref)], [ref], "m", 0)
         assert result.references.mean_prob == result.distractors.mean_prob
         assert result.assignment == [0] and result.exact_length == [True]
 
@@ -216,32 +203,30 @@ class TestCurves:
             return real(store, src, rng)
 
         monkeypatch.setattr(sm, "encode_rows", counting)
-        an.uncertainty_curves(store, vocab, pairs, [tgt for _, tgt in pairs])
+        an.uncertainty_curves(store, vocab, pairs, [tgt for _, tgt in pairs], "m", 0)
         assert encoded == [64]
 
     def test_reference_curve_is_order_invariant(self):
         spec, vocab, pairs, store = trained_setup(epochs=1, n_train=40)
         pool = [tgt for _, tgt in pairs[20:40]]
-        forward = an.uncertainty_curves(store, vocab, pairs[:20], pool)
-        backward = an.uncertainty_curves(store, vocab, pairs[:20][::-1], pool)
+        forward = an.uncertainty_curves(store, vocab, pairs[:20], pool, "m", 0)
+        backward = an.uncertainty_curves(store, vocab, pairs[:20][::-1], pool, "m", 0)
         assert forward.references.mean_prob == backward.references.mean_prob
         assert forward.references.counts == backward.references.counts
 
     def test_gap_mean_starts_at_position_3(self):
-        refs = an.UncertaintyCurve("references", "m", [1, 2, 3, 4],
-                                   [0.9, 0.8, 0.7, 0.6], [10, 10, 10, 10])
-        dis = an.UncertaintyCurve("distractors", "m", [1, 2, 3, 4],
-                                  [0.5, 0.5, 0.5, 0.1], [10, 10, 10, 10])
+        refs = an.UncertaintyCurve("references", "m", [0.9, 0.8, 0.7, 0.6], [10, 10, 10, 10])
+        dis = an.UncertaintyCurve("distractors", "m", [0.5, 0.5, 0.5, 0.1], [10, 10, 10, 10])
         result = an.UncertaintyResult(refs, dis, [0] * 10, [True] * 10)
         assert an.GAP_FROM_POSITION == 3
         assert result.gap_mean() == pytest.approx((0.2 + 0.5) / 2)
-        short = an.UncertaintyCurve("references", "m", [1, 2], [0.9, 0.8], [10, 10])
+        short = an.UncertaintyCurve("references", "m", [0.9, 0.8], [10, 10])
         with pytest.raises(ContractError, match="no shared positions >= 3"):
             an.UncertaintyResult(short, dis, [0] * 10, [True] * 10).gap_mean()
 
     def test_csv_output(self, tmp_path):
-        refs = an.UncertaintyCurve("references", "mle", [1, 2], [0.9, 0.8], [3, 3])
-        dis = an.UncertaintyCurve("distractors", "mle", [1, 2], [0.5, 0.4], [3, 3])
+        refs = an.UncertaintyCurve("references", "mle", [0.9, 0.8], [3, 3])
+        dis = an.UncertaintyCurve("distractors", "mle", [0.5, 0.4], [3, 3])
         path = tmp_path / "curves.csv"
         an.write_curves_csv(path, [refs, dis])
         rows = list(csv.reader(open(path)))
@@ -250,8 +235,8 @@ class TestCurves:
         assert rows[1] == ["1", "0.900000", "3", "references", "mle"]
 
     def test_assignment_csv(self, tmp_path):
-        refs = an.UncertaintyCurve("references", "m", [1], [0.9], [2])
-        dis = an.UncertaintyCurve("distractors", "m", [1], [0.5], [2])
+        refs = an.UncertaintyCurve("references", "m", [0.9], [2])
+        dis = an.UncertaintyCurve("distractors", "m", [0.5], [2])
         result = an.UncertaintyResult(refs, dis, [3, 1], [True, False])
         an.write_assignment_csv(tmp_path / "a.csv", result)
         rows = list(csv.reader(open(tmp_path / "a.csv")))

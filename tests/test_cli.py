@@ -21,6 +21,7 @@ from seqrisk import analysis as an
 from seqrisk import cli
 from seqrisk import datagen as dg
 from seqrisk import decoding as dec
+from seqrisk import metrics
 from seqrisk import numkit as nk
 from seqrisk import seqmodel as sm
 from seqrisk.errors import ContractError
@@ -761,6 +762,46 @@ def test_reference_without_content_refused_before_decoding(workspace, tmp_path, 
     assert not (copy / "sweep.csv").exists()
 
 
+LARGER_RUN_SEED = 3  # the two systems hallucinate on different numbers of sentences
+
+
+@pytest.fixture(scope="module")
+def larger_run(tmp_path_factory) -> Path:
+    """`reproduce` at TINY's evaluation sizes but with models trained long
+    enough that their out-of-domain figures are not all zero."""
+    tmp = tmp_path_factory.mktemp("larger")
+    out = tmp / "run"
+    assert cli.main(["reproduce", "--config", str(write_tiny_config(tmp, seed=LARGER_RUN_SEED)),
+                     "--set", "data.train_size=400", "--set", "mle.epochs=4",
+                     "--outdir", str(out)]) == 0
+    return out
+
+
+def test_readme_artifact_columns_match_the_run(larger_run):
+    """Each column list in README's artifact table is the header, or the
+    record keys, of the file its row names."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| artifact | contents |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for line in table.splitlines()[1:]:
+        _, names, contents, _ = line.split("|")
+        for columns in re.findall(r"`([^`]*,[^`]*)`", contents):
+            listed[names.strip()] = [c.strip() for c in columns.split(",")]
+    written = {
+        "`mle.ckpt`, `mle_trace.csv`": larger_run / "mle_trace.csv",
+        "`judgments_{mle,mrt}_ood.jsonl`": larger_run / "judgments_mle_ood.jsonl",
+        "`uncertainty_curves.csv`": larger_run / "uncertainty_curves.csv",
+        "`beam_sweep.csv`": larger_run / "beam_sweep.csv",
+    }
+    assert set(listed) == set(written)
+    for names, path in written.items():
+        first = path.read_text().splitlines()[0]
+        if path.suffix == ".jsonl":  # keys are written sorted
+            assert sorted(listed[names]) == sorted(json.loads(first)), names
+        else:
+            assert listed[names] == first.split(","), names
+
+
 def assert_unlocked(directory: Path) -> None:
     """A new exclusive lock on `directory` is granted: no run holds it."""
     fd = os.open(directory, os.O_RDONLY)
@@ -876,7 +917,8 @@ class TestReproduce:
         assert len(trace) == 2 and trace[1].startswith("1,")
         assert_unlocked(out)
 
-    def test_sweep_reuses_the_judging_decodes(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("sweep_n", [6, 14])
+    def test_sweep_reuses_the_judging_decodes(self, tmp_path, monkeypatch, capsys, sweep_n):
         config = write_tiny_config(tmp_path)
         out = tmp_path / "run"
         real = dec.beam_search_corpus
@@ -887,29 +929,30 @@ class TestReproduce:
             return real(store, sources, config)
 
         monkeypatch.setattr(dec, "beam_search_corpus", counting)
-        assert cli.main(["reproduce", "--config", str(config),
+        assert cli.main(["reproduce", "--config", str(config), "--set", f"eval.sweep_n={sweep_n}",
                          "--outdir", str(out)]) == 0
         monkeypatch.undo()
-        ev = TINY["eval"]
-        # two systems: both test sets judged, then the sweep decodes only k=1
-        assert sum(decoded) == 2 * (2 * ev["hallucination_n"] + ev["sweep_n"])
+        h = TINY["eval"]["hallucination_n"]
+        # two systems: test_id judged, test_ood judged on the larger of the
+        # two sizes, then the sweep decodes only k=1
+        assert sum(decoded) == 2 * (h + max(h, sweep_n) + sweep_n)
 
         summary = json.loads((out / "summary.json").read_text())
         vocab = sm.Vocabulary.from_json((out / "vocab.json").read_text())
         spec = cli._load_domain(out / "domain.json")
-        pairs = dg.read_tsv(out / "test_ood.tsv")[: ev["sweep_n"]]
+        pairs = dg.read_tsv(out / "test_ood.tsv")[:sweep_n]
         for system in ("mle", "mrt"):
             store = sm.ParameterStore.load(out / f"{system}.ckpt")
             fresh = an.beam_sweep(store, vocab, pairs, spec, [dec.DecodeConfig.beam_size])
             assert summary["systems"][system]["beam_sweep"][1] == dataclasses.asdict(fresh[0])
 
-    def test_stage_commands_reproduce_the_summary(self, tmp_path, capsys):
+    def test_stage_commands_reproduce_the_summary(self, larger_run, tmp_path, capsys):
         # each analysis stage of reproduce, run as its own command on the
         # run's files at the run's sizes, gives summary.json's figures
-        config = write_tiny_config(tmp_path)
-        out = tmp_path / "run"
-        assert cli.main(["reproduce", "--config", str(config), "--outdir", str(out)]) == 0
+        out = larger_run
         summary = json.loads((out / "summary.json").read_text())["systems"]
+        assert any(summary[system]["test_ood"][figure] > 0 for system in ("mle", "mrt")
+                   for figure in ("hallucination_rate", "mean_overlap")), summary
         capsys.readouterr()
         ev = TINY["eval"]
 
@@ -936,11 +979,22 @@ class TestReproduce:
             assert summary[system]["beam_sweep"] == swept
             certainty = command("analyze-uncertainty", system, ev["uncertainty_n"],
                                 "--distractor-file", str(out / "test_id.tsv"),
-                                "--seed", str(TINY["seed"]), "--system", system,
+                                "--seed", str(LARGER_RUN_SEED), "--system", system,
                                 "--output", str(curves))
             assert summary[system]["certainty_gap"] == certainty["certainty_gap"]
             assert curves.read_text().splitlines()[1:] == [
                 row for row in curve_rows if row.endswith(f",{system}")]
+
+    def test_summary_fisher_entry_tests_the_judged_hallucinations(self, larger_run):
+        out = larger_run
+        outcomes = [[json.loads(line)["is_hallucination"] for line in
+                     (out / f"judgments_{system}_ood.jsonl").read_text().splitlines()]
+                    for system in ("mle", "mrt")]
+        table = metrics.ContingencyTable2x2.from_outcomes(*outcomes)
+        assert table.a != table.c, outcomes  # the systems' rows cannot be swapped unseen
+        fisher = json.loads((out / "summary.json").read_text())["ood_hallucination_fisher"]
+        assert fisher == {"p_value": metrics.fisher_exact_two_tailed(table),
+                          "table": [[table.a, table.b], [table.c, table.d]]}
 
     def test_different_seed_changes_outputs(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)
