@@ -244,12 +244,14 @@ def _read_pairs(args, store: sm.ParameterStore,
 
 
 def stage_gen_data(config: ExperimentConfig, outdir: Path) -> dict[str, list[dg.TokenPair]]:
-    outdir.mkdir(parents=True, exist_ok=True)
     suite = dg.generate_suite(
         config.domain, config.seed,
         train_size=config.data.train_size,
         dev_size=config.data.dev_size,
         test_size=config.data.test_size)
+    for name, pairs in suite.items():  # a config can make lines the model cannot take
+        _refuse_overlong_pairs(outdir / f"{name}.tsv", pairs, config.model.max_seq_len)
+    outdir.mkdir(parents=True, exist_ok=True)
     for name, pairs in suite.items():
         dg.write_tsv(outdir / f"{name}.tsv", pairs)
     with sm.atomic_write(outdir / "domain.json") as fh:
@@ -343,8 +345,6 @@ def run_reproduce(config: ExperimentConfig, outdir: Path) -> dict:
         for name in ("manifest.json", "summary.json"):  # no failed rerun looks finished
             (outdir / name).unlink(missing_ok=True)
         suite = stage_gen_data(config, outdir)
-        for name, pairs in suite.items():  # a config can make lines the model cannot take
-            _refuse_overlong_pairs(outdir / f"{name}.tsv", pairs, config.model.max_seq_len)
         vocab = dg.build_vocabulary(config.domain)
         mle_store = stage_train_mle(config, vocab, suite["train"], outdir)
         mrt_store = stage_finetune_mrt(config, vocab, mle_store, suite["train"], outdir)
@@ -607,7 +607,9 @@ def main(argv: list[str] | None = None) -> int:
         with nk.single_blas_thread():
             return args.func(args)
     except (SeqriskError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        named = isinstance(exc, OSError) and exc.filename is not None
+        print(f"error: {exc.filename}: {exc.strerror}" if named else f"error: {exc}",
+              file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -139,7 +140,7 @@ class ContingencyTable2x2:
 
     def __post_init__(self):
         for v in (self.a, self.b, self.c, self.d):
-            if v < 0 or v != int(v):
+            if not isinstance(v, numbers.Integral) or v < 0:  # math.comb takes integers only
                 raise ContractError(f"table entries must be non-negative integers, got {v}")
 
     @classmethod
@@ -150,29 +151,17 @@ class ContingencyTable2x2:
         )
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def fisher_exact_two_tailed(table: ContingencyTable2x2) -> float:
     """Two-tailed Fisher's exact test on a 2x2 table.
 
-    Sums hypergeometric point probabilities over all tables with the same
-    margins whose probability does not exceed the observed one.  The
-    comparison uses a tiny relative slack so tables tied with the observed
-    probability are included despite floating-point noise.
+    Sums the hypergeometric probabilities of all tables with the observed
+    margins that are no more likely than the observed one.  Each table is
+    weighed by the integer comb(row1, x) * comb(row2, col1 - x), so ties
+    compare exactly, and the one division by comb(n, col1), correctly
+    rounded, returns the float nearest the rational p.
     """
-    a, b, c, d = table.a, table.b, table.c, table.d
-    row1, row2 = a + b, c + d
-    col1 = a + c
-    n = row1 + row2
-
-    def log_point(x: int) -> float:
-        return _log_comb(row1, x) + _log_comb(row2, col1 - x) - _log_comb(n, col1)
-
-    lo = max(0, col1 - row2)
-    hi = min(row1, col1)
-    cutoff = log_point(a) + math.log1p(1e-7)
-    total = sum(math.exp(log_point(x)) for x in range(lo, hi + 1)
-                if log_point(x) <= cutoff)
-    return min(total, 1.0)
+    row1, row2, col1 = table.a + table.b, table.c + table.d, table.a + table.c
+    weights = (math.comb(row1, x) * math.comb(row2, col1 - x)
+               for x in range(max(0, col1 - row2), min(row1, col1) + 1))
+    observed = math.comb(row1, table.a) * math.comb(row2, table.c)
+    return sum(w for w in weights if w <= observed) / math.comb(row1 + row2, col1)

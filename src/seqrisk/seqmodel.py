@@ -619,6 +619,10 @@ def _np_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return np.einsum("nht,nhtd->nhd", weights, v).reshape(q.shape[0], -1)
 
 
+def _np_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    return nk.normalize_last(x)[0] * gain + bias  # numkit.layer_norm's forward arithmetic
+
+
 class IncrementalDecoder:
     """Decoder that feeds one token per row and step, in plain numpy on the
     store's arrays: no Tensor, no tape (build it outside one), no per-op checks.
@@ -640,7 +644,11 @@ class IncrementalDecoder:
         memory = encode_rows(store, src).data
         self.config = cfg
         self.length = 0  # target positions fed so far
-        self._p = {name: t.data for name, t in store.items()}
+        self._layers = [tuple(store[f"dec.{i}.{name}"].data for name in (
+            "ln1.gain", "ln1.bias", "self.wq", "self.wk", "self.wv", "self.wo", "ln2.gain",
+            "ln2.bias", "cross.wq", "cross.wo", "ln3.gain", "ln3.bias", "ffn.w1", "ffn.b1",
+            "ffn.w2", "ffn.b2")) for i in range(cfg.dec_layers)]
+        self._final_ln = store["dec.final_ln.gain"].data, store["dec.final_ln.bias"].data
         self._embed = store["embed.shared"].data
         self._embed_scale = store.dtype.type(math.sqrt(cfg.embed_dim))
         self._out_t = np.ascontiguousarray(store["embed.shared"].data.T)
@@ -648,15 +656,11 @@ class IncrementalDecoder:
         self._cross_mask = src.pad[:, None, :] if src.pad.any() else None
         h = cfg.num_heads
         zero = np.zeros((1, cfg.embed_dim), dtype=store.dtype)  # `spread` puts it at PAD
-        self._cross = [tuple(src.slots.spread(np.concatenate((memory @ self._p[name], zero)), h)
+        self._cross = [tuple(src.slots.spread(np.concatenate((memory @ store[name].data, zero)), h)
                              for name in (f"dec.{i}.cross.wk", f"dec.{i}.cross.wv"))
                        for i in range(cfg.dec_layers)]
         empty = np.zeros((len(src.pad), h, 0, cfg.embed_dim // h), dtype=store.dtype)
         self._self = [(empty, empty) for _ in range(cfg.dec_layers)]
-
-    def _ln(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        """numkit.layer_norm's forward arithmetic on plain arrays."""
-        return nk.normalize_last(x)[0] * self._p[f"{prefix}.gain"] + self._p[f"{prefix}.bias"]
 
     def step(self, parents: np.ndarray | None, tokens: np.ndarray) -> np.ndarray:
         cfg = self.config
@@ -669,26 +673,22 @@ class IncrementalDecoder:
                 self._cross_mask = self._cross_mask[parents]
         tokens = np.asarray(tokens, dtype=np.int64)
         n, h = tokens.shape[0], cfg.num_heads
-        p = self._p
         x = self._embed[tokens] * self._embed_scale + self._table[self.length]
-        for i in range(cfg.dec_layers):
-            pre = f"dec.{i}"
-            normed = self._ln(x, f"{pre}.ln1")
-            q, k, v = (normed @ p[f"{pre}.self.{w}"] for w in ("wq", "wk", "wv"))
+        for i, (g1, b1, wq, wk, wv, wo, g2, b2, cross_wq, cross_wo, g3, b3, w1, c1, w2, c2
+                ) in enumerate(self._layers):
+            normed = _np_norm(x, g1, b1)
+            q, k, v = normed @ wq, normed @ wk, normed @ wv
             cache_k, cache_v = self._self[i]
             cache_k = np.concatenate((cache_k, k.reshape(n, h, 1, -1)), axis=2)
             cache_v = np.concatenate((cache_v, v.reshape(n, h, 1, -1)), axis=2)
             self._self[i] = (cache_k, cache_v)
-            x = x + _np_attend(q.reshape(n, h, -1), cache_k, cache_v, None) @ p[f"{pre}.self.wo"]
-            q = self._ln(x, f"{pre}.ln2") @ p[f"{pre}.cross.wq"]
+            x = x + _np_attend(q.reshape(n, h, -1), cache_k, cache_v, None) @ wo
+            q = _np_norm(x, g2, b2) @ cross_wq
             cross_k, cross_v = self._cross[i]
-            x = x + _np_attend(q.reshape(n, h, -1), cross_k, cross_v,
-                               self._cross_mask) @ p[f"{pre}.cross.wo"]
-            hidden = np.maximum(self._ln(x, f"{pre}.ln3") @ p[f"{pre}.ffn.w1"]
-                                + p[f"{pre}.ffn.b1"], 0)
-            x = x + (hidden @ p[f"{pre}.ffn.w2"] + p[f"{pre}.ffn.b2"])
+            x = x + _np_attend(q.reshape(n, h, -1), cross_k, cross_v, self._cross_mask) @ cross_wo
+            x = x + (np.maximum(_np_norm(x, g3, b3) @ w1 + c1, 0) @ w2 + c2)
         self.length += 1
-        logits = self._ln(x, "dec.final_ln") @ self._out_t
+        logits = _np_norm(x, *self._final_ln) @ self._out_t
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         if not np.isfinite(log_probs).all():

@@ -646,6 +646,32 @@ def test_an_overlong_training_line_is_refused_before_training(workspace, tmp_pat
     assert not (copy / "run").exists()
 
 
+def test_gen_data_refuses_an_overlong_line_before_writing(tmp_path, capsys):
+    out = tmp_path / "gen"
+    code = cli.main(["gen-data", "--config", str(write_tiny_config(tmp_path)),
+                     "--set", "model.max_seq_len=8", "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: {out / 'train.tsv'}: line ") and "max_seq_len 8" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("translate", "--checkpoint"),
+                                           ("translate", "--input"),
+                                           ("evaluate", "--data-file")])
+def test_a_directory_given_as_a_file_exits_one_naming_it(workspace, tmp_path, capsys,
+                                                         command, flag):
+    config, data, run = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    (copy / "in.txt").write_text("sf0 sf1\n")
+    argv = _command_line(command, copy, run / "mle.ckpt")
+    argv[argv.index(flag) + 1] = str(tmp_path)
+    code = cli.main(argv)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
 @pytest.mark.parametrize("command", ["train-mle", "finetune-mrt"])
 def test_a_failed_read_creates_no_outdir(workspace, tmp_path, capsys, command):
     config, data, run = workspace
@@ -889,8 +915,7 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert code == 1, err
         assert f"{out / 'train.tsv'}: line " in err and "max_seq_len 8" in err, err
-        assert (out / "train.tsv").exists() and not (out / "mle.ckpt").exists()
-        assert not (out / "manifest.json").exists()
+        assert list(out.iterdir()) == []  # no corpus file, no checkpoint, no manifest
         assert_unlocked(out)
 
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):

@@ -148,15 +148,22 @@ class TestKappa:
 class TestFisher:
     def test_hand_worked_diagonal(self):
         table = metrics.ContingencyTable2x2(2, 0, 0, 2)
-        assert metrics.fisher_exact_two_tailed(table) == pytest.approx(1 / 3, abs=1e-12)
+        assert metrics.fisher_exact_two_tailed(table) == 1 / 3
 
     def test_balanced_table_is_one(self):
         table = metrics.ContingencyTable2x2(5, 5, 5, 5)
-        assert metrics.fisher_exact_two_tailed(table) == pytest.approx(1.0, abs=1e-12)
+        assert metrics.fisher_exact_two_tailed(table) == 1.0
 
     def test_all_zero_table_is_one(self):
         assert metrics.fisher_exact_two_tailed(
             metrics.ContingencyTable2x2(0, 0, 0, 0)) == 1.0
+
+    @pytest.mark.parametrize("a, b, c, d", [
+        (5, 5, 4, 6), (5, 5, 5, 5),  # every table as likely as another: p is exactly 1
+        (78, 322, 62, 338)])         # 400 outcomes against 400
+    def test_equals_the_oracle_on_ties_and_large_margins(self, a, b, c, d):
+        got = metrics.fisher_exact_two_tailed(metrics.ContingencyTable2x2(a, b, c, d))
+        assert got == float(fisher_oracle(a, b, c, d))
 
     def test_matches_exact_rational_oracle(self):
         rng = np.random.default_rng(42)
@@ -164,8 +171,7 @@ class TestFisher:
             a, b, c, d = (int(x) for x in rng.integers(0, 16, size=4))
             got = metrics.fisher_exact_two_tailed(
                 metrics.ContingencyTable2x2(a, b, c, d))
-            want = float(fisher_oracle(a, b, c, d))
-            assert got == pytest.approx(want, rel=1e-8, abs=1e-12), (a, b, c, d)
+            assert got == float(fisher_oracle(a, b, c, d)), (a, b, c, d)
 
     def test_symmetries(self):
         table = metrics.ContingencyTable2x2(7, 2, 3, 9)
@@ -173,13 +179,15 @@ class TestFisher:
         for other in [metrics.ContingencyTable2x2(3, 9, 7, 2),   # swap rows
                       metrics.ContingencyTable2x2(2, 7, 9, 3),   # swap cols
                       metrics.ContingencyTable2x2(7, 3, 2, 9)]:  # transpose
-            assert metrics.fisher_exact_two_tailed(other) == pytest.approx(p, rel=1e-9)
+            assert metrics.fisher_exact_two_tailed(other) == p
 
     def test_rejects_negative_and_fractional_entries(self):
         with pytest.raises(ContractError):
             metrics.ContingencyTable2x2(-1, 0, 0, 0)
         with pytest.raises(ContractError):
             metrics.ContingencyTable2x2(1.5, 0, 0, 0)
+        with pytest.raises(ContractError):
+            metrics.ContingencyTable2x2(2.0, 0, 0, 0)
 
     def test_from_outcomes(self):
         table = metrics.ContingencyTable2x2.from_outcomes(
