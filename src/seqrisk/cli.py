@@ -159,18 +159,33 @@ def _write_json(path: Path, payload) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+_HELD: set[tuple[int, int]] = set()  # (st_dev, st_ino) of each directory this process locks
+
+
 @contextlib.contextmanager
 def output_lock(outdir: Path):
-    """Hold an exclusive kernel lock on directory `outdir` for the block,
-    refusing a concurrent run; it makes no file and ends with its holder."""
+    """Claim directory `outdir` for the block: make it if need be and hold
+    an exclusive kernel lock on it, refusing a concurrent run.  A claim
+    nested in one this process holds takes no second lock, which would
+    conflict with the first.  It makes no file and ends with its holder."""
+    outdir.mkdir(parents=True, exist_ok=True)
     fd = os.open(outdir, os.O_RDONLY)
     try:
+        stat = os.fstat(fd)
+        key = (stat.st_dev, stat.st_ino)
+        if key in _HELD:
+            yield
+            return
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise SeqriskError(f"{outdir} is locked: another run is writing into it; "
                                "wait for it to finish") from None
-        yield
+        _HELD.add(key)
+        try:
+            yield
+        finally:
+            _HELD.remove(key)
     finally:
         os.close(fd)
 
@@ -251,14 +266,14 @@ def stage_gen_data(config: ExperimentConfig, outdir: Path) -> dict[str, list[dg.
         test_size=config.data.test_size)
     for name, pairs in suite.items():  # a config can make lines the model cannot take
         _refuse_overlong_pairs(outdir / f"{name}.tsv", pairs, config.model.max_seq_len)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, pairs in suite.items():
-        dg.write_tsv(outdir / f"{name}.tsv", pairs)
-    with sm.atomic_write(outdir / "domain.json") as fh:
-        fh.write(config.domain.to_json() + "\n")
-    vocab = dg.build_vocabulary(config.domain)
-    with sm.atomic_write(outdir / "vocab.json") as fh:
-        fh.write(vocab.to_json() + "\n")
+    with output_lock(outdir):
+        for name, pairs in suite.items():
+            dg.write_tsv(outdir / f"{name}.tsv", pairs)
+        with sm.atomic_write(outdir / "domain.json") as fh:
+            fh.write(config.domain.to_json() + "\n")
+        vocab = dg.build_vocabulary(config.domain)
+        with sm.atomic_write(outdir / "vocab.json") as fh:
+            fh.write(vocab.to_json() + "\n")
     return suite
 
 
@@ -340,7 +355,6 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
 
 def run_reproduce(config: ExperimentConfig, outdir: Path) -> dict:
     """The full study: data, MLE, risk fine-tuning, all diagnostics, manifest."""
-    outdir.mkdir(parents=True, exist_ok=True)
     with output_lock(outdir):
         for name in ("manifest.json", "summary.json"):  # no failed rerun looks finished
             (outdir / name).unlink(missing_ok=True)
@@ -431,8 +445,8 @@ def _cmd_train_mle(args) -> int:
     for name, pairs in (("train", train), ("dev", dev)):  # fail before training
         _refuse_overlong_pairs(data / f"{name}.tsv", pairs, config.model.max_seq_len)
     outdir = Path(args.outdir)  # made only once every input has been read
-    outdir.mkdir(parents=True, exist_ok=True)
-    store = stage_train_mle(config, vocab, train, outdir)
+    with output_lock(outdir):
+        store = stage_train_mle(config, vocab, train, outdir)
     print(f"dev nll per token: {obj.corpus_nll(store, dg.encode_corpus(vocab, dev)):.4f}")
     print(f"wrote {outdir / 'mle.ckpt'}")
     return 0
@@ -445,8 +459,8 @@ def _cmd_finetune_mrt(args) -> int:
     train = dg.read_tsv(data / "train.tsv")
     _refuse_overlong_pairs(data / "train.tsv", train, mle_store.config.max_seq_len)
     outdir = Path(args.outdir)  # made only once every input has been read
-    outdir.mkdir(parents=True, exist_ok=True)
-    stage_finetune_mrt(config, vocab, mle_store, train, outdir)
+    with output_lock(outdir):
+        stage_finetune_mrt(config, vocab, mle_store, train, outdir)
     print(f"wrote {outdir / 'mrt.ckpt'}")
     return 0
 

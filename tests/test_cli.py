@@ -1,6 +1,11 @@
-"""Command-line behaviour: strict configuration validation, exit codes,
-file outputs, locking, and a reduced-size byte-identity run."""
+"""Command-line behaviour: strict configuration validation, file outputs,
+locking, a reduced-size byte-identity run, and the refusal matrix: one row
+per way a command must refuse, each checked for exit 1, one error line
+naming the file or setting at fault, an unchanged file tree and no model
+pass."""
 
+import argparse
+import contextlib
 import dataclasses
 import fcntl
 import importlib
@@ -12,6 +17,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -150,104 +156,6 @@ class TestConfigValidation:
 
 
 class TestExitCodes:
-    def test_bad_config_file_is_one(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{")
-        code = cli.main(["gen-data", "--config", str(path),
-                         "--outdir", str(tmp_path / "out")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_unknown_flag_is_one(self, capsys):
-        assert cli.main(["gen-data", "--no-such-flag"]) == 1
-
-    def test_missing_file_is_one(self, tmp_path, capsys):
-        code = cli.main(["translate", "--checkpoint", str(tmp_path / "no.ckpt"),
-                         "--domain", str(tmp_path / "no.json"),
-                         "--input", str(tmp_path / "no.txt")])
-        assert code == 1
-
-    def test_corrupt_checkpoint_is_one(self, tmp_path, capsys):
-        spec = dg.DomainSpec()
-        (tmp_path / "domain.json").write_text(spec.to_json())
-        (tmp_path / "in.txt").write_text("a b\n")
-        vocab = dg.build_vocabulary(spec)
-        cfg = sm.ModelConfig(vocab_size=len(vocab), embed_dim=8, num_heads=2,
-                             enc_layers=1, dec_layers=1, ffn_dim=8, max_seq_len=8)
-        good = tmp_path / "good.ckpt"
-        sm.ParameterStore.init(cfg, 0).save(good)
-        whole = good.read_bytes()
-        header, payload = whole.split(b"\n", 1)
-
-        def edited(**config):  # the manifest's config misdescribes the tensors
-            manifest = json.loads(header)
-            manifest["config"].update(config)
-            return json.dumps(manifest).encode() + b"\n" + payload
-
-        for name, data, says in (
-                ("truncated.ckpt", whole[:-8], "truncated"),
-                ("padded.ckpt", whole + b"\0" * 4, "truncated or corrupt"),
-                ("layers.ckpt", edited(enc_layers=2), "enc.1.ln1.gain"),
-                ("ffn.ckpt", edited(ffn_dim=4), "enc.0.ffn.w1"),
-                ("heads.ckpt", edited(num_heads=3), "embed_dim 8 not divisible by num_heads 3"),
-                ("untied.ckpt", edited(tie_embeddings=False),
-                 "tie_embeddings is not a recognized field"),
-                ("tied.ckpt", edited(tie_embeddings=True),
-                 "tie_embeddings is not a recognized field"),
-                # mistyped fields are refused by name, not met later as a TypeError
-                ("len.ckpt", edited(max_seq_len=8.0), "max_seq_len must be int, got 8.0"),
-                ("bool.ckpt", edited(num_heads=True), "num_heads must be int, got True"),
-                ("str.ckpt", edited(enc_layers="1"), "enc_layers must be int, got '1'")):
-            (tmp_path / name).write_bytes(data)
-            code = cli.main(["translate", "--checkpoint", str(tmp_path / name),
-                             "--domain", str(tmp_path / "domain.json"),
-                             "--input", str(tmp_path / "in.txt")])
-            err = capsys.readouterr().err
-            assert code == 1, err
-            assert f"{tmp_path / name}: " in err and says in err, err
-            assert "internal error" not in err
-
-    @pytest.mark.parametrize("command", ["reproduce", "gen-data"])
-    @pytest.mark.parametrize("override, says", [
-        ("model.num_heads=3", "model: embed_dim 16 not divisible by num_heads 3"),
-        ("model.dropout_rate=1.5", "model: dropout_rate must be in [0, 1), got 1.5"),
-        ("model.max_seq_len=1", "model: max_seq_len must be >= 2, got 1"),
-        ("eval.sweep_n=0", "eval: sweep_n must be >= 1, got 0"),
-        ("mle.warmup_steps=0", "mle: warmup_steps must be >= 1, got 0"),
-        ("mle.peak_lr=-1", "mle: peak_lr must be >= 0, got -1"),
-        ("mrt.lr=-1", "mrt: lr must be >= 0, got -1"),
-        ("mrt.steps=-1", "mrt: steps must be >= 0, got -1"),
-        ("mrt.sampling_strategy=beam", "mrt.sampling_strategy is not a recognized field"),
-        ("model.tie_embeddings=false", "model.tie_embeddings is not a recognized field"),
-        ("mle.beta1=0.8", "mle.beta1 is not a recognized field"),
-        ("mrt.adam_eps=1e-8", "mrt.adam_eps is not a recognized field"),
-        ("mrt.temperature=1", "mrt.temperature is not a recognized field"),
-        ("eval.max_positions=5", "eval.max_positions is not a recognized field"),
-        ("mle.grad_clip=1", "mle.grad_clip is not a recognized field"),
-        ("mrt.grad_clip=1", "mrt.grad_clip is not a recognized field"),
-        ("eval.min_position=3", "eval.min_position is not a recognized field"),
-        ("eval.length_norm_alpha=0.6", "eval.length_norm_alpha is not a recognized field"),
-        ("eval.overlap_threshold=0.2", "eval.overlap_threshold is not a recognized field"),
-        ("mle.label_smoothing=0.1", "mle.label_smoothing is not a recognized field"),
-        ("eval.eval_beam=4", "eval.eval_beam is not a recognized field"),
-        ("mrt.alpha=0.005", "mrt.alpha is not a recognized field"),
-        # TINY asks for 10 sentences to judge from each test set
-        ("data.test_size=4", "eval.hallucination_n must be <= data.test_size 4, got 10"),
-        # sizes one decoder would hold beyond seqmodel.MAX_LIVE_ROWS, and a repeated width
-        ("mrt.n_samples=65", "mrt: sentences_per_batch * n_samples must be <= 256, got 4 * 65"),
-        ("eval.beam_sizes=[1,257]", "eval: beam_sizes must be distinct sizes in [1, 256], "
-         "got [1, 257]"),
-        ("eval.beam_sizes=[2,1,2]", "eval: beam_sizes must be distinct sizes in [1, 256], "
-         "got [2, 1, 2]")])
-    def test_bad_setting_fails_before_any_file(self, tmp_path, capsys, command,
-                                               override, says):
-        out = tmp_path / "out"
-        code = cli.main([command, "--config", str(write_tiny_config(tmp_path)),
-                         "--set", override, "--outdir", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1 and says in err, err
-        assert not out.exists()
-
     def test_out_of_memory_is_one_naming_the_command(self, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.10 GiB for an array")
@@ -346,52 +254,6 @@ class TestModelCommands:
         plain, odd = outputs
         assert odd == plain and plain.count("\n") == 3
 
-    def test_translate_rejects_overlong_line_naming_it(self, workspace, tmp_path, capsys):
-        config, data, run = workspace
-        pairs = dg.read_tsv(data / "test_id.tsv")[:2]
-        src_file = tmp_path / "sources.txt"
-        src_file.write_text(f"{' '.join(pairs[0][0])}\n{' '.join(['x'] * 17)}\n"
-                            f"{' '.join(pairs[1][0])}\n")
-        out_file = tmp_path / "hyps.txt"
-        code = cli.main(["translate", "--checkpoint", str(run / "mle.ckpt"),
-                         "--domain", str(data / "domain.json"), "--input", str(src_file),
-                         "--output", str(out_file)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert str(src_file) in err and "line 2 has 17 tokens" in err and "16" in err
-        assert not out_file.exists()
-
-    @pytest.mark.parametrize("command, flag, source, target, says", [
-        ("evaluate", "--data-file", 17, 3, "line 2 has 17 tokens, more than the "
-         "model's max_seq_len 16"),
-        ("sweep-beam", "--data-file", 17, 3, "line 2 has 17 tokens"),
-        ("analyze-uncertainty", "--data-file", 17, 3, "line 2 has 17 tokens"),
-        ("analyze-uncertainty", "--data-file", 3, 16, "line 2 has 16 target tokens, "
-         "more than the 15 that the model's max_seq_len 16 leaves after BOS"),
-        ("analyze-uncertainty", "--distractor-file", 3, 16, "line 2 has 16 target tokens")])
-    def test_overlong_line_refused_naming_it(self, workspace, tmp_path, capsys,
-                                             command, flag, source, target, says):
-        config, data, run = workspace
-        files = {"--data-file": data / "test_ood.tsv", "--distractor-file": data / "test_id.tsv"}
-        lines = (data / "test_id.tsv").read_text().splitlines()[:3]
-        lines[1] = " ".join(["sf0"] * source) + "\t" + " ".join(["tf0"] * target)
-        files[flag] = tmp_path / "long.tsv"
-        files[flag].write_text("\n".join(lines) + "\n")
-        output = tmp_path / "out.csv"
-        argv = {
-            "evaluate": ["--judgments", str(output)],
-            "sweep-beam": ["--output", str(output)],
-            "analyze-uncertainty": ["--distractor-file", str(files["--distractor-file"]),
-                                    "--output", str(output)],
-        }[command]
-        code = cli.main([command, "--checkpoint", str(run / "mle.ckpt"),
-                         "--domain", str(data / "domain.json"),
-                         "--data-file", str(files["--data-file"]), *argv])
-        err = capsys.readouterr().err
-        assert code == 1, err
-        assert f"{files[flag]}: {says}" in err
-        assert not output.exists()
-
     def test_forced_target_may_fill_all_but_bos(self, workspace, tmp_path, capsys):
         config, data, run = workspace
         lines = (data / "test_ood.tsv").read_text().splitlines()[:3]
@@ -402,47 +264,6 @@ class TestModelCommands:
                          "--data-file", str(tmp_path / "full.tsv"),
                          "--distractor-file", str(tmp_path / "full.tsv"),
                          "--output", str(tmp_path / "curves.csv")]) == 0
-
-    @pytest.mark.parametrize("beams", ["1,x", "0,4", ""])
-    def test_beams_must_be_positive_integers(self, workspace, beams, tmp_path, capsys):
-        config, data, run = workspace
-        code = cli.main(["sweep-beam", "--checkpoint", str(run / "mle.ckpt"),
-                         "--domain", str(data / "domain.json"),
-                         "--data-file", str(data / "test_ood.tsv"),
-                         "--output", str(tmp_path / "sweep.csv"), "--beams", beams])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "argument --beams: must be a positive integer" in err
-        assert not (tmp_path / "sweep.csv").exists()
-
-    @pytest.mark.parametrize("n", ["-3", "0", "two"])
-    def test_n_must_be_positive(self, workspace, n, capsys):
-        config, data, run = workspace
-        code = cli.main(["evaluate", "--checkpoint", str(run / "mle.ckpt"),
-                         "--domain", str(data / "domain.json"),
-                         "--data-file", str(data / "test_id.tsv"), "--n", n])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "--n" in err and "positive integer" in err
-
-    @pytest.mark.parametrize("flags, says", [
-        (["--max-positions", "3"], "unrecognized arguments: --max-positions 3"),
-        (["--min-position", "3"], "unrecognized arguments: --min-position 3"),
-        (["--seed", "-3"], "argument --seed: must be a non-negative integer, got '-3'"),
-        (["--assignment", "no-such-dir/assignment.csv"],
-         "cannot write no-such-dir/assignment.csv: it or its directory is missing")])
-    def test_uncertainty_failure_writes_no_file(self, workspace, tmp_path, capsys,
-                                                flags, says):
-        config, data, run = workspace
-        code = cli.main(["analyze-uncertainty", "--checkpoint", str(run / "mle.ckpt"),
-                         "--domain", str(data / "domain.json"),
-                         "--data-file", str(data / "test_id.tsv"),
-                         "--distractor-file", str(data / "test_ood.tsv"),
-                         "--output", str(tmp_path / "curves.csv"),
-                         "--assignment", str(tmp_path / "assignment.csv"), *flags])
-        err = capsys.readouterr().err
-        assert code == 1 and says in err, err
-        assert list(tmp_path.iterdir()) == []
 
     def test_a_corpus_without_position_3_writes_no_file(self, workspace, tmp_path, capsys):
         config, data, run = workspace
@@ -457,23 +278,6 @@ class TestModelCommands:
         err = capsys.readouterr().err
         assert code == 1 and "no shared positions >= 3" in err, err
         assert list(tmp_path.iterdir()) == [short]
-
-    @pytest.mark.parametrize("command, flag, value, says", [
-        ("evaluate", "--beam", "0", "must be a positive integer, got '0'"),
-        ("translate", "--beam", "0", "must be a positive integer, got '0'")])
-    def test_flags_keep_the_eval_bounds(self, workspace, tmp_path, capsys,
-                                        command, flag, value, says):
-        config, data, run = workspace
-        model = ["--checkpoint", str(run / "mle.ckpt"), "--domain", str(data / "domain.json")]
-        out = str(tmp_path / "out.txt")
-        rest = {"translate": ["--input", str(data / "test_id.tsv"), "--output", out],
-                "evaluate": ["--judgments", out, "--data-file", str(data / "test_id.tsv")],
-                "sweep-beam": ["--output", out, "--data-file", str(data / "test_id.tsv")]
-                }[command]
-        code = cli.main([command, *model, *rest, flag, value])
-        err = capsys.readouterr().err
-        assert code == 1 and f"argument {flag}: {says}" in err, err
-        assert list(tmp_path.iterdir()) == []
 
     def test_evaluate_emits_summary_json(self, workspace, capsys):
         config, data, run = workspace
@@ -509,253 +313,343 @@ class TestModelCommands:
         assert {"certainty_gap", "positions", "exact_length_matches"} <= set(payload)
 
 
+# -- the refusal matrix -------------------------------------------------------
+#
+# Each row is one way a command must refuse.  It runs the command's working
+# command line with one change, in a directory laid out by `lay_out`, and
+# checks that the command exits 1 with one `error:` line naming the file or
+# setting at fault, that no path under the directory appeared, vanished or
+# changed, and that no model pass ran: every decode, training step and
+# teacher-forced scoring pass starts in `seqmodel.encode_rows`.
+
+MODEL = ["--checkpoint", "{root}/mle.ckpt", "--domain", "{root}/data/domain.json"]
+CONFIG = ["--config", "{root}/config.json"]
+
+# each command's working command line; "{root}" stands for the row's directory
+WORKING = {
+    "gen-data": [*CONFIG, "--outdir", "{root}/out"],
+    "train-mle": [*CONFIG, "--data", "{root}/data", "--outdir", "{root}/out"],
+    "finetune-mrt": [*CONFIG, "--data", "{root}/data", "--checkpoint", "{root}/mle.ckpt",
+                     "--outdir", "{root}/out"],
+    "translate": [*MODEL, "--input", "{root}/in.txt", "--output", "{root}/out.txt"],
+    "evaluate": [*MODEL, "--data-file", "{root}/data/test_ood.tsv", "--n", "2",
+                 "--judgments", "{root}/out.jsonl"],
+    "sweep-beam": [*MODEL, "--data-file", "{root}/data/test_ood.tsv", "--n", "2",
+                   "--output", "{root}/out.csv"],
+    "analyze-uncertainty": [*MODEL, "--data-file", "{root}/data/test_ood.tsv",
+                            "--distractor-file", "{root}/data/test_id.tsv",
+                            "--output", "{root}/out.csv", "--assignment", "{root}/assignment.csv"],
+    "reproduce": [*CONFIG, "--outdir", "{root}/out"],
+}
+
+
+def command_line(command: str, root: Path, flags: dict | None = None) -> list[str]:
+    """`command`'s working command line on the files under `root`, with each
+    flag of `flags` given its value: in place of the line's own, or added."""
+    argv = list(WORKING[command])
+    for flag, value in (flags or {}).items():
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    return [command, *(arg.replace("{root}", str(root)) for arg in argv)]
+
+
+def lay_out(workspace, root: Path) -> None:
+    """The inputs of every working command line under `root`: the
+    configuration, the gen-data directory `data`, an MLE checkpoint and a
+    translate input."""
+    config, data, run = workspace
+    shutil.copytree(data, root / "data")
+    shutil.copy(config, root / "config.json")
+    shutil.copy(run / "mle.ckpt", root / "mle.ckpt")
+    (root / "in.txt").write_text("sf0 sf1\n")
+
+
+def file_tree(root: Path) -> dict:
+    """Every path under `root`, with the bytes of each file."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+class Refusal(typing.NamedTuple):
+    command: str
+    says: str  # in the error line; "{root}" stands for the row's directory
+    flags: dict  # as `command_line` takes them
+    files: dict  # a path under the row's directory: its bytes, or a function that edits it
+    held: bool  # `{root}/out` exists, locked as another run would lock it
+
+
+def line_2(source: int, target: int):
+    """An edit giving a corpus file a line 2 of `source` and `target` tokens."""
+    def edit(path: Path) -> None:
+        lines = path.read_text().splitlines()
+        lines[1] = " ".join(["sf0"] * source) + "\t" + " ".join(["tf0"] * target)
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+def misdescribe(**config):
+    """An edit giving a checkpoint's manifest a config that misdescribes its tensors."""
+    def edit(path: Path) -> None:
+        header, payload = path.read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        manifest["config"].update(config)
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    return edit
+
+
+def truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def poison(path: Path) -> None:
+    """Save the checkpoint with a NaN weight: its payload matches its sha256,
+    so the NaN would otherwise surface mid-run."""
+    store = sm.ParameterStore.load(path)
+    store["embed.shared"].data[5, 0] = np.nan
+    store.save(path)
+
+
+BLOCKER = {"F": b"a regular file\n"}  # a path through it is refused
 OTHER_DOMAIN = json.dumps(dict(TINY["domain"], n_novel_content=2)).encode()  # the run used 4
 
-# command, file replaced (in a copy of the gen-data directory), its bytes,
-# and what the error must say besides the file's name
-MALFORMED_INPUTS = [
-    ("translate", "domain.json", b'{"n_function": ', "invalid JSON"),
-    ("translate", "domain.json", b'{"n_function": 3, "x": "t\xff"}', ":1: not UTF-8"),
-    ("translate", "domain.json", OTHER_DOMAIN, "mle.ckpt"),
-    ("finetune-mrt", "domain.json", OTHER_DOMAIN, "mle.ckpt"),
-    ("evaluate", "domain.json", b'{"bogus": 1}', "domain.bogus is not a recognized field"),
-    ("evaluate", "domain.json", b'{"n_function": "x"}', "domain.n_function must be int"),
-    ("evaluate", "domain.json", b'{"p_two_content": NaN}',
-     "domain.p_two_content must be a finite number, got nan"),
-    ("evaluate", "domain.json", OTHER_DOMAIN, "mle.ckpt"),
-    ("sweep-beam", "domain.json", OTHER_DOMAIN, "mle.ckpt"),
-    ("evaluate", "test_ood.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", ":2: not UTF-8"),
-    ("analyze-uncertainty", "test_id.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", ":2: not UTF-8"),
-    ("train-mle", "train.tsv", b"sf0\ttf0\n\xfe\ttf1\n", ":2: not UTF-8"),
-    ("train-mle", "dev.tsv", b"sf0\ttf0\nsf0\ttf0\n\xfe\ttf1\n", ":3: not UTF-8"),
-    ("translate", "in.txt", b"sf0 sf1\nsf1 \xc3\n", ":2: not UTF-8"),
-    ("gen-data", "config.json", b'{"seed": 1, "mle": {"epochs": "\xe9"}}', ":1: not UTF-8"),
-    ("evaluate", "test_ood.tsv", b"", "no sentence pairs"),
-    ("sweep-beam", "test_ood.tsv", b"", "no sentence pairs"),
-    ("analyze-uncertainty", "test_ood.tsv", b"", "no sentence pairs"),
-    ("analyze-uncertainty", "test_id.tsv", b"", "no sentence pairs"),
-    ("train-mle", "train.tsv", b"", "no sentence pairs"),
-    ("train-mle", "dev.tsv", b"", "no sentence pairs"),
-    ("finetune-mrt", "train.tsv", b"", "no sentence pairs"),
+# settings refused when the configuration is built, before any file is read
+BAD_SETTINGS = [
+    ("model.num_heads=3", "model: embed_dim 16 not divisible by num_heads 3"),
+    ("model.dropout_rate=1.5", "model: dropout_rate must be in [0, 1), got 1.5"),
+    ("model.max_seq_len=1", "model: max_seq_len must be >= 2, got 1"),
+    ("eval.sweep_n=0", "eval: sweep_n must be >= 1, got 0"),
+    ("mle.warmup_steps=0", "mle: warmup_steps must be >= 1, got 0"),
+    ("mle.peak_lr=-1", "mle: peak_lr must be >= 0, got -1"),
+    ("mrt.lr=-1", "mrt: lr must be >= 0, got -1"),
+    ("mrt.steps=-1", "mrt: steps must be >= 0, got -1"),
+    ("mrt.sampling_strategy=beam", "mrt.sampling_strategy is not a recognized field"),
+    ("model.tie_embeddings=false", "model.tie_embeddings is not a recognized field"),
+    ("mle.beta1=0.8", "mle.beta1 is not a recognized field"),
+    ("mrt.adam_eps=1e-8", "mrt.adam_eps is not a recognized field"),
+    ("mrt.temperature=1", "mrt.temperature is not a recognized field"),
+    ("eval.max_positions=5", "eval.max_positions is not a recognized field"),
+    ("mle.grad_clip=1", "mle.grad_clip is not a recognized field"),
+    ("mrt.grad_clip=1", "mrt.grad_clip is not a recognized field"),
+    ("eval.min_position=3", "eval.min_position is not a recognized field"),
+    ("eval.length_norm_alpha=0.6", "eval.length_norm_alpha is not a recognized field"),
+    ("eval.overlap_threshold=0.2", "eval.overlap_threshold is not a recognized field"),
+    ("mle.label_smoothing=0.1", "mle.label_smoothing is not a recognized field"),
+    ("eval.eval_beam=4", "eval.eval_beam is not a recognized field"),
+    ("mrt.alpha=0.005", "mrt.alpha is not a recognized field"),
+    # TINY asks for 10 sentences to judge from each test set
+    ("data.test_size=4", "eval.hallucination_n must be <= data.test_size 4, got 10"),
+    # sizes one decoder would hold beyond seqmodel.MAX_LIVE_ROWS, and a repeated width
+    ("mrt.n_samples=65", "mrt: sentences_per_batch * n_samples must be <= 256, got 4 * 65"),
+    ("eval.beam_sizes=[1,257]", "eval: beam_sizes must be distinct sizes in [1, 256], "
+     "got [1, 257]"),
+    ("eval.beam_sizes=[2,1,2]", "eval: beam_sizes must be distinct sizes in [1, 256], "
+     "got [2, 1, 2]"),
 ]
 
+def refusal_rows() -> dict[str, Refusal]:
+    """Every row of the matrix, by id: "command/what is wrong"."""
+    rows = {}
 
-def _command_line(command: str, data: Path, checkpoint: Path) -> list[str]:
-    model = ["--checkpoint", str(checkpoint), "--domain", str(data / "domain.json")]
-    config = ["--config", str(data / "config.json")]
-    return {
-        "translate": ["translate", *model, "--input", str(data / "in.txt")],
-        "evaluate": ["evaluate", *model, "--data-file", str(data / "test_ood.tsv"),
-                     "--n", "2"],
-        "sweep-beam": ["sweep-beam", *model, "--data-file", str(data / "test_ood.tsv"),
-                       "--n", "2",
-                       "--output", str(data / "sweep.csv")],
-        "analyze-uncertainty": ["analyze-uncertainty", *model,
-                                "--data-file", str(data / "test_ood.tsv"),
-                                "--distractor-file", str(data / "test_id.tsv"),
-                                "--output", str(data / "curves.csv")],
-        "train-mle": ["train-mle", *config, "--data", str(data), "--outdir", str(data / "run")],
-        "finetune-mrt": ["finetune-mrt", *config, "--data", str(data),
-                         "--checkpoint", str(checkpoint), "--outdir", str(data / "run")],
-        "gen-data": ["gen-data", *config, "--outdir", str(data / "gen")],
-    }[command]
+    def add(command, what, says, flags=None, files=None, held=False):
+        assert f"{command}/{what}" not in rows, what
+        rows[f"{command}/{what}"] = Refusal(command, says, flags or {}, files or {}, held)
+
+    # configuration, seed, flags and output directories
+    for command in ("gen-data", "reproduce"):
+        for override, says in BAD_SETTINGS:
+            add(command, f"set-{override}", says, {"--set": override})
+        add(command, "negative-seed", "seed must be >= 0, got -1", {"--seed": "-1"})
+    add("train-mle", "negative-seed", "seed must be >= 0, got -1", {"--seed": "-1"})
+    add("gen-data", "config-invalid-json", "{root}/config.json: invalid JSON",
+        files={"config.json": b"{"})
+    add("gen-data", "config-not-utf8", "{root}/config.json:1: not UTF-8",
+        files={"config.json": b'{"seed": 1, "mle": {"epochs": "\xe9"}}'})
+    for root, name in (("[1]", "list"), ('"seed"', "string"), ("null", "null")):
+        for how, flags in (("plain", {"--seed": "1"}),
+                           ("set", {"--seed": "1", "--set": "mrt.steps=1"})):
+            add("gen-data", f"config-root-{name}-{how}",
+                "{root}/config.json: the configuration must be a JSON object", flags,
+                {"config.json": root.encode()})
+    for command, flag, value in (
+            ("gen-data", "--no-such-flag", "1"), ("translate", "--alpha", "0.6"),
+            ("evaluate", "--alpha", "0.6"), ("sweep-beam", "--alpha", "0.6"),
+            ("evaluate", "--threshold", "0.2"), ("sweep-beam", "--threshold", "0.2"),
+            ("analyze-uncertainty", "--max-positions", "3"),
+            ("analyze-uncertainty", "--min-position", "3")):
+        add(command, f"unknown-flag-{flag[2:]}", f"unrecognized arguments: {flag} {value}",
+            {flag: value})
+    for n in ("-3", "0", "two"):
+        add("evaluate", f"n-{n}", f"argument --n: must be a positive integer, got '{n}'",
+            {"--n": n})
+    for command in ("translate", "evaluate"):
+        add(command, "beam-0", "argument --beam: must be a positive integer, got '0'",
+            {"--beam": "0"})
+        add(command, "beam-257", "beam_size must be in [1, 256], got 257", {"--beam": "257"})
+    for beams, bad in (("1,x", "x"), ("0,4", "0"), ("", "")):
+        add("sweep-beam", f"beams-{beams or 'empty'}",
+            f"argument --beams: must be a positive integer, got '{bad}'", {"--beams": beams})
+    for beams, sizes in (("1,1", "[1, 1]"), ("4,257", "[4, 257]")):
+        add("sweep-beam", f"beams-{beams}",
+            f"--beams must be distinct sizes in [1, 256], got {sizes}", {"--beams": beams})
+    add("analyze-uncertainty", "negative-seed",
+        "argument --seed: must be a non-negative integer, got '-3'", {"--seed": "-3"})
+    for command in ("gen-data", "train-mle", "finetune-mrt", "reproduce"):
+        add(command, "held-lock", "{root}/out is locked: another run is writing into it",
+            held=True)
+    add("gen-data", "outdir-through-a-file", "{root}/F/sub: Not a directory",
+        {"--outdir": "{root}/F/sub"}, BLOCKER)
+    add("reproduce", "outdir-a-file", "{root}/F: File exists", {"--outdir": "{root}/F"}, BLOCKER)
+    for command, flag in (("evaluate", "--judgments"), ("sweep-beam", "--output"),
+                          ("translate", "--output"), ("analyze-uncertainty", "--output")):
+        for what, path, says in (
+                ("missing-directory", "{root}/missing/out.txt",
+                 "{root}/missing/out.txt: it or its directory is missing"),
+                ("under-a-file", "{root}/F/out.txt",
+                 "{root}/F/out.txt: it or its directory is missing"),
+                ("a-directory", "{root}", "'{root}': it is empty or a directory"),
+                ("empty", "", "'': it is empty or a directory")):
+            add(command, f"output-{what}", f"cannot write {says}", {flag: path}, BLOCKER)
+    add("analyze-uncertainty", "assignment-missing-directory",
+        "cannot write {root}/no-such-dir/assignment.csv: it or its directory is missing",
+        {"--assignment": "{root}/no-such-dir/assignment.csv"})
+
+    # a generated line the model cannot take, refused before a corpus file is written
+    for command, files in (("gen-data", None), ("reproduce", {"out": Path.mkdir})):
+        add(command, "overlong-generated-line",
+            "{root}/out/train.tsv: line 9 has 8 target tokens, more than the 7 that the "
+            "model's max_seq_len 8 leaves after BOS", {"--set": "model.max_seq_len=8"}, files)
+
+    # files the system refuses to open
+    for command in ("translate", "finetune-mrt"):
+        add(command, "missing-checkpoint", "{root}/no.ckpt: No such file or directory",
+            {"--checkpoint": "{root}/no.ckpt"})
+    add("translate", "input-through-a-file", "{root}/F/x: Not a directory",
+        {"--input": "{root}/F/x"}, BLOCKER)
+    add("train-mle", "data-through-a-file", "{root}/F/domain.json: Not a directory",
+        {"--data": "{root}/F"}, BLOCKER)
+    for command, flag in (("translate", "--checkpoint"), ("translate", "--input"),
+                          ("evaluate", "--data-file")):
+        add(command, f"{flag[2:]}-a-directory", "{root}/data: Is a directory",
+            {flag: "{root}/data"})
+
+    # malformed inputs
+    add("translate", "domain-invalid-json", "{root}/data/domain.json: invalid JSON",
+        files={"data/domain.json": b'{"n_function": '})
+    add("translate", "domain-not-utf8", "{root}/data/domain.json:1: not UTF-8",
+        files={"data/domain.json": b'{"x": "t\xff"}'})
+    add("evaluate", "domain-unknown-field",
+        "{root}/data/domain.json: domain.bogus is not a recognized field",
+        files={"data/domain.json": b'{"bogus": 1}'})
+    add("evaluate", "domain-mistyped-field",
+        "{root}/data/domain.json: domain.n_function must be int, got 'x'",
+        files={"data/domain.json": b'{"n_function": "x"}'})
+    add("evaluate", "domain-nan",
+        "{root}/data/domain.json: domain.p_two_content must be a finite number, got nan",
+        files={"data/domain.json": b'{"p_two_content": NaN}'})
+    for command in ("translate", "finetune-mrt", "evaluate", "sweep-beam"):
+        add(command, "domain-of-another-size",
+            "{root}/data/domain.json gives a vocabulary of 26 tokens (with the 4 reserved), "
+            "but {root}/mle.ckpt was trained on a vocabulary of 30",
+            files={"data/domain.json": OTHER_DOMAIN})
+    for command, name, content, line in (
+            ("evaluate", "data/test_ood.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", 2),
+            ("analyze-uncertainty", "data/test_id.tsv", b"sf0\ttf0\nsf1\xff\ttf1\n", 2),
+            ("train-mle", "data/train.tsv", b"sf0\ttf0\n\xfe\ttf1\n", 2),
+            ("train-mle", "data/dev.tsv", b"sf0\ttf0\nsf0\ttf0\n\xfe\ttf1\n", 3),
+            ("translate", "in.txt", b"sf0 sf1\nsf1 \xc3\n", 2)):
+        add(command, f"{Path(name).stem}-not-utf8", f"{{root}}/{name}:{line}: not UTF-8",
+            files={name: content})
+    for command, name in (("evaluate", "test_ood"), ("sweep-beam", "test_ood"),
+                          ("analyze-uncertainty", "test_ood"), ("analyze-uncertainty", "test_id"),
+                          ("train-mle", "train"), ("train-mle", "dev"), ("finetune-mrt", "train")):
+        add(command, f"{name}-empty", f"{{root}}/data/{name}.tsv: no sentence pairs in the file",
+            files={f"data/{name}.tsv": b""})
+    for command in ("evaluate", "sweep-beam"):
+        add(command, "reference-without-content",
+            "{root}/data/test_ood.tsv: line 2 has a reference with no content token of the "
+            "domain", files={"data/test_ood.tsv": b"sf0 sb0\ttf0 tb0\nsf0 sb0\ttf0\n"})
+
+    # checkpoints the loader refuses (tests/test_seqmodel.py holds every variant)
+    add("translate", "checkpoint-truncated",
+        "{root}/mle.ckpt: a 21560-byte payload where its tensors take 21568; "
+        "file truncated or corrupt", files={"mle.ckpt": truncate})
+    add("translate", "checkpoint-misdescribed",
+        "{root}/mle.ckpt: holds tensor enc.final_ln.gain (16,) where its config's model has "
+        "enc.1.ln1.gain (16,)", files={"mle.ckpt": misdescribe(enc_layers=2)})
+    for command in ("translate", "finetune-mrt"):
+        add(command, "checkpoint-non-finite", "{root}/mle.ckpt: holds non-finite weights",
+            files={"mle.ckpt": poison})
+
+    # lines the model cannot take
+    add("translate", "overlong-source",
+        "{root}/in.txt: line 2 has 17 tokens, more than the model's max_seq_len 16",
+        files={"in.txt": ("sf0\n" + " ".join(["x"] * 17) + "\nsf1\n").encode()})
+    for command, name, source, target, says in (
+            ("evaluate", "test_ood", 17, 3,
+             "line 2 has 17 tokens, more than the model's max_seq_len 16"),
+            ("sweep-beam", "test_ood", 17, 3, "line 2 has 17 tokens"),
+            ("analyze-uncertainty", "test_ood", 17, 3, "line 2 has 17 tokens"),
+            ("analyze-uncertainty", "test_ood", 3, 16, "line 2 has 16 target tokens, more "
+             "than the 15 that the model's max_seq_len 16 leaves after BOS"),
+            ("analyze-uncertainty", "test_id", 3, 16, "line 2 has 16 target tokens"),
+            ("train-mle", "train", 17, 3,
+             "line 2 has 17 tokens, more than the model's max_seq_len 16"),
+            ("train-mle", "dev", 3, 16, "line 2 has 16 target tokens, more than the 15"),
+            ("finetune-mrt", "train", 17, 3, "line 2 has 17 tokens"),
+            ("finetune-mrt", "train", 3, 16, "line 2 has 16 target tokens")):
+        add(command, f"overlong-{name}-{'source' if source > target else 'target'}",
+            f"{{root}}/data/{name}.tsv: {says}",
+            files={f"data/{name}.tsv": line_2(source, target)})
+    return rows
 
 
-@pytest.mark.parametrize("command, name, content, says", MALFORMED_INPUTS)
-def test_malformed_input_exits_one_naming_the_file(workspace, tmp_path, capsys,
-                                                   command, name, content, says):
-    config, data, run = workspace
-    copy = tmp_path / "data"
-    shutil.copytree(data, copy)
-    shutil.copy(config, copy / "config.json")
-    (copy / "in.txt").write_text("sf0 sf1\n")
-    (copy / name).write_bytes(content)
-    code = cli.main(_command_line(command, copy, run / "mle.ckpt"))
+REFUSALS = refusal_rows()
+
+
+@pytest.mark.parametrize("refusal", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_exits_one_naming_its_cause_before_any_work(workspace, tmp_path, monkeypatch,
+                                                              capsys, refusal):
+    lay_out(workspace, tmp_path)
+    for name, content in refusal.files.items():
+        content(tmp_path / name) if callable(content) else (tmp_path / name).write_bytes(content)
+    passes = []
+
+    def no_model_pass(*args, **kwargs):
+        passes.append(args)
+        raise AssertionError("a model pass ran")
+
+    monkeypatch.setattr(sm, "encode_rows", no_model_pass)
+    with contextlib.ExitStack() as stack:
+        if refusal.held:
+            (tmp_path / "out").mkdir()
+            fd = os.open(tmp_path / "out", os.O_RDONLY)
+            stack.callback(os.close, fd)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        before = file_tree(tmp_path)
+        code = cli.main(command_line(refusal.command, tmp_path, refusal.flags))
     err = capsys.readouterr().err
-    assert code == 1, err
-    assert str(copy / name) in err and says in err and "internal error" not in err
-    assert not (copy / "run").exists()  # refused before --outdir is made
+    assert code == 1 and err.startswith("error: ") and err.endswith("\n"), err
+    assert err.count("\n") == 1, err
+    assert refusal.says.replace("{root}", str(tmp_path)) in err, err
+    assert file_tree(tmp_path) == before
+    assert passes == []
+    if (tmp_path / "out").is_dir():
+        assert_unlocked(tmp_path / "out")
 
 
-@pytest.mark.parametrize("command", ["reproduce", "gen-data", "train-mle", "translate"])
-def test_a_path_through_a_regular_file_exits_one_naming_it(workspace, tmp_path, capsys,
-                                                           command):
-    config, data, run = workspace
-    blocker = tmp_path / "F"
-    blocker.write_text("a regular file\n")
-    code = cli.main({
-        "reproduce": ["reproduce", "--config", str(config), "--outdir", str(blocker)],
-        "gen-data": ["gen-data", "--config", str(config), "--outdir", str(blocker / "sub")],
-        "train-mle": ["train-mle", "--config", str(config), "--data", str(blocker),
-                      "--outdir", str(tmp_path / "run")],
-        "translate": ["translate", "--checkpoint", str(run / "mle.ckpt"),
-                      "--domain", str(data / "domain.json"), "--input", str(blocker / "x")],
-    }[command])
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert str(blocker) in err and "internal error" not in err
+def test_every_command_has_refusal_rows():
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) == set(WORKING) == {refusal.command for refusal in REFUSALS.values()}
 
 
-@pytest.mark.parametrize("command", ["reproduce", "gen-data", "train-mle"])
-def test_a_negative_seed_exits_one_before_any_file(workspace, tmp_path, capsys, command):
-    config, data, run = workspace
-    out = tmp_path / "out"
-    data_flag = ["--data", str(data)] if command == "train-mle" else []
-    code = cli.main([command, "--config", str(config), "--seed", "-1", *data_flag,
-                     "--outdir", str(out)])
-    err = capsys.readouterr().err
-    assert code == 1 and "seed must be >= 0, got -1" in err, err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("root", ["[1]", '"seed"', "null"])
-@pytest.mark.parametrize("overrides", [[], ["--set", "mrt.steps=1"]], ids=["plain", "set"])
-def test_a_config_root_that_is_no_object_exits_one_naming_the_file(tmp_path, capsys,
-                                                                   root, overrides):
-    path = tmp_path / "C.json"
-    path.write_text(root)
-    out = tmp_path / "o"
-    code = cli.main(["gen-data", "--config", str(path), "--seed", "1", *overrides,
-                     "--outdir", str(out)])
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert f"{path}: the configuration must be a JSON object" in err, err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, name, source, target, says", [
-    ("train-mle", "train.tsv", 17, 3, "line 2 has 17 tokens, more than the model's "
-     "max_seq_len 16"),
-    ("train-mle", "dev.tsv", 3, 16, "line 2 has 16 target tokens, more than the 15"),
-    ("finetune-mrt", "train.tsv", 17, 3, "line 2 has 17 tokens"),
-    ("finetune-mrt", "train.tsv", 3, 16, "line 2 has 16 target tokens")])
-def test_an_overlong_training_line_is_refused_before_training(workspace, tmp_path, capsys,
-                                                              command, name, source,
-                                                              target, says):
-    config, data, run = workspace
-    copy = tmp_path / "data"
-    shutil.copytree(data, copy)
-    shutil.copy(config, copy / "config.json")
-    lines = (copy / name).read_text().splitlines()
-    lines[1] = " ".join(["sf0"] * source) + "\t" + " ".join(["tf0"] * target)
-    (copy / name).write_text("\n".join(lines) + "\n")
-    code = cli.main(_command_line(command, copy, run / "mle.ckpt"))
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert f"{copy / name}: {says}" in err, err
-    assert not (copy / "run").exists()
-
-
-def test_gen_data_refuses_an_overlong_line_before_writing(tmp_path, capsys):
-    out = tmp_path / "gen"
-    code = cli.main(["gen-data", "--config", str(write_tiny_config(tmp_path)),
-                     "--set", "model.max_seq_len=8", "--outdir", str(out)])
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert err.startswith(f"error: {out / 'train.tsv'}: line ") and "max_seq_len 8" in err, err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, flag", [("translate", "--checkpoint"),
-                                           ("translate", "--input"),
-                                           ("evaluate", "--data-file")])
-def test_a_directory_given_as_a_file_exits_one_naming_it(workspace, tmp_path, capsys,
-                                                         command, flag):
-    config, data, run = workspace
-    copy = tmp_path / "data"
-    shutil.copytree(data, copy)
-    (copy / "in.txt").write_text("sf0 sf1\n")
-    argv = _command_line(command, copy, run / "mle.ckpt")
-    argv[argv.index(flag) + 1] = str(tmp_path)
-    code = cli.main(argv)
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
-
-
-@pytest.mark.parametrize("command", ["train-mle", "finetune-mrt"])
-def test_a_failed_read_creates_no_outdir(workspace, tmp_path, capsys, command):
-    config, data, run = workspace
-    blocker = tmp_path / "F"
-    blocker.write_text("a regular file\n")
-    out = tmp_path / "new" / "out"
-    code = cli.main({
-        "train-mle": ["train-mle", "--config", str(config), "--data", str(blocker),
-                      "--outdir", str(out)],
-        "finetune-mrt": ["finetune-mrt", "--config", str(config), "--data", str(data),
-                         "--checkpoint", str(tmp_path / "nope.ckpt"), "--outdir", str(out)],
-    }[command])
-    err = capsys.readouterr().err
-    assert code == 1 and "internal error" not in err, err
-    assert not (tmp_path / "new").exists()
-
-
-@pytest.mark.parametrize("command, flags, says", [
-    ("sweep-beam", ["--beams", "1,1"], "--beams must be distinct sizes in [1, 256], got [1, 1]"),
-    ("sweep-beam", ["--beams", "4,257"],
-     "--beams must be distinct sizes in [1, 256], got [4, 257]"),
-    ("translate", ["--beam", "257"], "beam_size must be in [1, 256], got 257"),
-    ("evaluate", ["--beam", "257"], "beam_size must be in [1, 256], got 257")])
-def test_a_beam_size_refused_before_decoding(workspace, tmp_path, capsys, monkeypatch,
-                                            command, flags, says):
-    config, data, run = workspace
-    copy = tmp_path / "data"
-    shutil.copytree(data, copy)
-    (copy / "in.txt").write_text("sf0 sf1\n")
-
-    def no_decoding(*args, **kwargs):
-        raise AssertionError("decoded before the beam sizes were checked")
-
-    monkeypatch.setattr(dec, "beam_search_corpus", no_decoding)
-    code = cli.main([*_command_line(command, copy, run / "mle.ckpt"), *flags])
-    err = capsys.readouterr().err
-    assert code == 1 and f"error: {says}\n" == err, err
-    assert not (copy / "sweep.csv").exists()
-
-
-def test_a_non_finite_checkpoint_refused_at_load(workspace, tmp_path, capsys):
-    # its payload matches its sha256, so the NaN would otherwise surface mid-run
-    config, data, run = workspace
-    store = sm.ParameterStore.load(run / "mle.ckpt")
-    store["embed.shared"].data[5, 0] = np.nan
-    bad = tmp_path / "nan.ckpt"
-    store.save(bad)
-    (tmp_path / "in.txt").write_text("sf0 sf1\n")
-    out = tmp_path / "out"
-    for argv in (["translate", "--checkpoint", str(bad), "--domain", str(data / "domain.json"),
-                  "--input", str(tmp_path / "in.txt")],
-                 ["finetune-mrt", "--config", str(config), "--data", str(data),
-                  "--checkpoint", str(bad), "--outdir", str(out)]):
-        code = cli.main(argv)
-        err = capsys.readouterr().err
-        assert code == 1 and f"error: {bad}: holds non-finite weights" in err, err
-    assert not (out / "mrt_trace.csv").exists()
-
-
-@pytest.mark.parametrize("command, flag", [("evaluate", "--judgments"),
-                                           ("sweep-beam", "--output"),
-                                           ("translate", "--output"),
-                                           ("analyze-uncertainty", "--output")])
-def test_an_unwritable_output_refused_before_decoding(workspace, tmp_path, capsys,
-                                                      monkeypatch, command, flag):
-    config, data, run = workspace
-    copy = tmp_path / "data"
-    shutil.copytree(data, copy)
-    (copy / "in.txt").write_text("sf0 sf1\n")
-    (tmp_path / "F").write_text("a regular file\n")
-
-    def no_decoding(*args, **kwargs):
-        raise AssertionError("decoded before the output was checked")
-
-    monkeypatch.setattr(dec, "beam_search_corpus", no_decoding)
-    monkeypatch.setattr(an, "uncertainty_curves", no_decoding)
-    missing, under_a_file = tmp_path / "missing" / "out.txt", tmp_path / "F" / "out.txt"
-    for out, says in ((missing, f"{missing}: it or its directory is missing"),
-                      (under_a_file, f"{under_a_file}: it or its directory is missing"),
-                      (tmp_path, f"{str(tmp_path)!r}: it is empty or a directory"),
-                      ("", "'': it is empty or a directory")):
-        code = cli.main([*_command_line(command, copy, run / "mle.ckpt"), flag, str(out)])
-        err = capsys.readouterr().err
-        assert code == 1 and err.startswith(f"error: cannot write {says}"), err
+@pytest.mark.parametrize("command", WORKING)
+def test_each_working_command_line_succeeds(workspace, tmp_path, capsys, command):
+    # so a row's refusal comes from its one change
+    lay_out(workspace, tmp_path)
+    assert cli.main(command_line(command, tmp_path)) == 0, capsys.readouterr().err
 
 
 def test_an_output_written_in_place_is_checked_for_its_own_access(tmp_path, monkeypatch):
@@ -767,25 +661,6 @@ def test_an_output_written_in_place_is_checked_for_its_own_access(tmp_path, monk
     with pytest.raises(ContractError, match=re.escape(f"cannot write {tmp_path / 'new.csv'}")):
         cli._refuse_unwritable(str(tmp_path / "new.csv"))
 
-
-@pytest.mark.parametrize("command", ["evaluate", "sweep-beam"])
-def test_reference_without_content_refused_before_decoding(workspace, tmp_path, capsys,
-                                                           monkeypatch, command):
-    config, data, run = workspace
-    copy = tmp_path / "data"
-    shutil.copytree(data, copy)
-    (copy / "test_ood.tsv").write_text("sf0 sb0\ttf0 tb0\nsf0 sb0\ttf0\n")
-
-    def no_decoding(*args, **kwargs):
-        raise AssertionError("decoded before every reference was checked")
-
-    monkeypatch.setattr(dec, "beam_search_corpus", no_decoding)
-    code = cli.main(_command_line(command, copy, run / "mle.ckpt"))
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert (f"{copy / 'test_ood.tsv'}: line 2 has a reference with no content token "
-            f"of the domain") in err
-    assert not (copy / "sweep.csv").exists()
 
 
 LARGER_RUN_SEED = 3  # the two systems hallucinate on different numbers of sentences
@@ -838,20 +713,6 @@ def assert_unlocked(directory: Path) -> None:
 
 
 class TestReproduce:
-    def test_lock_refuses_second_run(self, tmp_path, capsys):
-        config = write_tiny_config(tmp_path)
-        out = tmp_path / "locked"
-        out.mkdir()
-        fd = os.open(out, os.O_RDONLY)  # a lock of its own, as another run would hold
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            code = cli.main(["reproduce", "--config", str(config), "--outdir", str(out)])
-        finally:
-            os.close(fd)
-        err = capsys.readouterr().err
-        assert code == 1 and err.startswith(f"error: {out} is locked") and err.count("\n") == 1
-        assert list(out.iterdir()) == []  # no train.tsv, and no lock file
-
     def test_lock_of_a_killed_run_is_released(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)
         out = tmp_path / "run"
@@ -906,17 +767,6 @@ class TestReproduce:
         assert set(files) == {p.name for p in out.iterdir()} - set(debris) - {"manifest.json"}
         for name, data in debris.items():
             assert (out / name).read_bytes() == data
-
-    def test_an_overlong_generated_line_is_refused_before_training(self, tmp_path, capsys):
-        config = write_tiny_config(tmp_path)
-        out = tmp_path / "run"
-        code = cli.main(["reproduce", "--config", str(config), "--set", "model.max_seq_len=8",
-                         "--outdir", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1, err
-        assert f"{out / 'train.tsv'}: line " in err and "max_seq_len 8" in err, err
-        assert list(out.iterdir()) == []  # no corpus file, no checkpoint, no manifest
-        assert_unlocked(out)
 
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
         # a diverging rerun into a finished run's directory: the earlier
@@ -1100,35 +950,10 @@ def test_decoding_commands_rank_with_the_evaluation_alpha(workspace, tmp_path, m
         assert alphas and set(alphas) == {dec.DecodeConfig.length_norm_alpha}, (argv[0], alphas)
 
 
-# each command's required arguments; no file is opened before parsing ends
-REQUIRED = {
-    "translate": ["--checkpoint", "m.ckpt", "--domain", "d.json", "--input", "in.txt"],
-    "evaluate": ["--checkpoint", "m.ckpt", "--domain", "d.json", "--data-file", "p.tsv"],
-    "sweep-beam": ["--checkpoint", "m.ckpt", "--domain", "d.json", "--data-file", "p.tsv",
-                   "--output", "s.csv"],
-    "analyze-uncertainty": ["--checkpoint", "m.ckpt", "--domain", "d.json",
-                            "--data-file", "p.tsv", "--distractor-file", "p.tsv",
-                            "--output", "c.csv"],
-}
-
-
-@pytest.mark.parametrize("command, flag, value", [
-    ("translate", "--alpha", "0.6"), ("evaluate", "--alpha", "0.6"),
-    ("sweep-beam", "--alpha", "0.6"), ("evaluate", "--threshold", "0.2"),
-    ("sweep-beam", "--threshold", "0.2")])
-def test_removed_decoding_flags_are_unrecognized(tmp_path, monkeypatch, capsys,
-                                                 command, flag, value):
-    monkeypatch.chdir(tmp_path)
-    code = cli.main([command, *REQUIRED[command], flag, value])
-    err = capsys.readouterr().err
-    assert code == 1 and f"unrecognized arguments: {flag} {value}" in err, err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("command", ["translate", "evaluate"])
 def test_beam_defaults_to_the_study_beam(command):
     # a bare `evaluate` judges at the width `reproduce` judges with
-    args = cli.build_parser().parse_args([command, *REQUIRED[command]])
+    args = cli.build_parser().parse_args(command_line(command, Path("r")))
     assert args.beam == dec.DecodeConfig().beam_size
 
 
@@ -1152,9 +977,9 @@ def test_readme_removed_settings_are_refused():
             cli.config_from_dict({section: {key: 1}})
     parser = cli.build_parser()
     for command, flag in flags:
-        parser.parse_args([command, *REQUIRED[command]])
+        parser.parse_args(command_line(command, Path("r")))
         with pytest.raises(ContractError, match=f"unrecognized arguments: {flag} 1$"):
-            parser.parse_args([command, *REQUIRED[command], flag, "1"])
+            parser.parse_args([*command_line(command, Path("r")), flag, "1"])
 
 
 def test_readme_removed_settings_name_what_replaced_them():

@@ -337,7 +337,11 @@ class TestCheckpoint:
                         "where its config's model has enc.0.ffn.w1 (16, 64)"),
         ("vocab_size", 40, "holds tensor embed.shared (32, 16) "
                            "where its config's model has embed.shared (40, 16)"),
-        ("num_heads", 3, "embed_dim 16 not divisible by num_heads 3")])
+        ("num_heads", 3, "embed_dim 16 not divisible by num_heads 3"),
+        # mistyped fields are refused by name, not met later as a TypeError
+        ("max_seq_len", 8.0, "max_seq_len must be int, got 8.0"),
+        ("num_heads", True, "num_heads must be int, got True"),
+        ("enc_layers", "1", "enc_layers must be int, got '1'")])
     def test_rejects_a_config_that_misdescribes_the_tensors(self, store, tmp_path,
                                                             field, value, says):
         bad = rewrite_manifest(store, tmp_path / "bad.ckpt",
