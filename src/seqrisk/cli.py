@@ -159,33 +159,27 @@ def _write_json(path: Path, payload) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-_HELD: set[tuple[int, int]] = set()  # (st_dev, st_ino) of each directory this process locks
-
-
 @contextlib.contextmanager
 def output_lock(outdir: Path):
-    """Claim directory `outdir` for the block: make it if need be and hold
-    an exclusive kernel lock on it, refusing a concurrent run.  A claim
-    nested in one this process holds takes no second lock, which would
-    conflict with the first.  It makes no file and ends with its holder."""
+    """Claim directory `outdir` for the block: make it and any missing parent, and lock
+    it exclusively (no file; the lock ends with its holder), refusing a concurrent run.
+    If the block raises, each directory the claim made goes again, leaf first, if empty."""
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # leaf first
     outdir.mkdir(parents=True, exist_ok=True)
     fd = os.open(outdir, os.O_RDONLY)
     try:
-        stat = os.fstat(fd)
-        key = (stat.st_dev, stat.st_ino)
-        if key in _HELD:
-            yield
-            return
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
+        except BlockingIOError:  # another run may have just made it: remove nothing
             raise SeqriskError(f"{outdir} is locked: another run is writing into it; "
                                "wait for it to finish") from None
-        _HELD.add(key)
         try:
             yield
-        finally:
-            _HELD.remove(key)
+        except BaseException:
+            with contextlib.suppress(OSError):  # a directory holding a file stays, with its parents
+                for directory in made:
+                    directory.rmdir()
+            raise
     finally:
         os.close(fd)
 
@@ -229,8 +223,8 @@ def _refuse_overlong_pairs(path, pairs: list[dg.TokenPair], max_seq_len: int) ->
 def _refuse_unwritable(*paths) -> None:
     """Refuse, before any decoding, an output path `atomic_write` could not write."""
     for path in (path for path in paths if path is not None):
-        if not path or os.path.isdir(path):  # `in_place` counts a directory as written in place
-            raise ContractError(f"cannot write {path!r}: it is empty or a directory")
+        if os.path.isdir(path):  # `in_place` counts a directory as written in place
+            raise ContractError(f"cannot write {path}: it is a directory")
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent) or not os.access(
                 path if sm.in_place(path) else parent, os.W_OK):
@@ -266,14 +260,13 @@ def stage_gen_data(config: ExperimentConfig, outdir: Path) -> dict[str, list[dg.
         test_size=config.data.test_size)
     for name, pairs in suite.items():  # a config can make lines the model cannot take
         _refuse_overlong_pairs(outdir / f"{name}.tsv", pairs, config.model.max_seq_len)
-    with output_lock(outdir):
-        for name, pairs in suite.items():
-            dg.write_tsv(outdir / f"{name}.tsv", pairs)
-        with sm.atomic_write(outdir / "domain.json") as fh:
-            fh.write(config.domain.to_json() + "\n")
-        vocab = dg.build_vocabulary(config.domain)
-        with sm.atomic_write(outdir / "vocab.json") as fh:
-            fh.write(vocab.to_json() + "\n")
+    for name, pairs in suite.items():
+        dg.write_tsv(outdir / f"{name}.tsv", pairs)
+    with sm.atomic_write(outdir / "domain.json") as fh:
+        fh.write(config.domain.to_json() + "\n")
+    vocab = dg.build_vocabulary(config.domain)
+    with sm.atomic_write(outdir / "vocab.json") as fh:
+        fh.write(vocab.to_json() + "\n")
     return suite
 
 
@@ -395,7 +388,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="experiment configuration JSON")
+    p.add_argument("--config", type=_path, help="experiment configuration JSON")
     p.add_argument("--seed", type=int, default=None, help="override the run seed")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="SECTION.FIELD=VALUE",
@@ -403,8 +396,14 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--domain", required=True, help="domain.json from gen-data")
+    p.add_argument("--checkpoint", type=_path, required=True)
+    p.add_argument("--domain", type=_path, required=True, help="domain.json from gen-data")
+
+
+def _path(text: str) -> str:
+    if not text:  # an empty path would mean the working directory
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -425,14 +424,15 @@ def _positive_ints(text: str) -> list[int]:
 
 
 def _add_pair_flags(p: argparse.ArgumentParser, data_help: str | None = None) -> None:
-    p.add_argument("--data-file", required=True, help=data_help)
+    p.add_argument("--data-file", type=_path, required=True, help=data_help)
     p.add_argument("--n", type=_positive_int, default=None,
                    help="use only the first N pairs")
 
 
 def _cmd_gen_data(args) -> int:
     config = load_config(args.config, args.overrides, args.seed)
-    stage_gen_data(config, Path(args.outdir))
+    with output_lock(Path(args.outdir)):
+        stage_gen_data(config, Path(args.outdir))
     print(f"wrote corpus suite to {args.outdir}")
     return 0
 
@@ -551,26 +551,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the corpus suite")
     _add_config_flags(p)
-    p.add_argument("--outdir", required=True)
+    p.add_argument("--outdir", type=_path, required=True)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train-mle", help="train the likelihood baseline")
     _add_config_flags(p)
-    p.add_argument("--data", required=True, help="directory from gen-data")
-    p.add_argument("--outdir", required=True)
+    p.add_argument("--data", type=_path, required=True, help="directory from gen-data")
+    p.add_argument("--outdir", type=_path, required=True)
     p.set_defaults(func=_cmd_train_mle)
 
     p = sub.add_parser("finetune-mrt", help="risk fine-tuning from a checkpoint")
     _add_config_flags(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--outdir", required=True)
+    p.add_argument("--data", type=_path, required=True)
+    p.add_argument("--checkpoint", type=_path, required=True)
+    p.add_argument("--outdir", type=_path, required=True)
     p.set_defaults(func=_cmd_finetune_mrt)
 
     p = sub.add_parser("translate", help="decode source lines with a checkpoint")
     _add_model_flags(p)
-    p.add_argument("--input", required=True, help="one source sentence per line")
-    p.add_argument("--output", default="-")
+    p.add_argument("--input", type=_path, required=True, help="one source sentence per line")
+    p.add_argument("--output", type=_path, default="-")
     p.add_argument("--beam", type=_positive_int, default=dec.DecodeConfig.beam_size)
     p.add_argument("--scores", action="store_true",
                    help="append total log-probability to each line")
@@ -580,17 +580,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_pair_flags(p)
     p.add_argument("--beam", type=_positive_int, default=dec.DecodeConfig.beam_size)
-    p.add_argument("--judgments", default=None, help="write per-sentence JSONL here")
+    p.add_argument("--judgments", type=_path, default=None, help="write per-sentence JSONL here")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("analyze-uncertainty",
                        help="forced-token certainty curves vs distractors")
     _add_model_flags(p)
     _add_pair_flags(p, "corpus whose references are scored")
-    p.add_argument("--distractor-file", required=True,
+    p.add_argument("--distractor-file", type=_path, required=True,
                    help="corpus whose targets form the distractor pool")
-    p.add_argument("--output", required=True, help="curve CSV path")
-    p.add_argument("--assignment", default=None,
+    p.add_argument("--output", type=_path, required=True, help="curve CSV path")
+    p.add_argument("--assignment", type=_path, default=None,
                    help="optional CSV recording reference-to-distractor pairing")
     p.add_argument("--system", default="model", help="model tag for the CSV rows")
     p.add_argument("--seed", type=_non_negative_int, default=0)
@@ -599,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-beam", help="score and hallucination rate by beam size")
     _add_model_flags(p)
     _add_pair_flags(p)
-    p.add_argument("--output", required=True, help="sweep CSV path")
+    p.add_argument("--output", type=_path, required=True, help="sweep CSV path")
     p.add_argument("--system", default="model")
     p.add_argument("--beams", type=_positive_ints,
                    default=",".join(str(k) for k in an.DEFAULT_BEAM_SIZES),
@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the full study into one directory")
     _add_config_flags(p)
-    p.add_argument("--outdir", required=True)
+    p.add_argument("--outdir", type=_path, required=True)
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

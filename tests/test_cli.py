@@ -343,6 +343,12 @@ WORKING = {
 }
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each command, by name."""
+    return next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def command_line(command: str, root: Path, flags: dict | None = None) -> list[str]:
     """`command`'s working command line on the files under `root`, with each
     flag of `flags` given its value: in place of the line's own, or added."""
@@ -500,25 +506,37 @@ def refusal_rows() -> dict[str, Refusal]:
     add("gen-data", "outdir-through-a-file", "{root}/F/sub: Not a directory",
         {"--outdir": "{root}/F/sub"}, BLOCKER)
     add("reproduce", "outdir-a-file", "{root}/F: File exists", {"--outdir": "{root}/F"}, BLOCKER)
-    for command, flag in (("evaluate", "--judgments"), ("sweep-beam", "--output"),
-                          ("translate", "--output"), ("analyze-uncertainty", "--output")):
+    outputs = (("evaluate", "--judgments"), ("sweep-beam", "--output"),
+               ("translate", "--output"), ("analyze-uncertainty", "--output"))
+    for command, flag in outputs:
         for what, path, says in (
                 ("missing-directory", "{root}/missing/out.txt",
-                 "{root}/missing/out.txt: it or its directory is missing"),
+                 "cannot write {root}/missing/out.txt: it or its directory is missing"),
                 ("under-a-file", "{root}/F/out.txt",
-                 "{root}/F/out.txt: it or its directory is missing"),
-                ("a-directory", "{root}", "'{root}': it is empty or a directory"),
-                ("empty", "", "'': it is empty or a directory")):
-            add(command, f"output-{what}", f"cannot write {says}", {flag: path}, BLOCKER)
+                 "cannot write {root}/F/out.txt: it or its directory is missing"),
+                ("a-directory", "{root}", "cannot write {root}: it is a directory"),
+                ("empty", "", f"argument {flag}: must be a non-empty path")):
+            add(command, f"output-{what}", says, {flag: path}, BLOCKER)
+    # every other path flag given empty: it would name the working directory
+    for command, parser in subcommands().items():
+        for flag in (a.option_strings[0] for a in parser._actions if a.type is cli._path):
+            if (command, flag) not in outputs:
+                add(command, f"{flag[2:]}-empty", f"argument {flag}: must be a non-empty path",
+                    {flag: ""})
     add("analyze-uncertainty", "assignment-missing-directory",
         "cannot write {root}/no-such-dir/assignment.csv: it or its directory is missing",
         {"--assignment": "{root}/no-such-dir/assignment.csv"})
 
-    # a generated line the model cannot take, refused before a corpus file is written
-    for command, files in (("gen-data", None), ("reproduce", {"out": Path.mkdir})):
-        add(command, "overlong-generated-line",
-            "{root}/out/train.tsv: line 9 has 8 target tokens, more than the 7 that the "
-            "model's max_seq_len 8 leaves after BOS", {"--set": "model.max_seq_len=8"}, files)
+    # a generated line the model cannot take, refused before a corpus file is
+    # written: the directories the claim made go, and one that was there stays
+    for command in ("gen-data", "reproduce"):
+        for what, outdir, files in (("", "{root}/out", None),
+                                    ("-new-parents", "{root}/new/er/out", None),
+                                    ("-empty-outdir", "{root}/out", {"out": Path.mkdir})):
+            add(command, f"overlong-generated-line{what}",
+                f"{outdir}/train.tsv: line 9 has 8 target tokens, more than the 7 that the "
+                "model's max_seq_len 8 leaves after BOS",
+                {"--set": "model.max_seq_len=8", "--outdir": outdir}, files)
 
     # files the system refuses to open
     for command in ("translate", "finetune-mrt"):
@@ -620,6 +638,7 @@ def test_a_refusal_exits_one_naming_its_cause_before_any_work(workspace, tmp_pat
         raise AssertionError("a model pass ran")
 
     monkeypatch.setattr(sm, "encode_rows", no_model_pass)
+    monkeypatch.chdir(tmp_path)  # a path read or written relative to it shows in the tree
     with contextlib.ExitStack() as stack:
         if refusal.held:
             (tmp_path / "out").mkdir()
@@ -639,17 +658,19 @@ def test_a_refusal_exits_one_naming_its_cause_before_any_work(workspace, tmp_pat
 
 
 def test_every_command_has_refusal_rows():
-    parser = cli.build_parser()
-    commands = next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    assert set(commands) == set(WORKING) == {refusal.command for refusal in REFUSALS.values()}
+    assert set(subcommands()) == set(WORKING) == {
+        refusal.command for refusal in REFUSALS.values()}
 
 
 @pytest.mark.parametrize("command", WORKING)
-def test_each_working_command_line_succeeds(workspace, tmp_path, capsys, command):
-    # so a row's refusal comes from its one change
+def test_each_working_command_line_succeeds(workspace, tmp_path, monkeypatch, capsys, command):
+    # so a row's refusal comes from its one change; a command that writes
+    # into --outdir locks it once, however many of its stages write there
     lay_out(workspace, tmp_path)
+    real, locks = fcntl.flock, []
+    monkeypatch.setattr(fcntl, "flock", lambda fd, how: locks.append(how) or real(fd, how))
     assert cli.main(command_line(command, tmp_path)) == 0, capsys.readouterr().err
+    assert len(locks) == ("--outdir" in WORKING[command]), locks
 
 
 def test_an_output_written_in_place_is_checked_for_its_own_access(tmp_path, monkeypatch):
@@ -790,6 +811,20 @@ class TestReproduce:
         assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
         trace = (out / "mrt_trace.csv").read_text().splitlines()
         assert len(trace) == 2 and trace[1].startswith("1,")
+        assert_unlocked(out)
+
+    def test_a_failed_run_keeps_what_it_wrote(self, tmp_path, monkeypatch, capsys):
+        # the claim removes only the directories it made, and only while
+        # empty: a run that fails after writing keeps its files and their parents
+        def stopped(*args, **kwargs):
+            raise ContractError("stopped")
+
+        monkeypatch.setattr(cli, "stage_train_mle", stopped)
+        out = tmp_path / "new" / "run"
+        assert cli.main(["reproduce", "--config", str(write_tiny_config(tmp_path)),
+                         "--outdir", str(out)]) == 1
+        assert sorted(path.name for path in out.iterdir()) == [
+            "dev.tsv", "domain.json", "test_id.tsv", "test_ood.tsv", "train.tsv", "vocab.json"]
         assert_unlocked(out)
 
     @pytest.mark.parametrize("sweep_n", [6, 14])

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, and imports only
 from the standard library, numpy and the package itself; every error type
-is caught somewhere, and every random stream has an id of its own."""
+is caught somewhere, every random stream has an id of its own, and no
+module but `numkit` binds a mutable container at its top level."""
 
 import ast
 import importlib
@@ -92,6 +93,42 @@ def test_every_private_name_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+CONTAINER_TYPES = {"list", "dict", "set", "bytearray", "defaultdict", "deque", "OrderedDict",
+                   "Counter"}
+
+
+def mutable_globals(source: str) -> list[str]:
+    """The names that the top level of `source` binds to a mutable container:
+    a list, dict or set display or comprehension, or a call of a container
+    type, bare or as a module's attribute."""
+    found = []
+    for node in ast.parse(source).body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, DISPLAYS) or (isinstance(value, ast.Call) and ast.unparse(
+                value.func).rsplit(".", 1)[-1] in CONTAINER_TYPES):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return found
+
+
+def test_the_scan_finds_mutable_globals():
+    source = ("import collections\n_CACHE = {}\nSTACK: list[int] = []\nSEEN = set()\n"
+              "BY_NAME = collections.defaultdict(list)\nSQUARES = [i * i for i in range(3)]\n"
+              "SIZES = (1, 4)\nNAMES = frozenset({'a'})\nIds = list[int]\nLIMIT: int\n"
+              "def f():\n    local = []\n    return local\n")
+    assert mutable_globals(source) == ["_CACHE", "STACK", "SEEN", "BY_NAME", "SQUARES"]
+
+
+def test_no_module_binds_mutable_state():
+    """Tests run `cli.main` in one process hundreds of times, so a module-level
+    container would carry one run's state into the next; the tape stack alone
+    is pushed and popped in pairs."""
+    found = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in mutable_globals(path.read_text(encoding="utf-8"))]
+    assert found == ["numkit._GRAPH_STACK"]
 
 
 def foreign_imports(source: str) -> list[str]:
