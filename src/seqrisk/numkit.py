@@ -232,7 +232,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def rule(g: np.ndarray) -> None:
         if sa is not None:
-            if b_is_2d:  # one product over all rows of g, not one per batch
+            if b_is_2d:  # all rows of g at once; b.T copied: its view rounds short g otherwise
                 _accumulate(sa, g @ np.ascontiguousarray(b_data.T))
             else:
                 _accumulate(sa, g @ np.swapaxes(b_data, -1, -2))
@@ -355,8 +355,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
                 sw.grad = np.zeros(sw.shape, sw.dtype)
             elif not sw.grad.flags.c_contiguous:
                 sw.grad = np.ascontiguousarray(sw.grad)
-            # element-wise over the flat buffer: the same additions, in the
-            # same order, as row-wise np.add.at, which is several times slower
+            # flat indices: row-wise np.add.at's additions in its order, 3.4-5.3x faster
             dim = sw.shape[-1]
             at = (ids.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
             np.add.at(sw.grad.reshape(-1), at, g.reshape(-1))
@@ -541,9 +540,10 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
     In the 3-D form, forward and backward make the numpy calls of the
     composed chain of matmul, reshape, transpose, scale, masked_fill,
     softmax and mul, on the same array layouts and in the same order, so
-    results match it bit for bit.  Each intermediate that finite inputs can
-    make non-finite is checked; a failure names the op and the
-    intermediate."""
+    results match it bit for bit.  A non-finite projection, score or context
+    raises, naming the op and the intermediate; nothing else turns non-finite
+    first (1/sqrt(dh) <= 1 keeps finite scores finite, a max-shifted softmax
+    sums to >= 1, and a non-finite `keep` entry makes the context non-finite)."""
     dim = query_x.shape[-1]
     if query_x.data.ndim == 3 and query_slots is None and key_slots is None:
         if key_x.data.ndim != 3 or key_x.shape[0] != query_x.shape[0]:
@@ -590,18 +590,19 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
         return slots.spread(rows, heads)
 
     q = place(q_rows, wq.data, query_slots, "projection")
+    # a copy, as the composed ops make: products on the transposed view round differently
     kT = np.ascontiguousarray(place(k_rows, wk.data, key_slots, "projection").transpose(0, 1, 3, 2))
     v = place(k_rows, wv.data, key_slots, "projection")
-    scores = checked("scaled scores", checked("scores", q @ kT) * q.dtype.type(s))
+    scores = checked("scores", q @ kT) * q.dtype.type(s)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         scores = np.where(mask, q.dtype.type(NEG_INF_FILL), scores)
         if scores.shape != scores_shape:
             raise ContractError(f"mask shape {mask.shape} does not broadcast onto {scores_shape}")
-    shifted = scores - _max_last(scores)
+    shifted = scores - _max_last(scores)  # folded: faster than .max on rows of few keys
     e = np.exp(shifted)
-    weights = checked("softmax", e / e.sum(axis=-1, keepdims=True))
-    dropped = weights if keep is None else checked("dropout", weights * keep)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    dropped = weights if keep is None else weights * keep
     context = checked("context", dropped @ v)
     merged = query_slots.sum_rows(context, q_rows.shape[0])
 
@@ -643,9 +644,7 @@ def attention(query_x: Tensor, key_x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-    if np.isscalar(out_data) or out_data.ndim == 0:
-        out_data = np.asarray(out_data, dtype=a.data.dtype)
+    out_data = np.asarray(a.data.sum(axis=axis, keepdims=keepdims), dtype=a.data.dtype)
     sa = a.slot
 
     def rule(g: np.ndarray) -> None:
@@ -702,19 +701,19 @@ def backward(graph: Graph, loss: Tensor,
 # ---------------------------------------------------------------------------
 
 # Freed memory that glibc's malloc keeps at the top of the heap (M_TOP_PAD,
-# mallopt parameter -2).  A shipped-size training step builds and then frees
-# its tape: 7.1 MB of arrays at the largest shipped MLE batch (36 sentences,
-# target length 14), in a shipped MLE run whose tracemalloc peak is 9.3 MB.
+# mallopt parameter -2).  A shipped MLE step frees up to 7.1 MB of tape (36
+# sentences, target length 14) in a run whose tracemalloc peak is 9.3 MB.
 HEAP_TOP_PAD = 64 << 20
 
 
 @functools.lru_cache(maxsize=1)
 def retain_heap_top() -> bool:
     """Have glibc's malloc keep HEAP_TOP_PAD bytes of freed memory at the top
-    of the heap instead of handing it back to the system.  Each training
-    step frees its whole tape; once nothing allocated later sits above it,
-    malloc trims the heap, and the next step faults every page in again
-    (hundreds of thousands of page faults in a shipped MLE run).  The
+    of the heap instead of handing it back to the system.  Every model pass,
+    training or decoding, frees what it built; once nothing allocated later
+    sits above it, malloc trims the heap and the next pass faults every page
+    in again: hundreds of thousands of page faults in a shipped MLE run, and
+    44.7k, not 1.0k, in a k=50 decode of 150 out-of-domain sources.  The
     setting is process-wide and stays; returns whether it was made (False
     where the C library has no mallopt)."""
     try:

@@ -138,7 +138,6 @@ def _optimize(store: sm.ParameterStore, batches: Iterable, objective: Callable,
     trace is the loop's only record.  The trace file is replaced when the
     loop ends: after the last step, or, when training diverges, with the
     rows of the steps before it; any other exception leaves no trace."""
-    nk.retain_heap_top()  # each step frees its whole tape; keep that memory
     optim = Adam(store)
     store.zero_grads()  # backward adds into the store's gradient buffer
     batches = iter(batches)

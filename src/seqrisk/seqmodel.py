@@ -503,6 +503,7 @@ def encode_rows(store: ParameterStore, src: Packed,
                 rng: np.random.Generator | None = None) -> nk.Tensor:
     """Encoder over packed source tokens; returns memory rows [N, embed_dim].
     Only attention sees the padded grid."""
+    nk.retain_heap_top()  # every model pass starts here: keep the memory passes free
     x = _embed(store, src, rng)
     for i in range(store.config.enc_layers):
         normed = _ln(store, f"enc.{i}.ln1", x)
@@ -614,7 +615,7 @@ def _np_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     scores = np.einsum("nhd,nhtd->nht", q, k) * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         scores = np.where(mask, nk.NEG_INF_FILL, scores)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    e = np.exp(scores - nk._max_last(scores))
     weights = e / e.sum(axis=-1, keepdims=True)
     return np.einsum("nht,nhtd->nhd", weights, v).reshape(q.shape[0], -1)
 
@@ -651,6 +652,7 @@ class IncrementalDecoder:
         self._final_ln = store["dec.final_ln.gain"].data, store["dec.final_ln.bias"].data
         self._embed = store["embed.shared"].data
         self._embed_scale = store.dtype.type(math.sqrt(cfg.embed_dim))
+        # a copy: on the transposed view, one-row steps round differently and all run slower
         self._out_t = np.ascontiguousarray(store["embed.shared"].data.T)
         self._table = sinusoid_table(cfg.max_seq_len, cfg.embed_dim, store.dtype)
         self._cross_mask = src.pad[:, None, :] if src.pad.any() else None

@@ -590,10 +590,24 @@ class TestAttention:
                  [rng.normal(size=(bsz, length, dim))]
                  + [rng.normal(size=(dim, dim)) for _ in range(4)])
 
-    def test_inf_weight_raises_naming_the_op(self):
-        arrays, heads, mask, keep = attention_case(np.float32, True, True, False)
-        arrays["w"][1][3, 5] = np.inf
-        with pytest.raises(NumericsError, match="attention"):
+    # where the non-finite value first shows; the dropped checks (scaled
+    # scores, softmax, dropout) are implied by these, so each case still raises
+    @pytest.mark.parametrize("case, named", [
+        ("inf-weight", "projection"), ("inf-keep", "context"), ("nan-keep", "context"),
+        ("inf-keep-masked", "context"), ("overflowing-scores", "scores")])
+    def test_inf_weight_raises_naming_the_op(self, case, named):
+        arrays, heads, mask, keep = attention_case(np.float32, True, True, True)
+        if case == "inf-weight":
+            arrays["w"][1][3, 5] = np.inf
+        elif case == "overflowing-scores":  # finite projections, dot products beyond float32
+            arrays["query_x"] *= np.float32(1e19)
+            arrays["key_x"] *= np.float32(1e19)
+        else:  # inf-keep-masked's key is masked: its weight is 0, and 0 * inf is NaN
+            at = {"inf-keep": (0, 0, 0, 0), "nan-keep": (0, 1, 2, 3),
+                  "inf-keep-masked": (1, 0, 0, -1)}[case]
+            keep[at] = np.nan if case == "nan-keep" else np.inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericsError, match=rf"op 'attention' \({named}\)$"):
             run_attention(nk.attention, arrays, heads, mask, keep)
 
     def test_records_one_node_and_nothing_without_a_graph(self):

@@ -832,6 +832,17 @@ class TestPackedPath:
             assert shape[0] == real[name.split(".")[0]] and len(shape) == 2, (name, shape)
 
 
+@pytest.mark.parametrize("model_pass", [
+    lambda store: sm.IncrementalDecoder(store, np.asarray([[5, 6]])),
+    lambda store: sm.teacher_forced(store, np.asarray([[5, 6]]), np.asarray([[1, 7, 2]])),
+], ids=["decoder", "teacher-forced"])
+def test_every_model_pass_retains_the_heap_top(store, model_pass):
+    # not only training: a decode frees its caches as a step frees its tape
+    nk.retain_heap_top.cache_clear()
+    model_pass(store)
+    assert nk.retain_heap_top.cache_info().misses == 1
+
+
 class TestIncrementalDecoder:
     """The cached, tape-free decoder against numkit's teacher-forced pass."""
 
