@@ -148,14 +148,10 @@ class UncertaintyCurve:
 
 @dataclass
 class UncertaintyResult:
-    """Reference and distractor curves over the same sources, plus the
-    recorded distractor assignment (pair index -> pool index) and whether
-    each draw found an exact length match."""
+    """Reference and distractor curves over the same sources."""
 
     references: UncertaintyCurve
     distractors: UncertaintyCurve
-    assignment: list[int]
-    exact_length: list[bool]
 
     def gap_mean(self) -> float:
         """Mean of (reference - distractor) certainty over shared positions
@@ -169,12 +165,13 @@ class UncertaintyResult:
 
 def assign_distractors(ref_targets: Sequence[Sequence[str]],
                        pool: Sequence[Sequence[str]],
-                       rng: np.random.Generator) -> tuple[list[int], list[bool]]:
+                       seed: int) -> tuple[list[int], list[bool]]:
     """For each reference, draw a pool sentence of the same length uniformly
-    at random; with no exact match, fall back to the nearest length (ties
-    toward shorter) and flag the draw."""
+    at random from the seed's distractor stream; with no exact match, fall
+    back to the nearest length (ties toward shorter) and flag the draw."""
     if not pool:
         raise ContractError("distractor pool is empty")
+    rng = np.random.default_rng([seed, STREAM_DISTRACTOR])
     by_len: dict[int, list[int]] = {}
     for j, tgt in enumerate(pool):
         by_len.setdefault(len(tgt), []).append(j)
@@ -204,27 +201,25 @@ def _curve_from_probs(probs: list[list[float]], label: str,
 
 def uncertainty_curves(store: sm.ParameterStore, vocab: sm.Vocabulary,
                        pairs: Sequence[dg.TokenPair],
-                       distractor_pool: Sequence[Sequence[str]],
-                       model_tag: str, seed: int) -> UncertaintyResult:
-    """Teacher-force each reference and a length-matched distractor drawn
-    from `distractor_pool` on the same source, both scored in one pass from
+                       distractors: Sequence[Sequence[str]],
+                       model_tag: str) -> UncertaintyResult:
+    """Teacher-force each reference and its distractor (`distractors[i]`
+    stands in for pair i) on the same source, both scored in one pass from
     one encoding of the source; average forced-token probability by
     position."""
     if not pairs:
         raise ContractError("no sentence pairs to score")
-    rng = np.random.default_rng([seed, STREAM_DISTRACTOR])
-    assignment, exact = assign_distractors(
-        [ref for _, ref in pairs], distractor_pool, rng)
+    if len(distractors) != len(pairs):
+        raise ContractError(f"{len(distractors)} distractors for {len(pairs)} sentence pairs")
     enc = dg.encode_corpus(vocab, pairs)
-    groups = [[ref, [sm.BOS_ID] + vocab.encode(distractor_pool[j]) + [sm.EOS_ID]]
-              for (_, ref), j in zip(enc, assignment)]
+    groups = [[ref, [sm.BOS_ID] + vocab.encode(distractor) + [sm.EOS_ID]]
+              for (_, ref), distractor in zip(enc, distractors)]
     probs = []  # P(forced token) at each position: reference, distractor, reference, ...
     for picked, mask in obj.forced_log_probs(store, [s for s, _ in enc], groups, batch_size=64):
         probs.extend([float(x) for x in r[: int(m.sum())]] for r, m in zip(np.exp(picked), mask))
     return UncertaintyResult(
         _curve_from_probs(probs[0::2], "references", model_tag),
-        _curve_from_probs(probs[1::2], "distractors", model_tag),
-        assignment, exact)
+        _curve_from_probs(probs[1::2], "distractors", model_tag))
 
 
 def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -241,11 +236,10 @@ def write_curves_csv(path, curves: Sequence[UncertaintyCurve]) -> None:
                 for t, (m, n) in enumerate(zip(c.mean_prob, c.counts), start=1)))
 
 
-def write_assignment_csv(path, result: UncertaintyResult) -> None:
+def write_assignment_csv(path, assignment: Sequence[int], exact_length: Sequence[bool]) -> None:
     """Record which pool sentence stood in for each reference."""
     _write_csv(path, ["pair_index", "pool_index", "exact_length"],
-               ([i, j, int(hit)] for i, (j, hit) in
-                enumerate(zip(result.assignment, result.exact_length))))
+               ([i, j, int(hit)] for i, (j, hit) in enumerate(zip(assignment, exact_length))))
 
 
 # ---------------------------------------------------------------------------

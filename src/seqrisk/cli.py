@@ -298,6 +298,10 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
     ev = config.eval
     decode_cfg = dec.DecodeConfig()
     ood, pool = suite["test_ood"], [tgt for _, tgt in suite["test_id"]]
+    # one draw for the study: every system scores the same distractors
+    assignment, exact = an.assign_distractors(
+        [ref for _, ref in ood[: ev.uncertainty_n]], pool, config.seed)
+    distractors = [pool[j] for j in assignment]
     summaries: dict[tuple[str, str], an.HallucinationSummary] = {}
     hallucinated_ood: dict[str, list[bool]] = {}
     curves: list[an.UncertaintyCurve] = []
@@ -320,8 +324,8 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
         hallucinated_ood[system] = [j.hallucinated for j in judgments]
         an.write_judgments_jsonl(outdir / f"judgments_{system}_ood.jsonl", judgments)
 
-        result = an.uncertainty_curves(store, vocab, ood[: ev.uncertainty_n], pool,
-                                       model_tag=system, seed=config.seed)
+        result = an.uncertainty_curves(store, vocab, ood[: ev.uncertainty_n], distractors,
+                                       model_tag=system)
         curves.extend([result.references, result.distractors])
         info["certainty_gap"] = result.gap_mean()
 
@@ -337,8 +341,7 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
         "p_value": metrics.fisher_exact_two_tailed(table),
         "table": [[table.a, table.b], [table.c, table.d]],
     }
-    # any system's result will do: the assignment depends only on data and seed
-    an.write_assignment_csv(outdir / "distractor_assignment.csv", result)
+    an.write_assignment_csv(outdir / "distractor_assignment.csv", assignment, exact)
     an.write_curves_csv(outdir / "uncertainty_curves.csv", curves)
     an.write_sweep_csv(outdir / "beam_sweep.csv", sweeps)
     an.write_hallucination_csv(outdir / "hallucination_summary.csv", summaries)
@@ -510,16 +513,17 @@ def _cmd_analyze_uncertainty(args) -> int:
     for path, targets in ((args.data_file, [tgt for _, tgt in pairs]),
                           (args.distractor_file, pool)):
         _refuse_overlong(path, targets, store.config.max_seq_len, forced=True)
-    result = an.uncertainty_curves(store, vocab, pairs, pool,
-                                   model_tag=args.system, seed=args.seed)
+    assignment, exact = an.assign_distractors([ref for _, ref in pairs], pool, args.seed)
+    result = an.uncertainty_curves(store, vocab, pairs, [pool[j] for j in assignment],
+                                   model_tag=args.system)
     gap = result.gap_mean()  # may fail: before any file is written
     an.write_curves_csv(args.output, [result.references, result.distractors])
     if args.assignment is not None:
-        an.write_assignment_csv(args.assignment, result)
+        an.write_assignment_csv(args.assignment, assignment, exact)
     print(json.dumps({
         "certainty_gap": gap,
         "positions": len(result.references.mean_prob),
-        "exact_length_matches": sum(result.exact_length),
+        "exact_length_matches": sum(exact),
     }, sort_keys=True))
     return 0
 

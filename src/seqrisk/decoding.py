@@ -194,8 +194,7 @@ def beam_search(store: sm.ParameterStore, src: Sequence[int],
     return beam_search_corpus(store, [src], config)[0]
 
 
-def greedy_decode(store: sm.ParameterStore, src: Sequence[int],
-                  length_norm_alpha: float = DecodeConfig.length_norm_alpha) -> Hypothesis:
+def greedy_decode(store: sm.ParameterStore, src: Sequence[int]) -> Hypothesis:
     """Plain argmax loop; must agree with beam search at beam size 1."""
     state = sm.IncrementalDecoder(store, np.asarray([src], dtype=np.int64))
     toks, total = [sm.BOS_ID], 0.0
@@ -204,7 +203,8 @@ def greedy_decode(store: sm.ParameterStore, src: Sequence[int],
         row[list(BANNED_CONTINUATIONS)] = -np.inf
         toks.append(int(np.argmax(row)))  # argmax takes the lowest id on ties
         total += float(row[toks[-1]])
-    return Hypothesis(toks, total, total / length_penalty(len(toks) - 1, length_norm_alpha),
+    return Hypothesis(toks, total,
+                      total / length_penalty(len(toks) - 1, DecodeConfig.length_norm_alpha),
                       toks[-1] == sm.EOS_ID)
 
 

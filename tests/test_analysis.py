@@ -126,8 +126,7 @@ class TestDistractorAssignment:
     def test_exact_length_match(self):
         refs = [["a", "b"], ["c", "d", "e"], ["f", "g"]]
         pool = [["p", "q"], ["r", "s", "t"], ["u", "v"]]
-        assignment, exact = an.assign_distractors(
-            refs, pool, np.random.default_rng(0))
+        assignment, exact = an.assign_distractors(refs, pool, 0)
         assert all(exact)
         for ref, j in zip(refs, assignment):
             assert len(pool[j]) == len(ref)
@@ -135,53 +134,57 @@ class TestDistractorAssignment:
     def test_uniform_draw_covers_group(self):
         refs = [["a", "b"]] * 200
         pool = [["p", "q"], ["r", "s"], ["t", "u"]]
-        assignment, _ = an.assign_distractors(refs, pool, np.random.default_rng(1))
+        assignment, _ = an.assign_distractors(refs, pool, 1)
         assert set(assignment) == {0, 1, 2}
 
     def test_nearest_length_fallback_ties_to_shorter(self):
         refs = [["a", "b", "c"]]
         pool = [["p", "q"], ["r", "s", "t", "u"]]  # lengths 2 and 4, want 3
-        assignment, exact = an.assign_distractors(
-            refs, pool, np.random.default_rng(0))
+        assignment, exact = an.assign_distractors(refs, pool, 0)
         assert assignment == [0]  # the tie goes to length 2
         assert exact == [False]
 
     def test_nearest_length_fallback_prefers_closer(self):
         refs = [["a"] * 5]
         pool = [["p", "q"], ["r", "s", "t", "u"]]
-        assignment, exact = an.assign_distractors(
-            refs, pool, np.random.default_rng(0))
+        assignment, exact = an.assign_distractors(refs, pool, 0)
         assert assignment == [1]
         assert exact == [False]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ContractError):
-            an.assign_distractors([["a"]], [], np.random.default_rng(0))
+            an.assign_distractors([["a"]], [], 0)
 
     def test_deterministic_under_seed(self):
         refs = [["a", "b"], ["c", "d"]] * 5
         pool = [list("xy"), list("zw"), list("uv")]
-        first = an.assign_distractors(refs, pool, np.random.default_rng(7))
-        second = an.assign_distractors(refs, pool, np.random.default_rng(7))
+        first = an.assign_distractors(refs, pool, 7)
+        second = an.assign_distractors(refs, pool, 7)
         assert first == second
+
+
+def drawn(pairs, pool, seed=0):
+    """The distractor targets that seed's draw from `pool` pairs with `pairs`."""
+    assignment, _ = an.assign_distractors([ref for _, ref in pairs], pool, seed)
+    return [pool[j] for j in assignment]
 
 
 class TestCurves:
     def test_curve_shapes_and_ranges(self):
         spec, vocab, pairs, store = trained_setup(epochs=2)
         pool = [tgt for _, tgt in pairs[30:60]]
-        result = an.uncertainty_curves(store, vocab, pairs[:30], pool, "m", 0)
+        result = an.uncertainty_curves(store, vocab, pairs[:30], drawn(pairs[:30], pool), "m")
         for curve in (result.references, result.distractors):
             assert len(curve.mean_prob) == len(curve.counts)
             assert all(0.0 <= v <= 1.0 for v in curve.mean_prob)
             assert all(c > 0 for c in curve.counts)
             assert curve.counts == sorted(curve.counts, reverse=True)
-        assert len(result.assignment) == 30
+            assert curve.counts[0] == 30
 
     def test_trained_model_prefers_reference(self):
         spec, vocab, pairs, store = trained_setup(epochs=12)
         pool = [tgt for _, tgt in pairs[40:60]]
-        result = an.uncertainty_curves(store, vocab, pairs[:40], pool, "m", 0)
+        result = an.uncertainty_curves(store, vocab, pairs[:40], drawn(pairs[:40], pool), "m")
         mean_ref = float(np.mean(result.references.mean_prob))
         mean_dis = float(np.mean(result.distractors.mean_prob))
         assert mean_ref > mean_dis
@@ -189,9 +192,8 @@ class TestCurves:
     def test_degenerate_pool_gives_identical_curves(self):
         spec, vocab, pairs, store = trained_setup(epochs=1, n_train=30)
         src, ref = pairs[0]
-        result = an.uncertainty_curves(store, vocab, [(src, ref)], [ref], "m", 0)
+        result = an.uncertainty_curves(store, vocab, [(src, ref)], [ref], "m")
         assert result.references.mean_prob == result.distractors.mean_prob
-        assert result.assignment == [0] and result.exact_length == [True]
 
     def test_encodes_each_source_once(self, monkeypatch):
         # the reference and the distractor of a source read one encoding of it
@@ -203,26 +205,25 @@ class TestCurves:
             return real(store, src, rng)
 
         monkeypatch.setattr(sm, "encode_rows", counting)
-        an.uncertainty_curves(store, vocab, pairs, [tgt for _, tgt in pairs], "m", 0)
+        an.uncertainty_curves(store, vocab, pairs, [tgt for _, tgt in pairs], "m")
         assert encoded == [64]
 
-    def test_reference_curve_is_order_invariant(self):
+    def test_curves_are_order_invariant(self):
         spec, vocab, pairs, store = trained_setup(epochs=1, n_train=40)
-        pool = [tgt for _, tgt in pairs[20:40]]
-        forward = an.uncertainty_curves(store, vocab, pairs[:20], pool, "m", 0)
-        backward = an.uncertainty_curves(store, vocab, pairs[:20][::-1], pool, "m", 0)
-        assert forward.references.mean_prob == backward.references.mean_prob
-        assert forward.references.counts == backward.references.counts
+        distractors = drawn(pairs[:20], [tgt for _, tgt in pairs[20:40]])
+        forward = an.uncertainty_curves(store, vocab, pairs[:20], distractors, "m")
+        backward = an.uncertainty_curves(store, vocab, pairs[:20][::-1], distractors[::-1], "m")
+        assert forward == backward
 
     def test_gap_mean_starts_at_position_3(self):
         refs = an.UncertaintyCurve("references", "m", [0.9, 0.8, 0.7, 0.6], [10, 10, 10, 10])
         dis = an.UncertaintyCurve("distractors", "m", [0.5, 0.5, 0.5, 0.1], [10, 10, 10, 10])
-        result = an.UncertaintyResult(refs, dis, [0] * 10, [True] * 10)
+        result = an.UncertaintyResult(refs, dis)
         assert an.GAP_FROM_POSITION == 3
         assert result.gap_mean() == pytest.approx((0.2 + 0.5) / 2)
         short = an.UncertaintyCurve("references", "m", [0.9, 0.8], [10, 10])
         with pytest.raises(ContractError, match="no shared positions >= 3"):
-            an.UncertaintyResult(short, dis, [0] * 10, [True] * 10).gap_mean()
+            an.UncertaintyResult(short, dis).gap_mean()
 
     def test_csv_output(self, tmp_path):
         refs = an.UncertaintyCurve("references", "mle", [0.9, 0.8], [3, 3])
@@ -235,10 +236,7 @@ class TestCurves:
         assert rows[1] == ["1", "0.900000", "3", "references", "mle"]
 
     def test_assignment_csv(self, tmp_path):
-        refs = an.UncertaintyCurve("references", "m", [0.9], [2])
-        dis = an.UncertaintyCurve("distractors", "m", [0.5], [2])
-        result = an.UncertaintyResult(refs, dis, [3, 1], [True, False])
-        an.write_assignment_csv(tmp_path / "a.csv", result)
+        an.write_assignment_csv(tmp_path / "a.csv", [3, 1], [True, False])
         rows = list(csv.reader(open(tmp_path / "a.csv")))
         assert rows[0] == ["pair_index", "pool_index", "exact_length"]
         assert rows[1:] == [["0", "3", "1"], ["1", "1", "0"]]

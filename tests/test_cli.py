@@ -856,6 +856,33 @@ class TestReproduce:
             fresh = an.beam_sweep(store, vocab, pairs, spec, [dec.DecodeConfig.beam_size])
             assert summary["systems"][system]["beam_sweep"][1] == dataclasses.asdict(fresh[0])
 
+    def test_one_distractor_draw_serves_every_system(self, tmp_path, monkeypatch, capsys):
+        # the study draws the certainty probe's distractors once and hands
+        # each system that one list; a list of another length is refused
+        real_draw, real_curves = an.assign_distractors, an.uncertainty_curves
+        draws, scored = [], []
+
+        def counting_draw(*args):
+            draws.append(real_draw(*args))
+            return draws[-1]
+
+        def recording_curves(store, vocab, pairs, distractors, model_tag):
+            scored.append(distractors)
+            return real_curves(store, vocab, pairs, distractors, model_tag)
+
+        monkeypatch.setattr(an, "assign_distractors", counting_draw)
+        monkeypatch.setattr(an, "uncertainty_curves", recording_curves)
+        out = tmp_path / "run"
+        assert cli.main(["reproduce", "--config", str(write_tiny_config(tmp_path)),
+                         "--outdir", str(out)]) == 0
+        monkeypatch.undo()
+        assert len(draws) == 1 and len(scored) == 2 and scored[0] is scored[1]
+        pairs = dg.read_tsv(out / "test_ood.tsv")[: TINY["eval"]["uncertainty_n"]]
+        vocab = sm.Vocabulary.from_json((out / "vocab.json").read_text())
+        store = sm.ParameterStore.load(out / "mle.ckpt")
+        with pytest.raises(ContractError, match="15 distractors for 16 sentence pairs"):
+            an.uncertainty_curves(store, vocab, pairs, scored[0][1:], "mle")
+
     def test_stage_commands_reproduce_the_summary(self, larger_run, tmp_path, capsys):
         # each analysis stage of reproduce, run as its own command on the
         # run's files at the run's sizes, gives summary.json's figures
@@ -887,13 +914,16 @@ class TestReproduce:
                             "--beams", ",".join(map(str, ev["beam_sizes"])),
                             "--output", str(tmp_path / "sweep.csv"))
             assert summary[system]["beam_sweep"] == swept
+            assignment = tmp_path / f"{system}_assignment.csv"
             certainty = command("analyze-uncertainty", system, ev["uncertainty_n"],
                                 "--distractor-file", str(out / "test_id.tsv"),
                                 "--seed", str(LARGER_RUN_SEED), "--system", system,
-                                "--output", str(curves))
+                                "--output", str(curves), "--assignment", str(assignment))
             assert summary[system]["certainty_gap"] == certainty["certainty_gap"]
             assert curves.read_text().splitlines()[1:] == [
                 row for row in curve_rows if row.endswith(f",{system}")]
+            # each system scored the run's one draw of distractors
+            assert assignment.read_bytes() == (out / "distractor_assignment.csv").read_bytes()
 
     def test_summary_fisher_entry_tests_the_judged_hallucinations(self, larger_run):
         out = larger_run

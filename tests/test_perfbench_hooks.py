@@ -1,29 +1,44 @@
 """The benchmark in `perfbench/` patches seqrisk functions by name; every
-name it traces must still resolve to a callable, and every counting hook
-must still read what a real call passes and returns, or a traced benchmark
-run crashes instead of this suite failing."""
+name it traces must still resolve to a callable, every counting hook must
+still read what a real call passes and returns, and every gated workload
+must still run on the names and run-directory files it reads directly, or
+a benchmark run crashes instead of this suite failing."""
 
+import json
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from seqrisk import decoding as dec
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+GATED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+# the small configuration that perfbench/tests/test_harness.py runs the workloads at
+TINY = (
+    "data.train_size=60", "data.dev_size=12", "data.test_size=12",
+    "model.embed_dim=16", "model.ffn_dim=32", "model.enc_layers=1",
+    "model.dec_layers=1", "mle.epochs=1", "mle.tokens_per_batch=200",
+    "mrt.steps=2", "eval.hallucination_n=6", "eval.sweep_n=4",
+    "eval.uncertainty_n=4",
+)
 
 
-def _load_tracer() -> types.ModuleType:
+def _load(name: str) -> types.ModuleType:
     # exec the source rather than import it: no bytecode is written under perfbench/
-    module = types.ModuleType("perfbench_tracer")
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_every_traced_target_resolves_to_a_callable():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     assert set(tracer.TRAINING_LOOPS) <= set(tracer.ALL_TARGETS)
     missing = []
     for target in tracer.ALL_TARGETS:
@@ -38,7 +53,7 @@ def test_every_traced_target_resolves_to_a_callable():
 
 
 def test_counting_hooks_read_real_calls():
-    tracer = _load_tracer().Tracer(targets=())
+    tracer = _load("tracer").Tracer(targets=())
     cfg = sm.ModelConfig(vocab_size=20, embed_dim=16, num_heads=2, enc_layers=1,
                          dec_layers=1, ffn_dim=24, dropout_rate=0.0, max_seq_len=12)
     store = sm.ParameterStore.init(cfg, 0)
@@ -67,3 +82,15 @@ def test_counting_hooks_read_real_calls():
         "seqmodel.decode_batch.rows": 2,
         "seqmodel.decode_batch.positions": 2 * 4,
     }
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_gated_workload_runs_and_passes_its_checks(name, tmp_path, monkeypatch):
+    # workloads.py imports the tracer as `tracer`, as perfbench/run.py runs it
+    monkeypatch.setitem(sys.modules, "tracer", _load("tracer"))
+    workload = _load("workloads").WORKLOADS[name](3, tmp_path, TINY)
+    workload.setup()
+    workload.units.append(workload.run_unit(0))
+    workload.finish()
+    assert workload.checks.failed == 0, workload.checks.failures
+    assert workload.checks.attempted > 0
