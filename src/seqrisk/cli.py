@@ -55,22 +55,11 @@ class EvalSettings:
     hallucination_n: int = 400
     sweep_n: int = 150
     uncertainty_n: int = 200
-    beam_sizes: list[int] = field(default_factory=lambda: list(an.DEFAULT_BEAM_SIZES))
 
     def __post_init__(self):
         for name in ("hallucination_n", "sweep_n", "uncertainty_n"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        _refuse_beam_sizes("beam_sizes", self.beam_sizes)
-
-
-def _refuse_beam_sizes(name: str, sizes: list[int]) -> None:
-    """Refuse the beam-size list `name` unless it holds distinct sizes in
-    [1, seqmodel.MAX_LIVE_ROWS]; a repeat would decode into the same row."""
-    if not sizes or len(set(sizes)) < len(sizes) or not all(
-            1 <= k <= sm.MAX_LIVE_ROWS for k in sizes):
-        raise ContractError(
-            f"{name} must be distinct sizes in [1, {sm.MAX_LIVE_ROWS}], got {sizes}")
 
 
 @dataclass
@@ -330,9 +319,9 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
         info["certainty_gap"] = result.gap_mean()
 
         by_k = {decode_cfg.beam_size: an.sweep_point(decode_cfg.beam_size, judged[: ev.sweep_n])}
-        rest = [k for k in ev.beam_sizes if k not in by_k]
+        rest = [k for k in an.DEFAULT_BEAM_SIZES if k not in by_k]
         by_k.update(zip(rest, an.beam_sweep(store, vocab, ood[: ev.sweep_n], spec, rest)))
-        sweeps[system] = points = [by_k[k] for k in ev.beam_sizes]
+        sweeps[system] = points = [by_k[k] for k in an.DEFAULT_BEAM_SIZES]
         info["beam_sweep"] = [asdict(p) for p in points]
 
     table = metrics.ContingencyTable2x2.from_outcomes(
@@ -421,9 +410,14 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _positive_ints(text: str) -> list[int]:
-    """A comma-separated list of positive integers, such as "1,4,50"."""
-    return [_positive_int(part.strip()) for part in text.split(",")]
+def _beam_sizes(text: str) -> list[int]:
+    """Comma-separated distinct beam sizes in [1, seqmodel.MAX_LIVE_ROWS], such
+    as "1,4,50"; a repeat would decode into the same row."""
+    sizes = [_positive_int(part.strip()) for part in text.split(",")]
+    if len(set(sizes)) < len(sizes) or max(sizes) > sm.MAX_LIVE_ROWS:
+        raise argparse.ArgumentTypeError(
+            f"must be distinct sizes in [1, {sm.MAX_LIVE_ROWS}], got {text!r}")
+    return sizes
 
 
 def _add_pair_flags(p: argparse.ArgumentParser, data_help: str | None = None) -> None:
@@ -529,8 +523,6 @@ def _cmd_analyze_uncertainty(args) -> int:
 
 
 def _cmd_sweep_beam(args) -> int:
-    # beam_sweep builds each width's config only when it reaches that width
-    _refuse_beam_sizes("--beams", args.beams)
     store, vocab, spec = _load_model(args.checkpoint, args.domain)
     _refuse_unwritable(args.output)
     pairs = _read_pairs(args, store, spec)
@@ -605,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_flags(p)
     p.add_argument("--output", type=_path, required=True, help="sweep CSV path")
     p.add_argument("--system", default="model")
-    p.add_argument("--beams", type=_positive_ints,
+    p.add_argument("--beams", type=_beam_sizes,
                    default=",".join(str(k) for k in an.DEFAULT_BEAM_SIZES),
                    help="comma-separated beam sizes")
     p.set_defaults(func=_cmd_sweep_beam)

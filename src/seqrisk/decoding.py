@@ -233,7 +233,11 @@ def sample_decode_batch(store: sm.ParameterStore, src_batch: np.ndarray,
         probs /= probs.sum(axis=1, keepdims=True)
         cdf = np.cumsum(probs, axis=1)
         draws = 1.0 - rng.random(rows_n)  # (0, 1]: zero-mass ids stay unreachable
-        tokens = np.minimum((cdf < draws[alive, None]).sum(axis=1), store.config.vocab_size - 1)
+        tokens = (cdf < draws[alive, None]).sum(axis=1)
+        # a float32 cdf can end below 1: a draw above its total takes the last id with mass
+        over = np.flatnonzero(tokens == cdf.shape[1])
+        if over.size:
+            tokens[over] = cdf.shape[1] - 1 - np.argmax(probs[over, ::-1] > 0, axis=1)
         ids[alive, t] = tokens
         parents = np.flatnonzero(tokens != sm.EOS_ID)
         if not parents.size:

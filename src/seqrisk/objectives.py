@@ -36,6 +36,7 @@ STREAM_SAMPLER = 4
 
 LABEL_SMOOTHING = 0.1  # of the likelihood baseline's training targets
 MRT_ALPHA = 0.005  # sharpness of risk training's candidate distribution
+MRT_BATCH_SENTENCES = 8  # risk batches count sentences, not tokens
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -323,19 +324,14 @@ def train_mle(store: sm.ParameterStore, corpus: Corpus, config: MLEConfig,
 @dataclass
 class MRTConfig:
     steps: int = 600
-    sentences_per_batch: int = 8  # risk batches count sentences, not tokens
     n_samples: int = 4
     lr: float = 1.5e-4
     include_reference: bool = False
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ContractError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.sentences_per_batch < 1:
-            raise ContractError("sentences_per_batch must be >= 1")
-        if self.sentences_per_batch * self.n_samples > sm.MAX_LIVE_ROWS:  # sampler rows
-            raise ContractError(f"sentences_per_batch * n_samples must be <= {sm.MAX_LIVE_ROWS}, "
-                                f"got {self.sentences_per_batch} * {self.n_samples}")
+        most = sm.MAX_LIVE_ROWS // MRT_BATCH_SENTENCES  # a batch's sampler rows fit one decoder
+        if not 1 <= self.n_samples <= most:
+            raise ContractError(f"n_samples must be in [1, {most}], got {self.n_samples}")
         _require_non_negative(self, "steps", "lr")
 
 
@@ -433,8 +429,8 @@ def finetune_mrt(store: sm.ParameterStore, corpus: Corpus, config: MRTConfig,
                  seed: int, trace_path=None) -> None:
     """Risk fine-tuning with a fresh optimizer and a constant learning rate.
 
-    Walks shuffled batches (counted in sentences) for a fixed number of
-    steps.  Each step's candidates are sampled and costed
+    Walks shuffled batches of `MRT_BATCH_SENTENCES` sentences for a fixed
+    number of steps.  Each step's candidates are sampled and costed
     (`build_risk_batch`) as its batch is drawn, before its tape opens; the
     tape holds `mrt_risk` alone.  Optionally writes a per-step CSV trace
     (step, objective_value, learning_rate)."""
@@ -447,11 +443,11 @@ def finetune_mrt(store: sm.ParameterStore, corpus: Corpus, config: MRTConfig,
         order: list[int] = []
         cursor = 0
         for _ in range(config.steps):
-            if cursor + config.sentences_per_batch > len(order):
+            if cursor + MRT_BATCH_SENTENCES > len(order):
                 order = list(shuffle_rng.permutation(len(corpus)))
                 cursor = 0
-            chunk = [corpus[i] for i in order[cursor: cursor + config.sentences_per_batch]]
-            cursor += config.sentences_per_batch
+            chunk = [corpus[i] for i in order[cursor: cursor + MRT_BATCH_SENTENCES]]
+            cursor += MRT_BATCH_SENTENCES
             yield build_risk_batch(store, [s for s, _ in chunk], [t for _, t in chunk],
                                    config, sampler_rng)
 

@@ -147,8 +147,6 @@ def read_utf8(path) -> str:
 def _fits(value, hint) -> bool:
     """Whether a JSON value has a field's annotated type; an int fits a
     float within its range, and NaN and the infinities fit nothing."""
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, *typing.get_args(hint)) for v in value)
     if isinstance(value, bool) and hint is not bool:
         return False
     if hint is float:
@@ -173,8 +171,7 @@ def build_settings(cls, data, path: str = ""):
         if is_dataclass(hint):
             value = build_settings(hint, value, where + key)
         elif not _fits(value, hint):
-            what = ("a finite number" if hint is float
-                    else hint.__name__ if isinstance(hint, type) else hint)
+            what = "a finite number" if hint is float else hint.__name__
             raise ContractError(f"{where}{key} must be {what}, got {value!r}")
         kwargs[key] = float(value) if hint is float else value  # 1 and 1.0: one config
     for f in fields(cls):

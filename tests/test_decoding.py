@@ -281,6 +281,20 @@ class TestSampling:
         reference.random(steps * 6)
         assert rng.random() == reference.random()
 
+    def test_draw_above_a_short_cdf_takes_no_zero_mass_id(self, monkeypatch):
+        # ids 3-6 carry all the mass, and their float32 cdf ends one ulp below 1
+        row = np.full(8, -200.0, dtype=np.float32)
+        row[3:7] = [-0.45772582, 0.22019513, -1.0096182, -0.20917557]
+        monkeypatch.setattr(sm.IncrementalDecoder, "step",
+                            lambda self, parents, tokens: np.tile(row, (len(tokens), 1)))
+
+        class TopDraws:  # every draw is 1.0, above that cdf's total
+            def random(self, n):
+                return np.zeros(n)
+
+        store = make_store(vocab=8, max_seq_len=4)
+        assert dec.sample_decode_batch(store, np.array([[4, 5]]), 1, TopDraws()) == [[[1, 6, 6, 6]]]
+
 
 class TestScoreSequence:
     def test_matches_stepwise_scores(self):

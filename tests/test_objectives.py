@@ -356,16 +356,15 @@ def test_dedup_keeps_each_draw_once_in_first_draw_order(include_reference):
 
 
 class TestMRTConfig:
-    @pytest.mark.parametrize("field", ["n_samples", "sentences_per_batch"])
-    def test_refuses_a_size_below_one(self, field):
-        with pytest.raises(ContractError, match=f"{field} must be >= 1"):
-            obj.MRTConfig(**{field: 0})
+    def test_refuses_a_size_below_one(self):
+        with pytest.raises(ContractError, match=r"n_samples must be in \[1, 32\], got 0"):
+            obj.MRTConfig(n_samples=0)
 
     def test_refuses_more_candidates_than_one_decoder_holds(self):
-        assert obj.MRTConfig(sentences_per_batch=8, n_samples=32).n_samples == 32
-        with pytest.raises(ContractError, match=r"sentences_per_batch \* n_samples must be "
-                                                r"<= 256, got 8 \* 33"):
-            obj.MRTConfig(sentences_per_batch=8, n_samples=33)
+        # a batch of MRT_BATCH_SENTENCES (8) sources samples into one decoder's 256 rows
+        assert obj.MRTConfig(n_samples=32).n_samples == 32
+        with pytest.raises(ContractError, match=r"n_samples must be in \[1, 32\], got 33"):
+            obj.MRTConfig(n_samples=33)
 
 
 class TestTokenBatches:
@@ -618,7 +617,7 @@ class TestTrainingLoops:
                            dropout_rate=0.0, max_seq_len=12), 1)
         before = {n: t.data.copy() for n, t in store.items()}
         trace = tmp_path / "mrt.csv"
-        config = obj.MRTConfig(steps=2, sentences_per_batch=4, n_samples=3, lr=1e-3)
+        config = obj.MRTConfig(steps=2, n_samples=3, lr=1e-3)
         assert obj.finetune_mrt(store, corpus, config, seed=0, trace_path=trace) is None
         assert any(not np.array_equal(before[n], store[n].data) for n in before)
         rows = read_trace(trace)
@@ -635,8 +634,7 @@ class TestTrainingLoops:
 
         risk = obj.mrt_risk
         monkeypatch.setattr(obj, "mrt_risk", spy)
-        obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2, sentences_per_batch=4,
-                                                      n_samples=2), seed=0)
+        obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2, n_samples=2), seed=0)
         assert alphas == [obj.MRT_ALPHA] * 2
 
     def test_empty_corpus_rejected(self):
@@ -673,9 +671,7 @@ class TestTrainingLoops:
         store = sm.ParameterStore.init(cfg, 4)
         store["embed.shared"].data[0, 0] = np.nan
         with pytest.raises(ContractError, match="step 1"):
-            obj.finetune_mrt(store, corpus,
-                             obj.MRTConfig(steps=2, sentences_per_batch=4),
-                             seed=0)
+            obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2), seed=0)
 
     def test_mrt_samples_with_no_tape_open(self, monkeypatch):
         vocab, corpus = tiny_corpus()
@@ -687,8 +683,7 @@ class TestTrainingLoops:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(dec, "sample_decode_batch", watched)
-        obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2, sentences_per_batch=4,
-                                                      n_samples=2), seed=0)
+        obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2, n_samples=2), seed=0)
         assert tapes == [None, None]
 
     @pytest.mark.parametrize("failure", ["numerics", "overflow"])
@@ -709,8 +704,7 @@ class TestTrainingLoops:
         trace = tmp_path / "mrt.csv"
         with pytest.raises(ContractError, match=r"^training diverged at step 3: .*"
                                                 r"\(trace of the steps before it: .*mrt\.csv\)$"):
-            obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=5, sentences_per_batch=4,
-                                                          n_samples=2),
+            obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=5, n_samples=2),
                              seed=0, trace_path=trace)
         assert [row[0] for row in read_trace(trace)] == ["step", "1", "2"]
 
@@ -735,7 +729,7 @@ class TestTrainingLoops:
 
         before = heldout_risk()
         obj.finetune_mrt(store, train,
-                         obj.MRTConfig(steps=40, sentences_per_batch=8, lr=1e-3),
+                         obj.MRTConfig(steps=40, lr=1e-3),
                          seed=0)
         assert heldout_risk() < before
 

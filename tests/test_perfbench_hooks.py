@@ -2,7 +2,9 @@
 name it traces must still resolve to a callable, every counting hook must
 still read what a real call passes and returns, and every gated workload
 must still run on the names and run-directory files it reads directly, or
-a benchmark run crashes instead of this suite failing."""
+a benchmark run crashes instead of this suite failing.  The gated
+workloads run untraced and, as `perfbench/run.py --trace 1` runs them,
+traced."""
 
 import json
 import sys
@@ -18,7 +20,8 @@ from seqrisk import seqmodel as sm
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-GATED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+GATED = [w["name"] for w in BENCHMARK["workloads"]]
 # the small configuration that perfbench/tests/test_harness.py runs the workloads at
 TINY = (
     "data.train_size=60", "data.dev_size=12", "data.test_size=12",
@@ -33,6 +36,7 @@ def _load(name: str) -> types.ModuleType:
     # exec the source rather than import it: no bytecode is written under perfbench/
     path = PERFBENCH / f"{name}.py"
     module = types.ModuleType(name)
+    module.__file__ = str(path)  # run.py finds the checkout from it
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
@@ -94,3 +98,20 @@ def test_gated_workload_runs_and_passes_its_checks(name, tmp_path, monkeypatch):
     workload.finish()
     assert workload.checks.failed == 0, workload.checks.failures
     assert workload.checks.attempted > 0
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_gated_workload_runs_traced(name, tmp_path, monkeypatch):
+    # run.py sets the BLAS thread variables as it loads: setting them through
+    # monkeypatch first makes the test's end restore them
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    # registered under the names that run.py, layers.py and workloads.py import
+    for module in ("run", "tracer", "layers", "workloads"):
+        monkeypatch.setitem(sys.modules, module, _load(module))
+    workload = sys.modules["workloads"].WORKLOADS[name](3, tmp_path, TINY)
+    metrics = sys.modules["run"].run_traced(workload)
+    assert [m["name"] for m in BENCHMARK["per_layer"] if m["name"] not in metrics] == []
+    assert workload.checks.failed == 0, workload.checks.failures
+    assert metrics["bench.unrestored"][0] == 0
