@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -135,16 +134,15 @@ def _optimize(store: sm.ParameterStore, batches: Iterable, objective: Callable,
     numpy's overflow and invalid-operation errors raised: like a non-finite
     op output, they are a divergence, even where later arithmetic would
     make the numbers finite again.  Writes one CSV trace row (step,
-    objective_value, learning_rate) per step when `trace_path` is set; the
-    trace is the loop's only record.  The trace file is replaced when the
+    objective_value, learning_rate) per step to `trace_path`; the trace is
+    the loop's only record.  The trace file is replaced when the
     loop ends: after the last step, or, when training diverges, with the
     rows of the steps before it; any other exception leaves no trace."""
     optim = Adam(store)
     store.zero_grads()  # backward adds into the store's gradient buffer
     batches = iter(batches)
     diverged = None
-    with (sm.atomic_write(trace_path, newline="") if trace_path is not None
-          else open(os.devnull, "w")) as trace:
+    with sm.atomic_write(trace_path, newline="") as trace:
         writer = csv.writer(trace)
         writer.writerow(["step", "objective_value", "learning_rate"])
         for step in itertools.count(1):
@@ -167,10 +165,8 @@ def _optimize(store: sm.ParameterStore, batches: Iterable, objective: Callable,
             store.zero_grads()
             writer.writerow([step, f"{value:.6f}", f"{lr:.6g}"])
     if diverged is not None:
-        message = f"training diverged at step {step}: {diverged}"
-        if trace_path is not None:
-            message += f" (trace of the steps before it: {trace_path})"
-        raise ContractError(message) from diverged
+        raise ContractError(f"training diverged at step {step}: {diverged} "
+                            f"(trace of the steps before it: {trace_path})") from diverged
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +287,12 @@ def token_batches(corpus: Corpus, order: Sequence[int],
 
 
 def train_mle(store: sm.ParameterStore, corpus: Corpus, config: MLEConfig,
-              seed: int, trace_path=None) -> None:
+              seed: int, trace_path) -> None:
     """Shuffle-and-batch training with the inverse-sqrt schedule.
 
     Batches are packed by target token count rather than sentence count, so
-    step granularity stays stable across length distributions.  Optionally
-    writes a per-step CSV trace (step, objective_value, learning_rate)."""
+    step granularity stays stable across length distributions.  Writes a
+    per-step CSV trace (step, objective_value, learning_rate) to `trace_path`."""
     if not corpus:
         raise ContractError("training corpus is empty")
     shuffle_rng = stream_rng(seed, STREAM_SHUFFLE)
@@ -426,14 +422,14 @@ def mrt_risk(store: sm.ParameterStore, batch: RiskBatch,
 
 
 def finetune_mrt(store: sm.ParameterStore, corpus: Corpus, config: MRTConfig,
-                 seed: int, trace_path=None) -> None:
+                 seed: int, trace_path) -> None:
     """Risk fine-tuning with a fresh optimizer and a constant learning rate.
 
     Walks shuffled batches of `MRT_BATCH_SENTENCES` sentences for a fixed
     number of steps.  Each step's candidates are sampled and costed
     (`build_risk_batch`) as its batch is drawn, before its tape opens; the
-    tape holds `mrt_risk` alone.  Optionally writes a per-step CSV trace
-    (step, objective_value, learning_rate)."""
+    tape holds `mrt_risk` alone.  Writes a per-step CSV trace (step,
+    objective_value, learning_rate) to `trace_path`."""
     if not corpus:
         raise ContractError("fine-tuning corpus is empty")
     shuffle_rng = stream_rng(seed, STREAM_SHUFFLE)

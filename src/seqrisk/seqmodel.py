@@ -6,9 +6,9 @@ every token-wise layer sees only the non-PAD positions, and attention alone
 the padded grid.  ``teacher_forced`` runs it for training, rescoring and
 scoring.  Decoding runs on ``IncrementalDecoder``, a tape-free, KV-cached
 copy of the decoder's forward arithmetic in plain numpy that starts from
-``encode_rows``' memory rows.  ``encode_batch`` and ``decode_batch`` give
-the core's results in padded shapes; only tests, as the padded reference,
-and the benchmark's tracer use them.
+``encode_rows``' memory rows.  ``encode_batch`` and ``decode_batch`` are
+padded-shape adapters that run the packed core and unpack its results, for
+tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -107,7 +107,9 @@ class Vocabulary:
         return self._id_to_token[idx]
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        return [self.id_of(t) for t in tokens]
+        """Text to content ids: any other token, reserved strings such as
+        "<pad>" included (their ids are below UNK's), reads as UNK."""
+        return [i if (i := self._token_to_id.get(t, UNK_ID)) > UNK_ID else UNK_ID for t in tokens]
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         """Ids to tokens, dropping PAD, BOS and EOS."""
@@ -566,20 +568,20 @@ def _unpack(rows: nk.Tensor, slots: nk.Slots) -> nk.Tensor:
 
 def encode_batch(store: ParameterStore, src_ids: np.ndarray,
                  rng: np.random.Generator | None = None) -> nk.Tensor:
-    """Encoder over a [batch, src_len] id array (PAD-aware); returns
-    memory [batch, src_len, embed_dim].  Runs `encode_rows`: the rows at
-    PAD positions are zeros."""
+    """Padded-shape adapter of `encode_rows` (for tests and the benchmark's
+    tracer): memory [batch, src_len, embed_dim] of a [batch, src_len] id
+    array, zeros in the rows at PAD positions."""
     src = pack(store.config, src_ids, "source")
     return _unpack(encode_rows(store, src, rng), src.slots)
 
 
 def decode_batch(store: ParameterStore, memory: nk.Tensor, src_ids: np.ndarray,
                  tgt_ids: np.ndarray, rng: np.random.Generator | None = None) -> nk.Tensor:
-    """Decoder over [batch, tgt_len] inputs given encoder memory [batch,
-    src_len, embed_dim]; returns log-probability rows [batch, tgt_len,
-    vocab].  Row t conditions on target positions <= t (causal) and on
-    non-PAD source positions.  Runs `decode_rows`: the rows at PAD target
-    positions are zeros, not distributions."""
+    """Padded-shape adapter of `decode_rows` (for tests and the benchmark's
+    tracer): log-probability rows [batch, tgt_len, vocab] of [batch, tgt_len]
+    inputs given encoder memory [batch, src_len, embed_dim].  Row t conditions
+    on target positions <= t (causal) and on non-PAD source positions; the
+    rows at PAD target positions are zeros, not distributions."""
     tgt = pack(store.config, tgt_ids, "target")
     bsz, src_len, dim = memory.shape
     memory_slots = nk.Slots(np.where(np.asarray(src_ids) == PAD_ID, -1,

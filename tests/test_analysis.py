@@ -21,7 +21,8 @@ def small_spec():
                          min_chunks=1, max_chunks=3)
 
 
-def trained_setup(epochs=12, n_train=60, seed=0):
+def trained_setup(tmp_path, epochs=12, n_train=60, seed=0):
+    """A small MLE-trained model; its training trace goes into `tmp_path`."""
     spec = small_spec()
     vocab = dg.build_vocabulary(spec)
     pairs = dg.generate_corpus(spec, n_train, np.random.default_rng(seed))
@@ -31,7 +32,8 @@ def trained_setup(epochs=12, n_train=60, seed=0):
                        dropout_rate=0.1, max_seq_len=16), seed)
     obj.train_mle(store, dg.encode_corpus(vocab, pairs),
                   obj.MLEConfig(epochs=epochs, tokens_per_batch=128, peak_lr=0.02,
-                                warmup_steps=20), seed=seed)
+                                warmup_steps=20), seed=seed,
+                  trace_path=tmp_path / "mle_trace.csv")
     return spec, vocab, pairs, store
 
 
@@ -170,8 +172,8 @@ def drawn(pairs, pool, seed=0):
 
 
 class TestCurves:
-    def test_curve_shapes_and_ranges(self):
-        spec, vocab, pairs, store = trained_setup(epochs=2)
+    def test_curve_shapes_and_ranges(self, tmp_path):
+        spec, vocab, pairs, store = trained_setup(tmp_path, epochs=2)
         pool = [tgt for _, tgt in pairs[30:60]]
         result = an.uncertainty_curves(store, vocab, pairs[:30], drawn(pairs[:30], pool), "m")
         for curve in (result.references, result.distractors):
@@ -181,23 +183,23 @@ class TestCurves:
             assert curve.counts == sorted(curve.counts, reverse=True)
             assert curve.counts[0] == 30
 
-    def test_trained_model_prefers_reference(self):
-        spec, vocab, pairs, store = trained_setup(epochs=12)
+    def test_trained_model_prefers_reference(self, tmp_path):
+        spec, vocab, pairs, store = trained_setup(tmp_path, epochs=12)
         pool = [tgt for _, tgt in pairs[40:60]]
         result = an.uncertainty_curves(store, vocab, pairs[:40], drawn(pairs[:40], pool), "m")
         mean_ref = float(np.mean(result.references.mean_prob))
         mean_dis = float(np.mean(result.distractors.mean_prob))
         assert mean_ref > mean_dis
 
-    def test_degenerate_pool_gives_identical_curves(self):
-        spec, vocab, pairs, store = trained_setup(epochs=1, n_train=30)
+    def test_degenerate_pool_gives_identical_curves(self, tmp_path):
+        spec, vocab, pairs, store = trained_setup(tmp_path, epochs=1, n_train=30)
         src, ref = pairs[0]
         result = an.uncertainty_curves(store, vocab, [(src, ref)], [ref], "m")
         assert result.references.mean_prob == result.distractors.mean_prob
 
-    def test_encodes_each_source_once(self, monkeypatch):
+    def test_encodes_each_source_once(self, monkeypatch, tmp_path):
         # the reference and the distractor of a source read one encoding of it
-        spec, vocab, pairs, store = trained_setup(epochs=1, n_train=64)
+        spec, vocab, pairs, store = trained_setup(tmp_path, epochs=1, n_train=64)
         real, encoded = sm.encode_rows, []
 
         def counting(store, src, rng=None):
@@ -208,8 +210,8 @@ class TestCurves:
         an.uncertainty_curves(store, vocab, pairs, [tgt for _, tgt in pairs], "m")
         assert encoded == [64]
 
-    def test_curves_are_order_invariant(self):
-        spec, vocab, pairs, store = trained_setup(epochs=1, n_train=40)
+    def test_curves_are_order_invariant(self, tmp_path):
+        spec, vocab, pairs, store = trained_setup(tmp_path, epochs=1, n_train=40)
         distractors = drawn(pairs[:20], [tgt for _, tgt in pairs[20:40]])
         forward = an.uncertainty_curves(store, vocab, pairs[:20], distractors, "m")
         backward = an.uncertainty_curves(store, vocab, pairs[:20][::-1], distractors[::-1], "m")
@@ -243,16 +245,16 @@ class TestCurves:
 
 
 class TestSweepAndFiles:
-    def test_beam_sweep_points(self):
-        spec, vocab, pairs, store = trained_setup(epochs=2, n_train=40)
+    def test_beam_sweep_points(self, tmp_path):
+        spec, vocab, pairs, store = trained_setup(tmp_path, epochs=2, n_train=40)
         points = an.beam_sweep(store, vocab, pairs[:10], spec, (1, 2))
         assert [p.beam_size for p in points] == [1, 2]
         for p in points:
             assert 0.0 <= p.bleu <= 1.0
             assert 0.0 <= p.hallucination_rate <= 1.0
 
-    def test_judge_corpus_shapes(self):
-        spec, vocab, pairs, store = trained_setup(epochs=1, n_train=30)
+    def test_judge_corpus_shapes(self, tmp_path):
+        spec, vocab, pairs, store = trained_setup(tmp_path, epochs=1, n_train=30)
         judgments = an.judge_corpus(store, vocab, pairs[:5], spec, dec.DecodeConfig())
         assert [(j.source, j.reference) for j in judgments] == pairs[:5]
         assert all(isinstance(j.hypothesis, list) for j in judgments)

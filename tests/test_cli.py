@@ -252,6 +252,17 @@ class TestModelCommands:
         plain, odd = outputs
         assert odd == plain and plain.count("\n") == 3
 
+    def test_translate_reads_reserved_strings_as_unknown(self, workspace, tmp_path, capsys):
+        config, data, run = workspace
+        source = next(s for s, _ in dg.read_tsv(data / "test_id.tsv") if len(s) > 1)
+        lines = [" ".join([source[0], token, *source[1:]]) for token in ("<pad>", "<unk>")]
+        (tmp_path / "in.txt").write_text("\n".join(lines) + "\n")
+        assert cli.main(["translate", "--checkpoint", str(run / "mle.ckpt"),
+                         "--domain", str(data / "domain.json"),
+                         "--input", str(tmp_path / "in.txt"), "--scores"]) == 0
+        padded, unknown = capsys.readouterr().out.splitlines()
+        assert padded == unknown
+
     def test_forced_target_may_fill_all_but_bos(self, workspace, tmp_path, capsys):
         config, data, run = workspace
         lines = (data / "test_ood.tsv").read_text().splitlines()[:3]
@@ -932,6 +943,34 @@ class TestReproduce:
         fisher = json.loads((out / "summary.json").read_text())["ood_hallucination_fisher"]
         assert fisher == {"p_value": metrics.fisher_exact_two_tailed(table),
                           "table": [[table.a, table.b], [table.c, table.d]]}
+
+    def test_summary_keeps_each_system_under_its_own_name(self, tmp_path, monkeypatch):
+        # every mle sentence is judged a hallucination and no mrt sentence is, whatever
+        # the models decode, so a swap of the systems anywhere would show
+        config = cli.config_from_dict(TINY)
+        suite = cli.stage_gen_data(config, tmp_path)
+        vocab = dg.build_vocabulary(config.domain)
+        mle = sm.ParameterStore.init(config.model.to_model_config(len(vocab)), 0)
+        stores = {"mle": mle, "mrt": mle.copy()}
+
+        def judge_by_store(store, vocab, pairs, spec, decode_config):
+            flag = store is mle
+            return [an.HallucinationJudgment(src, ref, list(ref), True, True,
+                                             0.0 if flag else 1.0, flag)
+                    for src, ref in pairs]
+
+        monkeypatch.setattr(an, "judge_corpus", judge_by_store)
+        headline = cli.stage_analyses(config, vocab, config.domain, stores, suite, tmp_path)
+        n = config.eval.hallucination_n
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == headline
+        assert summary["ood_hallucination_fisher"]["table"] == [[n, 0], [0, n]]
+        for system, rate in (("mle", 1.0), ("mrt", 0.0)):
+            for split in ("test_id", "test_ood"):
+                assert summary["systems"][system][split]["hallucination_rate"] == rate
+        judged = [json.loads(line)["is_hallucination"] for line in
+                  (tmp_path / "judgments_mle_ood.jsonl").read_text().splitlines()]
+        assert judged == [True] * n
 
     def test_different_seed_changes_outputs(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)

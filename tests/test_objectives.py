@@ -596,7 +596,7 @@ class TestTrainingLoops:
         first, last = values[:lengths[0]], values[-lengths[-1]:]
         assert np.mean(last) < np.mean(first) * 0.7
 
-    def test_mle_training_is_deterministic(self):
+    def test_mle_training_is_deterministic(self, tmp_path):
         vocab, corpus = tiny_corpus()
         cfg = sm.ModelConfig(vocab_size=len(vocab), embed_dim=16, num_heads=2,
                              enc_layers=1, dec_layers=1, ffn_dim=24,
@@ -604,10 +604,11 @@ class TestTrainingLoops:
         config = obj.MLEConfig(epochs=2, tokens_per_batch=64, warmup_steps=10)
         a = sm.ParameterStore.init(cfg, 5)
         b = sm.ParameterStore.init(cfg, 5)
-        obj.train_mle(a, corpus, config, seed=9)
-        obj.train_mle(b, corpus, config, seed=9)
+        obj.train_mle(a, corpus, config, seed=9, trace_path=tmp_path / "a.csv")
+        obj.train_mle(b, corpus, config, seed=9, trace_path=tmp_path / "b.csv")
         for n in a.names():
             assert np.array_equal(a[n].data, b[n].data), n
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_mrt_finetuning_runs_and_updates(self, tmp_path):
         vocab, corpus = tiny_corpus()
@@ -623,7 +624,7 @@ class TestTrainingLoops:
         rows = read_trace(trace)
         assert len(rows) - 1 == 2 == store.step_count
 
-    def test_mrt_sharpens_with_the_constant_alpha(self, monkeypatch):
+    def test_mrt_sharpens_with_the_constant_alpha(self, monkeypatch, tmp_path):
         vocab, corpus = tiny_corpus()
         store = make_store(vocab=len(vocab))
         alphas = []
@@ -634,17 +635,19 @@ class TestTrainingLoops:
 
         risk = obj.mrt_risk
         monkeypatch.setattr(obj, "mrt_risk", spy)
-        obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2, n_samples=2), seed=0)
+        obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2, n_samples=2), seed=0,
+                         trace_path=tmp_path / "mrt.csv")
         assert alphas == [obj.MRT_ALPHA] * 2
 
-    def test_empty_corpus_rejected(self):
+    def test_empty_corpus_rejected(self, tmp_path):
         store = make_store(11)
         with pytest.raises(ContractError):
-            obj.train_mle(store, [], obj.MLEConfig(), seed=0)
+            obj.train_mle(store, [], obj.MLEConfig(), seed=0, trace_path=tmp_path / "mle.csv")
         with pytest.raises(ContractError):
-            obj.finetune_mrt(store, [], obj.MRTConfig(), seed=0)
+            obj.finetune_mrt(store, [], obj.MRTConfig(), seed=0, trace_path=tmp_path / "mrt.csv")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_zero_learning_rate_is_a_no_op(self):
+    def test_zero_learning_rate_is_a_no_op(self, tmp_path):
         vocab, corpus = tiny_corpus()
         store = sm.ParameterStore.init(
             sm.ModelConfig(vocab_size=len(vocab), embed_dim=16, num_heads=2,
@@ -653,27 +656,32 @@ class TestTrainingLoops:
         before = {n: t.data.copy() for n, t in store.items()}
         config = obj.MLEConfig(epochs=1, tokens_per_batch=64, peak_lr=0.0,
                                warmup_steps=10)
-        obj.train_mle(store, corpus, config, seed=0)
+        obj.train_mle(store, corpus, config, seed=0, trace_path=tmp_path / "mle.csv")
         for n in before:
             assert np.array_equal(before[n], store[n].data), n
 
-    def test_divergence_aborts_naming_the_step(self):
+    def test_divergence_aborts_naming_the_step(self, tmp_path):
         vocab, corpus = tiny_corpus()
         cfg = sm.ModelConfig(vocab_size=len(vocab), embed_dim=16, num_heads=2,
                              enc_layers=1, dec_layers=1, ffn_dim=24,
                              dropout_rate=0.0, max_seq_len=12)
         store = sm.ParameterStore.init(cfg, 4)
         store["embed.shared"].data[0, 0] = np.nan
-        with pytest.raises(ContractError, match="step 1"):
+        with pytest.raises(ContractError, match=r"step 1: .*\(trace of the steps before it: "
+                                                r".*mle\.csv\)$"):
             obj.train_mle(store, corpus,
                           obj.MLEConfig(epochs=1, tokens_per_batch=64,
-                                        warmup_steps=10), seed=0)
+                                        warmup_steps=10), seed=0,
+                          trace_path=tmp_path / "mle.csv")
+        assert read_trace(tmp_path / "mle.csv") == [["step", "objective_value", "learning_rate"]]
         store = sm.ParameterStore.init(cfg, 4)
         store["embed.shared"].data[0, 0] = np.nan
-        with pytest.raises(ContractError, match="step 1"):
-            obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2), seed=0)
+        with pytest.raises(ContractError, match=r"step 1: .*\(trace of the steps before it: "
+                                                r".*mrt\.csv\)$"):
+            obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2), seed=0,
+                             trace_path=tmp_path / "mrt.csv")
 
-    def test_mrt_samples_with_no_tape_open(self, monkeypatch):
+    def test_mrt_samples_with_no_tape_open(self, monkeypatch, tmp_path):
         vocab, corpus = tiny_corpus()
         store = make_store(2, vocab=len(vocab))
         real, tapes = dec.sample_decode_batch, []
@@ -683,7 +691,8 @@ class TestTrainingLoops:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(dec, "sample_decode_batch", watched)
-        obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2, n_samples=2), seed=0)
+        obj.finetune_mrt(store, corpus, obj.MRTConfig(steps=2, n_samples=2), seed=0,
+                         trace_path=tmp_path / "mrt.csv")
         assert tapes == [None, None]
 
     @pytest.mark.parametrize("failure", ["numerics", "overflow"])
@@ -708,7 +717,7 @@ class TestTrainingLoops:
                              seed=0, trace_path=trace)
         assert [row[0] for row in read_trace(trace)] == ["step", "1", "2"]
 
-    def test_mrt_reduces_heldout_risk(self):
+    def test_mrt_reduces_heldout_risk(self, tmp_path):
         vocab, corpus = tiny_corpus(32, seed=3)
         train, held = corpus[:24], corpus[24:]
         store = sm.ParameterStore.init(
@@ -717,7 +726,8 @@ class TestTrainingLoops:
                            dropout_rate=0.0, max_seq_len=12), 6)
         obj.train_mle(store, train,
                       obj.MLEConfig(epochs=6, tokens_per_batch=64,
-                                    warmup_steps=10), seed=0)
+                                    warmup_steps=10), seed=0,
+                      trace_path=tmp_path / "mle.csv")
 
         def heldout_risk() -> float:
             batch = obj.build_risk_batch(store, [s for s, _ in held],
@@ -730,7 +740,7 @@ class TestTrainingLoops:
         before = heldout_risk()
         obj.finetune_mrt(store, train,
                          obj.MRTConfig(steps=40, lr=1e-3),
-                         seed=0)
+                         seed=0, trace_path=tmp_path / "mrt.csv")
         assert heldout_risk() < before
 
 

@@ -67,6 +67,9 @@ class TestVocabulary:
     def test_unknown_maps_to_unk(self):
         v = sm.Vocabulary(["x"])
         assert v.encode(["nope"]) == [sm.UNK_ID]
+        # so are the reserved strings: a PAD id is padding wherever it stands
+        assert v.encode(["<pad>", "<bos>", "<eos>", "<unk>"]) == [sm.UNK_ID] * 4
+        assert v.encode(["x", "<pad>", "x", "<eos>"]) == [4, sm.UNK_ID, 4, sm.UNK_ID]
 
     def test_decode_strips_specials_by_default(self):
         v = sm.Vocabulary(["x"])
