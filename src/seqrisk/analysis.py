@@ -44,8 +44,7 @@ class HallucinationJudgment:
     source: list[str]
     reference: list[str]
     hypothesis: list[str]
-    fluent: bool
-    partially_fluent: bool
+    fluency: str  # "fluent" | "partial" | "disfluent"
     overlap: float
     hallucinated: bool
 
@@ -77,12 +76,12 @@ def judge_hypothesis(src: Sequence[str], ref: Sequence[str], hyp: Sequence[str],
     input: (at least partially) fluent, yet carrying almost none of the
     expected content symbols.  Function symbols are excluded from the
     overlap since every well-formed sentence shares them."""
-    fluent = dg.is_fluent(hyp, spec)
-    partial = fluent or dg.is_partially_fluent(hyp, spec)
+    fluency = ("fluent" if dg.is_fluent(hyp, spec) else
+               "partial" if dg.is_partially_fluent(hyp, spec) else "disfluent")
     overlap = adequacy_overlap(hyp, ref, spec.tgt_content)
     return HallucinationJudgment(
-        list(src), list(ref), list(hyp), fluent, partial, overlap,
-        partial and overlap < OVERLAP_THRESHOLD)
+        list(src), list(ref), list(hyp), fluency, overlap,
+        fluency != "disfluent" and overlap < OVERLAP_THRESHOLD)
 
 
 def judge_corpus(store: sm.ParameterStore, vocab: sm.Vocabulary,
@@ -100,8 +99,8 @@ def summarize_judgments(judgments: Sequence[HallucinationJudgment]) -> Hallucina
     n = len(judgments)
     return HallucinationSummary(
         n=n,
-        n_fluent=sum(j.fluent for j in judgments),
-        n_partially_fluent=sum(j.partially_fluent for j in judgments),
+        n_fluent=sum(j.fluency == "fluent" for j in judgments),
+        n_partially_fluent=sum(j.fluency != "disfluent" for j in judgments),
         n_hallucinated=sum(j.hallucinated for j in judgments),
         rate=sum(j.hallucinated for j in judgments) / n,
         mean_overlap=float(np.mean([j.overlap for j in judgments])),
@@ -110,20 +109,14 @@ def summarize_judgments(judgments: Sequence[HallucinationJudgment]) -> Hallucina
 
 
 def write_judgments_jsonl(path, judgments: Sequence[HallucinationJudgment]) -> None:
-    """One JSON object per sentence; fluency is collapsed to a single label."""
+    """One JSON object per sentence."""
     with sm.atomic_write(path, newline="\n") as fh:
         for j in judgments:
-            if j.fluent:
-                fluency = "fluent"
-            elif j.partially_fluent:
-                fluency = "partial"
-            else:
-                fluency = "disfluent"
             row = {
                 "source": j.source,
                 "reference": j.reference,
                 "hypothesis": j.hypothesis,
-                "fluency": fluency,
+                "fluency": j.fluency,
                 "overlap": j.overlap,
                 "is_hallucination": j.hallucinated,
             }
@@ -146,21 +139,14 @@ class UncertaintyCurve:
     counts: list[int]
 
 
-@dataclass
-class UncertaintyResult:
-    """Reference and distractor curves over the same sources."""
-
-    references: UncertaintyCurve
-    distractors: UncertaintyCurve
-
-    def gap_mean(self) -> float:
-        """Mean of (reference - distractor) certainty over shared positions
-        at or past `GAP_FROM_POSITION`."""
-        gaps = [r - d for r, d in zip(self.references.mean_prob,
-                                      self.distractors.mean_prob)][GAP_FROM_POSITION - 1:]
-        if not gaps:
-            raise ContractError(f"no shared positions >= {GAP_FROM_POSITION}")
-        return math.fsum(gaps) / len(gaps)
+def certainty_gap(references: UncertaintyCurve, distractors: UncertaintyCurve) -> float:
+    """Mean of (reference - distractor) certainty over the shared positions
+    at or past `GAP_FROM_POSITION`."""
+    gaps = [r - d for r, d in zip(references.mean_prob,
+                                  distractors.mean_prob)][GAP_FROM_POSITION - 1:]
+    if not gaps:
+        raise ContractError(f"no shared positions >= {GAP_FROM_POSITION}")
+    return math.fsum(gaps) / len(gaps)
 
 
 def assign_distractors(ref_targets: Sequence[Sequence[str]],
@@ -202,11 +188,11 @@ def _curve_from_probs(probs: list[list[float]], label: str,
 def uncertainty_curves(store: sm.ParameterStore, vocab: sm.Vocabulary,
                        pairs: Sequence[dg.TokenPair],
                        distractors: Sequence[Sequence[str]],
-                       model_tag: str) -> UncertaintyResult:
+                       model_tag: str) -> tuple[UncertaintyCurve, UncertaintyCurve]:
     """Teacher-force each reference and its distractor (`distractors[i]`
     stands in for pair i) on the same source, both scored in one pass from
-    one encoding of the source; average forced-token probability by
-    position."""
+    one encoding of the source; the (references, distractors) curves of
+    mean forced-token probability by position."""
     if not pairs:
         raise ContractError("no sentence pairs to score")
     if len(distractors) != len(pairs):
@@ -217,9 +203,8 @@ def uncertainty_curves(store: sm.ParameterStore, vocab: sm.Vocabulary,
     probs = []  # P(forced token) at each position: reference, distractor, reference, ...
     for picked, mask in obj.forced_log_probs(store, [s for s, _ in enc], groups, batch_size=64):
         probs.extend([float(x) for x in r[: int(m.sum())]] for r, m in zip(np.exp(picked), mask))
-    return UncertaintyResult(
-        _curve_from_probs(probs[0::2], "references", model_tag),
-        _curve_from_probs(probs[1::2], "distractors", model_tag))
+    return (_curve_from_probs(probs[0::2], "references", model_tag),
+            _curve_from_probs(probs[1::2], "distractors", model_tag))
 
 
 def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -135,14 +135,6 @@ def _load_json(path):
         raise ContractError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _write_json(path: Path, payload) -> None:
     with sm.atomic_write(path, newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -282,9 +274,9 @@ def stage_finetune_mrt(config: ExperimentConfig, vocab: sm.Vocabulary,
 
 
 def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
-                   spec: dg.DomainSpec, stores: dict[str, sm.ParameterStore],
+                   stores: dict[str, sm.ParameterStore],
                    suite: dict[str, list[dg.TokenPair]], outdir: Path) -> dict:
-    ev = config.eval
+    ev, spec = config.eval, config.domain
     decode_cfg = dec.DecodeConfig()
     ood, pool = suite["test_ood"], [tgt for _, tgt in suite["test_id"]]
     # one draw for the study: every system scores the same distractors
@@ -315,8 +307,8 @@ def stage_analyses(config: ExperimentConfig, vocab: sm.Vocabulary,
 
         result = an.uncertainty_curves(store, vocab, ood[: ev.uncertainty_n], distractors,
                                        model_tag=system)
-        curves.extend([result.references, result.distractors])
-        info["certainty_gap"] = result.gap_mean()
+        curves.extend(result)
+        info["certainty_gap"] = an.certainty_gap(*result)
 
         by_k = {decode_cfg.beam_size: an.sweep_point(decode_cfg.beam_size, judged[: ev.sweep_n])}
         rest = [k for k in an.DEFAULT_BEAM_SIZES if k not in by_k]
@@ -348,8 +340,7 @@ def run_reproduce(config: ExperimentConfig, outdir: Path) -> dict:
         mle_store = stage_train_mle(config, vocab, suite["train"], outdir)
         mrt_store = stage_finetune_mrt(config, vocab, mle_store, suite["train"], outdir)
         headline = stage_analyses(
-            config, vocab, config.domain,
-            {"mle": mle_store, "mrt": mrt_store}, suite, outdir)
+            config, vocab, {"mle": mle_store, "mrt": mrt_store}, suite, outdir)
 
         # the files the stages wrote; any other file in outdir stays unlisted
         artifacts = ("train.tsv", "dev.tsv", "test_id.tsv", "test_ood.tsv", "domain.json",
@@ -363,7 +354,8 @@ def run_reproduce(config: ExperimentConfig, outdir: Path) -> dict:
                 config.canonical_json().encode()).hexdigest(),
             "seed": config.seed,
             "package_version": __version__,
-            "files": {name: _sha256_file(outdir / name) for name in artifacts},
+            "files": {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                      for name in artifacts},
         }
         _write_json(outdir / "manifest.json", manifest)
     return headline
@@ -508,15 +500,15 @@ def _cmd_analyze_uncertainty(args) -> int:
                           (args.distractor_file, pool)):
         _refuse_overlong(path, targets, store.config.max_seq_len, forced=True)
     assignment, exact = an.assign_distractors([ref for _, ref in pairs], pool, args.seed)
-    result = an.uncertainty_curves(store, vocab, pairs, [pool[j] for j in assignment],
-                                   model_tag=args.system)
-    gap = result.gap_mean()  # may fail: before any file is written
-    an.write_curves_csv(args.output, [result.references, result.distractors])
+    references, distractors = an.uncertainty_curves(
+        store, vocab, pairs, [pool[j] for j in assignment], model_tag=args.system)
+    gap = an.certainty_gap(references, distractors)  # may fail: before any file is written
+    an.write_curves_csv(args.output, [references, distractors])
     if args.assignment is not None:
         an.write_assignment_csv(args.assignment, assignment, exact)
     print(json.dumps({
         "certainty_gap": gap,
-        "positions": len(result.references.mean_prob),
+        "positions": len(references.mean_prob),
         "exact_length_matches": sum(exact),
     }, sort_keys=True))
     return 0

@@ -67,8 +67,7 @@ class NGramCounts:
 
 
 def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
-    if hyp_len == 0:
-        return 0.0
+    """For hyp_len >= 1: both BLEU scores return 0 on an empty output first."""
     return min(1.0, math.exp(1.0 - ref_len / hyp_len))
 
 
@@ -89,14 +88,8 @@ def smoothed_sentence_bleu(hyp: Sequence[Token], ref: Sequence[Token]) -> float:
     if len(hyp) == 0:
         return 0.0
     counts = NGramCounts.from_pair(hyp, ref)
-    precisions = []
-    for n in range(BLEU_ORDER):
-        if n == 0:
-            if counts.totals[0] == 0:
-                return 0.0
-            precisions.append(counts.matches[0] / counts.totals[0])
-        else:
-            precisions.append((counts.matches[n] + 1.0) / (counts.totals[n] + 1.0))
+    precisions = [counts.matches[0] / counts.totals[0]] + [
+        (m + 1.0) / (t + 1.0) for m, t in zip(counts.matches[1:], counts.totals[1:])]
     return _brevity_penalty(counts.hyp_len, counts.ref_len) * _geometric_mean(precisions)
 
 

@@ -97,10 +97,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def id_of(self, token: str) -> int:
-        """Map a token to its id; unknown tokens map to the UNK id."""
-        return self._token_to_id.get(token, UNK_ID)
-
     def token_of(self, idx: int) -> str:
         if not 0 <= idx < len(self._id_to_token):
             raise ContractError(f"id {idx} outside vocabulary of size {len(self)}")
@@ -135,12 +131,13 @@ class Vocabulary:
 
 
 def read_utf8(path) -> str:
-    """The text of file `path` decoded as UTF-8.  Bytes that are not UTF-8
-    raise ContractError naming the file and the line."""
+    """The text of file `path` decoded as UTF-8, less one leading byte-order
+    mark.  Bytes that are not UTF-8 raise ContractError naming the file and
+    the line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ContractError(f"{path}:{line}: not UTF-8 text") from None

@@ -65,7 +65,7 @@ class TestJudgment:
         ref = ["tf0", "tb0", "tf1", "tb1"]
         hyp = ["tf2", "tb4", "tf2", "tb5"]  # parses, shares nothing
         j = an.judge_hypothesis(["sf0", "sb0"], ref, hyp, spec)
-        assert j.fluent and j.partially_fluent
+        assert j.fluency == "fluent"
         assert j.overlap == 0.0
         assert j.hallucinated
 
@@ -74,14 +74,14 @@ class TestJudgment:
         ref = ["tf0", "tb0"]
         hyp = ["sb0", "sb1", "sb2"]  # no parse, no overlap
         j = an.judge_hypothesis(["sf0", "sb0"], ref, hyp, spec)
-        assert not j.fluent and not j.partially_fluent
+        assert j.fluency == "disfluent"
         assert not j.hallucinated
 
     def test_adequate_output_is_not_hallucination(self):
         spec = small_spec()
         ref = ["tf0", "tb0", "tf1", "tb1"]
         j = an.judge_hypothesis(["sf0", "sb0"], ref, list(ref), spec)
-        assert j.fluent and j.overlap == 1.0 and not j.hallucinated
+        assert j.fluency == "fluent" and j.overlap == 1.0 and not j.hallucinated
 
     def test_partial_fluency_counts(self):
         spec = small_spec()
@@ -89,7 +89,7 @@ class TestJudgment:
         # long, mostly parsing output with one broken tail token
         hyp = ["tf2", "tb4", "tf2", "tb5", "tb4", "tf2", "sb0"]
         j = an.judge_hypothesis(["sf0", "sb0"], ref, hyp, spec)
-        assert not j.fluent and j.partially_fluent
+        assert j.fluency == "partial"
         assert j.hallucinated
 
     def test_threshold_is_strict(self):
@@ -175,8 +175,9 @@ class TestCurves:
     def test_curve_shapes_and_ranges(self, tmp_path):
         spec, vocab, pairs, store = trained_setup(tmp_path, epochs=2)
         pool = [tgt for _, tgt in pairs[30:60]]
-        result = an.uncertainty_curves(store, vocab, pairs[:30], drawn(pairs[:30], pool), "m")
-        for curve in (result.references, result.distractors):
+        curves = an.uncertainty_curves(store, vocab, pairs[:30], drawn(pairs[:30], pool), "m")
+        assert [curve.label for curve in curves] == ["references", "distractors"]
+        for curve in curves:
             assert len(curve.mean_prob) == len(curve.counts)
             assert all(0.0 <= v <= 1.0 for v in curve.mean_prob)
             assert all(c > 0 for c in curve.counts)
@@ -186,16 +187,16 @@ class TestCurves:
     def test_trained_model_prefers_reference(self, tmp_path):
         spec, vocab, pairs, store = trained_setup(tmp_path, epochs=12)
         pool = [tgt for _, tgt in pairs[40:60]]
-        result = an.uncertainty_curves(store, vocab, pairs[:40], drawn(pairs[:40], pool), "m")
-        mean_ref = float(np.mean(result.references.mean_prob))
-        mean_dis = float(np.mean(result.distractors.mean_prob))
+        refs, dis = an.uncertainty_curves(store, vocab, pairs[:40], drawn(pairs[:40], pool), "m")
+        mean_ref = float(np.mean(refs.mean_prob))
+        mean_dis = float(np.mean(dis.mean_prob))
         assert mean_ref > mean_dis
 
     def test_degenerate_pool_gives_identical_curves(self, tmp_path):
         spec, vocab, pairs, store = trained_setup(tmp_path, epochs=1, n_train=30)
         src, ref = pairs[0]
-        result = an.uncertainty_curves(store, vocab, [(src, ref)], [ref], "m")
-        assert result.references.mean_prob == result.distractors.mean_prob
+        refs, dis = an.uncertainty_curves(store, vocab, [(src, ref)], [ref], "m")
+        assert refs.mean_prob == dis.mean_prob
 
     def test_encodes_each_source_once(self, monkeypatch, tmp_path):
         # the reference and the distractor of a source read one encoding of it
@@ -217,15 +218,14 @@ class TestCurves:
         backward = an.uncertainty_curves(store, vocab, pairs[:20][::-1], distractors[::-1], "m")
         assert forward == backward
 
-    def test_gap_mean_starts_at_position_3(self):
+    def test_certainty_gap_starts_at_position_3(self):
         refs = an.UncertaintyCurve("references", "m", [0.9, 0.8, 0.7, 0.6], [10, 10, 10, 10])
         dis = an.UncertaintyCurve("distractors", "m", [0.5, 0.5, 0.5, 0.1], [10, 10, 10, 10])
-        result = an.UncertaintyResult(refs, dis)
         assert an.GAP_FROM_POSITION == 3
-        assert result.gap_mean() == pytest.approx((0.2 + 0.5) / 2)
+        assert an.certainty_gap(refs, dis) == pytest.approx((0.2 + 0.5) / 2)
         short = an.UncertaintyCurve("references", "m", [0.9, 0.8], [10, 10])
         with pytest.raises(ContractError, match="no shared positions >= 3"):
-            an.UncertaintyResult(short, dis).gap_mean()
+            an.certainty_gap(short, dis)
 
     def test_csv_output(self, tmp_path):
         refs = an.UncertaintyCurve("references", "mle", [0.9, 0.8], [3, 3])
@@ -260,15 +260,24 @@ class TestSweepAndFiles:
         assert all(isinstance(j.hypothesis, list) for j in judgments)
 
     def test_judgments_jsonl(self, tmp_path):
+        # one judgment of each fluency, through the JSONL and the summary CSV
         spec = small_spec()
-        ref = ["tf0", "tb0"]
-        js = [an.judge_hypothesis(["sf0"], ref, ["tf2", "tb4"], spec)]
-        path = tmp_path / "j.jsonl"
-        an.write_judgments_jsonl(path, js)
-        rows = [json.loads(line) for line in open(path)]
-        assert rows[0]["is_hallucination"] is True
-        assert rows[0]["fluency"] in ("fluent", "partial", "disfluent")
-        assert rows[0]["reference"] == ref
+        ref = ["tf0", "tb0", "tf1", "tb1"]
+        js = [an.judge_hypothesis(["sf0"], ref, hyp, spec) for hyp in (
+            ["tf2", "tb4"],                                     # parses
+            ["tf2", "tb4", "tf2", "tb5", "tb4", "tf2", "sb0"],  # parses but for its tail
+            ["sb0"])]                                           # no parse
+        an.write_judgments_jsonl(tmp_path / "j.jsonl", js)
+        rows = [json.loads(line) for line in open(tmp_path / "j.jsonl")]
+        assert [row["fluency"] for row in rows] == [j.fluency for j in js] == [
+            "fluent", "partial", "disfluent"]
+        assert [row["is_hallucination"] for row in rows] == [True, True, False]
+        assert all(row["reference"] == ref for row in rows)
+        an.write_hallucination_csv(tmp_path / "h.csv",
+                                   {("mle", "test_ood"): an.summarize_judgments(js)})
+        rows = list(csv.DictReader(open(tmp_path / "h.csv")))
+        assert [(r["n"], r["fluent"], r["partially_fluent"], r["hallucinated"])
+                for r in rows] == [("3", "1", "2", "2")]
 
     def test_sweep_and_summary_csv(self, tmp_path):
         points = [an.BeamSweepPoint(1, 0.5, 0.1, 0.8)]

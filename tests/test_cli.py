@@ -141,6 +141,12 @@ class TestConfigValidation:
         with pytest.raises(ContractError, match="invalid JSON"):
             cli.load_config(str(path), [], None)
 
+    def test_a_config_led_by_a_byte_order_mark_loads(self, tmp_path):
+        path = write_tiny_config(tmp_path)
+        plain = cli.load_config(str(path), [], None)
+        path.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
+        assert cli.load_config(str(path), [], None) == plain
+
     def test_an_int_for_a_float_field_hashes_as_the_float(self):
         as_int = cli.load_config(None, ["mrt.lr=1", "mle.peak_lr=0"], None)
         as_float = cli.load_config(None, ["mrt.lr=1.0", "mle.peak_lr=0.0"], None)
@@ -262,6 +268,19 @@ class TestModelCommands:
                          "--input", str(tmp_path / "in.txt"), "--scores"]) == 0
         padded, unknown = capsys.readouterr().out.splitlines()
         assert padded == unknown
+
+    def test_translate_ignores_a_leading_byte_order_mark(self, workspace, tmp_path, capsys):
+        config, data, run = workspace
+        source = " ".join(dg.read_tsv(data / "test_ood.tsv")[0][0]) + "\n"
+        outputs = []
+        for name, text in (("plain.txt", source), ("bom.txt", "\ufeff" + source)):
+            (tmp_path / name).write_bytes(text.encode("utf-8"))
+            assert cli.main(["translate", "--checkpoint", str(run / "mle.ckpt"),
+                             "--domain", str(data / "domain.json"),
+                             "--input", str(tmp_path / name), "--scores"]) == 0
+            outputs.append(capsys.readouterr().out)
+        plain, bom = outputs
+        assert bom == plain
 
     def test_forced_target_may_fill_all_but_bos(self, workspace, tmp_path, capsys):
         config, data, run = workspace
@@ -476,6 +495,9 @@ def refusal_rows() -> dict[str, Refusal]:
     add("train-mle", "negative-seed", "seed must be >= 0, got -1", {"--seed": "-1"})
     add("gen-data", "config-invalid-json", "{root}/config.json: invalid JSON",
         files={"config.json": b"{"})
+    add("reproduce", "set-through-a-scalar",
+        "override path 'mrt.lr' crosses a non-object field", {"--set": "mrt.lr=1"},
+        {"config.json": b'{"mrt": 3}'})
     add("gen-data", "config-not-utf8", "{root}/config.json:1: not UTF-8",
         files={"config.json": b'{"seed": 1, "mle": {"epochs": "\xe9"}}'})
     for root, name in (("[1]", "list"), ('"seed"', "string"), ("null", "null")):
@@ -955,12 +977,12 @@ class TestReproduce:
 
         def judge_by_store(store, vocab, pairs, spec, decode_config):
             flag = store is mle
-            return [an.HallucinationJudgment(src, ref, list(ref), True, True,
+            return [an.HallucinationJudgment(src, ref, list(ref), "fluent",
                                              0.0 if flag else 1.0, flag)
                     for src, ref in pairs]
 
         monkeypatch.setattr(an, "judge_corpus", judge_by_store)
-        headline = cli.stage_analyses(config, vocab, config.domain, stores, suite, tmp_path)
+        headline = cli.stage_analyses(config, vocab, stores, suite, tmp_path)
         n = config.eval.hallucination_n
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary == headline

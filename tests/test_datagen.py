@@ -311,6 +311,11 @@ class TestCorpusFiles:
         with pytest.raises(ContractError, match="empty source or target"):
             dg.read_tsv(path)
 
+    def test_a_leading_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_bytes("\ufeffsf3 sb0\ttf0 tb0\n".encode("utf-8"))
+        assert dg.read_tsv(path) == [(["sf3", "sb0"], ["tf0", "tb0"])]
+
     def test_rejects_a_file_holding_no_pair(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_bytes(b"")

@@ -244,6 +244,10 @@ class TestBatchedBeamCore:
                 assert [h.total_log_prob for h in got] == pytest.approx(
                     [h.total_log_prob for h in alone], abs=1e-5)
 
+    def test_corpus_call_refuses_an_empty_source(self):
+        with pytest.raises(ContractError, match="source must contain at least one token"):
+            dec.beam_search_corpus(make_store(4), [[4], []])
+
 
 class TestSampling:
     def test_deterministic_given_rng(self):

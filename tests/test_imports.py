@@ -202,5 +202,6 @@ def test_random_stream_ids_are_distinct():
             streams.update((f"{path.stem}.{name}", getattr(module, name)) for name in names)
     assert {"objectives.STREAM_INIT", "analysis.STREAM_DISTRACTOR",
             "datagen.STREAM_TRAIN"} <= streams.keys()
+    assert len(streams) == 9, streams
     assert all(type(value) is int for value in streams.values()), streams
     assert len(set(streams.values())) == len(streams), streams

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from seqrisk import analysis as an
 from seqrisk import datagen as dg
 from seqrisk import decoding as dec
 from seqrisk import metrics
@@ -15,14 +14,6 @@ from seqrisk import numkit as nk
 from seqrisk import objectives as obj
 from seqrisk import seqmodel as sm
 from seqrisk.errors import ContractError, NumericsError
-
-
-def test_every_random_sub_stream_id_is_distinct():
-    # one stream per consumer: two consumers sharing an id would draw correlated numbers
-    ids = {f"{module.__name__}.{name}": value for module in (obj, an, dg)
-           for name, value in vars(module).items() if name.startswith("STREAM_")}
-    assert len(ids) == 9, ids
-    assert len(set(ids.values())) == len(ids), ids
 
 
 def make_store(seed=0, vocab=20, dropout=0.0, dtype=None):

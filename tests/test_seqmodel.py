@@ -53,11 +53,11 @@ class TestConfig:
 class TestVocabulary:
     def test_reserved_ids_are_fixed(self):
         v = sm.Vocabulary(["cat", "dog"])
-        assert v.id_of("<pad>") == sm.PAD_ID == 0
-        assert v.id_of("<bos>") == sm.BOS_ID == 1
-        assert v.id_of("<eos>") == sm.EOS_ID == 2
-        assert v.id_of("<unk>") == sm.UNK_ID == 3
-        assert v.id_of("cat") == 4
+        assert v.token_of(sm.PAD_ID) == "<pad>" and sm.PAD_ID == 0
+        assert v.token_of(sm.BOS_ID) == "<bos>" and sm.BOS_ID == 1
+        assert v.token_of(sm.EOS_ID) == "<eos>" and sm.EOS_ID == 2
+        assert v.token_of(sm.UNK_ID) == "<unk>" and sm.UNK_ID == 3
+        assert v.encode(["cat"]) == [4]
 
     def test_encode_decode_round_trip(self):
         v = sm.Vocabulary(["x", "y", "z"])
@@ -90,7 +90,7 @@ class TestVocabulary:
     def test_json_round_trip(self):
         v = sm.Vocabulary(["a", "b", "c"])
         w = sm.Vocabulary.from_json(v.to_json())
-        assert len(w) == len(v) and w.id_of("c") == v.id_of("c")
+        assert len(w) == len(v) and w.encode(["c", "a"]) == v.encode(["c", "a"]) == [6, 4]
 
 
 class TestInitialization:
